@@ -10,7 +10,6 @@ assignment when frames are recomputed on finite-difference stencils.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DefectiveU, FrameDiscontinuity, NotSemisimple
 from .numerics import DEFAULT_FD_STEP, solve_eig, wirtinger_fd
@@ -75,15 +74,17 @@ def _bare_frame(spec, t, eps_ss):
 def _matched_bare(spec, t, ref_u, gap, eps_ss):
     """Bare frame at t with labels matched to the reference eigenvalues.
 
-    Matching is a nearest-eigenvalue assignment; an eigenvalue that moves
-    by more than a quarter of the reference gap signals that the local
-    labeling has become ambiguous.
+    Each reference eigenvalue takes its nearest eigenvalue at t.  Two
+    labels claiming the same eigenvalue, or an eigenvalue that moves by
+    more than a quarter of the reference gap, signal that the local
+    labeling has become ambiguous.  When both checks pass the nearest
+    match is the unique optimal assignment: every other eigenvalue lies
+    at least 3 gap/4 away.
     """
     u, A, eta, _ = _bare_frame(spec, t, eps_ss)
-    cost = np.abs(ref_u[:, None] - u[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(ref_u), dtype=int)
-    perm[rows] = cols
+    perm = np.argmin(np.abs(ref_u[:, None] - u[None, :]), axis=1)
+    if len(np.unique(perm)) != len(perm):
+        raise FrameDiscontinuity(f"eigenvalue labels not one-to-one across stencil: {perm}")
     moved = float(np.max(np.abs(u[perm] - ref_u)))
     if moved > gap / 4.0:
         raise FrameDiscontinuity(

@@ -128,14 +128,17 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
         alg_tol,
     )
 
-    # (d) Chern compatibility of kappa: dK + K omega = 0 on frame directions.
-    def K_field(tp):
+    # K and omega from one matched frame per stencil point: slot 0 of the
+    # stacked field is K, slots 1..m are omega(e_alpha).
+    def frame_field(tp):
         fr = matched_frame(spec, tp, frame, eps_ss=eps_ss, fd_step=fd_step)
-        return np.diag(np.abs(fr.eta) / fr.eta)
+        return np.stack([np.diag(np.abs(fr.eta) / fr.eta), *_omega_matrices(fr)])
 
-    wds_K = [wirtinger_fd(K_field, t, i, step=fd_step) for i in range(m)]
+    wds = [wirtinger_fd(frame_field, t, i, step=fd_step) for i in range(m)]
+
+    # (d) Chern compatibility of kappa: dK + K omega = 0 on frame directions.
     res_d = max(
-        _maxabs(_dir_holo(frame.A, wds_K, alpha) + cdv.K @ cdv.omega[alpha])
+        _maxabs(_dir_holo(frame.A, wds, alpha)[0] + cdv.K @ cdv.omega[alpha])
         for alpha in range(m)
     )
     report.add("kappa_parallel", res_d, tol)
@@ -157,14 +160,9 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
     report.add("higgs_parallel", res_e, tol)
 
     # (f) tt* commutator: dbar_beta omega(e_alpha) = [Ctilde^(beta), C^(alpha)].
-    def omega_field(tp):
-        fr = matched_frame(spec, tp, frame, eps_ss=eps_ss, fd_step=fd_step)
-        return np.stack(_omega_matrices(fr))
-
-    wds_om = [wirtinger_fd(omega_field, t, i, step=fd_step) for i in range(m)]
     res_f = 0.0
     for beta in range(m):
-        domega = _dir_anti(frame.A, wds_om, beta)
+        domega = _dir_anti(frame.A, wds, beta)[1:]
         for alpha in range(m):
             comm = cdv.Ctilde[beta] @ cdv.Cmats[alpha] - cdv.Cmats[alpha] @ cdv.Ctilde[beta]
             res_f = max(res_f, _maxabs(domega[alpha] - comm))
@@ -182,7 +180,7 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
     report.add("unit_parallel", res_h, tol)
 
     # (i) holomorphy of the connection form.
-    res_i = max(_maxabs(wd.anti) for wd in wds_om)
+    res_i = max(_maxabs(wd.anti[1:]) for wd in wds)
     report.add("omega_holomorphy", res_i, tol)
 
     return report
@@ -400,9 +398,17 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
     finite-difference curvature component over all direction pairs
     (including z) and all z samples.  Q defaults to zero; a constant
     override can be injected for corruption tests.
+
+    The base data (W, Phi, Phi-dagger, U, kappa U kappa) does not depend
+    on z, so it is built once at the centre and at each Wirtinger stencil
+    point: (4m+1)^2 eigendecompositions per call.  For every z sample the
+    connection coefficients and their derivatives are then assembled
+    linearly, e.g. d(W_i + Phi_i/z) = dW_i + dPhi_i/z; the constant Q has
+    zero derivative.
     """
     t = np.asarray(t, dtype=complex)
     m = spec.dim
+    n = 2 * m  # base directions: m holomorphic, m antiholomorphic
     g, g_inv = flat_metric(spec)
     if Q is None:
         Q = np.zeros((m, m), dtype=complex)
@@ -412,78 +418,39 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
         return flat_frame_h(spec, tp, eps_ss=eps_ss)
 
     def base_data(tp):
-        """W_i, Phi_i, Phidag_i, U, kappa-U-kappa at tp (column convention)."""
+        """Stack [W_0.., Phi_0.., Phidag_0.., U, kappa-U-kappa] at tp (column convention)."""
         h = h_at(tp)
         dh = np.stack([wirtinger_fd(h_at, tp, i, step=fd_step).holo for i in range(m)])
-        h_inv = invert(h)
         K = _kappa_flat(h, g_inv)
-        Kc = np.conj(K)
         ev = flat_eval(spec, tp)
-        W = [(dh[i] @ h_inv).T for i in range(m)]
-        Phi = [-ev.Cmix[i].T for i in range(m)]
-        Phidag = [K @ np.conj(P) @ Kc for P in Phi]
-        kUk = K @ np.conj(ev.U) @ Kc
-        return W, Phi, Phidag, ev.U, kUk
+        W = np.swapaxes(dh @ invert(h), 1, 2)
+        Phi = -np.swapaxes(ev.Cmix, 1, 2)
+        Phidag = K @ np.conj(Phi) @ np.conj(K)
+        kUk = K @ np.conj(ev.U) @ np.conj(K)
+        return np.concatenate([W, Phi, Phidag, ev.U[None], kUk[None]])
 
-    def make_fields(z):
-        def A_base(i):
-            def f(tp):
-                W, Phi, _, _, _ = base_data(tp)
-                return W[i] + Phi[i] / z
+    def fields(S, z, Qz):
+        """Coefficients [A_h.., A_a.., A_z] at z of the stacked base data S."""
+        W, Phi, Phidag, U, kUk = S[:m], S[m:n], S[n:3 * m], S[3 * m], S[3 * m + 1]
+        return np.concatenate([W + Phi / z, z * Phidag, (U / z**2 - Qz - kUk)[None]])
 
-            return f
-
-        def A_anti(i):
-            def f(tp):
-                _, _, Phidag, _, _ = base_data(tp)
-                return z * Phidag[i]
-
-            return f
-
-        def A_z(tp):
-            _, _, _, U, kUk = base_data(tp)
-            return U / z**2 - Q / z - kUk
-
-        return [A_base(i) for i in range(m)], [A_anti(i) for i in range(m)], A_z
+    S0 = base_data(t)
+    wds = [wirtinger_fd(base_data, t, i, step=fd_step) for i in range(m)]
+    dS = [wd.holo for wd in wds] + [wd.anti for wd in wds]
 
     worst = 0.0
     for z in z_samples:
         z = complex(z)
-        A_h, A_a, A_z = make_fields(z)
-        fields = A_h + A_a + [A_z]
-        centers = [f(t) for f in fields]
-        # Wirtinger data of every field along every base coordinate.
-        wds = [[wirtinger_fd(f, t, i, step=fd_step) for i in range(m)] for f in fields]
-
-        def deriv(field_idx, label):
-            kind, i = label
-            if kind == "h":
-                return wds[field_idx][i].holo
-            return wds[field_idx][i].anti
-
-        labels = [("h", i) for i in range(m)] + [("a", i) for i in range(m)]
-        nf = len(fields)
+        c = fields(S0, z, Q / z)
+        d = np.stack([fields(dk, z, 0.0) for dk in dS])  # d[mu, f] = mu-derivative of f
+        cc = np.einsum("aij,bjk->abik", c, c)
+        comm = cc - np.swapaxes(cc, 0, 1)  # comm[mu, nu] = [c_mu, c_nu]
         # base-base curvature components
-        for mu in range(2 * m):
-            for nu in range(mu + 1, 2 * m):
-                F = (
-                    deriv(nu, labels[mu])
-                    - deriv(mu, labels[nu])
-                    + centers[mu] @ centers[nu]
-                    - centers[nu] @ centers[mu]
-                )
-                worst = max(worst, _maxabs(F))
+        F = d[:, :n] - np.swapaxes(d[:, :n], 0, 1) + comm[:n, :n]
         # base-z components; dA_base/dz and dA_anti/dz are analytic in z.
-        W, Phi, Phidag, _, _ = base_data(t)
-        dz_of = [-Phi[i] / z**2 for i in range(m)] + [Phidag[i] for i in range(m)]
-        for mu in range(2 * m):
-            F = (
-                deriv(nf - 1, labels[mu])
-                - dz_of[mu]
-                + centers[mu] @ centers[nf - 1]
-                - centers[nf - 1] @ centers[mu]
-            )
-            worst = max(worst, _maxabs(F))
+        dz_of = np.concatenate([-S0[m:n] / z**2, S0[n:3 * m]])
+        Fz = d[:, n] - dz_of + comm[:n, n]
+        worst = max(worst, _maxabs(F), _maxabs(Fz))
 
     report = VerificationReport()
     report.add("pencil_curvature", worst, tol, points_checked=len(list(z_samples)))

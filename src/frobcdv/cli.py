@@ -14,7 +14,7 @@ import numpy as np
 from . import cdv as cdvmod
 from . import lowdim as ld
 from .canonical import canonical_frame
-from .catalog import CATALOG_NAMES, catalog as catalog_entry, load_spec, write_spec
+from .catalog import CATALOG_NAMES, _c, catalog as catalog_entry, load_spec, write_spec
 from .errors import FrobCdvError, NotSemisimple, ParseError
 from .numerics import DEFAULT_FD_STEP
 from .potential import check_homogeneity, check_wdvv
@@ -89,10 +89,6 @@ def aggregate(reports):
     return out
 
 
-def _c(z):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _matrix_json(M):
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     return [[_c(z) for z in row] for row in M]
@@ -130,9 +126,18 @@ def _load(args):
 
 
 def _points_for(spec, args, require_semisimple=True):
+    """Points to check; a run that would check none is an error, not a pass."""
     if args.point:
         return [_parse_point(args.point, spec.dim)], 0
-    return sample_points(spec, args.points, args.seed, require_semisimple)
+    if args.points < 1:
+        raise ParseError(f"--points must be at least 1, got {args.points}")
+    pts, skipped = sample_points(spec, args.points, args.seed, require_semisimple)
+    if not pts:
+        raise FrobCdvError(
+            f"no semi-simple point found: all {skipped} samples skipped after "
+            f"{RESAMPLE_LIMIT} draws each (seed {args.seed})"
+        )
+    return pts, skipped
 
 
 def cmd_verify(args):

@@ -314,8 +314,6 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
                 break
         if lam == 0.0:
             break
-    else:  # pragma: no cover
-        pass
 
     h11 = np.exp(v)
     solution = TT2DSolution(

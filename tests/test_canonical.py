@@ -7,6 +7,7 @@ import pytest
 
 from frobcdv import (
     A3_POINT,
+    FrameDiscontinuity,
     NotSemisimple,
     canonical_frame,
     catalog,
@@ -14,7 +15,7 @@ from frobcdv import (
     flat_eval,
     levi_civita_canonical,
 )
-from frobcdv.canonical import matched_frame
+from frobcdv.canonical import _matched_bare, matched_frame
 
 QPT = (0.0, 1.0)
 
@@ -148,3 +149,11 @@ def test_frame_deterministic():
     assert np.array_equal(f1.u, f2.u)
     assert np.array_equal(f1.A, f2.A)
     assert np.array_equal(f1.eta_d, f2.eta_d)
+
+
+def test_matching_rejects_labels_claiming_one_eigenvalue():
+    spec = catalog("quartic2")
+    frame = canonical_frame(spec, (0.0, 1.0))
+    ref_u = np.array([frame.u[0], frame.u[0] + 1e-3])
+    with pytest.raises(FrameDiscontinuity, match="one-to-one"):
+        _matched_bare(spec, frame.point, ref_u, frame.gap, 1e-8)

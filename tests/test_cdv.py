@@ -179,3 +179,29 @@ def test_pencil_scalar_grading_term_is_invisible():
     assert bad["pencil_curvature"].residual == pytest.approx(
         base["pencil_curvature"].residual, rel=1e-9
     )
+
+
+@pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 81), ("a3_3d", A3_POINT, 169)])
+def test_pencil_builds_base_data_once_per_stencil_point(monkeypatch, name, t, eigs):
+    # (4m+1)^2: base data at the centre and at 4m stencil points, each
+    # needing h at its own centre and 4m stencil points.
+    import frobcdv.canonical as canonical
+
+    calls = []
+    solve_eig = canonical.solve_eig
+
+    def counting(M):
+        calls.append(1)
+        return solve_eig(M)
+
+    monkeypatch.setattr(canonical, "solve_eig", counting)
+    pencil_curvature(catalog(name), t, [1.0, 1.0j, 2.0], 1e-5)
+    assert len(calls) == eigs
+
+
+def test_pencil_detects_non_scalar_grading_term():
+    spec = catalog("quartic2")
+    base = pencil_curvature(spec, QPT, [1.0, 1.0j, 2.0], 1e-5)
+    bad = pencil_curvature(spec, QPT, [1.0, 1.0j, 2.0], 1e-5, Q=np.diag([0.5, -0.5]))
+    assert base.passed
+    assert bad["pencil_curvature"].residual > 1.0

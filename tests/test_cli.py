@@ -162,3 +162,19 @@ def test_report_deterministic_modulo_timestamp(tmp_path):
         doc.pop("timestamp")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("command", ["verify", "cdv", "connections", "pencil", "lowdim"])
+def test_no_point_checked_is_an_error(tmp_path, capsys, command):
+    # trivial2 is nowhere semi-simple: every draw is skipped.
+    spec = _dump("trivial2", tmp_path)
+    assert main([command, "--spec", spec, "--points", "2"]) == 2
+    out = capsys.readouterr()
+    assert "PASS" not in out.out
+    assert out.err.count("\n") == 1 and "no semi-simple point" in out.err
+
+
+def test_zero_points_rejected(tmp_path, capsys):
+    spec = _dump("quartic2", tmp_path)
+    assert main(["verify", "--spec", spec, "--points", "0"]) == 2
+    assert "--points" in capsys.readouterr().err
