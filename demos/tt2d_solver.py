@@ -1,10 +1,11 @@
 """Solve the 2-dimensional tt* equation on a rectangle.
 
 The equation (1/4) Lap v = e^{2v} |F'''|^2 - e^{-2v} for v = log h_11 is
-solved with a damped Newton iteration.  For a constant source the
-constant field is the exact solution; for the exponential potential the
-boundary comes from the 1-dimensional reduction, and the solution stays
-independent of Im t^2 (Euler invariance) without enforcing it.
+solved by damped Newton-Krylov on the exact Jacobian of its mixed-order
+stencil.  For a constant source the constant field is the exact
+solution; for the exponential potential the boundary comes from the
+1-dimensional reduction, and the solution stays independent of Im t^2
+(Euler invariance) without enforcing it.
 """
 
 import numpy as np

@@ -217,7 +217,10 @@ def cmd_lowdim(args):
 
 def cmd_tt2d(args):
     spec = _load(args)
-    rect = tuple(float(c) for c in args.rect.split(","))
+    try:
+        rect = tuple(float(c) for c in args.rect.split(","))
+    except ValueError:
+        raise ParseError(f"--rect expects four numbers x0,y0,x1,y1, got {args.rect!r}") from None
     if len(rect) != 4:
         raise ParseError("--rect expects x0,y0,x1,y1")
     solution = ld.solve_tt2d(

@@ -188,13 +188,8 @@ def _fppp_sq(spec, X, Y):
     """|d^3 F / d(t^2)^3|^2 on the grid, at t = (0, x + i y)."""
     if spec.dim != 2:
         raise ValidationError("the 2d tt* equation needs a 2-dimensional spec")
-    terms = diff_terms(spec.terms, (0, 3))
-    out = np.zeros(X.shape)
-    for ix in range(X.shape[0]):
-        for iy in range(X.shape[1]):
-            val = eval_terms(terms, (0.0, X[ix, iy] + 1j * Y[ix, iy]))
-            out[ix, iy] = abs(val) ** 2
-    return out
+    Z = X + 1j * Y
+    return np.abs(eval_terms(diff_terms(spec.terms, (0, 3)), (np.zeros_like(Z), Z))) ** 2
 
 
 def _lap4_1d(v, axis, hstep):
@@ -221,14 +216,64 @@ def _residual4(v, c2, hx, hy):
     return 0.25 * lap - np.exp(2.0 * vi) * c2[1:-1, 1:-1] + np.exp(-2.0 * vi)
 
 
-def _laplacian_matrix(n, hx, hy):
-    """Sparse 5-point Laplacian on the (n-2) x (n-2) interior grid."""
+def _source_jacobian(v, c2):
+    """Diagonal matrix of the derivative of -e^{2v} c2 + e^{-2v} on the
+    interior nodes; 0.25 times the wide Laplacian matrix plus this is the
+    exact Jacobian of _residual4."""
+    vi = v[1:-1, 1:-1]
+    diag = -2.0 * np.exp(2.0 * vi) * c2[1:-1, 1:-1] - 2.0 * np.exp(-2.0 * vi)
+    return sp.diags(diag.ravel())
+
+
+def _d2_matrix(n, hstep, wide):
+    """Sparse second difference on the n - 2 interior nodes of a line.
+
+    With ``wide`` it is the matrix of ``_lap4_1d`` (the 5-point-wide
+    fourth-order formula in the deep interior, the 3-point formula on the
+    first ring and everywhere when n < 5); otherwise the 3-point formula
+    is used on every row.
+    """
     k = n - 2
-    ex = np.ones(k)
-    Dx = sp.diags([ex[:-1], -2.0 * ex, ex[:-1]], [-1, 0, 1]) / hx**2
-    Dy = sp.diags([ex[:-1], -2.0 * ex, ex[:-1]], [-1, 0, 1]) / hy**2
-    eye = sp.identity(k)
-    return (sp.kron(Dx, eye) + sp.kron(eye, Dy)).tocsr()
+    deep = np.zeros(k, dtype=bool)
+    if wide and n >= 5:
+        deep[1:-1] = True
+    centre = np.where(deep, -30.0 / 12.0, -2.0)
+    near = np.where(deep, 16.0 / 12.0, 1.0)
+    far = np.where(deep, -1.0 / 12.0, 0.0)
+    # Row r holds its own coefficients on every diagonal it touches.
+    diagonals = {-2: far[2:], -1: near[1:], 0: centre, 1: near[:-1], 2: far[:-2]}
+    offsets = [o for o in diagonals if abs(o) < k]
+    return sp.diags([diagonals[o] for o in offsets], offsets) / hstep**2
+
+
+def _laplacian_matrix(n, hx, hy, wide):
+    """Sparse Laplacian on the (n-2) x (n-2) interior grid (see _d2_matrix)."""
+    eye = sp.identity(n - 2)
+    return (sp.kron(_d2_matrix(n, hx, wide), eye)
+            + sp.kron(eye, _d2_matrix(n, hy, wide))).tocsr()
+
+
+def _newton_step(J, P, rhs):
+    """Solve J x = rhs by GMRES, preconditioned by a sparse LU of P.
+
+    The factor is made afresh for each step and freed on return.  A
+    GMRES solve that stops short of rtol is still returned: the caller's
+    line search judges the step by the residual it gives.
+    """
+    lu = spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    M = spla.LinearOperator(P.shape, matvec=lu.solve, dtype=float)
+    x, _ = spla.gmres(J, rhs, M=M, rtol=1e-8, atol=0.0)
+    return x
+
+
+def _check_grid(rect, n):
+    """The corners of rect as floats, once an n x n grid on it is usable."""
+    x0, y0, x1, y1 = (float(c) for c in rect)
+    if n < 3:
+        raise ValidationError(f"the grid needs at least 3 nodes per side, got {n}")
+    if not np.all(np.isfinite((x0, y0, x1, y1))) or x0 == x1 or y0 == y1:
+        raise ValidationError(f"rect {rect} must have finite, nonzero width and height")
+    return x0, y0, x1, y1
 
 
 def _boundary_values(boundary, X, Y):
@@ -257,14 +302,18 @@ def _invariance(h11, hy):
 
 def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
                raise_on_failure=True) -> TT2DSolution:
-    """Damped Newton solve of the tt* equation in v = log h_11.
+    """Damped Newton-Krylov solve of the tt* equation in v = log h_11.
 
-    The Newton linearization uses the 5-point Laplacian; the residual
-    that is driven below tol uses the fourth-order stencil, so the two
-    act as a defect-correction pair.  Euler invariance (independence of
-    Im t^2) is reported, never enforced.
+    Each Newton step solves with the exact Jacobian of the fourth-order
+    residual: the mixed-order stencil matrix plus the derivative of the
+    source.  GMRES does the solve, preconditioned by a sparse LU of the
+    5-point Jacobian.  A damped line search on the max-norm residual
+    accepts the step.  Euler invariance (independence of Im t^2) is
+    reported, never enforced.
     """
-    x0, y0, x1, y1 = (float(c) for c in rect)
+    x0, y0, x1, y1 = _check_grid(rect, n)
+    if max_iter < 0:
+        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     x = np.linspace(x0, x1, n)
     y = np.linspace(y0, y1, n)
     hx = (x1 - x0) / (n - 1)
@@ -279,7 +328,8 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     v[:, 0] = np.log(bvals[:, 0])
     v[:, -1] = np.log(bvals[:, -1])
 
-    L = _laplacian_matrix(n, hx, hy)
+    lap4 = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
+    lap2 = 0.25 * _laplacian_matrix(n, hx, hy, wide=False)
     k = n - 2
     iterations = 0
     converged = False
@@ -292,9 +342,8 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
         if iterations == max_iter:
             break
         vi = v[1:-1, 1:-1]
-        diag = -2.0 * np.exp(2.0 * vi) * c2[1:-1, 1:-1] - 2.0 * np.exp(-2.0 * vi)
-        J = 0.25 * L + sp.diags(diag.ravel())
-        delta = spla.spsolve(J.tocsc(), -R.ravel()).reshape(k, k)
+        D = _source_jacobian(v, c2)
+        delta = _newton_step(lap4 + D, lap2 + D, -R.ravel()).reshape(k, k)
         lam = 1.0
         while True:
             trial = v.copy()
@@ -342,29 +391,19 @@ def tt2d_residual(spec, solution: TT2DSolution):
     c2 = _fppp_sq(spec, X, Y)
     v = np.log(solution.h11)
 
-    # Explicit, loop-based fourth-order residual (slow but independent).
-    pde = 0.0
-    for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            if 2 <= i <= n - 3:
-                vxx = (-v[i - 2, j] + 16 * v[i - 1, j] - 30 * v[i, j]
-                       + 16 * v[i + 1, j] - v[i + 2, j]) / (12 * hx**2)
-            else:
-                vxx = (v[i - 1, j] - 2 * v[i, j] + v[i + 1, j]) / hx**2
-            if 2 <= j <= n - 3:
-                vyy = (-v[i, j - 2] + 16 * v[i, j - 1] - 30 * v[i, j]
-                       + 16 * v[i, j + 1] - v[i, j + 2]) / (12 * hy**2)
-            else:
-                vyy = (v[i, j - 1] - 2 * v[i, j] + v[i, j + 1]) / hy**2
-            r = 0.25 * (vxx + vyy) - np.exp(2 * v[i, j]) * c2[i, j] + np.exp(-2 * v[i, j])
-            pde = max(pde, abs(r))
-
-    inv_res = 0.0
-    for i in range(n):
-        for j in range(1, n - 1):
-            inv_res = max(
-                inv_res, abs(solution.h11[i, j + 1] - solution.h11[i, j - 1]) / (2 * hy)
-            )
+    # Second derivatives: the 5-point-wide fourth-order formula on rows and
+    # columns 2..n-3, the 3-point formula on the first interior ring.
+    vxx = (v[:-2, 1:-1] - 2 * v[1:-1, 1:-1] + v[2:, 1:-1]) / hx**2
+    vyy = (v[1:-1, :-2] - 2 * v[1:-1, 1:-1] + v[1:-1, 2:]) / hy**2
+    if n >= 5:
+        vxx[1:-1, :] = (-v[:-4, 1:-1] + 16 * v[1:-3, 1:-1] - 30 * v[2:-2, 1:-1]
+                        + 16 * v[3:-1, 1:-1] - v[4:, 1:-1]) / (12 * hx**2)
+        vyy[:, 1:-1] = (-v[1:-1, :-4] + 16 * v[1:-1, 1:-3] - 30 * v[1:-1, 2:-2]
+                        + 16 * v[1:-1, 3:-1] - v[1:-1, 4:]) / (12 * hy**2)
+    vc = v[1:-1, 1:-1]
+    r = 0.25 * (vxx + vyy) - np.exp(2 * vc) * c2[1:-1, 1:-1] + np.exp(-2 * vc)
+    pde = float(np.max(np.abs(r)))
+    inv_res = float(np.max(np.abs(solution.h11[:, 2:] - solution.h11[:, :-2]) / (2 * hy)))
     return pde, inv_res
 
 
@@ -400,29 +439,39 @@ def invariant_boundary(spec, rect, n, tol=1e-12, max_iter=60):
     Solves (1/4) v''(x) = e^{2v} |f'''|^2 - e^{-2v} with h_11 = 1 at the
     rectangle's x-extremes and returns a callable boundary(X, Y) that is
     independent of y.  Meaningful when |f'''| depends only on Re t^2.
+
+    Newton stops at tol or, once a step no longer halves the residual, at
+    the residual's round-off floor: 4 eps times the size of its largest
+    terms.  On fine grids (n >= 256 on [-1, 1]) that floor lies above
+    tol = 1e-12.
     """
-    x0, _, x1, _ = (float(c) for c in rect)
+    x0, _, x1, _ = _check_grid(rect, n)
     x = np.linspace(x0, x1, n)
     hstep = (x1 - x0) / (n - 1)
-    c2 = _fppp_sq(spec, x.reshape(-1, 1), np.zeros((n, 1))).ravel()
+    c2 = _fppp_sq(spec, x, np.zeros(n))
+    # Same mixed-order second-derivative stencil as the 2-d solver, so
+    # that the y-independent extension solves the 2-d system exactly.
+    lap = 0.25 * _d2_matrix(n, hstep, wide=True).toarray()
+    lap_size = np.max(np.sum(np.abs(lap), axis=1))
     v = np.zeros(n)
+    res = prev = np.inf
     for _ in range(max_iter):
-        # Same mixed-order second-derivative stencil as the 2-d solver, so
-        # that the y-independent extension solves the 2-d system exactly.
-        vxx = _lap4_1d(v, 0, hstep)
-        R = 0.25 * vxx - np.exp(2 * v[1:-1]) * c2[1:-1] + np.exp(-2 * v[1:-1])
-        if np.max(np.abs(R)) <= tol:
+        vi = v[1:-1]
+        grow = np.exp(2 * vi) * c2[1:-1]
+        decay = np.exp(-2 * vi)
+        R = 0.25 * _lap4_1d(v, 0, hstep) - grow + decay
+        res = float(np.max(np.abs(R)))
+        if not np.isfinite(res):
             break
-        k = n - 2
-        main = -2.0 * 0.25 / hstep**2 - 2 * np.exp(2 * v[1:-1]) * c2[1:-1] - 2 * np.exp(-2 * v[1:-1])
-        off = 0.25 / hstep**2 * np.ones(k - 1)
-        J = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-        v[1:-1] += np.linalg.solve(J, -R)
-    else:
-        raise NoConvergence("1-d boundary reduction did not converge")
-    h1d = np.exp(v)
+        floor = 4.0 * np.finfo(float).eps * (
+            lap_size * np.max(np.abs(vi)) + np.max(grow) + np.max(decay))
+        if res <= tol or floor >= res > 0.5 * prev:
+            h1d = np.exp(v)
 
-    def boundary(X, Y):
-        return np.interp(np.asarray(X, dtype=float), x, h1d)
+            def boundary(X, Y):
+                return np.interp(np.asarray(X, dtype=float), x, h1d)
 
-    return boundary
+            return boundary
+        prev = res
+        v[1:-1] += np.linalg.solve(lap + np.diag(-2.0 * grow - 2.0 * decay), -R)
+    raise NoConvergence(f"1-d boundary reduction stopped at residual {res:.3e}")

@@ -107,6 +107,11 @@ def diff_terms(terms, multi_index):
 
 
 def eval_terms(terms, t):
+    """Sum of the terms at t.
+
+    Each coordinate t[i] may be an array (all of one shape); the result
+    is then an array of that shape, and a plain complex otherwise.
+    """
     t = np.asarray(t, dtype=complex)
     total = 0.0 + 0.0j
     for coeff, powers, w in terms:
@@ -114,11 +119,12 @@ def eval_terms(terms, t):
         for ti, p in zip(t, powers):
             if p:
                 val = val * ti**p
-        lin = sum(wi * ti for wi, ti in zip(w, t))
-        if lin != 0:
-            val = val * np.exp(lin)
+        if any(w):
+            val = val * np.exp(sum(wi * ti for wi, ti in zip(w, t)))
         total += val
-    return complex(total)
+    if t.ndim == 1:
+        return complex(total)
+    return total + np.zeros(t.shape[1:], dtype=complex)
 
 
 def _scale_by_coordinate(terms, i):

@@ -178,3 +178,22 @@ def test_zero_points_rejected(tmp_path, capsys):
     spec = _dump("quartic2", tmp_path)
     assert main(["verify", "--spec", spec, "--points", "0"]) == 2
     assert "--points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--grid", "2"],
+    ["--grid", "1"],
+    ["--grid", "0"],
+    ["--grid", "-3"],
+    ["--rect", "0,0,0,1"],
+    ["--rect", "0,0,1,0"],
+    ["--rect", "0,0,nan,1"],
+    ["--rect", "a,b,c,d"],
+    ["--max-iter", "-1"],
+], ids=" ".join)
+def test_tt2d_bad_grid_input_is_one_line_error(tmp_path, capsys, flags):
+    spec = _dump("cubic2", tmp_path)
+    assert main(["tt2d", "--spec", spec, "--grid", "9"] + flags) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ")

@@ -21,6 +21,14 @@ from frobcdv import (
     tt2d_residual,
     write_tt2d_csv,
 )
+from frobcdv.lowdim import (
+    _fppp_sq,
+    _lap4_1d,
+    _laplacian_matrix,
+    _residual4,
+    _source_jacobian,
+    residual_grid,
+)
 
 QPT = (0.0, 1.0)
 
@@ -163,3 +171,84 @@ def test_tt2d_csv_round_trip(tmp_path):
     x, y, h11, res = (float(v) for v in lines[1].split(","))
     assert (x, y) == (-1.0, -1.0)
     assert h11 == 1.0 and res == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 17])
+def test_tt2d_jacobian_matches_residual_derivative(n):
+    # n = 4 has only first-ring rows (3-point formula); from n = 5 on the
+    # deep rows use the 5-point-wide formula.
+    rng = np.random.default_rng(n)
+    hx, hy = 0.3, 0.2
+    v = 0.5 * rng.standard_normal((n, n))
+    c2 = rng.uniform(0.5, 2.0, (n, n))
+    J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True) + _source_jacobian(v, c2)
+    delta = np.zeros((n, n))
+    delta[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
+    eps = 1e-6
+    fd = (_residual4(v + eps * delta, c2, hx, hy)
+          - _residual4(v - eps * delta, c2, hx, hy)) / (2 * eps)
+    exact = J @ delta[1:-1, 1:-1].ravel()
+    assert np.max(np.abs(exact - fd.ravel())) <= 1e-6 * np.max(np.abs(exact))
+
+
+def test_tt2d_newton_iterations():
+    spec = catalog("p1")
+    rect = (-1.0, -1.0, 1.0, 1.0)
+    sol = solve_tt2d(spec, rect, 128, 1.0)
+    assert sol.converged and sol.iterations <= 5
+    sol = solve_tt2d(spec, rect, 64, invariant_boundary(spec, rect, 64))
+    assert sol.converged and sol.iterations <= 6
+
+
+def test_tt2d_residual_agrees_with_residual_grid():
+    # Two independent implementations of the same fourth-order residual,
+    # compared on a converged field and on one far from converged.
+    spec = catalog("p1")
+    rect = (-1.0, -1.0, 1.0, 1.0)
+    for max_iter in (50, 1):
+        sol = solve_tt2d(spec, rect, 33, 1.0, max_iter=max_iter, raise_on_failure=False)
+        pde, _ = tt2d_residual(spec, sol)
+        assert pde == pytest.approx(np.max(residual_grid(spec, sol)), rel=1e-12)
+
+
+@pytest.mark.parametrize("node", [(1, 8), (1, 1), (8, 8), (2, 14)])
+def test_tt2d_residual_detects_single_node_perturbation(node):
+    spec = catalog("cubic2")
+    sol = solve_tt2d(spec, (-1.0, -1.0, 1.0, 1.0), 17, 1.0)
+    assert tt2d_residual(spec, sol)[0] == 0.0
+    h11 = sol.h11.copy()
+    h11[node] *= np.exp(1e-3)
+    pde, _ = tt2d_residual(spec, dataclasses.replace(sol, h11=h11))
+    assert pde > 0.01
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n": 2}, {"n": 0}, {"rect": (0.0, 0.0, 0.0, 1.0)}, {"rect": (0.0, 1.0, 1.0, 1.0)},
+    {"rect": (0.0, 0.0, np.inf, 1.0)}, {"max_iter": -1},
+])
+def test_tt2d_rejects_bad_grid(kwargs):
+    args = {"rect": (-1.0, -1.0, 1.0, 1.0), "n": 9, "max_iter": 50} | kwargs
+    with pytest.raises(ValidationError):
+        solve_tt2d(catalog("cubic2"), args["rect"], args["n"], 1.0, max_iter=args["max_iter"])
+
+
+@pytest.mark.parametrize("name, n", [("quartic2", 256), ("p1", 512)])
+def test_invariant_boundary_fine_grid(name, n):
+    # tol = 1e-12 is below the residual's round-off floor on these grids;
+    # Newton stops at the floor instead of raising.
+    spec = catalog(name)
+    rect = (-1.0, -1.0, 1.0, 1.0)
+    x = np.linspace(-1.0, 1.0, n)
+    v = np.log(invariant_boundary(spec, rect, n)(x, 0.0))
+    c2 = _fppp_sq(spec, x, np.zeros(n))[1:-1]
+    vi = v[1:-1]
+    R = 0.25 * _lap4_1d(v, 0, 2.0 / (n - 1)) - np.exp(2 * vi) * c2 + np.exp(-2 * vi)
+    assert np.max(np.abs(R)) <= 1e-10
+
+
+def test_invariant_boundary_divergence_raises():
+    spec = catalog("p1")
+    with pytest.raises(NoConvergence):
+        invariant_boundary(spec, (0.0, 0.0, 200.0, 1.0), 64)
+    with pytest.raises(NoConvergence):
+        invariant_boundary(spec, (-1.0, -1.0, 1.0, 1.0), 64, max_iter=2)
