@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefectiveU, FrameDiscontinuity, NotSemisimple
-from .numerics import DEFAULT_FD_STEP, solve_eig, wirtinger_fd
-from .potential import flat_eval
+from .numerics import solve_eig
+from .potential import flat_eval, fourth_derivatives
 from .report import VerificationReport
 
 DEFAULT_EPS_SS = 1e-8
@@ -93,34 +93,26 @@ def _matched_bare(spec, t, ref_u, gap, eps_ss):
     return u[perm], A[:, perm], eta[perm]
 
 
-def _matched_eta(spec, t, ref_u, gap, eps_ss):
-    """eta at t with labels matched to the reference eigenvalues ref_u."""
-    return _matched_bare(spec, t, ref_u, gap, eps_ss)[2]
+def _eta_d(spec, t, A):
+    """eta_d[alpha, beta] = e_alpha(eta_beta) = -2 F''''(e_alpha, e_beta, e_beta, e_beta).
 
-
-def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS, fd_step=DEFAULT_FD_STEP) -> CanonicalFrame:
-    """Full canonical frame at t, including eta_d via Wirtinger FD.
-
-    eta_d[alpha, beta] = e_alpha(eta_beta) is assembled from the flat
-    partials of eta (stencil frames matched by nearest eigenvalue)
-    contracted with the idempotent columns.
+    eta_beta = F'''(e_beta, e_beta, e_beta), and F'''(v, e_beta, e_beta) =
+    g(v, e_beta o e_beta) = g(v, e_beta).  Differentiating along e_alpha,
+    with v = e_alpha(e_beta) and g constant, gives e_alpha(eta_beta) =
+    F''''(e_alpha, e_beta, e_beta, e_beta) + (3/2) e_alpha(eta_beta).
     """
+    F4 = fourth_derivatives(spec, t)
+    return -2.0 * np.einsum("ijkl,ia,jb,kb,lb->ab", F4, A, A, A, A)
+
+
+def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
+    """Full canonical frame at t, with eta_d exact (one eigendecomposition)."""
     t = np.asarray(t, dtype=complex)
-    m = spec.dim
     u, A, eta, gap = _bare_frame(spec, t, eps_ss)
-
-    def eta_field(tp):
-        return _matched_eta(spec, tp, u, gap, eps_ss)
-
-    deta = np.zeros((m, m), dtype=complex)  # deta[i, beta] = d eta_beta / d t^i
-    for i in range(m):
-        deta[i] = wirtinger_fd(eta_field, t, i, step=fd_step).holo
-    eta_d = A.T @ deta
-    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, gap=gap)
+    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=_eta_d(spec, t, A), gap=gap)
 
 
-def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS,
-                  fd_step=DEFAULT_FD_STEP) -> CanonicalFrame:
+def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
     """Canonical frame at t with labels matched to a reference frame.
 
     Used when frame data is recomputed on finite-difference stencils: the
@@ -128,18 +120,9 @@ def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS,
     quantities to make sense.
     """
     t = np.asarray(t, dtype=complex)
-    m = spec.dim
     u, A, eta = _matched_bare(spec, t, ref.u, ref.gap, eps_ss)
-    gap = _pairwise_gap(u)
-
-    def eta_field(tp):
-        return _matched_eta(spec, tp, u, gap, eps_ss)
-
-    deta = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        deta[i] = wirtinger_fd(eta_field, t, i, step=fd_step).holo
-    eta_d = A.T @ deta
-    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, gap=gap)
+    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=_eta_d(spec, t, A),
+                          gap=_pairwise_gap(u))
 
 
 def levi_civita_canonical(frame: CanonicalFrame):

@@ -15,7 +15,7 @@ from . import cdv as cdvmod
 from . import lowdim as ld
 from .canonical import canonical_frame
 from .catalog import CATALOG_NAMES, _c, catalog as catalog_entry, load_spec, write_spec
-from .errors import FrobCdvError, NotSemisimple, ParseError
+from .errors import FrobCdvError, ParseError
 from .numerics import DEFAULT_FD_STEP
 from .potential import check_homogeneity, check_wdvv
 from .report import VerificationReport
@@ -145,7 +145,7 @@ def cmd_verify(args):
     pts, skipped = _points_for(spec, args)
     reports = [check_wdvv(spec, pts, args.tol), check_homogeneity(spec, pts, args.tol)]
     for t in pts:
-        frame = canonical_frame(spec, t, fd_step=args.fd_step)
+        frame = canonical_frame(spec, t)
         structure = cdvmod.construct_canonical_cdv(frame, spec.d)
         reports.append(
             cdvmod.verify_cv_axioms(spec, structure, args.tol, fd_step=args.fd_step)
@@ -163,7 +163,7 @@ def cmd_cdv(args):
     spec = _load(args)
     pts, skipped = _points_for(spec, args)
     t = pts[0]
-    frame = canonical_frame(spec, t, fd_step=args.fd_step)
+    frame = canonical_frame(spec, t)
     structure = cdvmod.construct_canonical_cdv(frame, spec.d)
     hd = cdvmod.harmonic_potential(frame, spec.d)
     extra = {
@@ -265,17 +265,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_spec=True):
-        if needs_spec:
-            p.add_argument("--spec", required=True, help="spec JSON file")
-        p.add_argument("--points", type=int, default=3, help="number of sample points")
+    def common(p):
+        p.add_argument("--spec", required=True, help="spec JSON file")
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--tol", type=float, default=1e-5, help="residual tolerance")
+        p.add_argument("--report", default=None, help="write JSON report here")
+
+    def pointwise(p):
+        common(p)
+        p.add_argument("--points", type=int, default=3, help="number of sample points")
         p.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP,
                        help="finite-difference step")
         p.add_argument("--point", default=None,
                        help='explicit point "re,im;re,im;..." (overrides sampling)')
-        p.add_argument("--report", default=None, help="write JSON report here")
 
     for name, fn in (
         ("verify", cmd_verify),
@@ -285,7 +287,7 @@ def build_parser():
         ("lowdim", cmd_lowdim),
     ):
         p = sub.add_parser(name)
-        common(p)
+        pointwise(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("tt2d")

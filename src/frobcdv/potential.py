@@ -9,7 +9,7 @@ differences.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -137,15 +137,25 @@ def _scale_by_coordinate(terms, i):
 
 
 @lru_cache(maxsize=None)
-def _third_derivative_terms(spec: PotentialSpec):
+def _derivative_terms(spec: PotentialSpec, order):
+    """Terms of each distinct partial of F of the given order, and where
+    its value goes in the flattened, totally symmetric tensor."""
     m = spec.dim
-    table = {}
-    for idx in combinations_with_replacement(range(m), 3):
-        multi = [0] * m
-        for i in idx:
-            multi[i] += 1
-        table[idx] = diff_terms(spec.terms, multi)
-    return table
+    shape = (m,) * order
+    terms, slots = [], []
+    for idx in combinations_with_replacement(range(m), order):
+        terms.append(diff_terms(spec.terms, tuple(idx.count(i) for i in range(m))))
+        slots.append([np.ravel_multi_index(p, shape) for p in set(permutations(idx))])
+    owner = np.repeat(np.arange(len(slots)), [len(s) for s in slots])
+    return tuple(terms), np.concatenate(slots), owner
+
+
+def _symmetric_derivatives(spec: PotentialSpec, t, order):
+    terms, flat, owner = _derivative_terms(spec, order)
+    vals = np.array([eval_terms(tm, t) for tm in terms])
+    out = np.empty(spec.dim**order, dtype=complex)
+    out[flat] = vals[owner]
+    return out.reshape((spec.dim,) * order)
 
 
 def eval_derivative(spec: PotentialSpec, multi_index, t) -> complex:
@@ -157,15 +167,12 @@ def eval_derivative(spec: PotentialSpec, multi_index, t) -> complex:
 
 def third_derivatives(spec: PotentialSpec, t):
     """Totally symmetric tensor C_ijk at t."""
-    m = spec.dim
-    table = _third_derivative_terms(spec)
-    C3 = np.zeros((m, m, m), dtype=complex)
-    for idx, terms in table.items():
-        val = eval_terms(terms, t)
-        i, j, k = idx
-        for a, b, c in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-            C3[a, b, c] = val
-    return C3
+    return _symmetric_derivatives(spec, t, 3)
+
+
+def fourth_derivatives(spec: PotentialSpec, t):
+    """Totally symmetric tensor F_ijkl of fourth partials of F at t."""
+    return _symmetric_derivatives(spec, t, 4)
 
 
 @lru_cache(maxsize=None)

@@ -71,18 +71,27 @@ def test_metric_reconstruction_from_frame():
 
 
 def test_eta_derivative_against_direct_difference():
-    # eta_d[alpha, beta] = e_alpha(eta_beta); verified against a central
-    # difference along the idempotent direction computed by hand.
-    spec = catalog("quartic2")
-    t = np.array(QPT, dtype=complex)
-    frame = canonical_frame(spec, t)
-    step = 1e-6
-    for alpha in range(2):
-        direction = frame.A[:, alpha]
-        plus = matched_frame(spec, t + step * direction, frame)
-        minus = matched_frame(spec, t - step * direction, frame)
-        fd = (plus.eta - minus.eta) / (2.0 * step)
-        assert np.max(np.abs(fd - frame.eta_d[alpha])) <= 1e-6
+    # eta_d[alpha, beta] = e_alpha(eta_beta) comes from the fourth
+    # derivatives of F; the oracle is a central difference of eta along
+    # each idempotent direction, with frames matched to the centre.
+    step = 1e-5
+    for name, t in [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))]:
+        spec = catalog(name)
+        t = np.asarray(t, dtype=complex)
+        frame = canonical_frame(spec, t)
+        scale = np.max(np.abs(frame.eta_d))
+        for alpha in range(spec.dim):
+            direction = frame.A[:, alpha]
+            plus = matched_frame(spec, t + step * direction, frame)
+            minus = matched_frame(spec, t - step * direction, frame)
+            fd = (plus.eta - minus.eta) / (2.0 * step)
+            assert np.max(np.abs(fd - frame.eta_d[alpha])) <= 1e-8 * scale, name
+
+
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)])
+def test_canonical_frame_takes_one_eigendecomposition(eig_calls, name, t):
+    canonical_frame(catalog(name), t)
+    assert len(eig_calls) == 1
 
 
 def test_levi_civita_metric_compatibility():

@@ -19,7 +19,9 @@ from frobcdv import (
     pencil_curvature,
     verify_cv_axioms,
     verify_harmonic,
+    write_spec,
 )
+from frobcdv.cli import main
 
 QPT = (0.0, 1.0)
 
@@ -85,6 +87,8 @@ def test_corrupted_kappa_detected():
     assert not rep.passed
     # |conj(sqrt(3) K00) sqrt(3) K00 - 1| = |3 - 1| = 2, exactly
     assert rep["kappa_involution"].residual == pytest.approx(2.0, abs=1e-12)
+    # the kappa-conjugate of C^(0) = diag(1, 0) has entry |sqrt(3) K00|^2 = 3
+    assert rep["higgs_reality"].residual == pytest.approx(2.0, abs=1e-12)
 
 
 def test_global_sign_flip_is_still_an_involution():
@@ -157,6 +161,25 @@ def test_connection_gap_quartic2_nonzero():
         assert e.residual > 1e-3, e.name
 
 
+# Gaps at fixed points from the former loop-by-loop implementation of
+# connection_gap (Christoffel symbols summed entry by entry).
+LOOP_GAPS = {
+    "quartic2": (QPT, (0.02551551815383, 0.02551551815383, 0.05103103630638,
+                       0.2499999999922, 0.2500000000126)),
+    "a3_3d": (A3_POINT, (0.5929161748004, 0.5929161747887, 0.7852147431597,
+                         0.9551851420603, 0.9551851420605)),
+    "p1": ((0.2, 0.4), (0.1023413441424, 0.1023413441424, 0.2046826882526,
+                        0.2499999999794, 0.2499999999855)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_GAPS))
+def test_connection_gap_matches_loop_values(name):
+    t, expected = LOOP_GAPS[name]
+    rep = connection_gap(catalog(name), t, 1e-5)
+    assert [e.residual for e in rep.entries] == pytest.approx(expected, rel=1e-9)
+
+
 def test_pencil_flat_quartic2():
     spec = catalog("quartic2")
     rep = pencil_curvature(spec, QPT, [1.0, 1.0j, 2.0], 1e-5)
@@ -182,21 +205,36 @@ def test_pencil_scalar_grading_term_is_invisible():
 
 
 @pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 81), ("a3_3d", A3_POINT, 169)])
-def test_pencil_builds_base_data_once_per_stencil_point(monkeypatch, name, t, eigs):
+def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, name, t, eigs):
     # (4m+1)^2: base data at the centre and at 4m stencil points, each
     # needing h at its own centre and 4m stencil points.
-    import frobcdv.canonical as canonical
-
-    calls = []
-    solve_eig = canonical.solve_eig
-
-    def counting(M):
-        calls.append(1)
-        return solve_eig(M)
-
-    monkeypatch.setattr(canonical, "solve_eig", counting)
     pencil_curvature(catalog(name), t, [1.0, 1.0j, 2.0], 1e-5)
-    assert len(calls) == eigs
+    assert len(eig_calls) == eigs
+
+
+@pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 8), ("a3_3d", A3_POINT, 12)])
+def test_verifiers_take_one_frame_per_stencil_point(eig_calls, name, t, eigs):
+    # 4m stencil points, one eigendecomposition each: a matched frame's
+    # eta_d is exact, so it takes no stencil of its own.
+    spec = catalog(name)
+    frame = canonical_frame(spec, t)
+    cdv = construct_canonical_cdv(frame, spec.d)
+    eig_calls.clear()
+    verify_cv_axioms(spec, cdv, 1e-5)
+    assert len(eig_calls) == eigs
+    eig_calls.clear()
+    verify_harmonic(spec, frame, harmonic_potential(frame, spec.d), cdv, 1e-5)
+    assert len(eig_calls) == eigs
+
+
+@pytest.mark.parametrize("seed", [5, 47])
+def test_verify_a3_near_discriminant(tmp_path, seed):
+    # These seeds sample a3_3d at a relative eigenvalue gap of 0.05-0.07.
+    # With eta_d taken by finite differences of frames, ttstar_commutator
+    # read 2-3e-5 here against the tolerance 1e-5.
+    path = tmp_path / "a3_3d.json"
+    write_spec(catalog("a3_3d"), path)
+    assert main(["verify", "--spec", str(path), "--points", "1", "--seed", str(seed)]) == 0
 
 
 def test_pencil_detects_non_scalar_grading_term():

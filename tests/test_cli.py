@@ -134,12 +134,28 @@ def test_tt2d_command(tmp_path):
     report = tmp_path / "tt2d.json"
     code = main([
         "tt2d", "--spec", spec, "--grid", "17", "--csv", str(csv),
-        "--report", str(report),
+        "--report", str(report), "--seed", "4",
     ])
     assert code == 0
     assert csv.read_text().startswith("x,y,h11,residual")
     doc = json.loads(report.read_text())
     assert doc["tt2d"]["converged"] is True
+    assert doc["summary"]["seed"] == 4
+
+
+@pytest.mark.parametrize("flags", [
+    ["--points", "7"],
+    ["--point", "9,9;9,9"],
+    ["--fd-step", "3"],
+], ids=" ".join)
+def test_tt2d_rejects_sampling_options(tmp_path, capsys, flags):
+    # tt2d samples no points, so the options of the point-checking
+    # subcommands would be accepted and ignored.
+    spec = _dump("cubic2", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["tt2d", "--spec", spec, "--grid", "9"] + flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_catalog_command(tmp_path):

@@ -5,8 +5,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobcdv import (
+    CATALOG_NAMES,
     PotentialSpec,
     ValidationError,
     catalog,
@@ -20,7 +22,7 @@ from frobcdv import (
     wdvv_residual,
 )
 from frobcdv.errors import DegenerateMetric
-from frobcdv.potential import third_derivatives
+from frobcdv.potential import fourth_derivatives, third_derivatives
 
 
 def test_constant_third_derivative():
@@ -68,6 +70,24 @@ def test_third_derivatives_permutation_symmetric_exactly():
     C3 = third_derivatives(spec, (0.3 + 0.2j, 0.5 - 0.1j, 1.1))
     for i, j, k in permutations(range(3)):
         assert np.array_equal(C3, np.transpose(C3, (i, j, k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(CATALOG_NAMES), data=st.data())
+def test_fourth_derivatives_symmetric_and_match_third(name, data):
+    spec = catalog(name)
+    coord = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    t = np.array(data.draw(st.lists(coord, min_size=spec.dim, max_size=spec.dim)))
+    F4 = fourth_derivatives(spec, t)
+    for perm in permutations(range(4)):
+        assert np.array_equal(F4, np.transpose(F4, perm))
+    step = 1e-5
+    scale = 1.0 + np.max(np.abs(F4))
+    for l in range(spec.dim):
+        shift = np.zeros(spec.dim)
+        shift[l] = step
+        fd = (third_derivatives(spec, t + shift) - third_derivatives(spec, t - shift)) / (2 * step)
+        assert np.max(np.abs(fd - F4[..., l])) <= 1e-8 * scale
 
 
 def test_gradient_of_structure_tensor_symmetric():
