@@ -48,6 +48,7 @@ from .cdv import (
     HarmonicData,
     connection_gap,
     construct_canonical_cdv,
+    flat_frame_dh,
     flat_frame_h,
     harmonic_potential,
     pencil_curvature,

@@ -25,7 +25,10 @@ class CanonicalFrame:
     """Eigen-data of the tangent algebra at one semi-simple point.
 
     Column alpha of A expresses the idempotent e_alpha in the flat basis;
-    eta[alpha] = g(e_alpha, e_alpha); eta_d[alpha, beta] = e_alpha(eta_beta).
+    eta[alpha] = g(e_alpha, e_alpha); eta_d[alpha, beta] = e_alpha(eta_beta);
+    dC[k, alpha, gamma] = F''''(d_k, e_alpha, e_alpha, e_gamma), i.e.
+    g((d_k C)(e_alpha, e_alpha), e_gamma), the flat derivative of the
+    multiplication that gives eta_d and the derivatives of the idempotents.
     """
 
     point: np.ndarray
@@ -33,6 +36,7 @@ class CanonicalFrame:
     A: np.ndarray
     eta: np.ndarray
     eta_d: np.ndarray
+    dC: np.ndarray
     gap: float
 
 
@@ -93,23 +97,28 @@ def _matched_bare(spec, t, ref_u, gap, eps_ss):
     return u[perm], A[:, perm], eta[perm]
 
 
-def _eta_d(spec, t, A):
-    """eta_d[alpha, beta] = e_alpha(eta_beta) = -2 F''''(e_alpha, e_beta, e_beta, e_beta).
+def _derivative_data(spec, t, A):
+    """dC (see CanonicalFrame) and eta_d from one evaluation of F''''.
 
-    eta_beta = F'''(e_beta, e_beta, e_beta), and F'''(v, e_beta, e_beta) =
-    g(v, e_beta o e_beta) = g(v, e_beta).  Differentiating along e_alpha,
-    with v = e_alpha(e_beta) and g constant, gives e_alpha(eta_beta) =
-    F''''(e_alpha, e_beta, e_beta, e_beta) + (3/2) e_alpha(eta_beta).
+    eta_d[alpha, beta] = e_alpha(eta_beta) = -2 F''''(e_alpha, e_beta,
+    e_beta, e_beta): eta_beta = F'''(e_beta, e_beta, e_beta), and
+    F'''(v, e_beta, e_beta) = g(v, e_beta o e_beta) = g(v, e_beta).
+    Differentiating along e_alpha, with v = e_alpha(e_beta) and g
+    constant, gives e_alpha(eta_beta) = F''''(e_alpha, e_beta, e_beta,
+    e_beta) + (3/2) e_alpha(eta_beta).
     """
     F4 = fourth_derivatives(spec, t)
-    return -2.0 * np.einsum("ijkl,ia,jb,kb,lb->ab", F4, A, A, A, A)
+    dC = np.einsum("kijl,ia,ja,lg->kag", F4, A, A, A)
+    eta_d = -2.0 * np.einsum("ka,kbb->ab", A, dC)
+    return dC, eta_d
 
 
 def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
-    """Full canonical frame at t, with eta_d exact (one eigendecomposition)."""
+    """Full canonical frame at t, with exact derivatives (one eigendecomposition)."""
     t = np.asarray(t, dtype=complex)
     u, A, eta, gap = _bare_frame(spec, t, eps_ss)
-    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=_eta_d(spec, t, A), gap=gap)
+    dC, eta_d = _derivative_data(spec, t, A)
+    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC, gap=gap)
 
 
 def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
@@ -121,12 +130,13 @@ def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS) -> Canoni
     """
     t = np.asarray(t, dtype=complex)
     u, A, eta = _matched_bare(spec, t, ref.u, ref.gap, eps_ss)
-    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=_eta_d(spec, t, A),
+    dC, eta_d = _derivative_data(spec, t, A)
+    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC,
                           gap=_pairwise_gap(u))
 
 
 def levi_civita_canonical(frame: CanonicalFrame):
-    """Christoffel matrices Gamma[alpha][k, beta] of nabla_{e_alpha} e_beta.
+    """Christoffel matrices Gamma[alpha, k, beta] of nabla_{e_alpha} e_beta.
 
     For alpha != beta:
         nabla_alpha e_beta = (e_beta eta_alpha)/(2 eta_alpha) e_alpha
@@ -136,22 +146,15 @@ def levi_civita_canonical(frame: CanonicalFrame):
                             - sum_{g != alpha} (e_g eta_alpha)/(2 eta_g) e_g.
     """
     m = len(frame.u)
-    eta = frame.eta
-    eta_d = frame.eta_d
-    gammas = []
-    for alpha in range(m):
-        G = np.zeros((m, m), dtype=complex)
-        for beta in range(m):
-            if beta == alpha:
-                G[alpha, alpha] += eta_d[alpha, alpha] / (2.0 * eta[alpha])
-                for g in range(m):
-                    if g != alpha:
-                        G[g, alpha] -= eta_d[g, alpha] / (2.0 * eta[g])
-            else:
-                G[alpha, beta] += eta_d[beta, alpha] / (2.0 * eta[alpha])
-                G[beta, beta] += eta_d[alpha, beta] / (2.0 * eta[beta])
-        gammas.append(G)
-    return gammas
+    a = np.arange(m)
+    off = 1.0 - np.eye(m)
+    q = frame.eta_d / (2.0 * frame.eta)  # q[b, a] = e_b(eta_a) / (2 eta_a)
+    p = frame.eta_d / (2.0 * frame.eta[:, None])  # p[g, a] = e_g(eta_a) / (2 eta_g)
+    G = np.zeros((m, m, m), dtype=complex)
+    G[a, a, :] = q.T
+    G[:, a, a] += q * off
+    G[a, :, a] -= (p * off).T
+    return G
 
 
 def check_euler_eta(spec, frame: CanonicalFrame, tol) -> VerificationReport:

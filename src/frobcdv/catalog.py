@@ -143,26 +143,35 @@ def _parse_c(pair, where):
     return complex(float(pair[0]), float(pair[1]))
 
 
+def _parse_powers(powers, where):
+    """The powers list as given; PotentialSpec checks its entries."""
+    if not isinstance(powers, list):
+        raise ParseError(f"expected a list of powers in {where}, got {powers!r}")
+    return tuple(powers)
+
+
 def spec_from_dict(doc: dict) -> PotentialSpec:
     _require_keys(doc, ("dim", "monomials", "exponentials", "euler", "normal_form"), "spec")
     _require_keys(doc["euler"], ("degrees", "shifts", "d", "d_F"), "euler")
     monomials = []
     for mono in doc["monomials"]:
         _require_keys(mono, ("coeff", "powers"), "monomial")
-        monomials.append((_parse_c(mono["coeff"], "monomial"), tuple(int(p) for p in mono["powers"])))
+        monomials.append(
+            (_parse_c(mono["coeff"], "monomial"), _parse_powers(mono["powers"], "monomial"))
+        )
     exponentials = []
     for term in doc["exponentials"]:
         _require_keys(term, ("coeff", "powers", "linear_form"), "exponential")
         exponentials.append(
             (
                 _parse_c(term["coeff"], "exponential"),
-                tuple(int(p) for p in term["powers"]),
+                _parse_powers(term["powers"], "exponential"),
                 tuple(_parse_c(x, "linear_form") for x in term["linear_form"]),
             )
         )
     euler = doc["euler"]
     return PotentialSpec(
-        dim=int(doc["dim"]),
+        dim=doc["dim"],
         monomials=tuple(monomials),
         exponentials=tuple(exponentials),
         degrees=tuple(float(x) for x in euler["degrees"]),

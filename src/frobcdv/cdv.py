@@ -13,7 +13,6 @@ import numpy as np
 from .canonical import (
     CanonicalFrame,
     DEFAULT_EPS_SS,
-    _bare_frame,
     canonical_frame,
     levi_civita_canonical,
     matched_frame,
@@ -189,26 +188,12 @@ def harmonic_potential(frame: CanonicalFrame, d: float) -> HarmonicData:
     omega_beta^beta(e_alpha) off the diagonal and -conj(u^beta) on it;
     V[beta, alpha] = (u^beta - u^alpha) eta_d[alpha, beta]/(2 eta_beta).
     """
-    m = len(frame.u)
-    eta = frame.eta
-    eta_d = frame.eta_d
-    P = np.zeros((m, m), dtype=complex)
-    Pdag = np.zeros((m, m), dtype=complex)
-    V = np.zeros((m, m), dtype=complex)
-    for alpha in range(m):
-        P[alpha, alpha] = -frame.u[alpha]
-        Pdag[alpha, alpha] = -np.conj(frame.u[alpha])
-        for beta in range(m):
-            if beta == alpha:
-                continue
-            P[alpha, beta] = (
-                np.conj(eta_d[alpha, beta]) * eta[beta]
-                / (2.0 * abs(eta[alpha] * eta[beta]))
-            )
-            Pdag[beta, alpha] = eta_d[alpha, beta] / (2.0 * eta[beta])
-            V[beta, alpha] = (frame.u[beta] - frame.u[alpha]) * eta_d[alpha, beta] / (
-                2.0 * eta[beta]
-            )
+    u, eta = frame.u, frame.eta
+    P = np.conj(frame.eta_d) * eta / (2.0 * np.abs(np.outer(eta, eta)))
+    Pdag = (frame.eta_d / (2.0 * eta)).T
+    V = (u[:, None] - u[None, :]) * Pdag  # zero on the diagonal
+    np.fill_diagonal(P, -u)
+    np.fill_diagonal(Pdag, -np.conj(u))
     return HarmonicData(P=P, Pdag=Pdag, V=V)
 
 
@@ -266,19 +251,32 @@ def verify_harmonic(spec, frame: CanonicalFrame, hd, cdv: CdvStructure, tol,
     return report
 
 
-def flat_frame_h(spec, t, cdv: CdvStructure = None, eps_ss=DEFAULT_EPS_SS):
-    """The Hermitian pairing in the flat basis: h_ij = h(d_i, conj(d_j)).
+def flat_frame_h(spec, t, eps_ss=DEFAULT_EPS_SS):
+    """The Hermitian pairing in the flat basis: h_ij = h(d_i, conj(d_j))."""
+    return flat_frame_dh(canonical_frame(spec, t, eps_ss=eps_ss))[0]
 
-    Label-invariant (the sum runs over all idempotents), so no frame
-    matching is needed.
+
+def flat_frame_dh(frame: CanonicalFrame):
+    """h in the flat basis and its exact derivatives dh[k] = d_k h.
+
+    h = B^T diag|eta| conj(B) with B = A^{-1} (row alpha = frame
+    components of the flat vectors); it is label-invariant, and so is dh.
+    dbar_k h = dh[k]^dagger, as h is Hermitian.  d_k conj(B) = 0 and d_k B
+    = -B (d_k A) B.  Differentiating e_alpha o e_alpha = e_alpha gives
+    d_k e_alpha = sum_gamma x_gamma e_gamma with x_gamma = r_gamma for
+    gamma != alpha and x_alpha = -r_alpha, where r_gamma = dC[k, alpha,
+    gamma] / eta_gamma.  With d_k eta_alpha = -2 dC[k, alpha, alpha] and
+    d_k|eta_alpha| = |eta_alpha| d_k eta_alpha / (2 eta_alpha) the diagonal
+    terms cancel: d_k h = -B^T M_k conj(B), where M_k[alpha, gamma] =
+    dC[k, alpha, gamma] |eta_gamma| / eta_gamma off the diagonal, 0 on it.
     """
-    if cdv is not None:
-        frame = cdv.frame
-        A, eta = frame.A, frame.eta
-    else:
-        _, A, eta, _ = _bare_frame(spec, np.asarray(t, dtype=complex), eps_ss)
-    B = invert(A)  # row alpha = frame components of the flat vectors
-    return np.einsum("ai,aj,a->ij", B, np.conj(B), np.abs(eta))
+    B = invert(frame.A)
+    h = np.einsum("ai,aj,a->ij", B, np.conj(B), np.abs(frame.eta))
+    M = frame.dC * (np.abs(frame.eta) / frame.eta)
+    a = np.arange(len(frame.eta))
+    M[:, a, a] = 0.0
+    dh = -np.einsum("ai,kag,gj->kij", B, M, np.conj(B))
+    return h, dh
 
 
 def _real_metric(h):
@@ -289,13 +287,24 @@ def _real_metric(h):
     return np.vstack([top, bot])
 
 
-def connection_gap(spec, t, tol, fd_step=DEFAULT_FD_STEP,
-                   eps_ss=DEFAULT_EPS_SS) -> VerificationReport:
+def _real_metric_derivatives(dh):
+    """dg[a] = derivative of _real_metric(h) along x^a (a < m), y^(a-m) (a >= m).
+
+    Along x^k the derivative of h is d_k h + dbar_k h, along y^k it is
+    i (d_k h - dbar_k h), with dbar_k h = (d_k h)^dagger; _real_metric is
+    real-linear.
+    """
+    dbar = np.conj(np.swapaxes(dh, 1, 2))
+    return np.stack([_real_metric(d) for d in np.concatenate([dh + dbar, 1j * (dh - dbar)])])
+
+
+def connection_gap(spec, t, tol, eps_ss=DEFAULT_EPS_SS) -> VerificationReport:
     """Gaps between the flat, Chern, and real Levi-Civita connections.
 
     Entries read as distances: an entry "passes" exactly when the
     corresponding gap is below tol, i.e. when the structure behaves as in
-    the trivial (flat) case.
+    the trivial (flat) case.  Every derivative of h is exact
+    (flat_frame_dh), so a call takes one eigendecomposition.
     """
     t = np.asarray(t, dtype=complex)
     m = spec.dim
@@ -319,30 +328,13 @@ def connection_gap(spec, t, tol, fd_step=DEFAULT_FD_STEP,
 
     # (c) closedness of the Kaehler form, flat coordinates:
     # max |d_k h_ij - d_i h_kj|.
-    def h_field(tp):
-        return flat_frame_h(spec, tp, eps_ss=eps_ss)
-
-    h0 = h_field(t)
-    dh = np.stack([wirtinger_fd(h_field, t, k, step=fd_step).holo for k in range(m)])
+    h0, dh = flat_frame_dh(frame)
     res_c = _maxabs(dh - np.swapaxes(dh, 0, 1))
     report.add("kaehler_closedness", res_c, tol)
 
     # (d) real Levi-Civita of Re h vs Chern and vs flat, after
     # complexifying real output vectors via v = v_x + i v_y.
-    n = 2 * m
-
-    def g_hat(s):
-        tp = s[:m] + 1j * s[m:]
-        return _real_metric(h_field(tp))
-
-    s0 = np.concatenate([t.real, t.imag])
-    step = fd_step
-    dg = np.zeros((n, n, n))
-    for a in range(n):
-        sp, sm_ = s0.copy(), s0.copy()
-        sp[a] += step
-        sm_[a] -= step
-        dg[a] = (g_hat(sp) - g_hat(sm_)) / (2.0 * step)
+    dg = _real_metric_derivatives(dh)
     ghat_inv = np.linalg.inv(_real_metric(h0))
     # gamma_hat[a, b, c] = Christoffel symbol Gamma^c_ab of the real metric,
     # from dg[a, b, c] = d_a ghat_bc; v_hat complexifies its output index.
@@ -377,8 +369,10 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
     override can be injected for corruption tests.
 
     The base data (W, Phi, Phi-dagger, U, kappa U kappa) does not depend
-    on z, so it is built once at the centre and at each Wirtinger stencil
-    point: (4m+1)^2 eigendecompositions per call.  For every z sample the
+    on z and takes exact derivatives of h (flat_frame_dh), so it is built
+    from one frame at the centre and at each of the 4m Wirtinger stencil
+    points: 4m+1 eigendecompositions per call, and the only finite
+    differences are those of the base data.  For every z sample the
     connection coefficients and their derivatives are then assembled
     linearly, e.g. d(W_i + Phi_i/z) = dW_i + dPhi_i/z; the constant Q has
     zero derivative.
@@ -391,13 +385,9 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
         Q = np.zeros((m, m), dtype=complex)
     Q = np.asarray(Q, dtype=complex)
 
-    def h_at(tp):
-        return flat_frame_h(spec, tp, eps_ss=eps_ss)
-
     def base_data(tp):
         """Stack [W_0.., Phi_0.., Phidag_0.., U, kappa-U-kappa] at tp (column convention)."""
-        h = h_at(tp)
-        dh = np.stack([wirtinger_fd(h_at, tp, i, step=fd_step).holo for i in range(m)])
+        h, dh = flat_frame_dh(canonical_frame(spec, tp, eps_ss=eps_ss))
         K = _kappa_flat(h, g_inv)
         ev = flat_eval(spec, tp)
         W = np.swapaxes(dh @ invert(h), 1, 2)

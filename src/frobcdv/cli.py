@@ -95,6 +95,10 @@ def _matrix_json(M):
 
 
 def write_report(path, spec_path, points, report, seed, fd_step, skipped=0, extra=None):
+    """The JSON report; summary.fd_step is written only when fd_step is not None."""
+    summary = {"pass": report.passed, "seed": seed}
+    if fd_step is not None:
+        summary["fd_step"] = fd_step
     doc = {
         "spec": str(spec_path),
         "points": [[_c(z) for z in np.atleast_1d(t)] for t in points],
@@ -108,7 +112,7 @@ def write_report(path, spec_path, points, report, seed, fd_step, skipped=0, extr
             }
             for e in report.entries
         ],
-        "summary": {"pass": report.passed, "seed": seed, "fd_step": fd_step},
+        "summary": summary,
         "skipped": skipped,
         "timestamp": datetime.datetime.now().isoformat(),
     }
@@ -182,9 +186,7 @@ def cmd_cdv(args):
 def cmd_connections(args):
     spec = _load(args)
     pts, skipped = _points_for(spec, args)
-    reports = [
-        cdvmod.connection_gap(spec, t, args.tol, fd_step=args.fd_step) for t in pts
-    ]
+    reports = [cdvmod.connection_gap(spec, t, args.tol) for t in pts]
     return aggregate(reports), pts, skipped, None
 
 
@@ -274,20 +276,25 @@ def build_parser():
     def pointwise(p):
         common(p)
         p.add_argument("--points", type=int, default=3, help="number of sample points")
-        p.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP,
-                       help="finite-difference step")
         p.add_argument("--point", default=None,
                        help='explicit point "re,im;re,im;..." (overrides sampling)')
 
-    for name, fn in (
-        ("verify", cmd_verify),
-        ("cdv", cmd_cdv),
-        ("connections", cmd_connections),
-        ("pencil", cmd_pencil),
-        ("lowdim", cmd_lowdim),
+    # verify, cdv and pencil take one finite difference of exact frame
+    # data; connections and lowdim are exact, so they accept no step.
+    for name, fn, takes_fd_step in (
+        ("verify", cmd_verify, True),
+        ("cdv", cmd_cdv, True),
+        ("connections", cmd_connections, False),
+        ("pencil", cmd_pencil, True),
+        ("lowdim", cmd_lowdim, False),
     ):
         p = sub.add_parser(name)
         pointwise(p)
+        if takes_fd_step:
+            p.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP,
+                           help="finite-difference step")
+        else:
+            p.set_defaults(fd_step=None)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("tt2d")
@@ -297,12 +304,12 @@ def build_parser():
     p.add_argument("--boundary", type=float, default=1.0, help="constant boundary h11")
     p.add_argument("--max-iter", type=int, default=50, help="Newton iteration cap")
     p.add_argument("--csv", default=None, help="write the grid as CSV here")
-    p.set_defaults(func=cmd_tt2d, tol=1e-10)
+    p.set_defaults(func=cmd_tt2d, tol=1e-10, fd_step=None)
 
     p = sub.add_parser("catalog")
     p.add_argument("--name", default=None, help="emit one entry (default: all)")
     p.add_argument("--out-dir", default=".", help="directory for spec files")
-    p.set_defaults(func=cmd_catalog, report=None, seed=0, fd_step=DEFAULT_FD_STEP)
+    p.set_defaults(func=cmd_catalog)
     return parser
 
 
@@ -319,11 +326,8 @@ def main(argv=None):
         return 2
     if report is None:
         return 0
-    doc = write_report(
-        getattr(args, "report", None), getattr(args, "spec", ""), pts, report,
-        getattr(args, "seed", 0), getattr(args, "fd_step", DEFAULT_FD_STEP),
-        skipped=skipped, extra=extra,
-    )
+    doc = write_report(args.report, args.spec, pts, report, args.seed, args.fd_step,
+                       skipped=skipped, extra=extra)
     for line in report.summary_lines():
         print(line)
     print(f"summary: {'PASS' if doc['summary']['pass'] else 'FAIL'}")

@@ -12,14 +12,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .canonical import DEFAULT_EPS_SS
-from .cdv import flat_frame_h
+from .canonical import DEFAULT_EPS_SS, canonical_frame
+from .cdv import flat_frame_dh
 from .errors import NoConvergence, NonPositiveIterate, NotNormalForm, ValidationError
-from .numerics import invert, wirtinger_fd
+from .numerics import invert
 from .potential import diff_terms, eval_terms, third_derivatives
 from .report import VerificationReport
-
-NORMAL_FORM_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -39,45 +37,25 @@ def _require_normal_form(spec):
         raise NotNormalForm("this check requires a spec in antidiagonal normal form")
 
 
-def from_canonical(spec, t, fd_step=NORMAL_FORM_FD_STEP, order=4,
-                   eps_ss=DEFAULT_EPS_SS) -> LowDimInput:
+def from_canonical(spec, t, eps_ss=DEFAULT_EPS_SS) -> LowDimInput:
     """Build normal-form point data from the canonical construction.
 
-    The Chern forms come from omega_i^j = sum_k (d h_ik) h^kj with the
-    pairing differentiated by higher-order Wirtinger differences; the
-    wider step keeps eigen-decomposition round-off out of the
-    derivatives.
+    The Chern forms are omega_i^j = sum_k (d h_ik) h^kj, with h and its
+    derivatives exact from one canonical frame (flat_frame_dh).
     """
     _require_normal_form(spec)
     t = np.asarray(t, dtype=complex)
-    m = spec.dim
-
-    def h_field(tp):
-        return flat_frame_h(spec, tp, eps_ss=eps_ss)
-
-    h = h_field(t)
-    h_inv = invert(h)
-    omega = np.zeros((m, m, m), dtype=complex)
-    for k in range(m):
-        dh = wirtinger_fd(h_field, t, k, step=fd_step, order=order).holo
-        omega[k] = dh @ h_inv
+    h, dh = flat_frame_dh(canonical_frame(spec, t, eps_ss=eps_ss))
     return LowDimInput(
-        m=m, h=h, omega=omega, C3=third_derivatives(spec, t),
+        m=spec.dim, h=h, omega=dh @ invert(h), C3=third_derivatives(spec, t),
         degrees=spec.degrees, d=spec.d,
     )
 
 
 def _omega_antisymmetry(inp: LowDimInput) -> float:
     """max |omega_i^j + omega^{m+1-i}_{m+1-j}| over all directions."""
-    m = inp.m
-    worst = 0.0
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                worst = max(
-                    worst, abs(inp.omega[k, i, j] + inp.omega[k, m - 1 - j, m - 1 - i])
-                )
-    return worst
+    mirrored = np.swapaxes(inp.omega[:, ::-1, ::-1], 1, 2)
+    return float(np.max(np.abs(inp.omega + mirrored)))
 
 
 def check_m2_relations(inp: LowDimInput, tol) -> VerificationReport:
@@ -141,22 +119,13 @@ def check_m3_relations(inp: LowDimInput, tol) -> VerificationReport:
     return report
 
 
-def check_euler_degree(spec, t, tol, fd_step=NORMAL_FORM_FD_STEP, order=4,
-                  eps_ss=DEFAULT_EPS_SS) -> VerificationReport:
+def check_euler_degree(spec, t, tol, eps_ss=DEFAULT_EPS_SS) -> VerificationReport:
     """Degree relation (E - Ebar) h_ij = (d_j - d_i) h_ij in flat coordinates."""
     _require_normal_form(spec)
     t = np.asarray(t, dtype=complex)
-    m = spec.dim
-
-    def h_field(tp):
-        return flat_frame_h(spec, tp, eps_ss=eps_ss)
-
-    h = h_field(t)
-    E = spec.euler_components(t)
-    lhs = np.zeros((m, m), dtype=complex)
-    for k in range(m):
-        wd = wirtinger_fd(h_field, t, k, step=fd_step, order=order)
-        lhs += E[k] * wd.holo - np.conj(E[k]) * wd.anti
+    h, dh = flat_frame_dh(canonical_frame(spec, t, eps_ss=eps_ss))
+    Eh = np.einsum("k,kij->ij", spec.euler_components(t), dh)
+    lhs = Eh - np.conj(Eh).T  # Ebar(h) = E(h)^dagger, as h is Hermitian
     degrees = np.asarray(spec.degrees)
     rhs = (degrees[None, :] - degrees[:, None]) * h
     report = VerificationReport()

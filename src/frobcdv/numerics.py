@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationFailure, NoConvergence, Singular
+from .errors import EvaluationFailure, FrobCdvError, NoConvergence, Singular
 
 MAX_DIM = 8
 DEFAULT_FD_STEP = 1e-5
@@ -102,7 +102,10 @@ def wirtinger_fd(f, point, direction, step=DEFAULT_FD_STEP, order=2) -> Wirtinge
 
     Central differences in the real and imaginary parts of the chosen
     coordinate are combined into holo = (D_x - i D_y)/2 and
-    anti = (D_x + i D_y)/2.
+    anti = (D_x + i D_y)/2.  A numerical failure of f at a stencil point
+    (a FrobCdvError, ArithmeticError or ValueError, which includes
+    np.linalg.LinAlgError) becomes EvaluationFailure; any other exception
+    propagates unchanged.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -115,7 +118,7 @@ def wirtinger_fd(f, point, direction, step=DEFAULT_FD_STEP, order=2) -> Wirtinge
         t[direction] += delta
         try:
             return np.asarray(f(t), dtype=complex)
-        except Exception as exc:
+        except (FrobCdvError, ArithmeticError, ValueError) as exc:
             raise EvaluationFailure(
                 f"function evaluation failed at stencil offset {delta!r}: {exc}"
             ) from exc

@@ -7,6 +7,9 @@ multiplication operator) are evaluated exactly, never by finite
 differences.
 """
 
+import cmath
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -20,6 +23,17 @@ DET_G_MIN = 1e-12
 
 # A term is (coeff: complex, powers: tuple[int], w: tuple[complex]); the
 # term value is coeff * prod(t_i**powers_i) * exp(sum(w_i * t_i)).
+
+
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_term(coeff, powers, w):
+    if not all(_is_int(p) and p >= 0 for p in powers):
+        raise ValidationError(f"term powers {list(powers)} must be non-negative integers")
+    if not all(cmath.isfinite(c) for c in (coeff, *w)):
+        raise ValidationError("term coefficients and linear forms must be finite")
 
 
 @dataclass(frozen=True)
@@ -37,16 +51,20 @@ class PotentialSpec:
 
     def __post_init__(self):
         m = self.dim
-        if m < 1:
-            raise ValidationError("dim must be >= 1")
+        if not _is_int(m) or m < 1:
+            raise ValidationError(f"dim must be an integer >= 1, got {m!r}")
         for coeff, powers in self.monomials:
             if len(powers) != m:
                 raise ValidationError(f"monomial powers {powers} do not match dim {m}")
+            _check_term(coeff, powers, ())
         for coeff, powers, w in self.exponentials:
             if len(powers) != m or len(w) != m:
                 raise ValidationError("exponential term arrays do not match dim")
+            _check_term(coeff, powers, w)
         if len(self.degrees) != m or len(self.shifts) != m:
             raise ValidationError("euler degree/shift arrays do not match dim")
+        if not all(math.isfinite(x) for x in (*self.degrees, *self.shifts, self.d, self.d_F)):
+            raise ValidationError("euler degrees, shifts, d and d_F must be finite")
         for di, ri in zip(self.degrees, self.shifts):
             if ri != 0 and di != 0:
                 raise ValidationError("euler shift allowed only where the degree vanishes")

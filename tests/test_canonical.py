@@ -166,3 +166,29 @@ def test_matching_rejects_labels_claiming_one_eigenvalue():
     ref_u = np.array([frame.u[0], frame.u[0] + 1e-3])
     with pytest.raises(FrameDiscontinuity, match="one-to-one"):
         _matched_bare(spec, frame.point, ref_u, frame.gap, 1e-8)
+
+
+def _levi_civita_loop(frame):
+    """Reference: levi_civita_canonical entry by entry."""
+    m = len(frame.u)
+    eta, eta_d = frame.eta, frame.eta_d
+    gammas = []
+    for alpha in range(m):
+        G = np.zeros((m, m), dtype=complex)
+        for beta in range(m):
+            if beta == alpha:
+                G[alpha, alpha] += eta_d[alpha, alpha] / (2.0 * eta[alpha])
+                for g in range(m):
+                    if g != alpha:
+                        G[g, alpha] -= eta_d[g, alpha] / (2.0 * eta[g])
+            else:
+                G[alpha, beta] += eta_d[beta, alpha] / (2.0 * eta[alpha])
+                G[beta, beta] += eta_d[alpha, beta] / (2.0 * eta[beta])
+        gammas.append(G)
+    return np.stack(gammas)
+
+
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
+def test_levi_civita_matches_loop(name, t):
+    frame = canonical_frame(catalog(name), t)
+    assert np.array_equal(levi_civita_canonical(frame), _levi_civita_loop(frame))

@@ -13,15 +13,20 @@ from frobcdv import (
     canonical_frame,
     catalog,
     connection_gap,
+    check_euler_degree,
     construct_canonical_cdv,
+    flat_frame_dh,
     flat_frame_h,
+    from_canonical,
     harmonic_potential,
     pencil_curvature,
     verify_cv_axioms,
     verify_harmonic,
     write_spec,
 )
-from frobcdv.cli import main
+from frobcdv.cdv import _real_metric, _real_metric_derivatives
+from frobcdv.cli import main, sample_points
+from frobcdv.numerics import wirtinger_fd
 
 QPT = (0.0, 1.0)
 
@@ -35,6 +40,7 @@ def _fake_frame(eta):
         A=np.eye(m, dtype=complex),
         eta=eta,
         eta_d=np.zeros((m, m), dtype=complex),
+        dC=np.zeros((m, m, m), dtype=complex),
         gap=1.0,
     )
 
@@ -148,6 +154,49 @@ def test_flat_frame_h_a3_not_kaehler_flat():
     assert np.max(np.abs(off)) > 1e-6 * np.linalg.norm(h)
 
 
+@pytest.mark.parametrize("name", ["quartic2", "p1", "a3_3d"])
+def test_flat_frame_dh_against_fd_oracle(name):
+    # Oracle: an order-4 Wirtinger difference of flat_frame_h, which takes
+    # one eigendecomposition per stencil point and no derivative data.
+    spec = catalog(name)
+    pts, _ = sample_points(spec, 5, seed=3)
+    for t in pts:
+        dh = flat_frame_dh(canonical_frame(spec, t))[1]
+        scale = np.max(np.abs(dh))
+        for k in range(spec.dim):
+            wd = wirtinger_fd(lambda tp: flat_frame_h(spec, tp), t, k, step=1e-4, order=4)
+            assert np.max(np.abs(dh[k] - wd.holo)) <= 1e-8 * scale
+            assert np.max(np.abs(np.conj(dh[k]).T - wd.anti)) <= 1e-8 * scale
+
+
+def test_flat_frame_dh_cubic2_is_exactly_zero():
+    # The fourth derivatives of F vanish, so h is constant; an FD oracle
+    # leaves ~1e-12 of round-off here.
+    spec = catalog("cubic2")
+    for t in [(0.3 + 0.2j, 0.8 - 0.1j), (0.0, 1.0)]:
+        _, dh = flat_frame_dh(canonical_frame(spec, t))
+        assert not np.any(dh)
+
+
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
+def test_real_metric_derivatives_against_fd(name, t):
+    # connection_gap reports maxima that a wrong derivative of the real
+    # metric can leave unchanged, so the derivative is checked directly.
+    spec = catalog(name)
+    m = spec.dim
+    t = np.asarray(t, dtype=complex)
+    dg = _real_metric_derivatives(flat_frame_dh(canonical_frame(spec, t))[1])
+    s0 = np.concatenate([t.real, t.imag])
+    step = 1e-5
+    for a in range(2 * m):
+        ds = np.zeros(2 * m)
+        ds[a] = step
+        plus, minus = s0 + ds, s0 - ds
+        fd = (_real_metric(flat_frame_h(spec, plus[:m] + 1j * plus[m:]))
+              - _real_metric(flat_frame_h(spec, minus[:m] + 1j * minus[m:]))) / (2.0 * step)
+        assert np.max(np.abs(dg[a] - fd)) <= 1e-8 * np.max(np.abs(dg))
+
+
 def test_connection_gap_trivial_case():
     spec = catalog("cubic2")
     rep = connection_gap(spec, (0.3 + 0.1j, 0.7), 1e-8)
@@ -204,10 +253,10 @@ def test_pencil_scalar_grading_term_is_invisible():
     )
 
 
-@pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 81), ("a3_3d", A3_POINT, 169)])
+@pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 9), ("a3_3d", A3_POINT, 13)])
 def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, name, t, eigs):
-    # (4m+1)^2: base data at the centre and at 4m stencil points, each
-    # needing h at its own centre and 4m stencil points.
+    # 4m+1: base data at the centre and at 4m stencil points, each from
+    # one frame, since the derivatives of h in it are exact.
     pencil_curvature(catalog(name), t, [1.0, 1.0j, 2.0], 1e-5)
     assert len(eig_calls) == eigs
 
@@ -227,6 +276,29 @@ def test_verifiers_take_one_frame_per_stencil_point(eig_calls, name, t, eigs):
     assert len(eig_calls) == eigs
 
 
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)])
+def test_exact_dh_layers_take_one_eigendecomposition(eig_calls, name, t):
+    spec = catalog(name)
+    for check in (
+        lambda: connection_gap(spec, t, 1e-5),
+        lambda: from_canonical(spec, t),
+        lambda: check_euler_degree(spec, t, 1e-10),
+    ):
+        eig_calls.clear()
+        check()
+        assert len(eig_calls) == 1
+
+
+@pytest.mark.parametrize("seed", [5, 47])
+def test_pencil_a3_near_discriminant(tmp_path, seed):
+    # Relative eigenvalue gaps 0.070/0.051.  With h differentiated by
+    # finite differences inside the base data, pencil_curvature read
+    # 2.0e-5 and 3.2e-5 here against the tolerance 1e-5.
+    path = tmp_path / "a3_3d.json"
+    write_spec(catalog("a3_3d"), path)
+    assert main(["pencil", "--spec", str(path), "--points", "1", "--seed", str(seed)]) == 0
+
+
 @pytest.mark.parametrize("seed", [5, 47])
 def test_verify_a3_near_discriminant(tmp_path, seed):
     # These seeds sample a3_3d at a relative eigenvalue gap of 0.05-0.07.
@@ -243,3 +315,37 @@ def test_pencil_detects_non_scalar_grading_term():
     bad = pencil_curvature(spec, QPT, [1.0, 1.0j, 2.0], 1e-5, Q=np.diag([0.5, -0.5]))
     assert base.passed
     assert bad["pencil_curvature"].residual > 1.0
+
+
+def _harmonic_potential_loop(frame):
+    """Reference: harmonic_potential entry by entry."""
+    m = len(frame.u)
+    eta, eta_d = frame.eta, frame.eta_d
+    P = np.zeros((m, m), dtype=complex)
+    Pdag = np.zeros((m, m), dtype=complex)
+    V = np.zeros((m, m), dtype=complex)
+    for alpha in range(m):
+        P[alpha, alpha] = -frame.u[alpha]
+        Pdag[alpha, alpha] = -np.conj(frame.u[alpha])
+        for beta in range(m):
+            if beta == alpha:
+                continue
+            P[alpha, beta] = (
+                np.conj(eta_d[alpha, beta]) * eta[beta] / (2.0 * abs(eta[alpha] * eta[beta]))
+            )
+            Pdag[beta, alpha] = eta_d[alpha, beta] / (2.0 * eta[beta])
+            V[beta, alpha] = (
+                (frame.u[beta] - frame.u[alpha]) * eta_d[alpha, beta] / (2.0 * eta[beta])
+            )
+    return P, Pdag, V
+
+
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
+def test_harmonic_potential_matches_loop(name, t):
+    frame = canonical_frame(catalog(name), t)
+    hd = harmonic_potential(frame, 0.0)
+    P, Pdag, V = _harmonic_potential_loop(frame)
+    assert np.array_equal(hd.P, P)
+    assert np.array_equal(hd.Pdag, Pdag)
+    # V multiplies in another order: round-off only.
+    assert np.max(np.abs(hd.V - V)) <= 4 * np.finfo(float).eps * np.max(np.abs(V))

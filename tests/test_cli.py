@@ -141,6 +141,7 @@ def test_tt2d_command(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["tt2d"]["converged"] is True
     assert doc["summary"]["seed"] == 4
+    assert "fd_step" not in doc["summary"]  # tt2d takes no finite differences
 
 
 @pytest.mark.parametrize("flags", [
@@ -156,6 +157,56 @@ def test_tt2d_rejects_sampling_options(tmp_path, capsys, flags):
         main(["tt2d", "--spec", spec, "--grid", "9"] + flags)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "cdv", "pencil"])
+def test_fd_step_is_reported(tmp_path, command):
+    spec = _dump("quartic2", tmp_path)
+    report = tmp_path / "r.json"
+    assert main([command, "--spec", spec, "--points", "1", "--fd-step", "2e-5",
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["summary"]["fd_step"] == 2e-5
+
+
+@pytest.mark.parametrize("command", ["connections", "lowdim"])
+def test_exact_subcommands_reject_fd_step(tmp_path, capsys, command):
+    # Their derivatives are exact: a step would be accepted and ignored.
+    spec = _dump("quartic2", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", spec, "--points", "1", "--fd-step", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _negative_power(doc):
+    doc["monomials"].append({"coeff": [1.0, 0.0], "powers": [0, -1]})
+
+
+def _fractional_dim(doc):
+    doc["dim"] = 2.7
+
+
+def _float_dim(doc):
+    doc["dim"] = 2.0
+
+
+def _nan_coefficient(doc):
+    doc["monomials"][1]["coeff"] = [float("nan"), 0.0]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_negative_power, _fractional_dim, _float_dim, _nan_coefficient],
+    ids=["negative_power", "fractional_dim", "float_dim", "nan_coefficient"],
+)
+def test_invalid_spec_is_one_line_error(tmp_path, capsys, corrupt):
+    doc = spec_to_dict(catalog("quartic2"))
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(path), "--points", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ")
 
 
 def test_catalog_command(tmp_path):

@@ -23,6 +23,7 @@ from frobcdv import (
 )
 from frobcdv.lowdim import (
     _fppp_sq,
+    _omega_antisymmetry,
     _lap4_1d,
     _laplacian_matrix,
     _residual4,
@@ -97,6 +98,19 @@ def test_m3_detects_perturbed_pairing():
     rep = check_m3_relations(dataclasses.replace(inp, h=h_bad), 1e-9)
     assert not rep.passed
     assert max(e.residual for e in rep.entries) > 0.01
+
+
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
+def test_omega_antisymmetry_matches_loop(name, t):
+    inp = from_canonical(catalog(name), t)
+    rng = np.random.default_rng(5)
+    for omega in (inp.omega, inp.omega + 1e-3 * rng.normal(size=inp.omega.shape)):
+        m = inp.m
+        loop = max(
+            abs(omega[k, i, j] + omega[k, m - 1 - j, m - 1 - i])
+            for k in range(m) for i in range(m) for j in range(m)
+        )
+        assert _omega_antisymmetry(dataclasses.replace(inp, omega=omega)) == loop
 
 
 def test_euler_degree_scaling():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from frobcdv.errors import Singular
+from frobcdv.errors import EvaluationFailure, NotSemisimple, Singular
 from frobcdv.numerics import invert, lex_order, solve_eig, wirtinger_fd
 
 
@@ -70,6 +70,20 @@ def test_wirtinger_random_holomorphic_polynomials():
         wd = wirtinger_fd(p, [z0], 0, step=1e-5)
         assert abs(wd.anti) <= 1e-8
         assert abs(wd.holo - deriv) <= 1e-8
+
+
+def test_wirtinger_wraps_only_numerical_failures():
+    def raises(exc):
+        def f(z):
+            raise exc
+        return f
+
+    for exc in (NotSemisimple("gap"), ZeroDivisionError(), np.linalg.LinAlgError()):
+        with pytest.raises(EvaluationFailure):
+            wirtinger_fd(raises(exc), [0.5 + 0.0j], 0)
+    # A programming error in f is not an evaluation failure.
+    with pytest.raises(TypeError):
+        wirtinger_fd(raises(TypeError("bad call")), [0.5 + 0.0j], 0)
 
 
 def test_invert_antidiagonal_involution():
