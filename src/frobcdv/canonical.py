@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DefectiveU, FrameDiscontinuity, NotSemisimple
 from .numerics import solve_eig
-from .potential import flat_eval, fourth_derivatives
+from .potential import FlatPointEval, flat_eval, fourth_derivatives
 from .report import VerificationReport
 
 DEFAULT_EPS_SS = 1e-8
@@ -29,6 +29,7 @@ class CanonicalFrame:
     dC[k, alpha, gamma] = F''''(d_k, e_alpha, e_alpha, e_gamma), i.e.
     g((d_k C)(e_alpha, e_alpha), e_gamma), the flat derivative of the
     multiplication that gives eta_d and the derivatives of the idempotents.
+    ev holds the flat tensors at the point that the eigendecomposition used.
     """
 
     point: np.ndarray
@@ -38,6 +39,7 @@ class CanonicalFrame:
     eta_d: np.ndarray
     dC: np.ndarray
     gap: float
+    ev: FlatPointEval
 
 
 def _pairwise_gap(u):
@@ -49,7 +51,8 @@ def _pairwise_gap(u):
 
 
 def _bare_frame(spec, t, eps_ss):
-    """Eigenvalues, idempotent matrix A, eta, and gap -- no derivatives."""
+    """Eigenvalues, idempotent matrix A, eta, gap and the flat tensors at
+    t -- no derivatives."""
     ev = flat_eval(spec, t)
     m = spec.dim
     eig = solve_eig(ev.U)
@@ -72,7 +75,7 @@ def _bare_frame(spec, t, eps_ss):
             raise DefectiveU("eigenvector squares to ~0; algebra not semi-simple here")
         A[:, alpha] = v / c
     eta = np.einsum("ia,ij,ja->a", A, ev.g, A)
-    return u, A, eta, gap
+    return u, A, eta, gap, ev
 
 
 def _matched_bare(spec, t, ref_u, gap, eps_ss):
@@ -85,7 +88,7 @@ def _matched_bare(spec, t, ref_u, gap, eps_ss):
     match is the unique optimal assignment: every other eigenvalue lies
     at least 3 gap/4 away.
     """
-    u, A, eta, _ = _bare_frame(spec, t, eps_ss)
+    u, A, eta, _, ev = _bare_frame(spec, t, eps_ss)
     perm = np.argmin(np.abs(ref_u[:, None] - u[None, :]), axis=1)
     if len(np.unique(perm)) != len(perm):
         raise FrameDiscontinuity(f"eigenvalue labels not one-to-one across stencil: {perm}")
@@ -94,7 +97,7 @@ def _matched_bare(spec, t, ref_u, gap, eps_ss):
         raise FrameDiscontinuity(
             f"eigenvalue moved {moved:.3e} across stencil, exceeding gap/4 = {gap / 4:.3e}"
         )
-    return u[perm], A[:, perm], eta[perm]
+    return u[perm], A[:, perm], eta[perm], ev
 
 
 def _derivative_data(spec, t, A):
@@ -116,9 +119,9 @@ def _derivative_data(spec, t, A):
 def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
     """Full canonical frame at t, with exact derivatives (one eigendecomposition)."""
     t = np.asarray(t, dtype=complex)
-    u, A, eta, gap = _bare_frame(spec, t, eps_ss)
+    u, A, eta, gap, ev = _bare_frame(spec, t, eps_ss)
     dC, eta_d = _derivative_data(spec, t, A)
-    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC, gap=gap)
+    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC, gap=gap, ev=ev)
 
 
 def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
@@ -129,10 +132,10 @@ def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS) -> Canoni
     quantities to make sense.
     """
     t = np.asarray(t, dtype=complex)
-    u, A, eta = _matched_bare(spec, t, ref.u, ref.gap, eps_ss)
+    u, A, eta, ev = _matched_bare(spec, t, ref.u, ref.gap, eps_ss)
     dC, eta_d = _derivative_data(spec, t, A)
     return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC,
-                          gap=_pairwise_gap(u))
+                          gap=_pairwise_gap(u), ev=ev)
 
 
 def levi_civita_canonical(frame: CanonicalFrame):

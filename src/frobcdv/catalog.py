@@ -129,6 +129,8 @@ def spec_to_dict(spec: PotentialSpec) -> dict:
 
 
 def _require_keys(obj, allowed, where):
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected an object in {where}, got {obj!r}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ParseError(f"unknown keys {sorted(unknown)} in {where}")
@@ -137,48 +139,66 @@ def _require_keys(obj, allowed, where):
         raise ParseError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _parse_list(value, what, where):
+    if not isinstance(value, list):
+        raise ParseError(f"expected a list of {what} in {where}, got {value!r}")
+    return value
+
+
+def _parse_number(x, where):
+    """A JSON number as a float; PotentialSpec checks that it is finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParseError(f"expected a number in {where}, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParseError(f"number out of range in {where}: {x}") from None
+
+
 def _parse_c(pair, where):
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ParseError(f"expected [re, im] pair in {where}, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_parse_number(pair[0], where), _parse_number(pair[1], where))
 
 
-def _parse_powers(powers, where):
-    """The powers list as given; PotentialSpec checks its entries."""
-    if not isinstance(powers, list):
-        raise ParseError(f"expected a list of powers in {where}, got {powers!r}")
-    return tuple(powers)
+def _parse_numbers(values, where):
+    return tuple(_parse_number(x, where) for x in _parse_list(values, "numbers", where))
 
 
 def spec_from_dict(doc: dict) -> PotentialSpec:
     _require_keys(doc, ("dim", "monomials", "exponentials", "euler", "normal_form"), "spec")
-    _require_keys(doc["euler"], ("degrees", "shifts", "d", "d_F"), "euler")
+    euler = doc["euler"]
+    _require_keys(euler, ("degrees", "shifts", "d", "d_F"), "euler")
     monomials = []
-    for mono in doc["monomials"]:
+    for mono in _parse_list(doc["monomials"], "terms", "monomials"):
         _require_keys(mono, ("coeff", "powers"), "monomial")
         monomials.append(
-            (_parse_c(mono["coeff"], "monomial"), _parse_powers(mono["powers"], "monomial"))
+            (_parse_c(mono["coeff"], "monomial"),
+             tuple(_parse_list(mono["powers"], "powers", "monomial")))
         )
     exponentials = []
-    for term in doc["exponentials"]:
+    for term in _parse_list(doc["exponentials"], "terms", "exponentials"):
         _require_keys(term, ("coeff", "powers", "linear_form"), "exponential")
         exponentials.append(
             (
                 _parse_c(term["coeff"], "exponential"),
-                _parse_powers(term["powers"], "exponential"),
-                tuple(_parse_c(x, "linear_form") for x in term["linear_form"]),
+                tuple(_parse_list(term["powers"], "powers", "exponential")),
+                tuple(_parse_c(x, "linear_form")
+                      for x in _parse_list(term["linear_form"], "pairs", "exponential")),
             )
         )
-    euler = doc["euler"]
+    if not isinstance(doc["normal_form"], bool):
+        raise ParseError(f"expected true or false for normal_form, got {doc['normal_form']!r}")
+    # dim and the powers pass through as given; PotentialSpec checks them.
     return PotentialSpec(
         dim=doc["dim"],
         monomials=tuple(monomials),
         exponentials=tuple(exponentials),
-        degrees=tuple(float(x) for x in euler["degrees"]),
-        shifts=tuple(float(x) for x in euler["shifts"]),
-        d=float(euler["d"]),
-        d_F=float(euler["d_F"]),
-        normal_form=bool(doc["normal_form"]),
+        degrees=_parse_numbers(euler["degrees"], "euler degrees"),
+        shifts=_parse_numbers(euler["shifts"], "euler shifts"),
+        d=_parse_number(euler["d"], "euler d"),
+        d_F=_parse_number(euler["d_F"], "euler d_F"),
+        normal_form=doc["normal_form"],
     )
 
 

@@ -18,7 +18,7 @@ from .canonical import (
     matched_frame,
 )
 from .numerics import DEFAULT_FD_STEP, invert, wirtinger_fd
-from .potential import flat_eval, flat_metric
+from .potential import flat_metric
 from .report import VerificationReport
 
 ALG_TOL = 1e-10
@@ -371,8 +371,9 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
     The base data (W, Phi, Phi-dagger, U, kappa U kappa) does not depend
     on z and takes exact derivatives of h (flat_frame_dh), so it is built
     from one frame at the centre and at each of the 4m Wirtinger stencil
-    points: 4m+1 eigendecompositions per call, and the only finite
-    differences are those of the base data.  For every z sample the
+    points, whose third derivatives the frame carries: 4m+1
+    eigendecompositions and third-derivative evaluations per call, and
+    the only finite differences are those of the base data.  For every z sample the
     connection coefficients and their derivatives are then assembled
     linearly, e.g. d(W_i + Phi_i/z) = dW_i + dPhi_i/z; the constant Q has
     zero derivative.
@@ -387,9 +388,10 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
 
     def base_data(tp):
         """Stack [W_0.., Phi_0.., Phidag_0.., U, kappa-U-kappa] at tp (column convention)."""
-        h, dh = flat_frame_dh(canonical_frame(spec, tp, eps_ss=eps_ss))
+        frame = canonical_frame(spec, tp, eps_ss=eps_ss)
+        h, dh = flat_frame_dh(frame)
         K = _kappa_flat(h, g_inv)
-        ev = flat_eval(spec, tp)
+        ev = frame.ev
         W = np.swapaxes(dh @ invert(h), 1, 2)
         Phi = -np.swapaxes(ev.Cmix, 1, 2)
         Phidag = K @ np.conj(Phi) @ np.conj(K)

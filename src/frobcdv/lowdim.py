@@ -140,6 +140,13 @@ def check_euler_degree(spec, t, tol, eps_ss=DEFAULT_EPS_SS) -> VerificationRepor
 # ---------------------------------------------------------------------------
 
 
+# The preconditioner lap2 + D is refactored once some entry of the source
+# diagonal D has drifted by more than this relative amount from the D it
+# was factored with: both operators are negative definite, so a drift of
+# at most delta keeps the stale-to-fresh spectrum in [1 - delta, 1 + delta].
+PRECONDITIONER_DRIFT = 0.25
+
+
 @dataclass(frozen=True)
 class TT2DSolution:
     rect: tuple          # (x0, y0, x1, y1)
@@ -151,6 +158,7 @@ class TT2DSolution:
     iterations: int
     invariance_residual: float
     converged: bool
+    factorizations: int  # sparse LU factors of the preconditioner made
 
 
 def _fppp_sq(spec, X, Y):
@@ -222,15 +230,15 @@ def _laplacian_matrix(n, hx, hy, wide):
             + sp.kron(eye, _d2_matrix(n, hy, wide))).tocsr()
 
 
-def _newton_step(J, P, rhs):
-    """Solve J x = rhs by GMRES, preconditioned by a sparse LU of P.
+def _newton_step(J, lu, rhs):
+    """Solve J x = rhs by GMRES, preconditioned by the sparse LU factor lu.
 
-    The factor is made afresh for each step and freed on return.  A
-    GMRES solve that stops short of rtol is still returned: the caller's
-    line search judges the step by the residual it gives.
+    The factor may be of the 5-point Jacobian of an earlier Newton step
+    (see PRECONDITIONER_DRIFT).  A GMRES solve that stops short of rtol
+    is still returned: the caller's line search judges the step by the
+    residual it gives.
     """
-    lu = spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    M = spla.LinearOperator(P.shape, matvec=lu.solve, dtype=float)
+    M = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
     x, _ = spla.gmres(J, rhs, M=M, rtol=1e-8, atol=0.0)
     return x
 
@@ -274,11 +282,14 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     """Damped Newton-Krylov solve of the tt* equation in v = log h_11.
 
     Each Newton step solves with the exact Jacobian of the fourth-order
-    residual: the mixed-order stencil matrix plus the derivative of the
-    source.  GMRES does the solve, preconditioned by a sparse LU of the
-    5-point Jacobian.  A damped line search on the max-norm residual
-    accepts the step.  Euler invariance (independence of Im t^2) is
-    reported, never enforced.
+    residual: the mixed-order stencil matrix plus the diagonal D of the
+    source's derivative.  GMRES does the solve, preconditioned by a
+    sparse LU of the 5-point Jacobian lap2 + D.  Only D changes between
+    steps, so the factor is kept and remade only when D has drifted from
+    the diagonal it was made with (PRECONDITIONER_DRIFT); on p1 one
+    factor serves the whole solve.  A damped line search on the max-norm
+    residual accepts the step.  Euler invariance (independence of Im t^2)
+    is reported, never enforced.
     """
     x0, y0, x1, y1 = _check_grid(rect, n)
     if max_iter < 0:
@@ -301,6 +312,8 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     lap2 = 0.25 * _laplacian_matrix(n, hx, hy, wide=False)
     k = n - 2
     iterations = 0
+    factorizations = 0
+    lu = d_factored = None
     converged = False
     R = _residual4(v, c2, hx, hy)
     res = float(np.max(np.abs(R)))
@@ -312,7 +325,13 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
             break
         vi = v[1:-1, 1:-1]
         D = _source_jacobian(v, c2)
-        delta = _newton_step(lap4 + D, lap2 + D, -R.ravel()).reshape(k, k)
+        d = D.diagonal()  # < 0 everywhere, so the quotient is defined
+        if lu is None or np.max(np.abs(d / d_factored - 1.0)) > PRECONDITIONER_DRIFT:
+            lu = None  # free the old factor before making the new one
+            lu = spla.splu((lap2 + D).tocsc(), permc_spec="MMD_AT_PLUS_A")
+            d_factored = d
+            factorizations += 1
+        delta = _newton_step(lap4 + D, lu, -R.ravel()).reshape(k, k)
         lam = 1.0
         while True:
             trial = v.copy()
@@ -337,7 +356,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     solution = TT2DSolution(
         rect=(x0, y0, x1, y1), n=n, x=x, y=y, h11=h11, residual=res,
         iterations=iterations, invariance_residual=_invariance(h11, hy),
-        converged=converged,
+        converged=converged, factorizations=factorizations,
     )
     if not converged and raise_on_failure:
         raise NoConvergence(

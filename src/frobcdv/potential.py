@@ -10,6 +10,7 @@ differences.
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -30,8 +31,11 @@ def _is_int(x):
 
 
 def _check_term(coeff, powers, w):
-    if not all(_is_int(p) and p >= 0 for p in powers):
-        raise ValidationError(f"term powers {list(powers)} must be non-negative integers")
+    # Derivatives multiply the coefficient by a power, so it must fit a float.
+    if not all(_is_int(p) and 0 <= p <= sys.float_info.max for p in powers):
+        raise ValidationError(
+            f"term powers {list(powers)} must be non-negative integers that fit a float"
+        )
     if not all(cmath.isfinite(c) for c in (coeff, *w)):
         raise ValidationError("term coefficients and linear forms must be finite")
 

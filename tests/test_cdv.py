@@ -17,6 +17,7 @@ from frobcdv import (
     construct_canonical_cdv,
     flat_frame_dh,
     flat_frame_h,
+    flat_metric,
     from_canonical,
     harmonic_potential,
     pencil_curvature,
@@ -24,6 +25,7 @@ from frobcdv import (
     verify_harmonic,
     write_spec,
 )
+from frobcdv import potential
 from frobcdv.cdv import _real_metric, _real_metric_derivatives
 from frobcdv.cli import main, sample_points
 from frobcdv.numerics import wirtinger_fd
@@ -42,6 +44,7 @@ def _fake_frame(eta):
         eta_d=np.zeros((m, m), dtype=complex),
         dC=np.zeros((m, m, m), dtype=complex),
         gap=1.0,
+        ev=None,
     )
 
 
@@ -254,11 +257,23 @@ def test_pencil_scalar_grading_term_is_invisible():
 
 
 @pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 9), ("a3_3d", A3_POINT, 13)])
-def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, name, t, eigs):
+def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, monkeypatch, name, t, eigs):
     # 4m+1: base data at the centre and at 4m stencil points, each from
-    # one frame, since the derivatives of h in it are exact.
-    pencil_curvature(catalog(name), t, [1.0, 1.0j, 2.0], 1e-5)
-    assert len(eig_calls) == eigs
+    # one frame, since the derivatives of h in it are exact.  The frame
+    # carries the third derivatives it was built from, so each point
+    # evaluates them once.
+    spec = catalog(name)
+    flat_metric(spec)  # cached once per spec; not part of the count
+    calls = []
+    third_derivatives = potential.third_derivatives
+
+    def counting(*args):
+        calls.append(1)
+        return third_derivatives(*args)
+
+    monkeypatch.setattr(potential, "third_derivatives", counting)
+    pencil_curvature(spec, t, [1.0, 1.0j, 2.0], 1e-5)
+    assert len(eig_calls) == len(calls) == eigs
 
 
 @pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 8), ("a3_3d", A3_POINT, 12)])

@@ -201,12 +201,49 @@ def _nan_coefficient(doc):
 def test_invalid_spec_is_one_line_error(tmp_path, capsys, corrupt):
     doc = spec_to_dict(catalog("quartic2"))
     corrupt(doc)
+    _assert_one_line_spec_error(doc, tmp_path, capsys)
+
+
+def _assert_one_line_spec_error(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--spec", str(path), "--points", "1"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+    return out.err
+
+
+# (path to the corrupted entry in the p1 spec, bad value, text the message names)
+MALFORMED_ENTRIES = [
+    (("monomials", 0, "coeff"), ["a", 0], "'a'"),
+    (("monomials", 0, "coeff"), [None, 0], "None"),
+    (("monomials", 0, "coeff"), [True, 0], "True"),
+    (("monomials", 0, "coeff"), [10**400, 0], "out of range"),
+    (("euler", "d"), "x", "'x'"),
+    (("euler", "degrees"), 5, "5"),
+    (("euler", "shifts"), "0,2", "'0,2'"),
+    (("exponentials", 0, "linear_form"), 7, "7"),
+    (("exponentials", 0, "linear_form", 1), [0, "1"], "'1'"),
+    (("monomials",), "nope", "'nope'"),
+    (("exponentials",), {"coeff": [1, 0]}, "list of terms"),
+    (("monomials", 0), "term", "'term'"),
+    (("euler",), [1.0, 0.0], "object"),
+    (("normal_form",), "yes", "'yes'"),
+]
+
+
+@pytest.mark.parametrize("path, value, named", MALFORMED_ENTRIES,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}"[:40] for p, v, _ in MALFORMED_ENTRIES])
+def test_malformed_spec_entry_is_one_line_parse_error(tmp_path, capsys, path, value, named):
+    doc = spec_to_dict(catalog("p1"))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError):
+        spec_from_dict(doc)
+    assert named in _assert_one_line_spec_error(doc, tmp_path, capsys)
 
 
 def test_catalog_command(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the dimension-2/3 relation systems and the 2d PDE solver."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from frobcdv import (
     tt2d_residual,
     write_tt2d_csv,
 )
+from frobcdv import lowdim
 from frobcdv.lowdim import (
     _fppp_sq,
     _omega_antisymmetry,
@@ -205,13 +207,63 @@ def test_tt2d_jacobian_matches_residual_derivative(n):
     assert np.max(np.abs(exact - fd.ravel())) <= 1e-6 * np.max(np.abs(exact))
 
 
-def test_tt2d_newton_iterations():
+class _CountingSplu:
+    """Stands in for scipy's splu and counts factors and their solves."""
+
+    def __init__(self, splu):
+        self.splu = splu
+        self.factors = 0
+        self.solves = 0
+
+    def __call__(self, *args, **kwargs):
+        self.factors += 1
+        lu = self.splu(*args, **kwargs)
+
+        def solve(b):
+            self.solves += 1
+            return lu.solve(b)
+
+        return SimpleNamespace(solve=solve)
+
+
+@pytest.fixture
+def counting_splu(monkeypatch):
+    counter = _CountingSplu(lowdim.spla.splu)
+    monkeypatch.setattr(lowdim.spla, "splu", counter)
+    return counter
+
+
+def test_tt2d_newton_iterations(counting_splu):
     spec = catalog("p1")
     rect = (-1.0, -1.0, 1.0, 1.0)
     sol = solve_tt2d(spec, rect, 128, 1.0)
     assert sol.converged and sol.iterations <= 5
+    # The source diagonal hardly moves on p1: one LU serves every step.
+    assert sol.factorizations == counting_splu.factors == 1
     sol = solve_tt2d(spec, rect, 64, invariant_boundary(spec, rect, 64))
     assert sol.converged and sol.iterations <= 6
+
+
+# h11 of quartic2 on (0, 0, 3, 1), boundary 5, n = 64, from the solver
+# that refactored the preconditioner on every Newton step.
+QUARTIC2_HARD_H11 = {
+    (1, 1): 4.248656097838398,
+    (10, 40): 0.2298325799900786,
+    (32, 32): 0.1610633208650354,
+    (55, 20): 0.12568413216393473,
+    (62, 62): 0.5713548906074448,
+}
+
+
+def test_tt2d_refactors_on_diagonal_drift(counting_splu):
+    sol = solve_tt2d(catalog("quartic2"), (0.0, 0.0, 3.0, 1.0), 64, 5.0)
+    assert sol.converged and sol.iterations == 11
+    assert 1 < sol.factorizations == counting_splu.factors < 11
+    # A factor kept past a large drift costs thousands of GMRES steps
+    # (2466 preconditioner solves with one factor for the whole solve).
+    assert counting_splu.solves <= 150
+    for node, h11 in QUARTIC2_HARD_H11.items():
+        assert sol.h11[node] == pytest.approx(h11, rel=1e-12)
 
 
 def test_tt2d_residual_agrees_with_residual_grid():
