@@ -4,13 +4,16 @@ The relation checkers work in flat antidiagonal normal-form coordinates
 (g = antidiag(1,...,1), unit field = d/dt^1).  The connection entries
 use the classical index convention omega_i^j(d_k): lower index = input
 vector, upper index = output component, stored as W[k, i, j].
+
+Only the tt* solve uses scipy, so its functions import scipy.sparse on
+first use and the pointwise checks load numpy alone.  They call through
+the module (spla.splu, spla.gmres), never a bound name, so that a
+wrapper patched onto scipy.sparse.linalg sees every call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .canonical import DEFAULT_EPS_SS, canonical_frame
 from .cdv import flat_frame_dh
@@ -197,6 +200,8 @@ def _source_jacobian(v, c2):
     """Diagonal matrix of the derivative of -e^{2v} c2 + e^{-2v} on the
     interior nodes; 0.25 times the wide Laplacian matrix plus this is the
     exact Jacobian of _residual4."""
+    import scipy.sparse as sp
+
     vi = v[1:-1, 1:-1]
     diag = -2.0 * np.exp(2.0 * vi) * c2[1:-1, 1:-1] - 2.0 * np.exp(-2.0 * vi)
     return sp.diags(diag.ravel())
@@ -210,6 +215,8 @@ def _d2_matrix(n, hstep, wide):
     first ring and everywhere when n < 5); otherwise the 3-point formula
     is used on every row.
     """
+    import scipy.sparse as sp
+
     k = n - 2
     deep = np.zeros(k, dtype=bool)
     if wide and n >= 5:
@@ -225,6 +232,8 @@ def _d2_matrix(n, hstep, wide):
 
 def _laplacian_matrix(n, hx, hy, wide):
     """Sparse Laplacian on the (n-2) x (n-2) interior grid (see _d2_matrix)."""
+    import scipy.sparse as sp
+
     eye = sp.identity(n - 2)
     return (sp.kron(_d2_matrix(n, hx, wide), eye)
             + sp.kron(eye, _d2_matrix(n, hy, wide))).tocsr()
@@ -238,6 +247,8 @@ def _newton_step(J, lu, rhs):
     is still returned: the caller's line search judges the step by the
     residual it gives.
     """
+    import scipy.sparse.linalg as spla
+
     M = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
     x, _ = spla.gmres(J, rhs, M=M, rtol=1e-8, atol=0.0)
     return x
@@ -291,6 +302,8 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     residual accepts the step.  Euler invariance (independence of Im t^2)
     is reported, never enforced.
     """
+    import scipy.sparse.linalg as spla
+
     x0, y0, x1, y1 = _check_grid(rect, n)
     if max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")

@@ -201,8 +201,8 @@ def fourth_derivatives(spec: PotentialSpec, t):
 def flat_metric(spec: PotentialSpec):
     """Constant flat metric g_ij = C_1ij, validated once per spec.
 
-    Constancy is spot-checked at two fixed generic points; degeneracy is
-    rejected against DET_G_MIN.
+    Constancy is spot-checked at two fixed generic points; a non-finite
+    metric or determinant is rejected, and degeneracy against DET_G_MIN.
     """
     rng = np.random.default_rng(20240817)
     m = spec.dim
@@ -210,10 +210,16 @@ def flat_metric(spec: PotentialSpec):
     t1 = rng.uniform(-0.7, 0.7, m) + 1j * rng.uniform(-0.7, 0.7, m)
     g0 = third_derivatives(spec, t0)[0]
     g1 = third_derivatives(spec, t1)[0]
+    # A huge coefficient can overflow the determinant, and NaN would pass
+    # the degeneracy test below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(g0)
+    if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(g1)) and np.isfinite(det)):
+        raise ValidationError("flat metric C_1ij or its determinant is not finite")
     scale = max(1.0, float(np.max(np.abs(g0))))
     if np.max(np.abs(g0 - g1)) > 1e-10 * scale:
         raise ValidationError("metric C_1ij is not constant across points")
-    if abs(np.linalg.det(g0)) < DET_G_MIN:
+    if abs(det) < DET_G_MIN:
         raise DegenerateMetric("flat metric C_1ij is degenerate")
     g = g0.copy()
     g.setflags(write=False)

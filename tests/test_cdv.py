@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobcdv import (
     A3_POINT,
@@ -26,7 +28,7 @@ from frobcdv import (
     write_spec,
 )
 from frobcdv import potential
-from frobcdv.cdv import _real_metric, _real_metric_derivatives
+from frobcdv.cdv import _higgs_parallel, _real_metric, _real_metric_derivatives
 from frobcdv.cli import main, sample_points
 from frobcdv.numerics import wirtinger_fd
 
@@ -170,6 +172,25 @@ def test_flat_frame_dh_against_fd_oracle(name):
             wd = wirtinger_fd(lambda tp: flat_frame_h(spec, tp), t, k, step=1e-4, order=4)
             assert np.max(np.abs(dh[k] - wd.holo)) <= 1e-8 * scale
             assert np.max(np.abs(np.conj(dh[k]).T - wd.anti)) <= 1e-8 * scale
+
+
+@st.composite
+def _frame_and_permutation(draw):
+    spec = catalog(draw(st.sampled_from(["a3_3d", "cubic2", "p1", "quartic2"])))
+    pts, _ = sample_points(spec, 1, seed=draw(st.integers(0, 10**6)))
+    return canonical_frame(spec, pts[0]), np.array(draw(st.permutations(range(spec.dim))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_frame_and_permutation())
+def test_flat_frame_dh_is_label_invariant(frame_and_pi):
+    frame, pi = frame_and_pi
+    relabelled = dataclasses.replace(
+        frame, u=frame.u[pi], A=frame.A[:, pi], eta=frame.eta[pi],
+        eta_d=frame.eta_d[np.ix_(pi, pi)], dC=frame.dC[:, pi][:, :, pi],
+    )
+    for before, after in zip(flat_frame_dh(frame), flat_frame_dh(relabelled)):
+        assert np.max(np.abs(after - before)) <= 1e-12 * np.max(np.abs(before))
 
 
 def test_flat_frame_dh_cubic2_is_exactly_zero():
@@ -364,3 +385,39 @@ def test_harmonic_potential_matches_loop(name, t):
     assert np.array_equal(hd.Pdag, Pdag)
     # V multiplies in another order: round-off only.
     assert np.max(np.abs(hd.V - V)) <= 4 * np.finfo(float).eps * np.max(np.abs(V))
+
+
+def _higgs_parallel_loop(omega):
+    """Reference: verify_cv_axioms check (e) index triple by index triple."""
+    m = len(omega)
+    res = 0.0
+    for alpha in range(m):
+        for beta in range(m):
+            if alpha == beta:
+                continue
+            for gamma in range(m):
+                if gamma not in (alpha, beta):
+                    res = max(res, abs(omega[gamma][beta, alpha]))
+            res = max(res, abs(omega[alpha][beta, alpha] + omega[beta][beta, alpha]))
+    return res
+
+
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
+def test_higgs_parallel_matches_loop(name, t):
+    spec = catalog(name)
+    omega = construct_canonical_cdv(canonical_frame(spec, t), spec.d).omega
+    # The canonical omega is diagonal, so both read 0 there.  A dense omega
+    # of the same size, one with a single nonzero entry per index triple,
+    # and a dense one that satisfies the relations exercise every index.
+    shape = np.shape(omega)
+    rng = np.random.default_rng(len(omega))
+    dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    parallel = dense.copy()
+    for gamma, beta, alpha in np.ndindex(shape):
+        if alpha != beta and gamma != alpha:
+            parallel[gamma, beta, alpha] = -dense[alpha, beta, alpha] if gamma == beta else 0.0
+    for W in (omega, dense, parallel, *np.eye(np.prod(shape)).reshape((-1,) + shape)):
+        # numpy's vectorised complex abs may differ from the scalar one in the last bit.
+        assert _higgs_parallel(W) == pytest.approx(
+            _higgs_parallel_loop(W), rel=4 * np.finfo(float).eps, abs=0.0)
+    assert _higgs_parallel(dense) > 0.0 == _higgs_parallel(parallel)

@@ -1,6 +1,11 @@
 """Tests for spec serialization, sampling, report output, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,9 +199,15 @@ def _nan_coefficient(doc):
     doc["monomials"][1]["coeff"] = [float("nan"), 0.0]
 
 
+def _huge_coefficient(doc):
+    # Finite, but det C_1ij = -1e310 overflows.
+    doc["monomials"][0]["coeff"] = [1e155, 0.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "corrupt", [_negative_power, _fractional_dim, _float_dim, _nan_coefficient],
-    ids=["negative_power", "fractional_dim", "float_dim", "nan_coefficient"],
+    "corrupt", [_negative_power, _fractional_dim, _float_dim, _nan_coefficient, _huge_coefficient],
+    ids=["negative_power", "fractional_dim", "float_dim", "nan_coefficient", "huge_coefficient"],
 )
 def test_invalid_spec_is_one_line_error(tmp_path, capsys, corrupt):
     doc = spec_to_dict(catalog("quartic2"))
@@ -301,3 +312,38 @@ def test_tt2d_bad_grid_input_is_one_line_error(tmp_path, capsys, flags):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+
+
+# Runs in a fresh interpreter, so that no module this test process has
+# already imported can hide a load.
+_IMPORT_GUARD = textwrap.dedent("""
+    import sys
+
+    import frobcdv
+    import frobcdv.cli as cli
+    from frobcdv.catalog import catalog, write_spec
+
+    def scipy_modules():
+        return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+    out_dir = sys.argv[1]
+    codes = {}
+    for name in ("quartic2", "a3_3d"):
+        path = f"{out_dir}/{name}.json"
+        write_spec(catalog(name), path)
+        for command in ("verify", "connections", "lowdim", "pencil"):
+            codes[command, name] = cli.main([command, "--spec", path, "--points", "1"])
+    assert set(codes.values()) <= {0, 1}, codes
+    assert not scipy_modules(), scipy_modules()
+    assert cli.main(["tt2d", "--spec", f"{out_dir}/quartic2.json", "--grid", "9"]) == 0
+    assert "scipy.sparse.linalg" in sys.modules
+""")
+
+
+def test_pointwise_subcommands_do_not_import_scipy(tmp_path):
+    # Only the tt* solve needs scipy; every other subcommand starts with numpy alone.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from frobcdv import (
     A3_POINT,
@@ -22,7 +23,6 @@ from frobcdv import (
     tt2d_residual,
     write_tt2d_csv,
 )
-from frobcdv import lowdim
 from frobcdv.lowdim import (
     _fppp_sq,
     _omega_antisymmetry,
@@ -228,8 +228,8 @@ class _CountingSplu:
 
 @pytest.fixture
 def counting_splu(monkeypatch):
-    counter = _CountingSplu(lowdim.spla.splu)
-    monkeypatch.setattr(lowdim.spla, "splu", counter)
+    counter = _CountingSplu(spla.splu)
+    monkeypatch.setattr(spla, "splu", counter)
     return counter
 
 

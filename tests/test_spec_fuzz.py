@@ -3,7 +3,9 @@
 Catalog specs are mutated (wrong types, NaN/inf, negative or float
 powers, extra or missing keys, wrong lengths) and fed to
 ``frobcdv verify``; it must exit 0, 1 or 2, and on exit 2 print exactly
-one line on stderr.
+one line on stderr.  A numpy RuntimeWarning (overflow, invalid value)
+is an error too: a spec that would overflow must be rejected, not
+evaluated.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +78,7 @@ def mutated_specs(draw):
     return doc
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(doc=mutated_specs())
 def test_mutated_spec_never_ends_in_traceback(doc):
