@@ -30,6 +30,9 @@ class CanonicalFrame:
     g((d_k C)(e_alpha, e_alpha), e_gamma), the flat derivative of the
     multiplication that gives eta_d and the derivatives of the idempotents.
     ev holds the flat tensors at the point that the eigendecomposition used.
+    The frames at a stack of N points (canonical_frames) are one
+    CanonicalFrame whose fields gain a leading axis of length N; gap is
+    then an array.
     """
 
     point: np.ndarray
@@ -43,65 +46,81 @@ class CanonicalFrame:
 
 
 def _pairwise_gap(u):
-    m = len(u)
+    """Smallest distance between two eigenvalues in each row of u (N, m)."""
+    m = u.shape[-1]
     if m < 2:
-        return np.inf
-    diff = np.abs(u[:, None] - u[None, :])
-    return float(np.min(diff[~np.eye(m, dtype=bool)]))
+        return np.full(u.shape[:-1], np.inf)
+    diff = np.abs(u[..., :, None] - u[..., None, :])
+    return np.min(diff[..., ~np.eye(m, dtype=bool)], axis=-1)
+
+
+def _first(bad):
+    """Index of the first point of a stack that fails a check, or None."""
+    return int(np.argmax(bad)) if np.any(bad) else None
 
 
 def _bare_frame(spec, t, eps_ss):
-    """Eigenvalues, idempotent matrix A, eta, gap and the flat tensors at
-    t -- no derivatives."""
+    """Eigenvalues, idempotent matrices A, eta, gap and the flat tensors at
+    a stack of points t (N, m) -- no derivatives.  One eigen-solve call
+    covers the stack; every check runs on every point, and the first
+    point that fails it raises."""
     ev = flat_eval(spec, t)
-    m = spec.dim
     eig = solve_eig(ev.U)
     u = eig.eigenvalues
     gap = _pairwise_gap(u)
-    scale = 1.0 + float(np.max(np.abs(u))) if m else 1.0
-    if gap <= eps_ss * scale:
+    scale = 1.0 + np.max(np.abs(u), axis=-1)
+    i = _first(gap <= eps_ss * scale)
+    if i is not None:
         raise NotSemisimple(
-            f"eigenvalue gap {gap:.3e} below threshold {eps_ss * scale:.3e} at {t}"
+            f"eigenvalue gap {gap[i]:.3e} below threshold {eps_ss * scale[i]:.3e} at {t[i]}"
         )
-    if eig.residual > 1e-8 * scale:
-        raise DefectiveU(f"eigenvector residual {eig.residual:.3e} too large")
-    A = np.zeros((m, m), dtype=complex)
-    for alpha in range(m):
-        v = eig.eigenvectors[:, alpha]
-        vv = np.einsum("i,j,ijk->k", v, v, ev.Cmix)
-        pivot = int(np.argmax(np.abs(v)))
-        c = vv[pivot] / v[pivot]
-        if abs(c) < IDEMPOTENT_EPS:
-            raise DefectiveU("eigenvector squares to ~0; algebra not semi-simple here")
-        A[:, alpha] = v / c
-    eta = np.einsum("ia,ij,ja->a", A, ev.g, A)
+    i = _first(eig.residual > 1e-8 * scale)
+    if i is not None:
+        raise DefectiveU(f"eigenvector residual {eig.residual[i]:.3e} too large")
+    # Each eigenvector v, divided by c where v o v = c v, is an idempotent;
+    # c is read off at the largest component of v.
+    V = eig.eigenvectors
+    vv = np.einsum("nia,nja,nijk->nka", V, V, ev.Cmix)
+    n, a = np.arange(len(V))[:, None], np.arange(V.shape[-1])
+    pivot = np.argmax(np.abs(V), axis=1)
+    c = vv[n, pivot, a] / V[n, pivot, a]
+    if np.any(np.abs(c) < IDEMPOTENT_EPS):
+        raise DefectiveU("eigenvector squares to ~0; algebra not semi-simple here")
+    A = V / c[:, None, :]
+    eta = np.einsum("nia,ij,nja->na", A, ev.g, A)
     return u, A, eta, gap, ev
 
 
 def _matched_bare(spec, t, ref_u, gap, eps_ss):
-    """Bare frame at t with labels matched to the reference eigenvalues.
+    """Bare frames at a stack of points t with labels matched to the
+    reference eigenvalues.
 
-    Each reference eigenvalue takes its nearest eigenvalue at t.  Two
-    labels claiming the same eigenvalue, or an eigenvalue that moves by
-    more than a quarter of the reference gap, signal that the local
-    labeling has become ambiguous.  When both checks pass the nearest
-    match is the unique optimal assignment: every other eigenvalue lies
-    at least 3 gap/4 away.
+    At each point every reference eigenvalue takes its nearest
+    eigenvalue.  Two labels claiming the same eigenvalue, or an eigenvalue
+    that moves by more than a quarter of the reference gap, signal that
+    the local labeling has become ambiguous.  When both checks pass the
+    nearest match is the unique optimal assignment: every other
+    eigenvalue lies at least 3 gap/4 away.
     """
-    u, A, eta, _, ev = _bare_frame(spec, t, eps_ss)
-    perm = np.argmin(np.abs(ref_u[:, None] - u[None, :]), axis=1)
-    if len(np.unique(perm)) != len(perm):
-        raise FrameDiscontinuity(f"eigenvalue labels not one-to-one across stencil: {perm}")
-    moved = float(np.max(np.abs(u[perm] - ref_u)))
-    if moved > gap / 4.0:
+    u, A, eta, gaps, ev = _bare_frame(spec, t, eps_ss)
+    perm = np.argmin(np.abs(ref_u[:, None] - u[:, None, :]), axis=2)
+    i = _first(np.any(np.diff(np.sort(perm, axis=1), axis=1) == 0, axis=1))
+    if i is not None:
+        raise FrameDiscontinuity(f"eigenvalue labels not one-to-one across stencil: {perm[i]}")
+    n = np.arange(len(perm))[:, None]
+    u = u[n, perm]
+    moved = np.max(np.abs(u - ref_u), axis=1)
+    i = _first(moved > gap / 4.0)
+    if i is not None:
         raise FrameDiscontinuity(
-            f"eigenvalue moved {moved:.3e} across stencil, exceeding gap/4 = {gap / 4:.3e}"
+            f"eigenvalue moved {moved[i]:.3e} across stencil, exceeding gap/4 = {gap / 4:.3e}"
         )
-    return u[perm], A[:, perm], eta[perm], ev
+    return u, A[n[:, None], np.arange(len(ref_u))[:, None], perm[:, None, :]], eta[n, perm], gaps, ev
 
 
 def _derivative_data(spec, t, A):
-    """dC (see CanonicalFrame) and eta_d from one evaluation of F''''.
+    """dC (see CanonicalFrame) and eta_d at a stack of points t, from one
+    evaluation of F''''.
 
     eta_d[alpha, beta] = e_alpha(eta_beta) = -2 F''''(e_alpha, e_beta,
     e_beta, e_beta): eta_beta = F'''(e_beta, e_beta, e_beta), and
@@ -111,31 +130,47 @@ def _derivative_data(spec, t, A):
     e_beta) + (3/2) e_alpha(eta_beta).
     """
     F4 = fourth_derivatives(spec, t)
-    dC = np.einsum("kijl,ia,ja,lg->kag", F4, A, A, A)
-    eta_d = -2.0 * np.einsum("ka,kbb->ab", A, dC)
+    dC = np.einsum("nkijl,nia,nja,nlg->nkag", F4, A, A, A)
+    eta_d = -2.0 * np.einsum("nka,nkbb->nab", A, dC)
     return dC, eta_d
 
 
-def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
-    """Full canonical frame at t, with exact derivatives (one eigendecomposition)."""
-    t = np.asarray(t, dtype=complex)
-    u, A, eta, gap, ev = _bare_frame(spec, t, eps_ss)
+def canonical_frames(spec, points, eps_ss=DEFAULT_EPS_SS, ref=None) -> CanonicalFrame:
+    """Canonical frames at a stack of points (N, m), with exact derivatives.
+
+    One eigen-solve call and one evaluation of each partial of F cover the
+    stack.  With a reference frame ref, the labels at every point are
+    matched to ref's: frame data recomputed on finite-difference stencils
+    needs eigenvalue labels that vary continuously.
+    """
+    t = np.asarray(points, dtype=complex)
+    if ref is None:
+        u, A, eta, gap, ev = _bare_frame(spec, t, eps_ss)
+    else:
+        u, A, eta, gap, ev = _matched_bare(spec, t, ref.u, ref.gap, eps_ss)
     dC, eta_d = _derivative_data(spec, t, A)
     return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC, gap=gap, ev=ev)
 
 
-def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
-    """Canonical frame at t with labels matched to a reference frame.
+def _single(frames: CanonicalFrame) -> CanonicalFrame:
+    """The frame of a one-point stack."""
+    ev = frames.ev
+    ev = FlatPointEval(point=ev.point[0], C3=ev.C3[0], Cmix=ev.Cmix[0], g=ev.g,
+                       g_inv=ev.g_inv, U=ev.U[0])
+    return CanonicalFrame(
+        point=frames.point[0], u=frames.u[0], A=frames.A[0], eta=frames.eta[0],
+        eta_d=frames.eta_d[0], dC=frames.dC[0], gap=float(frames.gap[0]), ev=ev,
+    )
 
-    Used when frame data is recomputed on finite-difference stencils: the
-    eigenvalue labels must vary continuously for derivatives of frame
-    quantities to make sense.
-    """
-    t = np.asarray(t, dtype=complex)
-    u, A, eta, ev = _matched_bare(spec, t, ref.u, ref.gap, eps_ss)
-    dC, eta_d = _derivative_data(spec, t, A)
-    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC,
-                          gap=_pairwise_gap(u), ev=ev)
+
+def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
+    """Full canonical frame at t, with exact derivatives (one eigendecomposition)."""
+    return _single(canonical_frames(spec, np.asarray(t, dtype=complex)[None], eps_ss))
+
+
+def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
+    """Canonical frame at t with labels matched to a reference frame."""
+    return _single(canonical_frames(spec, np.asarray(t, dtype=complex)[None], eps_ss, ref))
 
 
 def levi_civita_canonical(frame: CanonicalFrame):

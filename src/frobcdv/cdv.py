@@ -14,10 +14,16 @@ from .canonical import (
     CanonicalFrame,
     DEFAULT_EPS_SS,
     canonical_frame,
+    canonical_frames,
     levi_civita_canonical,
-    matched_frame,
 )
-from .numerics import DEFAULT_FD_STEP, invert, wirtinger_fd
+from .numerics import (
+    DEFAULT_FD_STEP,
+    evaluate_stencil,
+    invert,
+    wirtinger_combine,
+    wirtinger_points,
+)
 from .potential import flat_metric
 from .report import VerificationReport
 
@@ -53,19 +59,31 @@ class HarmonicData:
     V: np.ndarray
 
 
+def _diag(v):
+    """Diagonal matrices carrying the last axis of v on their diagonals."""
+    out = np.zeros(v.shape + v.shape[-1:], dtype=complex)
+    a = np.arange(v.shape[-1])
+    out[..., a, a] = v
+    return out
+
+
+def _kappa_canonical(frame: CanonicalFrame):
+    """K = diag(|eta|/eta), for one frame or for each frame of a stack."""
+    return _diag(np.abs(frame.eta) / frame.eta)
+
+
 def _omega_matrices(frame: CanonicalFrame):
-    """omega(e_alpha) = diag_beta(e_alpha(eta_beta) / (2 eta_beta))."""
-    m = len(frame.u)
-    return tuple(np.diag(frame.eta_d[alpha] / (2.0 * frame.eta)) for alpha in range(m))
+    """omega(e_alpha) = diag_beta(e_alpha(eta_beta) / (2 eta_beta)), on an
+    axis over alpha (after the stack axis of a frame stack)."""
+    return _diag(frame.eta_d / (2.0 * frame.eta[..., None, :]))
 
 
 def construct_canonical_cdv(frame: CanonicalFrame, d: float) -> CdvStructure:
     """The canonical structure: K = diag(|eta|/eta), h = diag(|eta|), Q = 0."""
     m = len(frame.u)
-    abs_eta = np.abs(frame.eta)
-    K = np.diag(abs_eta / frame.eta)
-    h = np.diag(abs_eta).astype(complex)
-    omega = _omega_matrices(frame)
+    K = _kappa_canonical(frame)
+    h = np.diag(np.abs(frame.eta)).astype(complex)
+    omega = tuple(_omega_matrices(frame))
     Cmats = tuple(np.diag(np.eye(m)[alpha]).astype(complex) for alpha in range(m))
     return CdvStructure(
         frame=frame,
@@ -79,14 +97,23 @@ def construct_canonical_cdv(frame: CanonicalFrame, d: float) -> CdvStructure:
     )
 
 
-def _dir_holo(A, wds, alpha):
-    """Directional derivative along e_alpha from per-coordinate Wirtinger data."""
-    return sum(A[i, alpha] * wds[i].holo for i in range(A.shape[0]))
+def _dir_holo(A, wd):
+    """Directional derivatives along each e_alpha from the Wirtinger data
+    of every coordinate."""
+    return np.einsum("ia,i...->a...", A, wd.holo)
 
 
-def _dir_anti(A, wds, beta):
-    """Directional derivative along conj(e_beta)."""
-    return sum(np.conj(A[i, beta]) * wds[i].anti for i in range(A.shape[0]))
+def _dir_anti(A, wd):
+    """Directional derivatives along each conj(e_beta)."""
+    return np.einsum("ib,i...->b...", np.conj(A), wd.anti)
+
+
+def _stencil_derivatives(field, t, fd_step):
+    """Wirtinger derivatives along every coordinate of a stacked field
+    (see numerics.evaluate_stencil), from one call on all 4m stencil
+    points."""
+    points = wirtinger_points(t, fd_step)
+    return wirtinger_combine(evaluate_stencil(field, t, points), fd_step)
 
 
 def _maxabs(M):
@@ -136,19 +163,18 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
         "higgs_reality", max(_maxabs(Ct - C) for Ct, C in zip(Ctilde, cdv.Cmats)), alg_tol
     )
 
-    # K and omega from one matched frame per stencil point: slot 0 of the
-    # stacked field is K, slots 1..m are omega(e_alpha).
-    def frame_field(tp):
-        fr = matched_frame(spec, tp, frame, eps_ss=eps_ss)
-        return np.stack([np.diag(np.abs(fr.eta) / fr.eta), *_omega_matrices(fr)])
+    # K and omega from the matched frames at the stencil points, built as
+    # one stack: slot 0 of the field is K, slots 1..m are omega(e_alpha).
+    def frame_field(points):
+        fr = canonical_frames(spec, points, eps_ss=eps_ss, ref=frame)
+        return np.concatenate([_kappa_canonical(fr)[:, None], _omega_matrices(fr)], axis=1)
 
-    wds = [wirtinger_fd(frame_field, t, i, step=fd_step) for i in range(m)]
+    wd = _stencil_derivatives(frame_field, t, fd_step)
+    d_holo = _dir_holo(frame.A, wd)
+    d_anti = _dir_anti(frame.A, wd)
 
     # (d) Chern compatibility of kappa: dK + K omega = 0 on frame directions.
-    res_d = max(
-        _maxabs(_dir_holo(frame.A, wds, alpha)[0] + cdv.K @ cdv.omega[alpha])
-        for alpha in range(m)
-    )
+    res_d = max(_maxabs(d_holo[alpha][0] + cdv.K @ cdv.omega[alpha]) for alpha in range(m))
     report.add("kappa_parallel", res_d, tol)
 
     # (e) Higgs field parallel for the Chern connection.
@@ -157,7 +183,7 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
     # (f) tt* commutator: dbar_beta omega(e_alpha) = [Ctilde^(beta), C^(alpha)].
     res_f = 0.0
     for beta in range(m):
-        domega = _dir_anti(frame.A, wds, beta)[1:]
+        domega = d_anti[beta][1:]
         for alpha in range(m):
             comm = Ctilde[beta] @ cdv.Cmats[alpha] - cdv.Cmats[alpha] @ Ctilde[beta]
             res_f = max(res_f, _maxabs(domega[alpha] - comm))
@@ -175,14 +201,14 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
     report.add("unit_parallel", res_h, tol)
 
     # (i) holomorphy of the connection form.
-    res_i = max(_maxabs(wd.anti[1:]) for wd in wds)
+    res_i = _maxabs(wd.anti[:, 1:])
     report.add("omega_holomorphy", res_i, tol)
 
     return report
 
 
 def harmonic_potential(frame: CanonicalFrame, d: float) -> HarmonicData:
-    """Harmonic potential from frame data.
+    """Harmonic potential from frame data (one frame, or each of a stack).
 
     P[alpha, beta] = conj(eta_d[alpha, beta]) eta_beta / (2 |eta_alpha
     eta_beta|) off the diagonal and -u^beta on it; Pdag[beta, alpha] =
@@ -190,11 +216,13 @@ def harmonic_potential(frame: CanonicalFrame, d: float) -> HarmonicData:
     V[beta, alpha] = (u^beta - u^alpha) eta_d[alpha, beta]/(2 eta_beta).
     """
     u, eta = frame.u, frame.eta
-    P = np.conj(frame.eta_d) * eta / (2.0 * np.abs(np.outer(eta, eta)))
-    Pdag = (frame.eta_d / (2.0 * eta)).T
-    V = (u[:, None] - u[None, :]) * Pdag  # zero on the diagonal
-    np.fill_diagonal(P, -u)
-    np.fill_diagonal(Pdag, -np.conj(u))
+    P = np.conj(frame.eta_d) * eta[..., None, :] / (
+        2.0 * np.abs(eta[..., :, None] * eta[..., None, :]))
+    Pdag = np.swapaxes(frame.eta_d / (2.0 * eta[..., None, :]), -1, -2)
+    V = (u[..., :, None] - u[..., None, :]) * Pdag  # zero on the diagonal
+    a = np.arange(u.shape[-1])
+    P[..., a, a] = -u
+    Pdag[..., a, a] = -np.conj(u)
     return HarmonicData(P=P, Pdag=Pdag, V=V)
 
 
@@ -204,32 +232,32 @@ def verify_harmonic(spec, frame: CanonicalFrame, hd, cdv: CdvStructure, tol,
 
     hd may be a HarmonicData value or a callable t -> HarmonicData used
     to evaluate P on finite-difference stencils (labels matched to
-    frame); the callable form lets tests feed corrupted fields.
+    frame); the callable form lets tests feed corrupted fields.  Without
+    a callable, the matched frames of all stencil points are one stack.
     """
     m = len(frame.u)
     t = frame.point
 
     if callable(hd):
-        provider = hd
-        center = provider(t)
+        center = hd(t)
+
+        def P_field(points):
+            return np.stack([hd(tp).P for tp in points])
     else:
         center = hd
 
-        def provider(tp):
-            return harmonic_potential(matched_frame(spec, tp, frame, eps_ss=eps_ss), cdv.d)
+        def P_field(points):
+            frames = canonical_frames(spec, points, eps_ss=eps_ss, ref=frame)
+            return harmonic_potential(frames, cdv.d).P
 
     report = VerificationReport()
 
     # (a) D'P = Phi: e_alpha(P) + [omega(e_alpha), P] = -C^(alpha).
-    def P_field(tp):
-        return provider(tp).P
-
-    wds_P = [wirtinger_fd(P_field, t, i, step=fd_step) for i in range(m)]
+    dP = _dir_holo(frame.A, _stencil_derivatives(P_field, t, fd_step))
     res_a = 0.0
     for alpha in range(m):
-        dP = _dir_holo(frame.A, wds_P, alpha)
         comm = cdv.omega[alpha] @ center.P - center.P @ cdv.omega[alpha]
-        res_a = max(res_a, _maxabs(dP + comm + cdv.Cmats[alpha]))
+        res_a = max(res_a, _maxabs(dP[alpha] + comm + cdv.Cmats[alpha]))
     report.add("dprime_p_equals_higgs", res_a, tol)
 
     # (b) D' = nabla - [Pdag, Phi] on every frame direction.
@@ -262,6 +290,7 @@ def flat_frame_dh(frame: CanonicalFrame):
 
     h = B^T diag|eta| conj(B) with B = A^{-1} (row alpha = frame
     components of the flat vectors); it is label-invariant, and so is dh.
+    A frame stack gives h and dh for each of its points.
     dbar_k h = dh[k]^dagger, as h is Hermitian.  d_k conj(B) = 0 and d_k B
     = -B (d_k A) B.  Differentiating e_alpha o e_alpha = e_alpha gives
     d_k e_alpha = sum_gamma x_gamma e_gamma with x_gamma = r_gamma for
@@ -272,11 +301,12 @@ def flat_frame_dh(frame: CanonicalFrame):
     dC[k, alpha, gamma] |eta_gamma| / eta_gamma off the diagonal, 0 on it.
     """
     B = invert(frame.A)
-    h = np.einsum("ai,aj,a->ij", B, np.conj(B), np.abs(frame.eta))
-    M = frame.dC * (np.abs(frame.eta) / frame.eta)
-    a = np.arange(len(frame.eta))
-    M[:, a, a] = 0.0
-    dh = -np.einsum("ai,kag,gj->kij", B, M, np.conj(B))
+    abs_eta = np.abs(frame.eta)
+    h = np.einsum("...ai,...aj,...a->...ij", B, np.conj(B), abs_eta)
+    M = frame.dC * (abs_eta / frame.eta)[..., None, None, :]
+    a = np.arange(frame.eta.shape[-1])
+    M[..., a, a] = 0.0
+    dh = -np.einsum("...ai,...kag,...gj->...kij", B, M, np.conj(B))
     return h, dh
 
 
@@ -371,13 +401,13 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
 
     The base data (W, Phi, Phi-dagger, U, kappa U kappa) does not depend
     on z and takes exact derivatives of h (flat_frame_dh), so it is built
-    from one frame at the centre and at each of the 4m Wirtinger stencil
-    points, whose third derivatives the frame carries: 4m+1
-    eigendecompositions and third-derivative evaluations per call, and
-    the only finite differences are those of the base data.  For every z sample the
-    connection coefficients and their derivatives are then assembled
-    linearly, e.g. d(W_i + Phi_i/z) = dW_i + dPhi_i/z; the constant Q has
-    zero derivative.
+    from the frames at the centre and at the 4m Wirtinger stencil points,
+    all in one stack: one eigen-solve call of 4m+1 matrices and one
+    evaluation of the third derivatives, which the frames carry.  The
+    only finite differences are those of the base data.  For every z
+    sample the connection coefficients and their derivatives are then
+    assembled linearly, e.g. d(W_i + Phi_i/z) = dW_i + dPhi_i/z; the
+    constant Q has zero derivative.
     """
     t = np.asarray(t, dtype=complex)
     m = spec.dim
@@ -387,32 +417,37 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
         Q = np.zeros((m, m), dtype=complex)
     Q = np.asarray(Q, dtype=complex)
 
-    def base_data(tp):
-        """Stack [W_0.., Phi_0.., Phidag_0.., U, kappa-U-kappa] at tp (column convention)."""
-        frame = canonical_frame(spec, tp, eps_ss=eps_ss)
-        h, dh = flat_frame_dh(frame)
+    def base_data(points):
+        """[W_0.., Phi_0.., Phidag_0.., U, kappa-U-kappa] at each of a stack
+        of points (column convention), on the axis after the stack's."""
+        frames = canonical_frames(spec, points, eps_ss=eps_ss)
+        h, dh = flat_frame_dh(frames)
         K = _kappa_flat(h, g_inv)
-        ev = frame.ev
-        W = np.swapaxes(dh @ invert(h), 1, 2)
-        Phi = -np.swapaxes(ev.Cmix, 1, 2)
-        Phidag = K @ np.conj(Phi) @ np.conj(K)
+        ev = frames.ev
+        W = np.swapaxes(dh @ invert(h)[:, None], -1, -2)
+        Phi = -np.swapaxes(ev.Cmix, -1, -2)
+        Phidag = K[:, None] @ np.conj(Phi) @ np.conj(K)[:, None]
         kUk = K @ np.conj(ev.U) @ np.conj(K)
-        return np.concatenate([W, Phi, Phidag, ev.U[None], kUk[None]])
+        return np.concatenate([W, Phi, Phidag, ev.U[:, None], kUk[:, None]], axis=1)
 
     def fields(S, z, Qz):
-        """Coefficients [A_h.., A_a.., A_z] at z of the stacked base data S."""
-        W, Phi, Phidag, U, kUk = S[:m], S[m:n], S[n:3 * m], S[3 * m], S[3 * m + 1]
-        return np.concatenate([W + Phi / z, z * Phidag, (U / z**2 - Qz - kUk)[None]])
+        """Coefficients [A_h.., A_a.., A_z] at z of base data S (slots on axis -3)."""
+        W, Phi, Phidag = S[..., :m, :, :], S[..., m:n, :, :], S[..., n:3 * m, :, :]
+        U, kUk = S[..., 3 * m, :, :], S[..., 3 * m + 1, :, :]
+        Az = (U / z**2 - Qz - kUk)[..., None, :, :]
+        return np.concatenate([W + Phi / z, z * Phidag, Az], axis=-3)
 
-    S0 = base_data(t)
-    wds = [wirtinger_fd(base_data, t, i, step=fd_step) for i in range(m)]
-    dS = [wd.holo for wd in wds] + [wd.anti for wd in wds]
+    points = np.concatenate([t[None], wirtinger_points(t, fd_step)])
+    S = evaluate_stencil(base_data, t, points)
+    S0 = S[0]
+    wd = wirtinger_combine(S[1:], fd_step)
+    dS = np.concatenate([wd.holo, wd.anti])
 
     worst = 0.0
     for z in z_samples:
         z = complex(z)
         c = fields(S0, z, Q / z)
-        d = np.stack([fields(dk, z, 0.0) for dk in dS])  # d[mu, f] = mu-derivative of f
+        d = fields(dS, z, 0.0)  # d[mu, f] = mu-derivative of f
         cc = np.einsum("aij,bjk->abik", c, c)
         comm = cc - np.swapaxes(cc, 0, 1)  # comm[mu, nu] = [c_mu, c_nu]
         # base-base curvature components

@@ -162,6 +162,7 @@ class TT2DSolution:
     invariance_residual: float
     converged: bool
     factorizations: int  # sparse LU factors of the preconditioner made
+    floor: float         # round-off floor of the residual at h11 (_residual_floor)
 
 
 def _fppp_sq(spec, X, Y):
@@ -194,6 +195,23 @@ def _residual4(v, c2, hx, hy):
     lap = _lap4_1d(v, 0, hx)[:, 1:-1] + _lap4_1d(v, 1, hy)[1:-1, :]
     vi = v[1:-1, 1:-1]
     return 0.25 * lap - np.exp(2.0 * vi) * c2[1:-1, 1:-1] + np.exp(-2.0 * vi)
+
+
+def _residual_floor(lap_size, vi, c2i):
+    """Round-off floor of the residual (1/4) Lap v - e^{2v} c2 + e^{-2v}:
+    4 eps times the sum of its largest terms, at the interior values vi
+    with the source c2i there; lap_size is the largest absolute row sum
+    of (1/4) Lap."""
+    return 4.0 * np.finfo(float).eps * (
+        lap_size * np.max(np.abs(vi)) + np.max(np.exp(2.0 * vi) * c2i)
+        + np.max(np.exp(-2.0 * vi)))
+
+
+def _at_roundoff_floor(res, prev, lap_size, vi, c2i):
+    """Whether Newton has reached the round-off floor: a step from
+    residual prev to res no longer halves it, and res is at most
+    _residual_floor at the interior values vi it was taken to."""
+    return res > 0.5 * prev and res <= _residual_floor(lap_size, vi, c2i)
 
 
 def _source_jacobian(v, c2):
@@ -301,6 +319,11 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     factor serves the whole solve.  A damped line search on the max-norm
     residual accepts the step.  Euler invariance (independence of Im t^2)
     is reported, never enforced.
+
+    Newton stops at tol or, once a full step no longer halves the
+    residual, at its round-off floor (as invariant_boundary does): where
+    the source is large, tol can lie below that floor.  The solution
+    records the floor, and the residual counts as converged at it.
     """
     import scipy.sparse.linalg as spla
 
@@ -323,6 +346,8 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
 
     lap4 = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
     lap2 = 0.25 * _laplacian_matrix(n, hx, hy, wide=False)
+    lap_size = float(np.max(abs(lap4).sum(axis=1)))
+    c2i = c2[1:-1, 1:-1]
     k = n - 2
     iterations = 0
     factorizations = 0
@@ -351,6 +376,12 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
             trial[1:-1, 1:-1] = vi + lam * delta
             R_trial = _residual4(trial, c2, hx, hy)
             res_trial = float(np.max(np.abs(R_trial)))
+            if lam == 1.0 and _at_roundoff_floor(res_trial, res, lap_size,
+                                                 trial[1:-1, 1:-1], c2i):
+                if res_trial < res:
+                    v, R, res = trial, R_trial, res_trial
+                converged = True
+                break
             if res_trial <= (1.0 - 0.25 * lam) * res or res_trial <= tol:
                 v, R, res = trial, R_trial, res_trial
                 break
@@ -362,7 +393,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
                     )
                 lam = 0.0
                 break
-        if lam == 0.0:
+        if lam == 0.0 or converged:
             break
 
     h11 = np.exp(v)
@@ -370,6 +401,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
         rect=(x0, y0, x1, y1), n=n, x=x, y=y, h11=h11, residual=res,
         iterations=iterations, invariance_residual=_invariance(h11, hy),
         converged=converged, factorizations=factorizations,
+        floor=_residual_floor(lap_size, v[1:-1, 1:-1], c2i),
     )
     if not converged and raise_on_failure:
         raise NoConvergence(
@@ -442,9 +474,8 @@ def invariant_boundary(spec, rect, n, tol=1e-12, max_iter=60):
     independent of y.  Meaningful when |f'''| depends only on Re t^2.
 
     Newton stops at tol or, once a step no longer halves the residual, at
-    the residual's round-off floor: 4 eps times the size of its largest
-    terms.  On fine grids (n >= 256 on [-1, 1]) that floor lies above
-    tol = 1e-12.
+    the residual's round-off floor (_at_roundoff_floor).  On fine grids
+    (n >= 256 on [-1, 1]) that floor lies above tol = 1e-12.
     """
     x0, _, x1, _ = _check_grid(rect, n)
     x = np.linspace(x0, x1, n)
@@ -464,9 +495,7 @@ def invariant_boundary(spec, rect, n, tol=1e-12, max_iter=60):
         res = float(np.max(np.abs(R)))
         if not np.isfinite(res):
             break
-        floor = 4.0 * np.finfo(float).eps * (
-            lap_size * np.max(np.abs(vi)) + np.max(grow) + np.max(decay))
-        if res <= tol or floor >= res > 0.5 * prev:
+        if res <= tol or _at_roundoff_floor(res, prev, lap_size, vi, c2[1:-1]):
             h1d = np.exp(v)
 
             def boundary(X, Y):

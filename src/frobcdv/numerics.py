@@ -15,15 +15,20 @@ MAX_DIM = 8
 DEFAULT_FD_STEP = 1e-5
 INV_EPS = 1e-12
 
+# Exceptions by which a function signals that it cannot be evaluated at a
+# point (np.linalg.LinAlgError is a ValueError).
+_NUMERICAL_FAILURES = (FrobCdvError, ArithmeticError, ValueError)
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigen-data of a small square complex matrix.
+    """Eigen-data of a small square complex matrix, or of a stack of them.
 
     eigenvalues are sorted lexicographically by (real, imag) so repeated
     calls label eigenvalues identically.  eigenvectors holds unit-norm
     column vectors paired with the eigenvalues; residual bounds
-    max_k ||M v_k - lambda_k v_k||_2.
+    max_k ||M v_k - lambda_k v_k||_2.  For a stack (N, m, m) every field
+    gains a leading axis of length N, and residual is per matrix.
     """
 
     eigenvalues: np.ndarray
@@ -36,7 +41,8 @@ class WirtingerDerivative:
     """Holomorphic and antiholomorphic parts of d/dz^j by central differences.
 
     holo = (1/2)(D_x - i D_y), anti = (1/2)(D_x + i D_y); each entry is an
-    array matching the output shape of the differentiated function.
+    array matching the output shape of the differentiated function, after
+    a leading axis over the coordinates j when there are several.
     """
 
     holo: np.ndarray
@@ -47,46 +53,55 @@ class WirtingerDerivative:
 
 def _check_square(M):
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {M.shape[0]} exceeds supported maximum {MAX_DIM}")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    if M.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {M.shape[-1]} exceeds supported maximum {MAX_DIM}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
     return M
 
 
 def lex_order(values):
-    """Indices sorting complex values lexicographically by (real, imag)."""
+    """Indices sorting complex values lexicographically by (real, imag),
+    along the last axis."""
     values = np.asarray(values)
-    return np.lexsort((values.imag, values.real))
+    return np.lexsort((values.imag, values.real), axis=-1)
 
 
 def solve_eig(M) -> EigenDecomposition:
     """Eigen-decomposition with deterministic (real, imag) eigenvalue order.
 
+    M is one matrix or a stack (N, m, m), decomposed by one
+    np.linalg.eig call; order, normalisation and residual are per matrix.
     The residual is reported rather than hidden so callers can detect
     defective (non-diagonalizable) inputs.
     """
     M = _check_square(M)
+    stack = M.reshape((-1,) + M.shape[-2:])
     try:
-        vals, vecs = np.linalg.eig(M)
+        vals, vecs = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
+    n = np.arange(len(stack))[:, None]
     order = lex_order(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    residual = float(np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0))) if M.size else 0.0
+    vals = vals[n, order]
+    vecs = vecs[n[:, None], np.arange(M.shape[-1])[:, None], order[:, None, :]]
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    residual = np.max(np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1),
+                      axis=-1, initial=0.0)
+    if M.ndim == 2:
+        return EigenDecomposition(vals[0], vecs[0], float(residual[0]))
     return EigenDecomposition(vals, vecs, residual)
 
 
 def invert(M):
-    """Inverse with an explicit determinant guard (raises Singular)."""
+    """Inverse of a matrix, or of each in a stack, with an explicit
+    determinant guard (raises Singular if any matrix fails it)."""
     M = _check_square(M)
-    m = M.shape[0]
-    scale = np.linalg.norm(M, ord=np.inf)
-    if scale == 0.0 or abs(np.linalg.det(M)) <= INV_EPS * scale**m:
+    m = M.shape[-1]
+    scale = np.max(np.sum(np.abs(M), axis=-1), axis=-1)  # infinity norm
+    if np.any((scale == 0.0) | (np.abs(np.linalg.det(M)) <= INV_EPS * scale**m)):
         raise Singular("matrix is singular to working precision")
     return np.linalg.inv(M)
 
@@ -97,34 +112,82 @@ _STENCILS = {
 }
 
 
-def wirtinger_fd(f, point, direction, step=DEFAULT_FD_STEP, order=2) -> WirtingerDerivative:
-    """Wirtinger derivatives of f: C^m -> C^k at point, along one coordinate.
+def wirtinger_points(point, step=DEFAULT_FD_STEP, order=2, directions=None):
+    """The points of the Wirtinger stencils along each coordinate in
+    directions (default: all), as one (N, m) stack.
 
-    Central differences in the real and imaginary parts of the chosen
-    coordinate are combined into holo = (D_x - i D_y)/2 and
-    anti = (D_x + i D_y)/2.  A numerical failure of f at a stencil point
-    (a FrobCdvError, ArithmeticError or ValueError, which includes
-    np.linalg.LinAlgError) becomes EvaluationFailure; any other exception
-    propagates unchanged.
+    Per direction come 2 * order points: the real shifts c * step of the
+    stencil coefficients c, then the imaginary shifts 1j * c * step.
+    wirtinger_combine takes the values of a function at these points.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     if order not in _STENCILS:
         raise ValueError("order must be 2 or 4")
     point = np.asarray(point, dtype=complex)
+    directions = range(len(point)) if directions is None else directions
+    shifts = step * np.array([c for c, _ in _STENCILS[order]])
+    shifts = np.concatenate([shifts, 1j * shifts])
+    points = np.tile(point, (len(directions), len(shifts), 1))
+    for n, k in enumerate(directions):
+        points[n, :, k] += shifts
+    return points.reshape(-1, len(point))
 
-    def shifted(delta):
-        t = point.copy()
-        t[direction] += delta
-        try:
-            return np.asarray(f(t), dtype=complex)
-        except (FrobCdvError, ArithmeticError, ValueError) as exc:
-            raise EvaluationFailure(
-                f"function evaluation failed at stencil offset {delta!r}: {exc}"
-            ) from exc
 
-    dx = sum(w * shifted(c * step) for c, w in _STENCILS[order]) / step
-    dy = sum(w * shifted(1j * c * step) for c, w in _STENCILS[order]) / step
+def evaluate_stencil(f, point, points):
+    """f at a stack of stencil points about point: f maps an (N, m) stack
+    of points to an (N, ...) stack of values.
+
+    points may include point itself.  A numerical failure of f (a
+    FrobCdvError, ArithmeticError or ValueError, which includes
+    np.linalg.LinAlgError) is traced to the first point of the stack at
+    which f fails on its own: at point itself its exception propagates,
+    elsewhere it becomes EvaluationFailure naming the offset.  Any other
+    exception propagates unchanged.
+    """
+    try:
+        return np.asarray(f(points), dtype=complex)
+    except _NUMERICAL_FAILURES as exc:
+        for p in points:
+            try:
+                f(p[None])
+            except _NUMERICAL_FAILURES as exc_p:
+                offset = p - point
+                if not np.any(offset):
+                    raise  # a failure at point itself is not a stencil failure
+                k = int(np.argmax(np.abs(offset)))
+                raise EvaluationFailure(
+                    f"function evaluation failed at stencil offset {complex(offset[k]):.3g} "
+                    f"along coordinate {k}: {exc_p}"
+                ) from exc_p
+        raise EvaluationFailure(f"function evaluation failed on the stencil: {exc}") from exc
+
+
+def wirtinger_combine(values, step=DEFAULT_FD_STEP, order=2) -> WirtingerDerivative:
+    """Wirtinger derivatives from a function's values at wirtinger_points.
+
+    values has a leading axis over the stencil points; holo and anti have
+    one over the directions instead.  Central differences in the real and
+    imaginary parts of each coordinate are combined into
+    holo = (D_x - i D_y)/2 and anti = (D_x + i D_y)/2.
+    """
+    weights = [w for _, w in _STENCILS[order]]
+    v = np.asarray(values).reshape((-1, 2, len(weights)) + np.shape(values)[1:])
+    d = sum(w * v[:, :, j] for j, w in enumerate(weights)) / step
+    dx, dy = d[:, 0], d[:, 1]
     return WirtingerDerivative(
         holo=0.5 * (dx - 1j * dy), anti=0.5 * (dx + 1j * dy), step=step, order=order
     )
+
+
+def wirtinger_fd(f, point, direction, step=DEFAULT_FD_STEP, order=2) -> WirtingerDerivative:
+    """Wirtinger derivatives of f: C^m -> C^k at point, along one coordinate.
+
+    f takes one point at a time; its values go through wirtinger_combine,
+    and its numerical failures become EvaluationFailure as in
+    evaluate_stencil.
+    """
+    points = wirtinger_points(point, step, order, directions=[direction])
+    values = evaluate_stencil(lambda pts: np.stack([f(p) for p in pts]), point, points)
+    wd = wirtinger_combine(values, step, order)
+    return WirtingerDerivative(holo=wd.holo[0], anti=wd.anti[0], step=step, order=order)

@@ -12,7 +12,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -81,7 +81,7 @@ class PotentialSpec:
             if abs(self.d_F - (3.0 - self.d)) > 1e-9:
                 raise ValidationError("normal form requires d_F = 3 - d")
 
-    @property
+    @cached_property
     def terms(self):
         zero = (0.0 + 0.0j,) * self.dim
         mono = tuple((complex(c), tuple(p), zero) for c, p in self.monomials)
@@ -99,7 +99,8 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class FlatPointEval:
-    """All flat-frame tensors of a potential at one point."""
+    """All flat-frame tensors of a potential at one point, or at a stack
+    of points: then point, C3, Cmix and U gain a leading axis."""
 
     point: np.ndarray
     C3: np.ndarray       # C_ijk, totally symmetric
@@ -128,6 +129,24 @@ def diff_terms(terms, multi_index):
     return tuple(terms)
 
 
+def _term_arrays(terms, m):
+    """Coefficients (T,), powers (T, m) and linear forms (T, m) of a term
+    list; the linear forms are None when no term has an exponential."""
+    coeff = np.array([c for c, _, _ in terms], dtype=complex)
+    powers = np.array([p for _, p, _ in terms], dtype=float).reshape(-1, m)
+    w = np.array([w for _, _, w in terms], dtype=complex).reshape(-1, m)
+    return coeff, powers, w if np.any(w) else None
+
+
+def _term_values(arrays, t):
+    """The value of each term at each point of t (..., m), on a last axis."""
+    coeff, powers, w = arrays
+    vals = coeff * np.prod(t[..., None, :] ** powers, axis=-1)
+    if w is not None:
+        vals = vals * np.exp(t @ w.T)
+    return vals
+
+
 def eval_terms(terms, t):
     """Sum of the terms at t.
 
@@ -135,18 +154,8 @@ def eval_terms(terms, t):
     is then an array of that shape, and a plain complex otherwise.
     """
     t = np.asarray(t, dtype=complex)
-    total = 0.0 + 0.0j
-    for coeff, powers, w in terms:
-        val = coeff
-        for ti, p in zip(t, powers):
-            if p:
-                val = val * ti**p
-        if any(w):
-            val = val * np.exp(sum(wi * ti for wi, ti in zip(w, t)))
-        total += val
-    if t.ndim == 1:
-        return complex(total)
-    return total + np.zeros(t.shape[1:], dtype=complex)
+    total = np.sum(_term_values(_term_arrays(terms, len(t)), np.moveaxis(t, 0, -1)), axis=-1)
+    return complex(total) if t.ndim == 1 else total
 
 
 def _scale_by_coordinate(terms, i):
@@ -159,25 +168,36 @@ def _scale_by_coordinate(terms, i):
 
 
 @lru_cache(maxsize=None)
-def _derivative_terms(spec: PotentialSpec, order):
-    """Terms of each distinct partial of F of the given order, and where
-    its value goes in the flattened, totally symmetric tensor."""
-    m = spec.dim
+def _derivative_terms(terms, m, order):
+    """The terms of every distinct partial of the given order of a sum of
+    terms in m coordinates, and where each partial's value goes in the
+    flattened, totally symmetric tensor.
+
+    The terms of all partials form one list (_term_arrays), partial by
+    partial; starts[q] is the first term of partial q.  A partial without
+    terms gets the zero term, so that no block is empty.
+    """
     shape = (m,) * order
-    terms, slots = [], []
+    zero = (0j, (0,) * m, (0j,) * m)
+    partials, starts, slots = [], [], []
     for idx in combinations_with_replacement(range(m), order):
-        terms.append(diff_terms(spec.terms, tuple(idx.count(i) for i in range(m))))
+        starts.append(len(partials))
+        partials.extend(diff_terms(terms, tuple(idx.count(i) for i in range(m))) or (zero,))
         slots.append([np.ravel_multi_index(p, shape) for p in set(permutations(idx))])
     owner = np.repeat(np.arange(len(slots)), [len(s) for s in slots])
-    return tuple(terms), np.concatenate(slots), owner
+    return _term_arrays(partials, m), np.array(starts), np.concatenate(slots), owner
 
 
-def _symmetric_derivatives(spec: PotentialSpec, t, order):
-    terms, flat, owner = _derivative_terms(spec, order)
-    vals = np.array([eval_terms(tm, t) for tm in terms])
-    out = np.empty(spec.dim**order, dtype=complex)
-    out[flat] = vals[owner]
-    return out.reshape((spec.dim,) * order)
+def _symmetric_derivatives(terms, m, t, order):
+    """Each distinct partial of a sum of terms, evaluated once over all
+    points of t, which is one point (m,) or a stack (N, m); the tensor
+    axes come last."""
+    arrays, starts, flat, owner = _derivative_terms(terms, m, order)
+    t = np.asarray(t, dtype=complex)
+    vals = np.add.reduceat(_term_values(arrays, t), starts, axis=-1)
+    out = np.empty(t.shape[:-1] + (m**order,), dtype=complex)
+    out[..., flat] = vals[..., owner]
+    return out.reshape(t.shape[:-1] + (m,) * order)
 
 
 def eval_derivative(spec: PotentialSpec, multi_index, t) -> complex:
@@ -188,13 +208,14 @@ def eval_derivative(spec: PotentialSpec, multi_index, t) -> complex:
 
 
 def third_derivatives(spec: PotentialSpec, t):
-    """Totally symmetric tensor C_ijk at t."""
-    return _symmetric_derivatives(spec, t, 3)
+    """Totally symmetric tensor C_ijk at t (one point, or a stack of them)."""
+    return _symmetric_derivatives(spec.terms, spec.dim, t, 3)
 
 
 def fourth_derivatives(spec: PotentialSpec, t):
-    """Totally symmetric tensor F_ijkl of fourth partials of F at t."""
-    return _symmetric_derivatives(spec, t, 4)
+    """Totally symmetric tensor F_ijkl of fourth partials of F at t (one
+    point, or a stack of them)."""
+    return _symmetric_derivatives(spec.terms, spec.dim, t, 4)
 
 
 @lru_cache(maxsize=None)
@@ -229,13 +250,14 @@ def flat_metric(spec: PotentialSpec):
 
 
 def flat_eval(spec: PotentialSpec, t) -> FlatPointEval:
-    """C_ijk, C_ij^k, g, and the Euler multiplication matrix at t."""
+    """C_ijk, C_ij^k, g, and the Euler multiplication matrix at t (one
+    point (m,), or a stack (N, m) evaluated at once)."""
     g, g_inv = flat_metric(spec)
     t = np.asarray(t, dtype=complex)
     C3 = third_derivatives(spec, t)
-    Cmix = np.einsum("ijl,lk->ijk", C3, g_inv)
+    Cmix = np.einsum("...ijl,lk->...ijk", C3, g_inv)
     E = spec.euler_components(t)
-    U = np.einsum("i,ijk->kj", E, Cmix)
+    U = np.einsum("...i,...ijk->...kj", E, Cmix)
     return FlatPointEval(point=t, C3=C3, Cmix=Cmix, g=g, g_inv=g_inv, U=U)
 
 
@@ -283,15 +305,7 @@ def _homogeneity_terms(spec: PotentialSpec):
 
 def homogeneity_residual(spec: PotentialSpec, t) -> float:
     """Max third derivative of L_E F - d_F F at t (exact differentiation)."""
-    base = _homogeneity_terms(spec)
-    m = spec.dim
-    worst = 0.0
-    for idx in combinations_with_replacement(range(m), 3):
-        multi = [0] * m
-        for i in idx:
-            multi[i] += 1
-        worst = max(worst, abs(eval_terms(diff_terms(base, tuple(multi)), t)))
-    return worst
+    return float(np.max(np.abs(_symmetric_derivatives(_homogeneity_terms(spec), spec.dim, t, 3))))
 
 
 def check_homogeneity(spec: PotentialSpec, points, tol) -> VerificationReport:

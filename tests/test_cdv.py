@@ -280,36 +280,36 @@ def test_pencil_scalar_grading_term_is_invisible():
 @pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 9), ("a3_3d", A3_POINT, 13)])
 def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, monkeypatch, name, t, eigs):
     # 4m+1: base data at the centre and at 4m stencil points, each from
-    # one frame, since the derivatives of h in it are exact.  The frame
-    # carries the third derivatives it was built from, so each point
-    # evaluates them once.
+    # one frame, since the derivatives of h in it are exact.  All frames
+    # are one stack: one eigen-solve call of 4m+1 matrices, and one
+    # evaluation of the third derivatives at the same 4m+1 points.
     spec = catalog(name)
     flat_metric(spec)  # cached once per spec; not part of the count
     calls = []
     third_derivatives = potential.third_derivatives
 
-    def counting(*args):
-        calls.append(1)
-        return third_derivatives(*args)
+    def counting(spec, t):
+        calls.append(len(t) if np.ndim(t) == 2 else 1)
+        return third_derivatives(spec, t)
 
     monkeypatch.setattr(potential, "third_derivatives", counting)
     pencil_curvature(spec, t, [1.0, 1.0j, 2.0], 1e-5)
-    assert len(eig_calls) == len(calls) == eigs
+    assert eig_calls == calls == [eigs]
 
 
 @pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 8), ("a3_3d", A3_POINT, 12)])
 def test_verifiers_take_one_frame_per_stencil_point(eig_calls, name, t, eigs):
-    # 4m stencil points, one eigendecomposition each: a matched frame's
-    # eta_d is exact, so it takes no stencil of its own.
+    # 4m stencil points, one frame each, all in one eigen-solve call: a
+    # matched frame's eta_d is exact, so it takes no stencil of its own.
     spec = catalog(name)
     frame = canonical_frame(spec, t)
     cdv = construct_canonical_cdv(frame, spec.d)
     eig_calls.clear()
     verify_cv_axioms(spec, cdv, 1e-5)
-    assert len(eig_calls) == eigs
+    assert eig_calls == [eigs]
     eig_calls.clear()
     verify_harmonic(spec, frame, harmonic_potential(frame, spec.d), cdv, 1e-5)
-    assert len(eig_calls) == eigs
+    assert eig_calls == [eigs]
 
 
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)])
@@ -322,7 +322,7 @@ def test_exact_dh_layers_take_one_eigendecomposition(eig_calls, name, t):
     ):
         eig_calls.clear()
         check()
-        assert len(eig_calls) == 1
+        assert eig_calls == [1]
 
 
 @pytest.mark.parametrize("seed", [5, 47])

@@ -1,6 +1,7 @@
 """Tests for the dimension-2/3 relation systems and the 2d PDE solver."""
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,8 +22,10 @@ from frobcdv import (
     invariant_boundary,
     solve_tt2d,
     tt2d_residual,
+    write_spec,
     write_tt2d_csv,
 )
+from frobcdv.cli import main
 from frobcdv.lowdim import (
     _fppp_sq,
     _omega_antisymmetry,
@@ -237,11 +240,35 @@ def test_tt2d_newton_iterations(counting_splu):
     spec = catalog("p1")
     rect = (-1.0, -1.0, 1.0, 1.0)
     sol = solve_tt2d(spec, rect, 128, 1.0)
-    assert sol.converged and sol.iterations <= 5
+    assert sol.converged and sol.iterations == 4
     # The source diagonal hardly moves on p1: one LU serves every step.
     assert sol.factorizations == counting_splu.factors == 1
+    # The round-off floor lies far below tol here, so it stops no step.
+    assert sol.residual <= 1e-10 and sol.floor <= 0.1 * 1e-10
     sol = solve_tt2d(spec, rect, 64, invariant_boundary(spec, rect, 64))
     assert sol.converged and sol.iterations <= 6
+
+
+def test_tt2d_stops_at_roundoff_floor(tmp_path):
+    # On (0, 0, 16, 1) the source |f'''|^2 = e^{2x} of p1 reaches e^32,
+    # and the residual's round-off floor (~1e-8) lies above tol = 1e-10.
+    # Newton used to stall in the line search at 2.8e-9 and raise
+    # NonPositiveIterate; the CLI reported a failed solve.
+    spec = catalog("p1")
+    rect = (0.0, 0.0, 16.0, 1.0)
+    sol = solve_tt2d(spec, rect, 33, invariant_boundary(spec, rect, 33))
+    assert sol.converged and 1e-10 < sol.residual <= sol.floor
+    pde, _ = tt2d_residual(spec, sol)
+    assert pde <= 10.0 * sol.residual
+    path = tmp_path / "p1.json"
+    write_spec(spec, path)
+    report = tmp_path / "report.json"
+    argv = ["tt2d", "--spec", str(path), "--rect", "0,0,16,1", "--grid", "33",
+            "--report", str(report)]
+    assert main(argv) == 0
+    check = json.loads(report.read_text())["checks"][0]
+    assert check["name"] == "tt2d_solver_residual"
+    assert 1e-10 < check["residual"] <= check["tolerance"] < 1e-7
 
 
 # h11 of quartic2 on (0, 0, 3, 1), boundary 5, n = 64, from the solver

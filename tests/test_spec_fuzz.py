@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcdv import CATALOG_NAMES, catalog, spec_to_dict
+from frobcdv import CATALOG_NAMES, FrobCdvError, catalog, spec_from_dict, spec_to_dict
 from frobcdv.cli import main
 
 JUNK = st.one_of(
@@ -92,3 +92,46 @@ def test_mutated_spec_never_ends_in_traceback(doc):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def well_typed_specs(draw):
+    """Catalog specs with coefficients, linear forms, powers and term lists
+    changed, but every value of the type the parser expects."""
+    doc = spec_to_dict(catalog(draw(st.sampled_from(CATALOG_NAMES))))
+    for _ in range(draw(st.integers(1, 3))):
+        terms = doc[draw(st.sampled_from(("monomials", "exponentials")))]
+        if not terms:
+            continue
+        i = draw(st.integers(0, len(terms) - 1))
+        kind = draw(st.sampled_from(("coeff", "power", "form", "drop", "copy")))
+        if kind == "coeff":
+            terms[i]["coeff"] = [draw(FINITE), draw(FINITE)]
+        elif kind == "power":
+            powers = terms[i]["powers"]
+            powers[draw(st.integers(0, len(powers) - 1))] = draw(st.integers(0, 6))
+        elif kind == "form" and "linear_form" in terms[i]:
+            form = terms[i]["linear_form"]
+            form[draw(st.integers(0, len(form) - 1))] = [draw(FINITE), draw(FINITE)]
+        elif kind == "drop":
+            del terms[i]
+        elif kind == "copy":
+            terms.append(json.loads(json.dumps(terms[i])))
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=st.one_of(mutated_specs(), well_typed_specs()))
+def test_mutated_spec_dict_round_trip(doc):
+    # A mutated spec is rejected, or it survives spec_to_dict and a JSON
+    # text round trip unchanged.
+    try:
+        spec = spec_from_dict(doc)
+    except FrobCdvError:
+        return
+    again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    assert again == spec
+    assert spec_to_dict(again) == spec_to_dict(spec)

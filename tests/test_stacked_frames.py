@@ -1,0 +1,230 @@
+"""Frames built as one stack of stencil points, against the per-point frame
+routine and against the former per-point stencil loops of the verifiers."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frobcdv import (
+    DefectiveU,
+    EvaluationFailure,
+    NotSemisimple,
+    canonical_frame,
+    catalog,
+    construct_canonical_cdv,
+    flat_eval,
+    flat_frame_dh,
+    flat_metric,
+    harmonic_potential,
+    pencil_curvature,
+    verify_cv_axioms,
+    verify_harmonic,
+)
+from frobcdv.canonical import canonical_frames, matched_frame
+from frobcdv.cli import sample_points
+from frobcdv.numerics import DEFAULT_FD_STEP, wirtinger_points
+
+NAMES = ("quartic2", "p1", "a3_3d")
+TOL = 1e-5
+Z_SAMPLES = (1.0, 1.0j, 2.0)
+FIELDS = ("u", "A", "eta", "eta_d", "dC")
+
+
+def _maxabs(M):
+    return float(np.max(np.abs(M)))
+
+
+def _discriminant(spec, t):
+    u = np.linalg.eigvals(flat_eval(spec, t).U)
+    m = len(u)
+    return np.prod([(u[i] - u[j]) ** 2 for i in range(m) for j in range(i + 1, m)])
+
+
+def _solve_discriminant(spec, t, k, value=0.0):
+    """Newton along coordinate k for a point where the holomorphic
+    discriminant of U takes the given value; callers check the point."""
+    e = np.eye(spec.dim)[k]
+    for _ in range(40):
+        D = _discriminant(spec, t) - value
+        dD = (_discriminant(spec, t + 1e-6 * e) - _discriminant(spec, t - 1e-6 * e)) / 2e-6
+        if D == 0.0:
+            break
+        t = t - D / dD * e
+    return t
+
+
+@st.composite
+def _stencil_stacks(draw):
+    spec = catalog(draw(st.sampled_from(NAMES)))
+    pts, _ = sample_points(spec, 1, seed=draw(st.integers(0, 10**6)))
+    step = 10.0 ** draw(st.floats(-6.0, -2.5))
+    return spec, pts[0], wirtinger_points(pts[0], step)
+
+
+def _assert_stack_equals_single_frames(spec, points, ref):
+    for frames, single in (
+        (canonical_frames(spec, points), lambda tp: canonical_frame(spec, tp)),
+        (canonical_frames(spec, points, ref=ref), lambda tp: matched_frame(spec, tp, ref)),
+    ):
+        for n, tp in enumerate(points):
+            one = single(tp)
+            for name in FIELDS:
+                a, b = getattr(frames, name)[n], getattr(one, name)
+                # Same labels: u in the same order, and every field close.
+                assert _maxabs(a - b) <= 1e-12 * _maxabs(b), name
+            assert frames.gap[n] == pytest.approx(one.gap, rel=1e-12)
+            assert np.array_equal(frames.point[n], one.point)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_stencil_stacks())
+def test_stacked_frames_equal_single_point_frames(stack):
+    spec, t, points = stack
+    _assert_stack_equals_single_frames(spec, points, canonical_frame(spec, t))
+
+
+# Starts near points where the two eigenvalues have equal real parts, so
+# that their lexicographic order flips between nearby points.
+LEX_CROSSINGS = {"quartic2": (0.1 - 0.3j, -0.4 + 0.2j), "p1": (0.3 + 0.1j, 0.2 + 3.0j)}
+
+
+@pytest.mark.parametrize("name", sorted(LEX_CROSSINGS))
+def test_stacked_labels_across_a_lex_order_crossing(name):
+    # The discriminant (u_1 - u_2)^2 is a negative real number exactly where
+    # Re u_1 = Re u_2.
+    spec = catalog(name)
+    start = np.array(LEX_CROSSINGS[name])
+    t = _solve_discriminant(spec, start, 1, -abs(_discriminant(spec, start)))
+    ref = canonical_frame(spec, t)
+    points = wirtinger_points(t, 1e-4)
+    first = np.argmin(np.abs(canonical_frames(spec, points).u - ref.u[0]), axis=1)
+    assert len(set(first)) == 2  # the stack's points order their eigenvalues differently
+    _assert_stack_equals_single_frames(spec, points, ref)
+
+
+# The former per-point stencil loops, kept as oracles: one frame and one
+# function call per stencil point, and an order-2 Wirtinger difference
+# written out.
+
+def _wirtinger_loop(f, t, k, step=DEFAULT_FD_STEP):
+    e = np.eye(len(t))[k]
+    dx = (f(t + step * e) - f(t - step * e)) / (2.0 * step)
+    dy = (f(t + 1j * step * e) - f(t - 1j * step * e)) / (2.0 * step)
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
+
+def _cv_axioms_loop(spec, cdv):
+    """The finite-difference checks of verify_cv_axioms."""
+    frame = cdv.frame
+    t, A, m = frame.point, frame.A, len(frame.u)
+
+    def frame_field(tp):
+        fr = matched_frame(spec, tp, frame)
+        omega = [np.diag(fr.eta_d[a] / (2.0 * fr.eta)) for a in range(m)]
+        return np.stack([np.diag(np.abs(fr.eta) / fr.eta), *omega])
+
+    wds = [_wirtinger_loop(frame_field, t, i) for i in range(m)]
+    holo = [sum(A[i, a] * wds[i][0] for i in range(m)) for a in range(m)]
+    anti = [sum(np.conj(A[i, b]) * wds[i][1] for i in range(m)) for b in range(m)]
+    Ct = [cdv.K @ np.conj(C) @ np.conj(cdv.K) for C in cdv.Cmats]
+    return {
+        "kappa_parallel": max(_maxabs(holo[a][0] + cdv.K @ cdv.omega[a]) for a in range(m)),
+        "ttstar_commutator": max(
+            _maxabs(anti[b][1 + a] - (Ct[b] @ cdv.Cmats[a] - cdv.Cmats[a] @ Ct[b]))
+            for a in range(m) for b in range(m)),
+        "omega_holomorphy": max(_maxabs(wd[1][1:]) for wd in wds),
+    }
+
+
+def _harmonic_loop(spec, frame, cdv):
+    """The finite-difference check of verify_harmonic."""
+    t, A, m = frame.point, frame.A, len(frame.u)
+    P = harmonic_potential(frame, spec.d).P
+
+    def P_field(tp):
+        return harmonic_potential(matched_frame(spec, tp, frame), spec.d).P
+
+    wds = [_wirtinger_loop(P_field, t, i)[0] for i in range(m)]
+    res = 0.0
+    for a in range(m):
+        dP = sum(A[i, a] * wds[i] for i in range(m))
+        comm = cdv.omega[a] @ P - P @ cdv.omega[a]
+        res = max(res, _maxabs(dP + comm + cdv.Cmats[a]))
+    return {"dprime_p_equals_higgs": res}
+
+
+def _pencil_loop(spec, t):
+    """pencil_curvature with its base data built point by point."""
+    m, n = spec.dim, 2 * spec.dim
+    g_inv = flat_metric(spec)[1]
+
+    def base_data(tp):
+        frame = canonical_frame(spec, tp)
+        h, dh = flat_frame_dh(frame)
+        K = g_inv @ h
+        W = np.swapaxes(dh @ np.linalg.inv(h), 1, 2)
+        Phi = -np.swapaxes(frame.ev.Cmix, 1, 2)
+        kUk = K @ np.conj(frame.ev.U) @ np.conj(K)
+        return np.concatenate([W, Phi, K @ np.conj(Phi) @ np.conj(K), frame.ev.U[None], kUk[None]])
+
+    def fields(S, z):
+        W, Phi, Phidag, U, kUk = S[:m], S[m:n], S[n:3 * m], S[3 * m], S[3 * m + 1]
+        return np.concatenate([W + Phi / z, z * Phidag, (U / z**2 - kUk)[None]])
+
+    S0 = base_data(t)
+    wds = [_wirtinger_loop(base_data, t, i) for i in range(m)]
+    dS = [wd[0] for wd in wds] + [wd[1] for wd in wds]
+    worst = 0.0
+    for z in Z_SAMPLES:
+        c = fields(S0, z)
+        d = np.stack([fields(dk, z) for dk in dS])
+        cc = np.einsum("aij,bjk->abik", c, c)
+        comm = cc - np.swapaxes(cc, 0, 1)
+        F = d[:, :n] - np.swapaxes(d[:, :n], 0, 1) + comm[:n, :n]
+        Fz = d[:, n] - np.concatenate([-S0[m:n] / z**2, S0[n:3 * m]]) + comm[:n, n]
+        worst = max(worst, _maxabs(F), _maxabs(Fz))
+    return {"pencil_curvature": worst}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_stacked_verifiers_match_per_point_loops(name):
+    spec = catalog(name)
+    pts, _ = sample_points(spec, 4, seed=7)
+    for t in pts:
+        frame = canonical_frame(spec, t)
+        cdv = construct_canonical_cdv(frame, spec.d)
+        hd = harmonic_potential(frame, spec.d)
+        for report, oracle in (
+            (verify_cv_axioms(spec, cdv, TOL), _cv_axioms_loop(spec, cdv)),
+            (verify_harmonic(spec, frame, hd, cdv, TOL), _harmonic_loop(spec, frame, cdv)),
+            (pencil_curvature(spec, t, Z_SAMPLES, TOL), _pencil_loop(spec, t)),
+        ):
+            for check, residual in oracle.items():
+                assert abs(report[check].residual - residual) <= 1e-3 * TOL, check
+
+
+# p1 is semi-simple at every finite point, so it has no stencil point to push.
+@pytest.mark.parametrize("name", ["quartic2", "a3_3d"])
+def test_stencil_point_on_discriminant_raises(name):
+    spec = catalog(name)
+    k = spec.dim - 1  # the Euler shift along t^1 moves every u alike
+    pts, _ = sample_points(spec, 1, seed=2)
+    centre = _solve_discriminant(spec, pts[0], k) - DEFAULT_FD_STEP * np.eye(spec.dim)[k]
+    # The stencil point centre + step e_k lies on the discriminant.
+    on_disc = wirtinger_points(centre, DEFAULT_FD_STEP)[4 * k + 1]
+    with pytest.raises((NotSemisimple, DefectiveU)):
+        canonical_frame(spec, on_disc)
+    frame = canonical_frame(spec, centre)
+    cdv = construct_canonical_cdv(frame, spec.d)
+    for check in (
+        lambda: verify_cv_axioms(spec, cdv, TOL),
+        lambda: verify_harmonic(spec, frame, harmonic_potential(frame, spec.d), cdv, TOL),
+        lambda: pencil_curvature(spec, centre, Z_SAMPLES, TOL),
+    ):
+        with pytest.raises(EvaluationFailure, match=r"stencil offset \S+ along coordinate \d"):
+            check()
+    # Without label matching, the first stencil point that fails is the
+    # one on the discriminant.
+    with pytest.raises(EvaluationFailure, match=f"offset 1e-05\\+0j along coordinate {k}"):
+        pencil_curvature(spec, centre, Z_SAMPLES, TOL)
