@@ -168,9 +168,9 @@ def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
     return _single(canonical_frames(spec, np.asarray(t, dtype=complex)[None], eps_ss))
 
 
-def matched_frame(spec, t, ref: CanonicalFrame, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
+def matched_frame(spec, t, ref: CanonicalFrame) -> CanonicalFrame:
     """Canonical frame at t with labels matched to a reference frame."""
-    return _single(canonical_frames(spec, np.asarray(t, dtype=complex)[None], eps_ss, ref))
+    return _single(canonical_frames(spec, np.asarray(t, dtype=complex)[None], ref=ref))
 
 
 def levi_civita_canonical(frame: CanonicalFrame):

@@ -223,9 +223,9 @@ def load_spec(path) -> PotentialSpec:
         raise ParseError("spec file must contain a JSON object")
     spec = spec_from_dict(doc)
     flat_metric(spec)  # raises on non-constant or degenerate metric
-    for t in ((0.31 + 0.12j,) * spec.dim, (-0.27 + 0.41j,) * spec.dim):
-        if homogeneity_residual(spec, t) > _HOMOGENEITY_SPOT:
-            raise ValidationError("declared Euler data fails the homogeneity spot-check")
+    points = ((0.31 + 0.12j,) * spec.dim, (-0.27 + 0.41j,) * spec.dim)
+    if homogeneity_residual(spec, points) > _HOMOGENEITY_SPOT:
+        raise ValidationError("declared Euler data fails the homogeneity spot-check")
     return spec
 
 

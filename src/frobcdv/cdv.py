@@ -12,7 +12,6 @@ import numpy as np
 
 from .canonical import (
     CanonicalFrame,
-    DEFAULT_EPS_SS,
     canonical_frame,
     canonical_frames,
     levi_civita_canonical,
@@ -135,7 +134,7 @@ def _higgs_parallel(omega):
 
 
 def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
-                     fd_step=DEFAULT_FD_STEP, eps_ss=DEFAULT_EPS_SS) -> VerificationReport:
+                     fd_step=DEFAULT_FD_STEP) -> VerificationReport:
     """One residual per structure axiom at the point of cdv.
 
     Algebraic identities are compared against alg_tol; identities that
@@ -151,7 +150,6 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
 
     # (b) pairing consistency: h^{-1} = conj(g)^{-1} conj(h) g^{-1} and
     # K = g^{-1} h, with g the frame metric diag(eta).
-    g_f = np.diag(frame.eta)
     g_f_inv = np.diag(1.0 / frame.eta)
     pairing_identity = _maxabs(invert(cdv.h) - np.conj(g_f_inv) @ np.conj(cdv.h) @ g_f_inv)
     k_consistency = _maxabs(cdv.K - g_f_inv @ cdv.h)
@@ -166,7 +164,7 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
     # K and omega from the matched frames at the stencil points, built as
     # one stack: slot 0 of the field is K, slots 1..m are omega(e_alpha).
     def frame_field(points):
-        fr = canonical_frames(spec, points, eps_ss=eps_ss, ref=frame)
+        fr = canonical_frames(spec, points, ref=frame)
         return np.concatenate([_kappa_canonical(fr)[:, None], _omega_matrices(fr)], axis=1)
 
     wd = _stencil_derivatives(frame_field, t, fd_step)
@@ -226,29 +224,19 @@ def harmonic_potential(frame: CanonicalFrame, d: float) -> HarmonicData:
     return HarmonicData(P=P, Pdag=Pdag, V=V)
 
 
-def verify_harmonic(spec, frame: CanonicalFrame, hd, cdv: CdvStructure, tol,
-                    fd_step=DEFAULT_FD_STEP, eps_ss=DEFAULT_EPS_SS) -> VerificationReport:
+def verify_harmonic(spec, frame: CanonicalFrame, hd: HarmonicData, cdv: CdvStructure, tol,
+                    fd_step=DEFAULT_FD_STEP) -> VerificationReport:
     """Residuals of the harmonic-potential defining system.
 
-    hd may be a HarmonicData value or a callable t -> HarmonicData used
-    to evaluate P on finite-difference stencils (labels matched to
-    frame); the callable form lets tests feed corrupted fields.  Without
-    a callable, the matched frames of all stencil points are one stack.
+    hd is the harmonic data at the point of frame.  The check of D'P
+    differences P from harmonic_potential at the matched frames of all
+    stencil points, built as one stack.
     """
     m = len(frame.u)
     t = frame.point
 
-    if callable(hd):
-        center = hd(t)
-
-        def P_field(points):
-            return np.stack([hd(tp).P for tp in points])
-    else:
-        center = hd
-
-        def P_field(points):
-            frames = canonical_frames(spec, points, eps_ss=eps_ss, ref=frame)
-            return harmonic_potential(frames, cdv.d).P
+    def P_field(points):
+        return harmonic_potential(canonical_frames(spec, points, ref=frame), cdv.d).P
 
     report = VerificationReport()
 
@@ -256,7 +244,7 @@ def verify_harmonic(spec, frame: CanonicalFrame, hd, cdv: CdvStructure, tol,
     dP = _dir_holo(frame.A, _stencil_derivatives(P_field, t, fd_step))
     res_a = 0.0
     for alpha in range(m):
-        comm = cdv.omega[alpha] @ center.P - center.P @ cdv.omega[alpha]
+        comm = cdv.omega[alpha] @ hd.P - hd.P @ cdv.omega[alpha]
         res_a = max(res_a, _maxabs(dP[alpha] + comm + cdv.Cmats[alpha]))
     report.add("dprime_p_equals_higgs", res_a, tol)
 
@@ -264,25 +252,25 @@ def verify_harmonic(spec, frame: CanonicalFrame, hd, cdv: CdvStructure, tol,
     gammas = levi_civita_canonical(frame)
     res_b = 0.0
     for alpha in range(m):
-        comm = center.Pdag @ cdv.Cmats[alpha] - cdv.Cmats[alpha] @ center.Pdag
+        comm = hd.Pdag @ cdv.Cmats[alpha] - cdv.Cmats[alpha] @ hd.Pdag
         res_b = max(res_b, _maxabs(gammas[alpha] + comm - cdv.omega[alpha]))
     report.add("chern_from_levi_civita", res_b, tol)
 
     # (c) P is g-self-adjoint.
     g_f = np.diag(frame.eta)
-    p_star = np.diag(1.0 / frame.eta) @ center.P.T @ g_f
-    report.add("p_selfadjoint", _maxabs(p_star - center.P), tol)
+    p_star = np.diag(1.0 / frame.eta) @ hd.P.T @ g_f
+    report.add("p_selfadjoint", _maxabs(p_star - hd.P), tol)
 
     # (d) V + [Pdag, U] = 0.
-    comm = center.Pdag @ cdv.Umat - cdv.Umat @ center.Pdag
-    report.add("v_commutator", _maxabs(center.V + comm), tol)
+    comm = hd.Pdag @ cdv.Umat - cdv.Umat @ hd.Pdag
+    report.add("v_commutator", _maxabs(hd.V + comm), tol)
 
     return report
 
 
-def flat_frame_h(spec, t, eps_ss=DEFAULT_EPS_SS):
+def flat_frame_h(spec, t):
     """The Hermitian pairing in the flat basis: h_ij = h(d_i, conj(d_j))."""
-    return flat_frame_dh(canonical_frame(spec, t, eps_ss=eps_ss))[0]
+    return flat_frame_dh(canonical_frame(spec, t))[0]
 
 
 def flat_frame_dh(frame: CanonicalFrame):
@@ -329,7 +317,7 @@ def _real_metric_derivatives(dh):
     return np.stack([_real_metric(d) for d in np.concatenate([dh + dbar, 1j * (dh - dbar)])])
 
 
-def connection_gap(spec, t, tol, eps_ss=DEFAULT_EPS_SS) -> VerificationReport:
+def connection_gap(spec, t, tol) -> VerificationReport:
     """Gaps between the flat, Chern, and real Levi-Civita connections.
 
     Entries read as distances: an entry "passes" exactly when the
@@ -339,7 +327,7 @@ def connection_gap(spec, t, tol, eps_ss=DEFAULT_EPS_SS) -> VerificationReport:
     """
     t = np.asarray(t, dtype=complex)
     m = spec.dim
-    frame = canonical_frame(spec, t, eps_ss=eps_ss)
+    frame = canonical_frame(spec, t)
     cdv = construct_canonical_cdv(frame, spec.d)
     report = VerificationReport()
 
@@ -390,7 +378,7 @@ def _kappa_flat(h, g_inv):
 
 
 def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
-                     eps_ss=DEFAULT_EPS_SS, Q=None) -> VerificationReport:
+                     Q=None) -> VerificationReport:
     """Flatness of the one-parameter family of connections.
 
     The family is D + C/z + z kappa C kappa in the base directions plus
@@ -420,7 +408,7 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
     def base_data(points):
         """[W_0.., Phi_0.., Phidag_0.., U, kappa-U-kappa] at each of a stack
         of points (column convention), on the axis after the stack's."""
-        frames = canonical_frames(spec, points, eps_ss=eps_ss)
+        frames = canonical_frames(spec, points)
         h, dh = flat_frame_dh(frames)
         K = _kappa_flat(h, g_inv)
         ev = frames.ev

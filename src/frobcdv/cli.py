@@ -44,20 +44,19 @@ def _draw_point(rng, dim):
     return r * np.exp(1j * th)
 
 
-def sample_points(spec, n, seed, require_semisimple=True):
+def sample_points(spec, n, seed):
     """Seeded points on the unit polydisk, resampled off the discriminant.
 
-    Returns (points, skipped) where skipped counts draws that stayed too
-    close to the non-semi-simple locus after the retry budget.
+    A draw is kept once canonical_frame accepts it with the eigenvalue
+    gap SAMPLING_EPS_SS; each of the n points gets RESAMPLE_LIMIT draws.
+    Returns (points, skipped) where skipped counts the points whose draws
+    all stayed too close to the non-semi-simple locus.
     """
     rng = np.random.default_rng(seed)
     points, skipped = [], 0
     for _ in range(n):
         for _attempt in range(RESAMPLE_LIMIT):
             t = _draw_point(rng, spec.dim)
-            if not require_semisimple:
-                points.append(t)
-                break
             try:
                 canonical_frame(spec, t, eps_ss=SAMPLING_EPS_SS)
             except FrobCdvError:
@@ -129,13 +128,13 @@ def _load(args):
     return load_spec(args.spec)
 
 
-def _points_for(spec, args, require_semisimple=True):
+def _points_for(spec, args):
     """Points to check; a run that would check none is an error, not a pass."""
     if args.point:
         return [_parse_point(args.point, spec.dim)], 0
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")
-    pts, skipped = sample_points(spec, args.points, args.seed, require_semisimple)
+    pts, skipped = sample_points(spec, args.points, args.seed)
     if not pts:
         raise FrobCdvError(
             f"no semi-simple point found: all {skipped} samples skipped after "

@@ -11,15 +11,16 @@ the module (spla.splu, spla.gmres), never a bound name, so that a
 wrapper patched onto scipy.sparse.linalg sees every call.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import DEFAULT_EPS_SS, canonical_frame
+from .canonical import canonical_frame
 from .cdv import flat_frame_dh
 from .errors import NoConvergence, NonPositiveIterate, NotNormalForm, ValidationError
 from .numerics import invert
-from .potential import diff_terms, eval_terms, third_derivatives
+from .potential import diff_terms, eval_terms
 from .report import VerificationReport
 
 
@@ -40,17 +41,18 @@ def _require_normal_form(spec):
         raise NotNormalForm("this check requires a spec in antidiagonal normal form")
 
 
-def from_canonical(spec, t, eps_ss=DEFAULT_EPS_SS) -> LowDimInput:
+def from_canonical(spec, t) -> LowDimInput:
     """Build normal-form point data from the canonical construction.
 
     The Chern forms are omega_i^j = sum_k (d h_ik) h^kj, with h and its
-    derivatives exact from one canonical frame (flat_frame_dh).
+    derivatives exact from one canonical frame (flat_frame_dh); the third
+    derivatives are the ones that frame was built from.
     """
     _require_normal_form(spec)
-    t = np.asarray(t, dtype=complex)
-    h, dh = flat_frame_dh(canonical_frame(spec, t, eps_ss=eps_ss))
+    frame = canonical_frame(spec, t)
+    h, dh = flat_frame_dh(frame)
     return LowDimInput(
-        m=spec.dim, h=h, omega=dh @ invert(h), C3=third_derivatives(spec, t),
+        m=spec.dim, h=h, omega=dh @ invert(h), C3=frame.ev.C3,
         degrees=spec.degrees, d=spec.d,
     )
 
@@ -122,11 +124,11 @@ def check_m3_relations(inp: LowDimInput, tol) -> VerificationReport:
     return report
 
 
-def check_euler_degree(spec, t, tol, eps_ss=DEFAULT_EPS_SS) -> VerificationReport:
+def check_euler_degree(spec, t, tol) -> VerificationReport:
     """Degree relation (E - Ebar) h_ij = (d_j - d_i) h_ij in flat coordinates."""
     _require_normal_form(spec)
     t = np.asarray(t, dtype=complex)
-    h, dh = flat_frame_dh(canonical_frame(spec, t, eps_ss=eps_ss))
+    h, dh = flat_frame_dh(canonical_frame(spec, t))
     Eh = np.einsum("k,kij->ij", spec.euler_components(t), dh)
     lhs = Eh - np.conj(Eh).T  # Ebar(h) = E(h)^dagger, as h is Hermitian
     degrees = np.asarray(spec.degrees)
@@ -159,7 +161,6 @@ class TT2DSolution:
     h11: np.ndarray      # shape (n, n), indexed [ix, iy]
     residual: float
     iterations: int
-    invariance_residual: float
     converged: bool
     factorizations: int  # sparse LU factors of the preconditioner made
     floor: float         # round-off floor of the residual at h11 (_residual_floor)
@@ -228,24 +229,18 @@ def _source_jacobian(v, c2):
 def _d2_matrix(n, hstep, wide):
     """Sparse second difference on the n - 2 interior nodes of a line.
 
-    With ``wide`` it is the matrix of ``_lap4_1d`` (the 5-point-wide
-    fourth-order formula in the deep interior, the 3-point formula on the
-    first ring and everywhere when n < 5); otherwise the 3-point formula
+    With ``wide`` it is the matrix of ``_lap4_1d``, read off from its
+    action on the interior unit vectors; otherwise the 3-point formula
     is used on every row.
     """
     import scipy.sparse as sp
 
     k = n - 2
-    deep = np.zeros(k, dtype=bool)
-    if wide and n >= 5:
-        deep[1:-1] = True
-    centre = np.where(deep, -30.0 / 12.0, -2.0)
-    near = np.where(deep, 16.0 / 12.0, 1.0)
-    far = np.where(deep, -1.0 / 12.0, 0.0)
-    # Row r holds its own coefficients on every diagonal it touches.
-    diagonals = {-2: far[2:], -1: near[1:], 0: centre, 1: near[:-1], 2: far[:-2]}
-    offsets = [o for o in diagonals if abs(o) < k]
-    return sp.diags([diagonals[o] for o in offsets], offsets) / hstep**2
+    if wide:
+        unit = np.zeros((n, k))
+        unit[1:-1] = np.eye(k)
+        return sp.csr_matrix(_lap4_1d(unit, 0, hstep))
+    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(k, k)) / hstep**2
 
 
 def _laplacian_matrix(n, hx, hy, wide):
@@ -283,27 +278,19 @@ def _check_grid(rect, n):
 
 
 def _boundary_values(boundary, X, Y):
-    """Dirichlet h_11 on the full grid (only the edge entries are used)."""
+    """Dirichlet h_11 on the full grid (only the edge entries are used),
+    from a number or a callable boundary(X, Y)."""
     if callable(boundary):
-        vals = np.asarray(boundary(X, Y), dtype=float)
-        if vals.shape != X.shape:
-            vals = np.broadcast_to(vals, X.shape).copy()
-    elif np.ndim(boundary) == 0:
+        vals = np.broadcast_to(np.asarray(boundary(X, Y), dtype=float), X.shape)
+    elif isinstance(boundary, numbers.Real):
         vals = np.full(X.shape, float(boundary))
     else:
-        vals = np.asarray(boundary, dtype=float)
-        if vals.shape != X.shape:
-            raise ValidationError("boundary array must match the grid shape")
-    if np.min([vals[0, :].min(), vals[-1, :].min(), vals[:, 0].min(), vals[:, -1].min()]) <= 0:
-        raise ValidationError("boundary values for h_11 must be positive")
+        raise ValidationError(
+            f"boundary must be a number or a callable, got {type(boundary).__name__}")
+    edges = np.concatenate([vals[0, :], vals[-1, :], vals[:, 0], vals[:, -1]])
+    if not (np.all(np.isfinite(edges)) and np.min(edges) > 0):
+        raise ValidationError("boundary values for h_11 must be finite and positive")
     return vals
-
-
-def _invariance(h11, hy):
-    """Max derivative of h_11 along the imaginary t^2 axis."""
-    if h11.shape[1] < 3:
-        return 0.0
-    return float(np.max(np.abs(h11[:, 2:] - h11[:, :-2])) / (2.0 * hy))
 
 
 def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
@@ -317,8 +304,13 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     steps, so the factor is kept and remade only when D has drifted from
     the diagonal it was made with (PRECONDITIONER_DRIFT); on p1 one
     factor serves the whole solve.  A damped line search on the max-norm
-    residual accepts the step.  Euler invariance (independence of Im t^2)
-    is reported, never enforced.
+    residual accepts the step.
+
+    boundary gives the Dirichlet data for h_11: a positive number, or a
+    callable boundary(X, Y) on the grid such as invariant_boundary
+    returns.  Data that is not finite and positive, or so large that the
+    residual overflows, raises ValidationError.  Euler invariance
+    (independence of Im t^2) is not enforced; tt2d_residual measures it.
 
     Newton stops at tol or, once a full step no longer halves the
     residual, at its round-off floor (as invariant_boundary does): where
@@ -353,8 +345,11 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     factorizations = 0
     lu = d_factored = None
     converged = False
-    R = _residual4(v, c2, hx, hy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _residual4(v, c2, hx, hy)
     res = float(np.max(np.abs(R)))
+    if not np.isfinite(res):
+        raise ValidationError("the residual at the boundary data overflows; h_11 is too large")
     for iterations in range(max_iter + 1):
         if res <= tol:
             converged = True
@@ -399,8 +394,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     h11 = np.exp(v)
     solution = TT2DSolution(
         rect=(x0, y0, x1, y1), n=n, x=x, y=y, h11=h11, residual=res,
-        iterations=iterations, invariance_residual=_invariance(h11, hy),
-        converged=converged, factorizations=factorizations,
+        iterations=iterations, converged=converged, factorizations=factorizations,
         floor=_residual_floor(lap_size, v[1:-1, 1:-1], c2i),
     )
     if not converged and raise_on_failure:

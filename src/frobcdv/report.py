@@ -24,10 +24,6 @@ class VerificationReport:
         self.entries.append(entry)
         return entry
 
-    def extend(self, other: "VerificationReport"):
-        self.entries.extend(other.entries)
-        return self
-
     def __getitem__(self, name: str) -> CheckEntry:
         for entry in self.entries:
             if entry.name == name:

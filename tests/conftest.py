@@ -19,3 +19,25 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(canonical, "solve_eig", counting)
     return calls
+
+
+@pytest.fixture
+def third_derivative_calls(monkeypatch):
+    """A list that gains one entry per evaluation of the third derivatives
+    of F, through any frobcdv module: the number of points evaluated."""
+    import sys
+
+    import frobcdv.potential as potential
+
+    calls = []
+    third_derivatives = potential.third_derivatives
+
+    def counting(spec, t):
+        calls.append(len(t) if np.ndim(t) == 2 else 1)
+        return third_derivatives(spec, t)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("frobcdv")
+                and getattr(module, "third_derivatives", None) is third_derivatives):
+            monkeypatch.setattr(module, "third_derivatives", counting)
+    return calls

@@ -27,7 +27,7 @@ from frobcdv import (
     verify_harmonic,
     write_spec,
 )
-from frobcdv import potential
+from frobcdv import cdv as cdv_module
 from frobcdv.cdv import _higgs_parallel, _real_metric, _real_metric_derivatives
 from frobcdv.cli import main, sample_points
 from frobcdv.numerics import wirtinger_fd
@@ -120,21 +120,22 @@ def test_harmonic_quartic2_and_a3():
         assert rep.passed, "\n".join(rep.summary_lines())
 
 
-def test_harmonic_detects_corrupted_potential():
+def test_harmonic_detects_corrupted_potential(monkeypatch):
     spec = catalog("quartic2")
     frame = canonical_frame(spec, QPT)
     cdv = construct_canonical_cdv(frame, spec.d)
 
-    def corrupted(tp):
-        from frobcdv.canonical import matched_frame
-
-        fr = frame if np.allclose(tp, frame.point) else matched_frame(spec, tp, frame)
-        hd = harmonic_potential(fr, spec.d)
+    def corrupted(fr, d):
+        hd = harmonic_potential(fr, d)
         P = hd.P.copy()
-        np.fill_diagonal(P, 0.0)  # drop the -u^alpha diagonal
+        a = np.arange(P.shape[-1])
+        P[..., a, a] = 0.0  # drop the -u^alpha diagonal
         return HarmonicData(P=P, Pdag=hd.Pdag, V=hd.V)
 
-    rep = verify_harmonic(spec, frame, corrupted, cdv, 1e-5)
+    # verify_harmonic differences P from cdv.harmonic_potential at the
+    # stencil points.
+    monkeypatch.setattr(cdv_module, "harmonic_potential", corrupted)
+    rep = verify_harmonic(spec, frame, corrupted(frame, spec.d), cdv, 1e-5)
     assert rep["dprime_p_equals_higgs"].residual > 0.5
 
 
@@ -278,23 +279,17 @@ def test_pencil_scalar_grading_term_is_invisible():
 
 
 @pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 9), ("a3_3d", A3_POINT, 13)])
-def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, monkeypatch, name, t, eigs):
+def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, third_derivative_calls,
+                                                        name, t, eigs):
     # 4m+1: base data at the centre and at 4m stencil points, each from
     # one frame, since the derivatives of h in it are exact.  All frames
     # are one stack: one eigen-solve call of 4m+1 matrices, and one
     # evaluation of the third derivatives at the same 4m+1 points.
     spec = catalog(name)
     flat_metric(spec)  # cached once per spec; not part of the count
-    calls = []
-    third_derivatives = potential.third_derivatives
-
-    def counting(spec, t):
-        calls.append(len(t) if np.ndim(t) == 2 else 1)
-        return third_derivatives(spec, t)
-
-    monkeypatch.setattr(potential, "third_derivatives", counting)
+    third_derivative_calls.clear()
     pencil_curvature(spec, t, [1.0, 1.0j, 2.0], 1e-5)
-    assert eig_calls == calls == [eigs]
+    assert eig_calls == third_derivative_calls == [eigs]
 
 
 @pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 8), ("a3_3d", A3_POINT, 12)])

@@ -305,6 +305,10 @@ def test_zero_points_rejected(tmp_path, capsys):
     ["--rect", "0,0,nan,1"],
     ["--rect", "a,b,c,d"],
     ["--max-iter", "-1"],
+    ["--boundary", "0"],
+    ["--boundary", "inf"],
+    ["--boundary", "nan"],
+    ["--boundary", "1e300"],
 ], ids=" ".join)
 def test_tt2d_bad_grid_input_is_one_line_error(tmp_path, capsys, flags):
     spec = _dump("cubic2", tmp_path)

@@ -18,6 +18,7 @@ from frobcdv import (
     check_euler_degree,
     check_m2_relations,
     check_m3_relations,
+    flat_metric,
     from_canonical,
     invariant_boundary,
     solve_tt2d,
@@ -35,6 +36,7 @@ from frobcdv.lowdim import (
     _source_jacobian,
     residual_grid,
 )
+from frobcdv.potential import third_derivatives
 
 QPT = (0.0, 1.0)
 
@@ -124,6 +126,17 @@ def test_euler_degree_scaling():
     assert check_euler_degree(catalog("p1"), (0.1, 0.4 + 0.2j), 1e-10).passed
 
 
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)])
+def test_from_canonical_evaluates_third_derivatives_once(third_derivative_calls, name, t):
+    # LowDimInput.C3 is the C_ijk the frame was built from.
+    spec = catalog(name)
+    flat_metric(spec)  # cached once per spec; not part of the count
+    third_derivative_calls.clear()
+    inp = from_canonical(spec, t)
+    assert third_derivative_calls == [1]
+    assert np.allclose(inp.C3, third_derivatives(spec, t), rtol=1e-14, atol=0.0)
+
+
 def test_normal_form_required():
     spec = dataclasses.replace(catalog("quartic2"), normal_form=False)
     with pytest.raises(NotNormalForm):
@@ -149,7 +162,6 @@ def test_tt2d_exponential_source():
     sol = solve_tt2d(spec, rect, 33, invariant_boundary(spec, rect, 33))
     assert sol.converged
     assert sol.residual <= 1e-10
-    assert sol.invariance_residual <= 1e-4
     pde, inv = tt2d_residual(spec, sol)
     assert pde <= 10.0 * max(sol.residual, 1e-10)
     assert inv <= 1e-4
@@ -166,6 +178,16 @@ def test_tt2d_independent_residual_detects_perturbation():
 def test_tt2d_boundary_must_be_positive():
     with pytest.raises(ValidationError):
         solve_tt2d(catalog("cubic2"), (-1.0, -1.0, 1.0, 1.0), 9, -1.0)
+
+
+@pytest.mark.parametrize("boundary", [
+    np.ones((9, 9)), "1.0", None, np.inf, np.nan, lambda X, Y: np.full_like(X, np.inf), 1e300,
+])
+def test_tt2d_rejects_bad_boundary(boundary):
+    # A boundary is a finite positive number or a callable giving such
+    # values; 1e300 overflows e^{2v} at the initial iterate.
+    with pytest.raises(ValidationError):
+        solve_tt2d(catalog("cubic2"), (-1.0, -1.0, 1.0, 1.0), 9, boundary)
 
 
 def test_tt2d_iteration_cap():

@@ -22,7 +22,12 @@ from frobcdv import (
     wdvv_residual,
 )
 from frobcdv.errors import DegenerateMetric
-from frobcdv.potential import fourth_derivatives, third_derivatives
+from frobcdv.potential import (
+    _symmetric_derivatives,
+    diff_terms,
+    fourth_derivatives,
+    third_derivatives,
+)
 
 
 def test_constant_third_derivative():
@@ -140,6 +145,42 @@ def test_homogeneity_wrong_weight_fails():
 def test_homogeneity_with_exponential_term():
     rep = check_homogeneity(catalog("p1"), [(0.4, 0.7 - 0.3j)], 1e-12)
     assert rep.passed
+
+
+def _homogeneity_oracle(spec, t):
+    """The former symbolic residual, kept as an oracle: the terms of L_E F
+    - d_F F, built term by term, differentiated three times."""
+    terms = []
+    for i in range(spec.dim):
+        for c, p, w in diff_terms(spec.terms, tuple(int(j == i) for j in range(spec.dim))):
+            if spec.degrees[i] != 0:
+                q = list(p)
+                q[i] += 1
+                terms.append((spec.degrees[i] * c, tuple(q), w))
+            if spec.shifts[i] != 0:
+                terms.append((spec.shifts[i] * c, p, w))
+    terms.extend((-spec.d_F * c, p, w) for c, p, w in spec.terms)
+    return float(np.max(np.abs(_symmetric_derivatives(tuple(terms), spec.dim, t, 3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(CATALOG_NAMES), data=st.data())
+def test_homogeneity_residual_matches_symbolic_oracle(name, data):
+    # Catalog specs, and the same specs with d_F and the unshifted
+    # degrees moved, so that the residual is not 0.
+    spec = catalog(name)
+    coord = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+    t = np.array(data.draw(st.lists(coord, min_size=spec.dim, max_size=spec.dim)))
+    scale = 1.0 + np.max(np.abs(fourth_derivatives(spec, t)))
+    assert homogeneity_residual(spec, t) <= 1e-12 * scale
+    delta = st.floats(min_value=-1.0, max_value=1.0)
+    moved = data.draw(st.lists(delta, min_size=spec.dim, max_size=spec.dim))
+    degrees = tuple(d + m if r == 0 else d for d, m, r in zip(spec.degrees, moved, spec.shifts))
+    bad = dataclasses.replace(spec, degrees=degrees, d_F=spec.d_F + data.draw(delta),
+                              normal_form=False)
+    scale = (1.0 + np.max(np.abs(fourth_derivatives(bad, t)))
+             + np.max(np.abs(third_derivatives(bad, t))))
+    assert abs(homogeneity_residual(bad, t) - _homogeneity_oracle(bad, t)) <= 1e-12 * scale
 
 
 def test_metric_constant_across_points():
