@@ -216,14 +216,11 @@ def _at_roundoff_floor(res, prev, lap_size, vi, c2i):
 
 
 def _source_jacobian(v, c2):
-    """Diagonal matrix of the derivative of -e^{2v} c2 + e^{-2v} on the
-    interior nodes; 0.25 times the wide Laplacian matrix plus this is the
-    exact Jacobian of _residual4."""
-    import scipy.sparse as sp
-
+    """Derivative of -e^{2v} c2 + e^{-2v} on the interior nodes, flattened
+    in the Laplacian's node order: 0.25 times the wide Laplacian matrix
+    plus this diagonal is the exact Jacobian of _residual4."""
     vi = v[1:-1, 1:-1]
-    diag = -2.0 * np.exp(2.0 * vi) * c2[1:-1, 1:-1] - 2.0 * np.exp(-2.0 * vi)
-    return sp.diags(diag.ravel())
+    return (-2.0 * np.exp(2.0 * vi) * c2[1:-1, 1:-1] - 2.0 * np.exp(-2.0 * vi)).ravel()
 
 
 def _d2_matrix(n, hstep, wide):
@@ -244,16 +241,31 @@ def _d2_matrix(n, hstep, wide):
 
 
 def _laplacian_matrix(n, hx, hy, wide):
-    """Sparse Laplacian on the (n-2) x (n-2) interior grid (see _d2_matrix)."""
+    """Sparse Laplacian on the (n-2) x (n-2) interior grid (see _d2_matrix),
+    CSR with node (ix, iy) at row ix (n-2) + iy, from the 1-d diagonals:
+    x's repeated, y's tiled per grid line (their zeros outside the 1-d
+    matrix keep the lines apart, and tocsr drops them)."""
     import scipy.sparse as sp
 
-    eye = sp.identity(n - 2)
-    return (sp.kron(_d2_matrix(n, hx, wide), eye)
-            + sp.kron(eye, _d2_matrix(n, hy, wide))).tocsr()
+    k = n - 2
+    diagonals = {}
+    for hstep, stride, spread in ((hx, k, np.repeat), (hy, 1, np.tile)):
+        d2 = _d2_matrix(n, hstep, wide).todia()
+        for offset, diag in zip(d2.offsets, d2.data):
+            diagonals[stride * offset] = diagonals.get(stride * offset, 0.0) + spread(diag, k)
+    return sp.dia_matrix((list(diagonals.values()), list(diagonals)), shape=(k * k, k * k)).tocsr()
+
+
+def _diagonal_slots(A):
+    """Positions in A.data of the diagonal of a square CSR or CSC matrix."""
+    return np.flatnonzero(A.indices == np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)))
 
 
 def _newton_step(J, lu, rhs):
-    """Solve J x = rhs by GMRES, preconditioned by the sparse LU factor lu.
+    """Solve J x = rhs by GMRES, right-preconditioned by the sparse LU
+    factor lu: each Krylov iteration is one LU solve and one product with
+    J, and GMRES stops on the true residual.  rhs is scaled to max-norm 1
+    so that GMRES's norms cannot overflow.
 
     The factor may be of the 5-point Jacobian of an earlier Newton step
     (see PRECONDITIONER_DRIFT).  A GMRES solve that stops short of rtol
@@ -262,9 +274,12 @@ def _newton_step(J, lu, rhs):
     """
     import scipy.sparse.linalg as spla
 
-    M = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
-    x, _ = spla.gmres(J, rhs, M=M, rtol=1e-8, atol=0.0)
-    return x
+    scale = np.max(np.abs(rhs))
+    op = spla.LinearOperator(J.shape, matvec=lambda z: J @ lu.solve(z), dtype=float)
+    # Forcing term 1e-6: well below Newton's quadratic contraction, without
+    # oversolving (Eisenstat and Walker 1996).
+    y, _ = spla.gmres(op, rhs / scale, rtol=1e-6, atol=0.0)
+    return scale * lu.solve(y)
 
 
 def _check_grid(rect, n):
@@ -299,12 +314,13 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
 
     Each Newton step solves with the exact Jacobian of the fourth-order
     residual: the mixed-order stencil matrix plus the diagonal D of the
-    source's derivative.  GMRES does the solve, preconditioned by a
+    source's derivative.  GMRES does the solve, right-preconditioned by a
     sparse LU of the 5-point Jacobian lap2 + D.  Only D changes between
-    steps, so the factor is kept and remade only when D has drifted from
-    the diagonal it was made with (PRECONDITIONER_DRIFT); on p1 one
-    factor serves the whole solve.  A damped line search on the max-norm
-    residual accepts the step.
+    steps: both matrices are assembled once, each step rewrites their
+    diagonals, and the factor is remade only when D has drifted from the
+    diagonal it was made with (PRECONDITIONER_DRIFT); on p1 one factor
+    serves the whole solve.  A damped line search on the max-norm
+    residual accepts the step, and rejects one whose residual overflows.
 
     boundary gives the Dirichlet data for h_11: a positive number, or a
     callable boundary(X, Y) on the grid such as invariant_boundary
@@ -336,9 +352,12 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     v[:, 0] = np.log(bvals[:, 0])
     v[:, -1] = np.log(bvals[:, -1])
 
-    lap4 = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
-    lap2 = 0.25 * _laplacian_matrix(n, hx, hy, wide=False)
-    lap_size = float(np.max(abs(lap4).sum(axis=1)))
+    # J = lap4 + D and P = lap2 + D (CSC, as splu takes it) get D in their diagonal slots.
+    J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
+    P = (0.25 * _laplacian_matrix(n, hx, hy, wide=False)).tocsc()
+    lap_size = float(np.max(abs(J).sum(axis=1)))
+    slots_J, slots_P = _diagonal_slots(J), _diagonal_slots(P)
+    lap4_diag, lap2_diag = J.data[slots_J], P.data[slots_P]
     c2i = c2[1:-1, 1:-1]
     k = n - 2
     iterations = 0
@@ -357,22 +376,24 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
         if iterations == max_iter:
             break
         vi = v[1:-1, 1:-1]
-        D = _source_jacobian(v, c2)
-        d = D.diagonal()  # < 0 everywhere, so the quotient is defined
+        d = _source_jacobian(v, c2)  # < 0 everywhere, so the quotient is defined
         if lu is None or np.max(np.abs(d / d_factored - 1.0)) > PRECONDITIONER_DRIFT:
             lu = None  # free the old factor before making the new one
-            lu = spla.splu((lap2 + D).tocsc(), permc_spec="MMD_AT_PLUS_A")
+            P.data[slots_P] = lap2_diag + d
+            lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A")
             d_factored = d
             factorizations += 1
-        delta = _newton_step(lap4 + D, lu, -R.ravel()).reshape(k, k)
+        J.data[slots_J] = lap4_diag + d
+        delta = _newton_step(J, lu, -R.ravel()).reshape(k, k)
         lam = 1.0
         while True:
             trial = v.copy()
             trial[1:-1, 1:-1] = vi + lam * delta
-            R_trial = _residual4(trial, c2, hx, hy)
+            with np.errstate(over="ignore", invalid="ignore"):
+                R_trial = _residual4(trial, c2, hx, hy)
             res_trial = float(np.max(np.abs(R_trial)))
-            if lam == 1.0 and _at_roundoff_floor(res_trial, res, lap_size,
-                                                 trial[1:-1, 1:-1], c2i):
+            if lam == 1.0 and np.isfinite(res_trial) and _at_roundoff_floor(
+                    res_trial, res, lap_size, trial[1:-1, 1:-1], c2i):
                 if res_trial < res:
                     v, R, res = trial, R_trial, res_trial
                 converged = True

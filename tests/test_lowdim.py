@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from frobcdv import (
@@ -26,8 +27,10 @@ from frobcdv import (
     write_spec,
     write_tt2d_csv,
 )
+from frobcdv import lowdim
 from frobcdv.cli import main
 from frobcdv.lowdim import (
+    _d2_matrix,
     _fppp_sq,
     _omega_antisymmetry,
     _lap4_1d,
@@ -222,7 +225,7 @@ def test_tt2d_jacobian_matches_residual_derivative(n):
     hx, hy = 0.3, 0.2
     v = 0.5 * rng.standard_normal((n, n))
     c2 = rng.uniform(0.5, 2.0, (n, n))
-    J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True) + _source_jacobian(v, c2)
+    J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True) + sp.diags(_source_jacobian(v, c2))
     delta = np.zeros((n, n))
     delta[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
     eps = 1e-6
@@ -230,6 +233,56 @@ def test_tt2d_jacobian_matches_residual_derivative(n):
           - _residual4(v - eps * delta, c2, hx, hy)) / (2 * eps)
     exact = J @ delta[1:-1, 1:-1].ravel()
     assert np.max(np.abs(exact - fd.ravel())) <= 1e-6 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("wide", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 17])
+def test_laplacian_matrix_matches_kron(n, wide):
+    # Oracle: the 2-d operator as the Kronecker sum of the 1-d ones.  kron
+    # stores explicit zeros (at n = 4), so the values are compared, not nnz.
+    hx, hy = 0.3, 0.2
+    eye = sp.identity(n - 2)
+    oracle = sp.kron(_d2_matrix(n, hx, wide), eye) + sp.kron(eye, _d2_matrix(n, hy, wide))
+    lap = _laplacian_matrix(n, hx, hy, wide)
+    assert lap.format == "csr"
+    assert np.array_equal(lap.toarray(), oracle.toarray())
+
+
+def test_tt2d_newton_matrices_are_current(monkeypatch):
+    # The solver assembles J and the preconditioner's matrix once and
+    # rewrites their diagonals in place; at every Newton step J must be
+    # the exact Jacobian at the current iterate, and each factored matrix
+    # the 5-point Jacobian there.
+    n, rect = 9, (0.0, 0.0, 3.0, 1.0)
+    hx, hy = 3.0 / (n - 1), 1.0 / (n - 1)
+    iterates, jacobians, factored = [], [], []
+    source_jacobian, newton_step, splu = lowdim._source_jacobian, lowdim._newton_step, spla.splu
+
+    def record_iterate(v, c2):
+        iterates.append((v.copy(), c2))
+        return source_jacobian(v, c2)
+
+    def record_jacobian(J, lu, rhs):
+        jacobians.append(J.toarray())
+        return newton_step(J, lu, rhs)
+
+    def record_factor(A, **kwargs):
+        factored.append((len(iterates), A.toarray()))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(lowdim, "_source_jacobian", record_iterate)
+    monkeypatch.setattr(lowdim, "_newton_step", record_jacobian)
+    monkeypatch.setattr(spla, "splu", record_factor)
+    sol = solve_tt2d(catalog("quartic2"), rect, n, 5.0)
+    assert sol.converged and len(jacobians) == len(iterates) == sol.iterations
+    assert 1 < len(factored) < sol.iterations
+    for args, J in zip(iterates, jacobians):
+        exact = 0.25 * _laplacian_matrix(n, hx, hy, wide=True) + sp.diags(source_jacobian(*args))
+        assert np.array_equal(J, exact.toarray())
+    for step, P in factored:
+        d = source_jacobian(*iterates[step - 1])
+        exact = 0.25 * _laplacian_matrix(n, hx, hy, wide=False) + sp.diags(d)
+        assert np.array_equal(P, exact.toarray())
 
 
 class _CountingSplu:
@@ -265,6 +318,10 @@ def test_tt2d_newton_iterations(counting_splu):
     assert sol.converged and sol.iterations == 4
     # The source diagonal hardly moves on p1: one LU serves every step.
     assert sol.factorizations == counting_splu.factors == 1
+    # One LU solve per Krylov iteration, plus two per Newton step (GMRES's
+    # true-residual check and x = M^-1 y): 28 here, 42 when GMRES was
+    # left-preconditioned.
+    assert counting_splu.solves <= 30
     # The round-off floor lies far below tol here, so it stops no step.
     assert sol.residual <= 1e-10 and sol.floor <= 0.1 * 1e-10
     sol = solve_tt2d(spec, rect, 64, invariant_boundary(spec, rect, 64))
