@@ -13,14 +13,16 @@ import numpy as np
 
 from . import cdv as cdvmod
 from . import lowdim as ld
-from .canonical import canonical_frame
+from .canonical import canonical_frame, check_euler_eta
 from .catalog import CATALOG_NAMES, _c, catalog as catalog_entry, load_spec, write_spec
 from .errors import FrobCdvError, ParseError
 from .numerics import DEFAULT_FD_STEP
 from .potential import check_homogeneity, check_wdvv
 from .report import VerificationReport
 
-SAMPLING_EPS_SS = 0.05  # generous gap so FD stencils stay well-conditioned
+# A generous gap: verify_harmonic matches eigenvalue labels across its FD
+# stencil, which needs the eigenvalues well apart.
+SAMPLING_EPS_SS = 0.05
 RESAMPLE_LIMIT = 10
 
 
@@ -158,6 +160,7 @@ def cmd_verify(args):
             cdvmod.verify_harmonic(spec, frame, hd, structure, args.tol,
                                    fd_step=args.fd_step)
         )
+        reports.append(check_euler_eta(spec, frame, args.tol))
     report = aggregate(reports)
     return report, pts, skipped, None
 

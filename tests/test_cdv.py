@@ -28,7 +28,7 @@ from frobcdv import (
     write_spec,
 )
 from frobcdv import cdv as cdv_module
-from frobcdv.cdv import _higgs_parallel, _real_metric, _real_metric_derivatives
+from frobcdv.cdv import _real_metric, _real_metric_derivatives
 from frobcdv.cli import main, sample_points
 from frobcdv.numerics import wirtinger_fd
 
@@ -108,6 +108,81 @@ def test_global_sign_flip_is_still_an_involution():
     flipped = dataclasses.replace(cdv, K=-cdv.K)
     rep = verify_cv_axioms(spec, flipped, 1e-5)
     assert rep["kappa_involution"].residual <= 1e-12
+
+
+def _patch_flat(monkeypatch, attr, mutate):
+    """Replace cdv.<attr>, a function of a frame stack, by mutate(frames,
+    its original value)."""
+    original = getattr(cdv_module, attr)
+    monkeypatch.setattr(cdv_module, attr, lambda frames: mutate(frames, original(frames)))
+
+
+def _phidag_with_unconjugated_kappa(frames, S):
+    # Phidag_k = K Phi_k conj(K) in place of K conj(Phi_k) conj(K).
+    m = frames.A.shape[-1]
+    K = frames.ev.g_inv @ flat_frame_dh(frames)[0]
+    S = S.copy()
+    K = K[..., None, :, :]
+    S[..., 2 * m:3 * m, :, :] = K @ S[..., m:2 * m, :, :] @ np.conj(K)
+    return S
+
+
+def _shifted_chern_connection(frames, S):
+    m = frames.A.shape[-1]
+    S = S.copy()
+    S[..., :m, :, :] += 0.1 * np.eye(m)  # W + 0.1 I
+    return S
+
+
+def _rolled_phidag(frames, S):
+    # Phidag_j -> Phidag_(j-1): dbar_i Phidag_j is no longer symmetric in i, j.
+    m = frames.A.shape[-1]
+    S = S.copy()
+    S[..., 2 * m:3 * m, :, :] = np.roll(S[..., 2 * m:3 * m, :, :], 1, axis=-3)
+    return S
+
+
+def _conjugated_phi(frames, S):
+    # An antiholomorphic Higgs field: dbar_j Phi_i != 0.
+    m = frames.A.shape[-1]
+    S = S.copy()
+    S[..., m:2 * m, :, :] = np.conj(S[..., m:2 * m, :, :])
+    return S
+
+
+def _dbar_h_for_dh(frames, h_dh):
+    h, dh = h_dh
+    return h, np.conj(np.swapaxes(dh, -1, -2))  # dbar_k h = (d_k h)^dagger
+
+
+def _direction_and_row_swapped(frames, h_dh):
+    h, dh = h_dh
+    return h, np.swapaxes(dh, -3, -2)  # dh[i, k, j] in place of dh[k, i, j]
+
+
+# (check, spec, point, patched function of cdv, mutant).  On p1 the dbar h
+# mutant leaves every check at round-off, hence a3_3d; d_e h = 0 exactly
+# along the unit e, so no mutant of dh moves unit_parallel.  The rolled
+# Phidag and the conjugated Phi move only the second term of their check.
+FLAT_MUTANTS = [
+    ("kappa_parallel", "quartic2", QPT, "flat_ttstar_data", _phidag_with_unconjugated_kappa),
+    ("kappa_parallel", "quartic2", QPT, "flat_ttstar_data", _rolled_phidag),
+    ("higgs_parallel", "a3_3d", A3_POINT, "flat_frame_dh", _direction_and_row_swapped),
+    ("higgs_parallel", "a3_3d", A3_POINT, "flat_ttstar_data", _conjugated_phi),
+    ("ttstar_commutator", "a3_3d", A3_POINT, "flat_frame_dh", _dbar_h_for_dh),
+    ("omega_holomorphy", "a3_3d", A3_POINT, "flat_frame_dh", _dbar_h_for_dh),
+    ("unit_parallel", "quartic2", QPT, "flat_ttstar_data", _shifted_chern_connection),
+]
+
+
+@pytest.mark.parametrize("check,name,t,attr,mutate", FLAT_MUTANTS,
+                         ids=[f"{m[0]}-{m[4].__name__.strip('_')}" for m in FLAT_MUTANTS])
+def test_derivative_check_fails_on_mutated_flat_data(monkeypatch, check, name, t, attr, mutate):
+    spec = catalog(name)
+    cdv = construct_canonical_cdv(canonical_frame(spec, t), spec.d)
+    assert verify_cv_axioms(spec, cdv, 1e-5)[check].residual <= 1e-5
+    _patch_flat(monkeypatch, attr, mutate)
+    assert verify_cv_axioms(spec, cdv, 1e-5)[check].residual > 1e-3
 
 
 def test_harmonic_quartic2_and_a3():
@@ -380,39 +455,3 @@ def test_harmonic_potential_matches_loop(name, t):
     assert np.array_equal(hd.Pdag, Pdag)
     # V multiplies in another order: round-off only.
     assert np.max(np.abs(hd.V - V)) <= 4 * np.finfo(float).eps * np.max(np.abs(V))
-
-
-def _higgs_parallel_loop(omega):
-    """Reference: verify_cv_axioms check (e) index triple by index triple."""
-    m = len(omega)
-    res = 0.0
-    for alpha in range(m):
-        for beta in range(m):
-            if alpha == beta:
-                continue
-            for gamma in range(m):
-                if gamma not in (alpha, beta):
-                    res = max(res, abs(omega[gamma][beta, alpha]))
-            res = max(res, abs(omega[alpha][beta, alpha] + omega[beta][beta, alpha]))
-    return res
-
-
-@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
-def test_higgs_parallel_matches_loop(name, t):
-    spec = catalog(name)
-    omega = construct_canonical_cdv(canonical_frame(spec, t), spec.d).omega
-    # The canonical omega is diagonal, so both read 0 there.  A dense omega
-    # of the same size, one with a single nonzero entry per index triple,
-    # and a dense one that satisfies the relations exercise every index.
-    shape = np.shape(omega)
-    rng = np.random.default_rng(len(omega))
-    dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    parallel = dense.copy()
-    for gamma, beta, alpha in np.ndindex(shape):
-        if alpha != beta and gamma != alpha:
-            parallel[gamma, beta, alpha] = -dense[alpha, beta, alpha] if gamma == beta else 0.0
-    for W in (omega, dense, parallel, *np.eye(np.prod(shape)).reshape((-1,) + shape)):
-        # numpy's vectorised complex abs may differ from the scalar one in the last bit.
-        assert _higgs_parallel(W) == pytest.approx(
-            _higgs_parallel_loop(W), rel=4 * np.finfo(float).eps, abs=0.0)
-    assert _higgs_parallel(dense) > 0.0 == _higgs_parallel(parallel)

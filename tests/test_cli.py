@@ -108,6 +108,29 @@ def test_verify_exit_codes(tmp_path):
     assert main(["verify", "--spec", str(tmp_path / "missing.json")]) == 2
 
 
+AXIOM_CHECKS = (
+    "kappa_involution", "hermitian_pairing", "higgs_reality", "kappa_parallel",
+    "higgs_parallel", "ttstar_commutator", "q_reality", "unit_parallel", "omega_holomorphy",
+    "dprime_p_equals_higgs", "chern_from_levi_civita", "p_selfadjoint", "v_commutator",
+    "euler_eta_scaling",
+)
+
+
+@pytest.mark.parametrize("name,wdvv", [
+    ("quartic2", ("wdvv_associativity",)),
+    ("p1", ("wdvv_associativity",)),
+    ("a3_3d", ("wdvv_associativity", "wdvv_reduced_m3")),
+])
+def test_verify_report_check_names(tmp_path, name, wdvv):
+    # The benchmark's verdict gate and the determinism criterion read
+    # these names, in this order.
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--spec", _dump(name, tmp_path), "--points", "1",
+                 "--report", str(report)]) == 0
+    names = tuple(c["name"] for c in json.loads(report.read_text())["checks"])
+    assert names == wdvv + ("euler_homogeneity",) + AXIOM_CHECKS
+
+
 def test_explicit_point_flag(tmp_path):
     good = _dump("quartic2", tmp_path)
     assert main(["verify", "--spec", good, "--point", "0,0;1,0"]) == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobcdv import (
+    A3_POINT,
     DefectiveU,
     EvaluationFailure,
     NotSemisimple,
@@ -21,6 +22,7 @@ from frobcdv import (
     verify_cv_axioms,
     verify_harmonic,
 )
+from frobcdv import cdv as cdv_module
 from frobcdv.canonical import canonical_frames, matched_frame
 from frobcdv.cli import sample_points
 from frobcdv.numerics import DEFAULT_FD_STEP, wirtinger_points
@@ -114,29 +116,6 @@ def _wirtinger_loop(f, t, k, step=DEFAULT_FD_STEP):
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
-def _cv_axioms_loop(spec, cdv):
-    """The finite-difference checks of verify_cv_axioms."""
-    frame = cdv.frame
-    t, A, m = frame.point, frame.A, len(frame.u)
-
-    def frame_field(tp):
-        fr = matched_frame(spec, tp, frame)
-        omega = [np.diag(fr.eta_d[a] / (2.0 * fr.eta)) for a in range(m)]
-        return np.stack([np.diag(np.abs(fr.eta) / fr.eta), *omega])
-
-    wds = [_wirtinger_loop(frame_field, t, i) for i in range(m)]
-    holo = [sum(A[i, a] * wds[i][0] for i in range(m)) for a in range(m)]
-    anti = [sum(np.conj(A[i, b]) * wds[i][1] for i in range(m)) for b in range(m)]
-    Ct = [cdv.K @ np.conj(C) @ np.conj(cdv.K) for C in cdv.Cmats]
-    return {
-        "kappa_parallel": max(_maxabs(holo[a][0] + cdv.K @ cdv.omega[a]) for a in range(m)),
-        "ttstar_commutator": max(
-            _maxabs(anti[b][1 + a] - (Ct[b] @ cdv.Cmats[a] - cdv.Cmats[a] @ Ct[b]))
-            for a in range(m) for b in range(m)),
-        "omega_holomorphy": max(_maxabs(wd[1][1:]) for wd in wds),
-    }
-
-
 def _harmonic_loop(spec, frame, cdv):
     """The finite-difference check of verify_harmonic."""
     t, A, m = frame.point, frame.A, len(frame.u)
@@ -154,27 +133,66 @@ def _harmonic_loop(spec, frame, cdv):
     return {"dprime_p_equals_higgs": res}
 
 
-def _pencil_loop(spec, t):
-    """pencil_curvature with its base data built point by point."""
-    m, n = spec.dim, 2 * spec.dim
+def _flat_data_loop(spec, tp):
+    """[W.., Phi.., Phidag.., U, kappa U kappa] in flat coordinates at one
+    point, from its own frame."""
     g_inv = flat_metric(spec)[1]
+    frame = canonical_frame(spec, tp)
+    h, dh = flat_frame_dh(frame)
+    K = g_inv @ h
+    W = np.swapaxes(dh @ np.linalg.inv(h), 1, 2)
+    Phi = -np.swapaxes(frame.ev.Cmix, 1, 2)
+    kUk = K @ np.conj(frame.ev.U) @ np.conj(K)
+    return np.concatenate([W, Phi, K @ np.conj(Phi) @ np.conj(K), frame.ev.U[None], kUk[None]])
 
-    def base_data(tp):
-        frame = canonical_frame(spec, tp)
-        h, dh = flat_frame_dh(frame)
-        K = g_inv @ h
-        W = np.swapaxes(dh @ np.linalg.inv(h), 1, 2)
-        Phi = -np.swapaxes(frame.ev.Cmix, 1, 2)
-        kUk = K @ np.conj(frame.ev.U) @ np.conj(K)
-        return np.concatenate([W, Phi, K @ np.conj(Phi) @ np.conj(K), frame.ev.U[None], kUk[None]])
+
+def _flat_derivatives_loop(spec, t):
+    """Holomorphic and antiholomorphic derivatives of _flat_data_loop along
+    each coordinate."""
+    wds = [_wirtinger_loop(lambda tp: _flat_data_loop(spec, tp), t, k) for k in range(spec.dim)]
+    return [wd[0] for wd in wds], [wd[1] for wd in wds]
+
+
+def _cv_axioms_loop(spec, t):
+    """The derivative checks of verify_cv_axioms, written out in the flat
+    frame direction pair by direction pair."""
+    m = spec.dim
+    S = _flat_data_loop(spec, t)
+    W, Phi, Phidag = S[:m], S[m:2 * m], S[2 * m:3 * m]
+    d, dbar = _flat_derivatives_loop(spec, t)
+
+    def comm(X, Y):
+        return X @ Y - Y @ X
+
+    res = dict.fromkeys(("kappa_parallel", "higgs_parallel", "ttstar_commutator",
+                         "omega_holomorphy"), 0.0)
+    for i in range(m):
+        for j in range(m):
+            kappa = (d[i][2 * m + j] + comm(W[i], Phidag[j]),
+                     dbar[i][2 * m + j] - dbar[j][2 * m + i])
+            higgs = (d[i][m + j] - d[j][m + i] + comm(W[i], Phi[j]) - comm(W[j], Phi[i]),
+                     dbar[j][m + i])
+            terms = {"kappa_parallel": kappa, "higgs_parallel": higgs,
+                     "ttstar_commutator": (comm(Phi[i], Phidag[j]) - dbar[j][i],),
+                     "omega_holomorphy": (dbar[j][i],)}
+            for check, mats in terms.items():
+                res[check] = max(res[check], *map(_maxabs, mats))
+    # The unit is d/dt^1, as the flat metric is g = C_1.
+    res["unit_parallel"] = _maxabs(W[0][:, 0])
+    return res
+
+
+def _pencil_loop(spec, t):
+    """pencil_curvature with its flat data built point by point."""
+    m, n = spec.dim, 2 * spec.dim
 
     def fields(S, z):
         W, Phi, Phidag, U, kUk = S[:m], S[m:n], S[n:3 * m], S[3 * m], S[3 * m + 1]
         return np.concatenate([W + Phi / z, z * Phidag, (U / z**2 - kUk)[None]])
 
-    S0 = base_data(t)
-    wds = [_wirtinger_loop(base_data, t, i) for i in range(m)]
-    dS = [wd[0] for wd in wds] + [wd[1] for wd in wds]
+    S0 = _flat_data_loop(spec, t)
+    holo, anti = _flat_derivatives_loop(spec, t)
+    dS = holo + anti
     worst = 0.0
     for z in Z_SAMPLES:
         c = fields(S0, z)
@@ -196,12 +214,39 @@ def test_stacked_verifiers_match_per_point_loops(name):
         cdv = construct_canonical_cdv(frame, spec.d)
         hd = harmonic_potential(frame, spec.d)
         for report, oracle in (
-            (verify_cv_axioms(spec, cdv, TOL), _cv_axioms_loop(spec, cdv)),
+            (verify_cv_axioms(spec, cdv, TOL), _cv_axioms_loop(spec, t)),
             (verify_harmonic(spec, frame, hd, cdv, TOL), _harmonic_loop(spec, frame, cdv)),
             (pencil_curvature(spec, t, Z_SAMPLES, TOL), _pencil_loop(spec, t)),
         ):
             for check, residual in oracle.items():
                 assert abs(report[check].residual - residual) <= 1e-3 * TOL, check
+
+
+# On true data every derivative check reads round-off, which any choice of
+# curvature coefficients would match; these mutants of dh make them O(1).
+DH_MUTANTS = {
+    "dbar_h": lambda dh: np.conj(np.swapaxes(dh, -1, -2)),
+    "direction_and_row_swapped": lambda dh: np.swapaxes(dh, -3, -2),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(DH_MUTANTS))
+def test_flat_checks_match_loop_on_mutated_dh(monkeypatch, mutant):
+    original = flat_frame_dh
+
+    def mutated(frames):
+        h, dh = original(frames)
+        return h, DH_MUTANTS[mutant](dh)
+
+    monkeypatch.setattr(cdv_module, "flat_frame_dh", mutated)
+    monkeypatch.setitem(globals(), "flat_frame_dh", mutated)
+    spec = catalog("a3_3d")
+    cdv = construct_canonical_cdv(canonical_frame(spec, A3_POINT), spec.d)
+    report = verify_cv_axioms(spec, cdv, TOL)
+    oracle = _cv_axioms_loop(spec, np.asarray(A3_POINT, dtype=complex))
+    assert max(oracle.values()) > 0.1
+    for check, residual in oracle.items():
+        assert report[check].residual == pytest.approx(residual, rel=1e-6, abs=1e-3 * TOL), check
 
 
 # p1 is semi-simple at every finite point, so it has no stencil point to push.
