@@ -318,10 +318,21 @@ def build_parser():
     return parser
 
 
+def _check_numbers(args):
+    """Reject a tolerance or finite-difference step no check can use."""
+    tol = getattr(args, "tol", 0.0)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ParseError(f"--tol must be finite and non-negative, got {tol}")
+    fd_step = getattr(args, "fd_step", None)
+    if fd_step is not None and not (np.isfinite(fd_step) and fd_step > 0.0):
+        raise ParseError(f"--fd-step must be finite and positive, got {fd_step}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         report, pts, skipped, extra = args.func(args)
     except FrobCdvError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,8 @@ vector, upper index = output component, stored as W[k, i, j].
 
 Only the tt* solve uses scipy, so its functions import scipy.sparse on
 first use and the pointwise checks load numpy alone.  They call through
-the module (spla.splu, spla.gmres), never a bound name, so that a
-wrapper patched onto scipy.sparse.linalg sees every call.
+the module (spla.gmres), never a bound name, so that a wrapper patched
+onto scipy.sparse.linalg sees every call.
 """
 
 import numbers
@@ -145,10 +145,11 @@ def check_euler_degree(spec, t, tol) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-# The preconditioner lap2 + D is refactored once some entry of the source
-# diagonal D has drifted by more than this relative amount from the D it
-# was factored with: both operators are negative definite, so a drift of
-# at most delta keeps the stale-to-fresh spectrum in [1 - delta, 1 + delta].
+# The preconditioner's V-cycle on lap2 + D is rebuilt once some entry of
+# the source diagonal D has drifted by more than this relative amount from
+# the D it was built with: both operators are negative definite, so a
+# drift of at most delta keeps the stale-to-fresh spectrum in
+# [1 - delta, 1 + delta].
 PRECONDITIONER_DRIFT = 0.25
 
 
@@ -162,7 +163,7 @@ class TT2DSolution:
     residual: float
     iterations: int
     converged: bool
-    factorizations: int  # sparse LU factors of the preconditioner made
+    preconditioners: int  # V-cycle hierarchies of the preconditioner built
     floor: float         # round-off floor of the residual at h11 (_residual_floor)
 
 
@@ -261,13 +262,96 @@ def _diagonal_slots(A):
     return np.flatnonzero(A.indices == np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)))
 
 
-def _newton_step(J, lu, rhs):
-    """Solve J x = rhs by GMRES, right-preconditioned by the sparse LU
-    factor lu: each Krylov iteration is one LU solve and one product with
-    J, and GMRES stops on the true residual.  rhs is scaled to max-norm 1
-    so that GMRES's norms cannot overflow.
+# The V-cycle preconditioner (_Multigrid): damped Jacobi with this weight,
+# this many sweeps before and after each coarse correction, and a dense
+# solve once a level has at most COARSEST_NODES nodes.
+JACOBI_WEIGHT = 0.8
+JACOBI_SWEEPS = 2
+COARSEST_NODES = 64
 
-    The factor may be of the 5-point Jacobian of an earlier Newton step
+
+def _interpolation_1d(k):
+    """Linear interpolation onto the k interior nodes of a line from the
+    k // 2 coarse ones at fine indices 1, 3, 5, ..., with zero
+    (Dirichlet) values beyond both ends."""
+    import scipy.sparse as sp
+
+    cols = np.repeat(np.arange(k // 2), 3)
+    rows = 2 * cols + np.tile([0, 1, 2], k // 2)
+    vals = np.tile([0.5, 1.0, 0.5], k // 2)
+    keep = rows < k
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(k, k // 2))
+
+
+def _transfers(k, hx, hy):
+    """Interpolations R (and R^T, as CSR) from each level of a V-cycle
+    on the k x k interior grid with spacings hx, hy to the level above,
+    finest first, down to a level of at most COARSEST_NODES nodes.
+
+    R is the Kronecker product of the 1-d linear interpolations, in
+    _laplacian_matrix's node order.  A direction is coarsened only while
+    its spacing is at most twice the other's (semi-coarsening), so that
+    on long thin rectangles Jacobi still smooths what the coarse level
+    cannot see.
+    """
+    import scipy.sparse as sp
+
+    transfers = []
+    kx = ky = k
+    while kx * ky > COARSEST_NODES:
+        cx = kx > 1 and (hx <= 2.0 * hy or ky == 1)
+        cy = ky > 1 and (hy <= 2.0 * hx or kx == 1)
+        R = sp.kron(_interpolation_1d(kx) if cx else sp.identity(kx),
+                    _interpolation_1d(ky) if cy else sp.identity(ky), format="csr")
+        transfers.append((R, R.T.tocsr()))
+        if cx:
+            kx, hx = kx // 2, 2.0 * hx
+        if cy:
+            ky, hy = ky // 2, 2.0 * hy
+    return transfers
+
+
+class _Multigrid:
+    """Geometric multigrid V-cycle for the matrix P of a grid, on the
+    levels that transfers (from _transfers) give.
+
+    Each coarse operator is the Galerkin product R^T A R, so the source
+    diagonal of P reaches every level; the coarsest is inverted densely.
+    solve(b) applies one V-cycle of damped Jacobi: a fixed linear map,
+    as GMRES needs of a preconditioner.
+    """
+
+    def __init__(self, P, transfers):
+        self.levels = []
+        A = P
+        for R, RT in transfers:
+            self.levels.append((A, JACOBI_WEIGHT / A.diagonal(), R, RT))
+            A = (RT @ A @ R).tocsr()
+        self.coarse_inverse = np.linalg.inv(A.toarray())
+
+    def solve(self, b):
+        return self._cycle(0, b)
+
+    def _cycle(self, level, b):
+        if level == len(self.levels):
+            return self.coarse_inverse @ b
+        A, winv, R, RT = self.levels[level]
+        x = winv * b
+        for _ in range(JACOBI_SWEEPS - 1):
+            x += winv * (b - A @ x)
+        x += R @ self._cycle(level + 1, RT @ (b - A @ x))
+        for _ in range(JACOBI_SWEEPS):
+            x += winv * (b - A @ x)
+        return x
+
+
+def _newton_step(J, mg, rhs):
+    """Solve J x = rhs by GMRES, right-preconditioned by the V-cycle mg:
+    each Krylov iteration is one V-cycle and one product with J, and
+    GMRES stops on the true residual.  rhs is scaled to max-norm 1 so
+    that GMRES's norms cannot overflow.
+
+    The V-cycle may be of the 5-point Jacobian of an earlier Newton step
     (see PRECONDITIONER_DRIFT).  A GMRES solve that stops short of rtol
     is still returned: the caller's line search judges the step by the
     residual it gives.
@@ -275,11 +359,11 @@ def _newton_step(J, lu, rhs):
     import scipy.sparse.linalg as spla
 
     scale = np.max(np.abs(rhs))
-    op = spla.LinearOperator(J.shape, matvec=lambda z: J @ lu.solve(z), dtype=float)
+    op = spla.LinearOperator(J.shape, matvec=lambda z: J @ mg.solve(z), dtype=float)
     # Forcing term 1e-6: well below Newton's quadratic contraction, without
     # oversolving (Eisenstat and Walker 1996).
     y, _ = spla.gmres(op, rhs / scale, rtol=1e-6, atol=0.0)
-    return scale * lu.solve(y)
+    return scale * mg.solve(y)
 
 
 def _check_grid(rect, n):
@@ -314,12 +398,14 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
 
     Each Newton step solves with the exact Jacobian of the fourth-order
     residual: the mixed-order stencil matrix plus the diagonal D of the
-    source's derivative.  GMRES does the solve, right-preconditioned by a
-    sparse LU of the 5-point Jacobian lap2 + D.  Only D changes between
-    steps: both matrices are assembled once, each step rewrites their
-    diagonals, and the factor is remade only when D has drifted from the
-    diagonal it was made with (PRECONDITIONER_DRIFT); on p1 one factor
-    serves the whole solve.  A damped line search on the max-norm
+    source's derivative.  GMRES does the solve, right-preconditioned by
+    one multigrid V-cycle (_Multigrid) on the 5-point Jacobian lap2 + D;
+    nothing is factored but the coarsest level's at most COARSEST_NODES
+    nodes.  Only D changes between steps: both matrices are assembled
+    once, each step rewrites their diagonals, and the V-cycle's levels
+    are rebuilt only when D has drifted from the diagonal they were built
+    with (PRECONDITIONER_DRIFT); on p1 one hierarchy serves the whole
+    solve.  A damped line search on the max-norm
     residual accepts the step, and rejects one whose residual overflows.
 
     boundary gives the Dirichlet data for h_11: a positive number, or a
@@ -333,8 +419,6 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     the source is large, tol can lie below that floor.  The solution
     records the floor, and the residual counts as converged at it.
     """
-    import scipy.sparse.linalg as spla
-
     x0, y0, x1, y1 = _check_grid(rect, n)
     if max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
@@ -352,17 +436,18 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     v[:, 0] = np.log(bvals[:, 0])
     v[:, -1] = np.log(bvals[:, -1])
 
-    # J = lap4 + D and P = lap2 + D (CSC, as splu takes it) get D in their diagonal slots.
+    # J = lap4 + D and P = lap2 + D get D in their diagonal slots.
     J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
-    P = (0.25 * _laplacian_matrix(n, hx, hy, wide=False)).tocsc()
+    P = 0.25 * _laplacian_matrix(n, hx, hy, wide=False)
     lap_size = float(np.max(abs(J).sum(axis=1)))
     slots_J, slots_P = _diagonal_slots(J), _diagonal_slots(P)
+    transfers = _transfers(n - 2, hx, hy)  # fixed by the grid, so made once
     lap4_diag, lap2_diag = J.data[slots_J], P.data[slots_P]
     c2i = c2[1:-1, 1:-1]
     k = n - 2
     iterations = 0
-    factorizations = 0
-    lu = d_factored = None
+    preconditioners = 0
+    mg = d_built = None
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         R = _residual4(v, c2, hx, hy)
@@ -377,14 +462,14 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
             break
         vi = v[1:-1, 1:-1]
         d = _source_jacobian(v, c2)  # < 0 everywhere, so the quotient is defined
-        if lu is None or np.max(np.abs(d / d_factored - 1.0)) > PRECONDITIONER_DRIFT:
-            lu = None  # free the old factor before making the new one
+        if mg is None or np.max(np.abs(d / d_built - 1.0)) > PRECONDITIONER_DRIFT:
+            mg = None  # free the old hierarchy before building the new one
             P.data[slots_P] = lap2_diag + d
-            lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A")
-            d_factored = d
-            factorizations += 1
+            mg = _Multigrid(P, transfers)
+            d_built = d
+            preconditioners += 1
         J.data[slots_J] = lap4_diag + d
-        delta = _newton_step(J, lu, -R.ravel()).reshape(k, k)
+        delta = _newton_step(J, mg, -R.ravel()).reshape(k, k)
         lam = 1.0
         while True:
             trial = v.copy()
@@ -415,7 +500,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     h11 = np.exp(v)
     solution = TT2DSolution(
         rect=(x0, y0, x1, y1), n=n, x=x, y=y, h11=h11, residual=res,
-        iterations=iterations, converged=converged, factorizations=factorizations,
+        iterations=iterations, converged=converged, preconditioners=preconditioners,
         floor=_residual_floor(lap_size, v[1:-1, 1:-1], c2i),
     )
     if not converged and raise_on_failure:

@@ -332,6 +332,36 @@ def test_zero_points_rejected(tmp_path, capsys):
     assert "--points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--fd-step", "0"],
+    ["verify", "--fd-step", "-0.001"],
+    ["cdv", "--fd-step", "nan"],
+    ["pencil", "--fd-step", "inf"],
+    ["verify", "--tol", "nan"],
+    ["connections", "--tol", "nan"],
+    ["lowdim", "--tol", "inf"],
+    ["pencil", "--tol", "-1"],
+], ids=" ".join)
+def test_bad_step_or_tolerance_is_one_line_error(tmp_path, capsys, argv):
+    # A zero step used to end in a ValueError traceback, an infinite one
+    # in a RuntimeWarning, and a NaN tolerance in a FAIL of every check.
+    spec = _dump("quartic2", tmp_path)
+    assert main(argv[:1] + ["--spec", spec, "--points", "1"] + argv[1:]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith(f"error: {argv[1]} must be ")
+
+
+def test_tt2d_zero_tolerance_stops_at_roundoff_floor(tmp_path, capsys):
+    spec = _dump("p1", tmp_path)
+    report = tmp_path / "r.json"
+    assert main(["tt2d", "--spec", spec, "--grid", "17", "--tol", "0",
+                 "--report", str(report)]) == 0
+    check = json.loads(report.read_text())["checks"][0]
+    assert 0.0 < check["residual"] <= check["tolerance"] < 1e-12
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("flags", [
     ["--grid", "2"],
     ["--grid", "1"],
@@ -346,6 +376,9 @@ def test_zero_points_rejected(tmp_path, capsys):
     ["--boundary", "inf"],
     ["--boundary", "nan"],
     ["--boundary", "1e300"],
+    ["--tol", "-1"],
+    ["--tol", "nan"],
+    ["--tol", "inf"],
 ], ids=" ".join)
 def test_tt2d_bad_grid_input_is_one_line_error(tmp_path, capsys, flags):
     spec = _dump("cubic2", tmp_path)

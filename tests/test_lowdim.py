@@ -7,7 +7,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from frobcdv import (
     A3_POINT,
@@ -37,6 +36,7 @@ from frobcdv.lowdim import (
     _laplacian_matrix,
     _residual4,
     _source_jacobian,
+    _transfers,
     residual_grid,
 )
 from frobcdv.potential import third_derivatives
@@ -251,77 +251,77 @@ def test_laplacian_matrix_matches_kron(n, wide):
 def test_tt2d_newton_matrices_are_current(monkeypatch):
     # The solver assembles J and the preconditioner's matrix once and
     # rewrites their diagonals in place; at every Newton step J must be
-    # the exact Jacobian at the current iterate, and each factored matrix
-    # the 5-point Jacobian there.
+    # the exact Jacobian at the current iterate, and each matrix handed
+    # to the V-cycle builder the 5-point Jacobian there.
     n, rect = 9, (0.0, 0.0, 3.0, 1.0)
     hx, hy = 3.0 / (n - 1), 1.0 / (n - 1)
-    iterates, jacobians, factored = [], [], []
-    source_jacobian, newton_step, splu = lowdim._source_jacobian, lowdim._newton_step, spla.splu
+    iterates, jacobians, built = [], [], []
+    source_jacobian, newton_step = lowdim._source_jacobian, lowdim._newton_step
+    multigrid = lowdim._Multigrid
 
     def record_iterate(v, c2):
         iterates.append((v.copy(), c2))
         return source_jacobian(v, c2)
 
-    def record_jacobian(J, lu, rhs):
+    def record_jacobian(J, mg, rhs):
         jacobians.append(J.toarray())
-        return newton_step(J, lu, rhs)
+        return newton_step(J, mg, rhs)
 
-    def record_factor(A, **kwargs):
-        factored.append((len(iterates), A.toarray()))
-        return splu(A, **kwargs)
+    def record_build(P, transfers):
+        built.append((len(iterates), P.toarray()))
+        return multigrid(P, transfers)
 
     monkeypatch.setattr(lowdim, "_source_jacobian", record_iterate)
     monkeypatch.setattr(lowdim, "_newton_step", record_jacobian)
-    monkeypatch.setattr(spla, "splu", record_factor)
+    monkeypatch.setattr(lowdim, "_Multigrid", record_build)
     sol = solve_tt2d(catalog("quartic2"), rect, n, 5.0)
     assert sol.converged and len(jacobians) == len(iterates) == sol.iterations
-    assert 1 < len(factored) < sol.iterations
+    assert 1 < len(built) < sol.iterations
     for args, J in zip(iterates, jacobians):
         exact = 0.25 * _laplacian_matrix(n, hx, hy, wide=True) + sp.diags(source_jacobian(*args))
         assert np.array_equal(J, exact.toarray())
-    for step, P in factored:
+    for step, P in built:
         d = source_jacobian(*iterates[step - 1])
         exact = 0.25 * _laplacian_matrix(n, hx, hy, wide=False) + sp.diags(d)
         assert np.array_equal(P, exact.toarray())
 
 
-class _CountingSplu:
-    """Stands in for scipy's splu and counts factors and their solves."""
+class _CountingMultigrid:
+    """Stands in for lowdim._Multigrid and counts hierarchies and V-cycles."""
 
-    def __init__(self, splu):
-        self.splu = splu
-        self.factors = 0
+    def __init__(self, multigrid):
+        self.multigrid = multigrid
+        self.builds = 0
         self.solves = 0
 
-    def __call__(self, *args, **kwargs):
-        self.factors += 1
-        lu = self.splu(*args, **kwargs)
+    def __call__(self, P, transfers):
+        self.builds += 1
+        mg = self.multigrid(P, transfers)
 
         def solve(b):
             self.solves += 1
-            return lu.solve(b)
+            return mg.solve(b)
 
         return SimpleNamespace(solve=solve)
 
 
 @pytest.fixture
-def counting_splu(monkeypatch):
-    counter = _CountingSplu(spla.splu)
-    monkeypatch.setattr(spla, "splu", counter)
+def counting_multigrid(monkeypatch):
+    counter = _CountingMultigrid(lowdim._Multigrid)
+    monkeypatch.setattr(lowdim, "_Multigrid", counter)
     return counter
 
 
-def test_tt2d_newton_iterations(counting_splu):
+def test_tt2d_newton_iterations(counting_multigrid):
     spec = catalog("p1")
     rect = (-1.0, -1.0, 1.0, 1.0)
     sol = solve_tt2d(spec, rect, 128, 1.0)
     assert sol.converged and sol.iterations == 4
-    # The source diagonal hardly moves on p1: one LU serves every step.
-    assert sol.factorizations == counting_splu.factors == 1
-    # One LU solve per Krylov iteration, plus two per Newton step (GMRES's
-    # true-residual check and x = M^-1 y): 28 here, 42 when GMRES was
-    # left-preconditioned.
-    assert counting_splu.solves <= 30
+    # The source diagonal hardly moves on p1: one hierarchy serves every step.
+    assert sol.preconditioners == counting_multigrid.builds == 1
+    # One V-cycle per Krylov iteration, plus two per Newton step (GMRES's
+    # true-residual check and x = M^-1 y): 32 here.
+    assert counting_multigrid.solves <= 34
     # The round-off floor lies far below tol here, so it stops no step.
     assert sol.residual <= 1e-10 and sol.floor <= 0.1 * 1e-10
     sol = solve_tt2d(spec, rect, 64, invariant_boundary(spec, rect, 64))
@@ -351,7 +351,7 @@ def test_tt2d_stops_at_roundoff_floor(tmp_path):
 
 
 # h11 of quartic2 on (0, 0, 3, 1), boundary 5, n = 64, from the solver
-# that refactored the preconditioner on every Newton step.
+# that refactored a sparse LU preconditioner on every Newton step.
 QUARTIC2_HARD_H11 = {
     (1, 1): 4.248656097838398,
     (10, 40): 0.2298325799900786,
@@ -361,15 +361,98 @@ QUARTIC2_HARD_H11 = {
 }
 
 
-def test_tt2d_refactors_on_diagonal_drift(counting_splu):
+def test_tt2d_rebuilds_on_diagonal_drift(counting_multigrid):
     sol = solve_tt2d(catalog("quartic2"), (0.0, 0.0, 3.0, 1.0), 64, 5.0)
     assert sol.converged and sol.iterations == 11
-    assert 1 < sol.factorizations == counting_splu.factors < 11
-    # A factor kept past a large drift costs thousands of GMRES steps
-    # (2466 preconditioner solves with one factor for the whole solve).
-    assert counting_splu.solves <= 150
+    assert 1 < sol.preconditioners == counting_multigrid.builds < 11
+    # A preconditioner kept past a large drift costs thousands of GMRES
+    # steps (2466 solves with one LU factor for the whole solve).
+    assert counting_multigrid.solves <= 150
     for node, h11 in QUARTIC2_HARD_H11.items():
         assert sol.h11[node] == pytest.approx(h11, rel=1e-12)
+
+
+def _five_point_jacobian(n, hx, hy, seed):
+    # The preconditioner's matrix 0.25 lap2 + D at a random iterate.
+    rng = np.random.default_rng(seed)
+    v = 0.5 * rng.standard_normal((n, n))
+    c2 = rng.uniform(0.5, 2.0, (n, n))
+    d = _source_jacobian(v, c2)
+    return (0.25 * _laplacian_matrix(n, hx, hy, wide=False) + sp.diags(d)).tocsr(), rng
+
+
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_multigrid_without_coarse_level_is_exact(n):
+    # At most COARSEST_NODES interior nodes: no V-cycle, one dense solve.
+    P, rng = _five_point_jacobian(n, 0.3, 0.2, n)
+    transfers = _transfers(n - 2, 0.3, 0.2)
+    assert transfers == [] and (n - 2) ** 2 <= lowdim.COARSEST_NODES
+    b = rng.standard_normal(P.shape[0])
+    x = lowdim._Multigrid(P, transfers).solve(b)
+    assert np.max(np.abs(P @ x - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("aspect", [1.0, 16.0, 1.0 / 16.0])
+@pytest.mark.parametrize("n", [17, 65, 128])
+def test_multigrid_cycle_contracts_residual(n, aspect):
+    # One V-cycle takes a random right-hand side's residual down to at
+    # most 0.11 of it here; with full coarsening on the 16:1 rectangles
+    # it kept 0.17-0.31.
+    hx, hy = aspect / (n - 1), 1.0 / (n - 1)
+    P, rng = _five_point_jacobian(n, hx, hy, n)
+    mg = lowdim._Multigrid(P, _transfers(n - 2, hx, hy))
+    assert mg.levels
+    b = rng.standard_normal(P.shape[0])
+    assert np.linalg.norm(b - P @ mg.solve(b)) <= 0.15 * np.linalg.norm(b)
+
+
+def test_multigrid_semi_coarsens_long_rectangles(counting_multigrid):
+    # hx = 16 hy: only y is coarsened until the spacings are within a
+    # factor of 2.  32 V-cycles here; with full coarsening 225.
+    sol = solve_tt2d(catalog("cubic2"), (0.0, 0.0, 16.0, 1.0), 65, 2.0)
+    assert sol.converged
+    assert counting_multigrid.solves <= 40
+    shapes = [R.shape for R, _ in _transfers(63, 0.25, 1.0 / 64)]
+    assert shapes[:4] == [(63 * 63, 63 * 31), (63 * 31, 63 * 15),
+                          (63 * 15, 63 * 7), (63 * 7, 31 * 3)]
+    # At 1000:1 the y lines run down to one node first; x is then
+    # coarsened alone, down to at most COARSEST_NODES nodes.
+    for hx, hy in ((1000.0, 1.0), (1.0, 1000.0)):
+        shapes = [R.shape for R, _ in _transfers(126, hx / 127, hy / 127)]
+        assert shapes[-2:] == [(378, 126), (126, 63)]
+
+
+# Max-norm error in v = log h_11 of the mid-row of the 2-d solution on
+# (-1, -1, 1, 1) with invariant boundary data, against solve_bvp.
+TT2D_MIDROW_ERRORS = {17: 5.881e-3, 33: 1.075e-3, 65: 1.292e-4, 129: 1.171e-5}
+
+
+def test_tt2d_accuracy_against_bvp_oracle():
+    # The 2-d solution with y-independent data is the 1-d solution of
+    # (1/4) v'' = e^{2v} |f'''|^2 - e^{-2v}, v(+-1) = 0, which solve_bvp
+    # gives to far below the discretisation error.  The error falls ever
+    # faster, towards the fourth order of the deep stencil.
+    from scipy.integrate import solve_bvp
+
+    spec = catalog("p1")
+    rect = (-1.0, -1.0, 1.0, 1.0)
+
+    def ode(x, w):
+        c2 = _fppp_sq(spec, x, np.zeros_like(x))
+        return np.vstack([w[1], 4.0 * (np.exp(2.0 * w[0]) * c2 - np.exp(-2.0 * w[0]))])
+
+    x = np.linspace(-1.0, 1.0, 11)
+    bvp = solve_bvp(ode, lambda a, b: np.array([a[0], b[0]]), x, np.zeros((2, x.size)),
+                    tol=1e-10, max_nodes=100000)
+    assert bvp.success
+    errors = []
+    for n, pinned in TT2D_MIDROW_ERRORS.items():
+        sol = solve_tt2d(spec, rect, n, invariant_boundary(spec, rect, n))
+        assert sol.y[n // 2] == 0.0
+        errors.append(np.max(np.abs(np.log(sol.h11[:, n // 2]) - bvp.sol(sol.x)[0])))
+        assert errors[-1] == pytest.approx(pinned, rel=1e-3)
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert 5.0 < ratios[0] < ratios[1] < ratios[2] < 16.0
 
 
 def test_tt2d_residual_agrees_with_residual_grid():
