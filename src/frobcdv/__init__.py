@@ -4,7 +4,6 @@ from .errors import (
     DefectiveU,
     DegenerateMetric,
     EvaluationFailure,
-    FrameDiscontinuity,
     FrobCdvError,
     NoConvergence,
     NonPositiveIterate,

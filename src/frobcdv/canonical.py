@@ -2,16 +2,17 @@
 
 The canonical values u^alpha are the eigenvalues of the Euler
 multiplication operator; eigenvectors are rescaled to idempotents, which
-removes every gauge freedom except labeling.  Labels are fixed
-lexicographically at the base point and matched by nearest-eigenvalue
-assignment when frames are recomputed on finite-difference stencils.
+removes every gauge freedom except labeling.  Labels follow the
+lexicographic order of the eigenvalues at each point on its own; the
+finite-difference verifiers difference only label-invariant data, so
+frames on a stencil need no matching.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefectiveU, FrameDiscontinuity, NotSemisimple
+from .errors import DefectiveU, NotSemisimple
 from .numerics import solve_eig
 from .potential import FlatPointEval, flat_eval, fourth_derivatives
 from .report import VerificationReport
@@ -91,33 +92,6 @@ def _bare_frame(spec, t, eps_ss):
     return u, A, eta, gap, ev
 
 
-def _matched_bare(spec, t, ref_u, gap, eps_ss):
-    """Bare frames at a stack of points t with labels matched to the
-    reference eigenvalues.
-
-    At each point every reference eigenvalue takes its nearest
-    eigenvalue.  Two labels claiming the same eigenvalue, or an eigenvalue
-    that moves by more than a quarter of the reference gap, signal that
-    the local labeling has become ambiguous.  When both checks pass the
-    nearest match is the unique optimal assignment: every other
-    eigenvalue lies at least 3 gap/4 away.
-    """
-    u, A, eta, gaps, ev = _bare_frame(spec, t, eps_ss)
-    perm = np.argmin(np.abs(ref_u[:, None] - u[:, None, :]), axis=2)
-    i = _first(np.any(np.diff(np.sort(perm, axis=1), axis=1) == 0, axis=1))
-    if i is not None:
-        raise FrameDiscontinuity(f"eigenvalue labels not one-to-one across stencil: {perm[i]}")
-    n = np.arange(len(perm))[:, None]
-    u = u[n, perm]
-    moved = np.max(np.abs(u - ref_u), axis=1)
-    i = _first(moved > gap / 4.0)
-    if i is not None:
-        raise FrameDiscontinuity(
-            f"eigenvalue moved {moved[i]:.3e} across stencil, exceeding gap/4 = {gap / 4:.3e}"
-        )
-    return u, A[n[:, None], np.arange(len(ref_u))[:, None], perm[:, None, :]], eta[n, perm], gaps, ev
-
-
 def _derivative_data(spec, t, A):
     """dC (see CanonicalFrame) and eta_d at a stack of points t, from one
     evaluation of F''''.
@@ -135,19 +109,14 @@ def _derivative_data(spec, t, A):
     return dC, eta_d
 
 
-def canonical_frames(spec, points, eps_ss=DEFAULT_EPS_SS, ref=None) -> CanonicalFrame:
+def canonical_frames(spec, points, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
     """Canonical frames at a stack of points (N, m), with exact derivatives.
 
     One eigen-solve call and one evaluation of each partial of F cover the
-    stack.  With a reference frame ref, the labels at every point are
-    matched to ref's: frame data recomputed on finite-difference stencils
-    needs eigenvalue labels that vary continuously.
+    stack.  Each point's labels are its own (lexicographic order).
     """
     t = np.asarray(points, dtype=complex)
-    if ref is None:
-        u, A, eta, gap, ev = _bare_frame(spec, t, eps_ss)
-    else:
-        u, A, eta, gap, ev = _matched_bare(spec, t, ref.u, ref.gap, eps_ss)
+    u, A, eta, gap, ev = _bare_frame(spec, t, eps_ss)
     dC, eta_d = _derivative_data(spec, t, A)
     return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC, gap=gap, ev=ev)
 
@@ -166,11 +135,6 @@ def _single(frames: CanonicalFrame) -> CanonicalFrame:
 def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
     """Full canonical frame at t, with exact derivatives (one eigendecomposition)."""
     return _single(canonical_frames(spec, np.asarray(t, dtype=complex)[None], eps_ss))
-
-
-def matched_frame(spec, t, ref: CanonicalFrame) -> CanonicalFrame:
-    """Canonical frame at t with labels matched to a reference frame."""
-    return _single(canonical_frames(spec, np.asarray(t, dtype=complex)[None], ref=ref))
 
 
 def levi_civita_canonical(frame: CanonicalFrame):

@@ -29,10 +29,6 @@ class DefectiveU(FrobCdvError):
     """Euler multiplication operator is not (numerically) diagonalizable."""
 
 
-class FrameDiscontinuity(FrobCdvError):
-    """Eigenvalue matching across a stencil moved by more than gap/4."""
-
-
 class NotNormalForm(FrobCdvError):
     """Operation requires a spec in antidiagonal normal form."""
 

@@ -40,15 +40,13 @@ class EigenDecomposition:
 class WirtingerDerivative:
     """Holomorphic and antiholomorphic parts of d/dz^j by central differences.
 
-    holo = (1/2)(D_x - i D_y), anti = (1/2)(D_x + i D_y); each entry is an
-    array matching the output shape of the differentiated function, after
-    a leading axis over the coordinates j when there are several.
+    holo = (1/2)(D_x - i D_y), anti = (1/2)(D_x + i D_y); each has a
+    leading axis over the coordinates j, then the output shape of the
+    differentiated function.
     """
 
     holo: np.ndarray
     anti: np.ndarray
-    step: float
-    order: int
 
 
 def _check_square(M):
@@ -106,31 +104,19 @@ def invert(M):
     return np.linalg.inv(M)
 
 
-_STENCILS = {
-    2: ((-1.0, -0.5), (1.0, 0.5)),
-    4: ((-2.0, 1.0 / 12.0), (-1.0, -8.0 / 12.0), (1.0, 8.0 / 12.0), (2.0, -1.0 / 12.0)),
-}
+def wirtinger_points(point, step=DEFAULT_FD_STEP):
+    """The points of the central Wirtinger stencils along every coordinate,
+    as one (4m, m) stack.
 
-
-def wirtinger_points(point, step=DEFAULT_FD_STEP, order=2, directions=None):
-    """The points of the Wirtinger stencils along each coordinate in
-    directions (default: all), as one (N, m) stack.
-
-    Per direction come 2 * order points: the real shifts c * step of the
-    stencil coefficients c, then the imaginary shifts 1j * c * step.
-    wirtinger_combine takes the values of a function at these points.
+    Per coordinate come 4 points, shifted along it by -step, step, -1j
+    step and 1j step.  wirtinger_combine takes the values of a function at
+    these points.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    if order not in _STENCILS:
-        raise ValueError("order must be 2 or 4")
     point = np.asarray(point, dtype=complex)
-    directions = range(len(point)) if directions is None else directions
-    shifts = step * np.array([c for c, _ in _STENCILS[order]])
-    shifts = np.concatenate([shifts, 1j * shifts])
-    points = np.tile(point, (len(directions), len(shifts), 1))
-    for n, k in enumerate(directions):
-        points[n, :, k] += shifts
+    shifts = step * np.array([-1.0, 1.0, -1j, 1j])
+    points = point + np.eye(len(point))[:, None, :] * shifts[:, None]
     return points.reshape(-1, len(point))
 
 
@@ -163,31 +149,15 @@ def evaluate_stencil(f, point, points):
         raise EvaluationFailure(f"function evaluation failed on the stencil: {exc}") from exc
 
 
-def wirtinger_combine(values, step=DEFAULT_FD_STEP, order=2) -> WirtingerDerivative:
+def wirtinger_combine(values, step=DEFAULT_FD_STEP) -> WirtingerDerivative:
     """Wirtinger derivatives from a function's values at wirtinger_points.
 
     values has a leading axis over the stencil points; holo and anti have
-    one over the directions instead.  Central differences in the real and
+    one over the coordinates instead.  Central differences in the real and
     imaginary parts of each coordinate are combined into
     holo = (D_x - i D_y)/2 and anti = (D_x + i D_y)/2.
     """
-    weights = [w for _, w in _STENCILS[order]]
-    v = np.asarray(values).reshape((-1, 2, len(weights)) + np.shape(values)[1:])
-    d = sum(w * v[:, :, j] for j, w in enumerate(weights)) / step
+    v = np.asarray(values).reshape((-1, 2, 2) + np.shape(values)[1:])
+    d = (v[:, :, 1] - v[:, :, 0]) / (2.0 * step)
     dx, dy = d[:, 0], d[:, 1]
-    return WirtingerDerivative(
-        holo=0.5 * (dx - 1j * dy), anti=0.5 * (dx + 1j * dy), step=step, order=order
-    )
-
-
-def wirtinger_fd(f, point, direction, step=DEFAULT_FD_STEP, order=2) -> WirtingerDerivative:
-    """Wirtinger derivatives of f: C^m -> C^k at point, along one coordinate.
-
-    f takes one point at a time; its values go through wirtinger_combine,
-    and its numerical failures become EvaluationFailure as in
-    evaluate_stencil.
-    """
-    points = wirtinger_points(point, step, order, directions=[direction])
-    values = evaluate_stencil(lambda pts: np.stack([f(p) for p in pts]), point, points)
-    wd = wirtinger_combine(values, step, order)
-    return WirtingerDerivative(holo=wd.holo[0], anti=wd.anti[0], step=step, order=order)
+    return WirtingerDerivative(holo=0.5 * (dx - 1j * dy), anti=0.5 * (dx + 1j * dy))

@@ -30,7 +30,6 @@ from frobcdv import (
 from frobcdv import cdv as cdv_module
 from frobcdv.cdv import _real_metric, _real_metric_derivatives
 from frobcdv.cli import main, sample_points
-from frobcdv.numerics import wirtinger_fd
 
 QPT = (0.0, 1.0)
 
@@ -214,6 +213,38 @@ def test_harmonic_detects_corrupted_potential(monkeypatch):
     assert rep["dprime_p_equals_higgs"].residual > 0.5
 
 
+def _scaled_entry(name, factor):
+    """A mutant of HarmonicData: entry [0, 1] of its matrix name times factor."""
+    def mutate(hd):
+        M = getattr(hd, name).copy()
+        M[0, 1] *= factor
+        return dataclasses.replace(hd, **{name: M})
+    return mutate
+
+
+# (check, mutant of the centre's HarmonicData).  A diagonal mutant of Pdag
+# commutes with every C_k and with U in the idempotent frame, so it cannot
+# move chern_from_levi_civita or v_commutator.
+HARMONIC_MUTANTS = [
+    ("dprime_p_equals_higgs", "P01x1.5", _scaled_entry("P", 1.5)),
+    ("p_selfadjoint", "P01x1.5", _scaled_entry("P", 1.5)),
+    ("chern_from_levi_civita", "Pdag01x1.5", _scaled_entry("Pdag", 1.5)),
+    ("v_commutator", "Pdag01x1.5", _scaled_entry("Pdag", 1.5)),
+    ("v_commutator", "1.1V", lambda hd: dataclasses.replace(hd, V=1.1 * hd.V)),
+]
+
+
+@pytest.mark.parametrize("check,mutate", [(c, f) for c, _, f in HARMONIC_MUTANTS],
+                         ids=[f"{c}-{label}" for c, label, _ in HARMONIC_MUTANTS])
+def test_harmonic_check_fails_on_mutated_data(check, mutate):
+    spec = catalog("a3_3d")
+    frame = canonical_frame(spec, A3_POINT)
+    cdv = construct_canonical_cdv(frame, spec.d)
+    hd = harmonic_potential(frame, spec.d)
+    assert verify_harmonic(spec, frame, hd, cdv, 1e-5)[check].residual <= 1e-5
+    assert verify_harmonic(spec, frame, mutate(hd), cdv, 1e-5)[check].residual > 1e-3
+
+
 def test_flat_frame_h_cubic2_is_identity():
     spec = catalog("cubic2")
     for t in [(0.3 + 0.2j, 0.8 - 0.1j), (0.0, 1.0)]:
@@ -235,6 +266,19 @@ def test_flat_frame_h_a3_not_kaehler_flat():
     assert np.max(np.abs(off)) > 1e-6 * np.linalg.norm(h)
 
 
+def _wirtinger_order4(f, t, k, step):
+    """Order-4 central Wirtinger difference of f, which takes one point at
+    a time, along coordinate k: (holo, anti)."""
+    e = np.eye(len(t))[k]
+
+    def d(s):  # the derivative along s / step
+        return (f(t - 2 * s * e) - 8 * f(t - s * e) + 8 * f(t + s * e) - f(t + 2 * s * e)) / (
+            12.0 * step)
+
+    dx, dy = d(step), d(1j * step)
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
+
 @pytest.mark.parametrize("name", ["quartic2", "p1", "a3_3d"])
 def test_flat_frame_dh_against_fd_oracle(name):
     # Oracle: an order-4 Wirtinger difference of flat_frame_h, which takes
@@ -245,28 +289,54 @@ def test_flat_frame_dh_against_fd_oracle(name):
         dh = flat_frame_dh(canonical_frame(spec, t))[1]
         scale = np.max(np.abs(dh))
         for k in range(spec.dim):
-            wd = wirtinger_fd(lambda tp: flat_frame_h(spec, tp), t, k, step=1e-4, order=4)
-            assert np.max(np.abs(dh[k] - wd.holo)) <= 1e-8 * scale
-            assert np.max(np.abs(np.conj(dh[k]).T - wd.anti)) <= 1e-8 * scale
+            holo, anti = _wirtinger_order4(lambda tp: flat_frame_h(spec, tp), t, k, 1e-4)
+            assert np.max(np.abs(dh[k] - holo)) <= 1e-8 * scale
+            assert np.max(np.abs(np.conj(dh[k]).T - anti)) <= 1e-8 * scale
 
 
 @st.composite
 def _frame_and_permutation(draw):
     spec = catalog(draw(st.sampled_from(["a3_3d", "cubic2", "p1", "quartic2"])))
     pts, _ = sample_points(spec, 1, seed=draw(st.integers(0, 10**6)))
-    return canonical_frame(spec, pts[0]), np.array(draw(st.permutations(range(spec.dim))))
+    return spec, canonical_frame(spec, pts[0]), np.array(draw(st.permutations(range(spec.dim))))
+
+
+def _relabel(frame, pi):
+    """The frame with its idempotents taken in the order pi."""
+    return dataclasses.replace(
+        frame, u=frame.u[pi], A=frame.A[:, pi], eta=frame.eta[pi],
+        eta_d=frame.eta_d[np.ix_(pi, pi)], dC=frame.dC[:, pi][:, :, pi],
+    )
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_frame_and_permutation())
 def test_flat_frame_dh_is_label_invariant(frame_and_pi):
-    frame, pi = frame_and_pi
-    relabelled = dataclasses.replace(
-        frame, u=frame.u[pi], A=frame.A[:, pi], eta=frame.eta[pi],
-        eta_d=frame.eta_d[np.ix_(pi, pi)], dC=frame.dC[:, pi][:, :, pi],
-    )
-    for before, after in zip(flat_frame_dh(frame), flat_frame_dh(relabelled)):
+    _, frame, pi = frame_and_pi
+    for before, after in zip(flat_frame_dh(frame), flat_frame_dh(_relabel(frame, pi))):
         assert np.max(np.abs(after - before)) <= 1e-12 * np.max(np.abs(before))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_frame_and_permutation())
+def test_verify_harmonic_is_label_invariant(frame_and_pi):
+    # Relabelling permutes the rows and columns of P, Pdag and V alike, so
+    # their flat-frame matrices, and every residual, are unchanged.
+    spec, frame, pi = frame_and_pi
+    relabelled = _relabel(frame, pi)
+    hd = harmonic_potential(frame, spec.d)
+    hd_relabelled = harmonic_potential(relabelled, spec.d)
+    for name in ("P", "Pdag", "V"):
+        assert np.array_equal(getattr(hd_relabelled, name),
+                              getattr(hd, name)[np.ix_(pi, pi)]), name
+    cdv = construct_canonical_cdv(frame, spec.d)
+    before = verify_harmonic(spec, frame, hd, cdv, 1e-5)
+    after = verify_harmonic(spec, relabelled, hd_relabelled, cdv, 1e-5)
+    # The differences are round-off: at most 6.7e-15 of scale over 15 seeds
+    # of each spec and every permutation.
+    scale = np.max(np.abs(frame.u)) + np.max(np.abs(frame.eta_d / frame.eta))
+    for e in before.entries:
+        assert abs(after[e.name].residual - e.residual) <= 1e-13 * scale, e.name
 
 
 def test_flat_frame_dh_cubic2_is_exactly_zero():

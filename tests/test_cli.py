@@ -134,6 +134,8 @@ def test_verify_report_check_names(tmp_path, name, wdvv):
 def test_explicit_point_flag(tmp_path):
     good = _dump("quartic2", tmp_path)
     assert main(["verify", "--spec", good, "--point", "0,0;1,0"]) == 0
+    # A leading minus sign is part of the value, not an option.
+    assert main(["verify", "--spec", good, "--point", "-0.3,0.1;0.2,0"]) == 0
 
 
 def test_cdv_report_matrices(tmp_path):
@@ -162,12 +164,13 @@ def test_tt2d_command(tmp_path):
     report = tmp_path / "tt2d.json"
     code = main([
         "tt2d", "--spec", spec, "--grid", "17", "--csv", str(csv),
-        "--report", str(report), "--seed", "4",
+        "--report", str(report), "--seed", "4", "--rect", "-1,-0.5,1,0.5",
     ])
     assert code == 0
     assert csv.read_text().startswith("x,y,h11,residual")
     doc = json.loads(report.read_text())
     assert doc["tt2d"]["converged"] is True
+    assert doc["tt2d"]["rect"] == [-1.0, -0.5, 1.0, 0.5]
     assert doc["summary"]["seed"] == 4
     assert "fd_step" not in doc["summary"]  # tt2d takes no finite differences
 
@@ -341,6 +344,10 @@ def test_zero_points_rejected(tmp_path, capsys):
     ["connections", "--tol", "nan"],
     ["lowdim", "--tol", "inf"],
     ["pencil", "--tol", "-1"],
+    ["verify", "--fd-step", "-1e-5"],
+    ["cdv", "--fd-step", "-1E-5"],
+    ["verify", "--tol", "-1e-5"],
+    ["connections", "--tol", "-.5"],
 ], ids=" ".join)
 def test_bad_step_or_tolerance_is_one_line_error(tmp_path, capsys, argv):
     # A zero step used to end in a ValueError traceback, an infinite one
@@ -350,6 +357,7 @@ def test_bad_step_or_tolerance_is_one_line_error(tmp_path, capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith(f"error: {argv[1]} must be ")
+    assert out.err.rstrip().endswith(f"got {float(argv[2])}")
 
 
 def test_tt2d_zero_tolerance_stops_at_roundoff_floor(tmp_path, capsys):

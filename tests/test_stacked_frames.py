@@ -23,7 +23,7 @@ from frobcdv import (
     verify_harmonic,
 )
 from frobcdv import cdv as cdv_module
-from frobcdv.canonical import canonical_frames, matched_frame
+from frobcdv.canonical import canonical_frames
 from frobcdv.cli import sample_points
 from frobcdv.numerics import DEFAULT_FD_STEP, wirtinger_points
 
@@ -61,29 +61,25 @@ def _stencil_stacks(draw):
     spec = catalog(draw(st.sampled_from(NAMES)))
     pts, _ = sample_points(spec, 1, seed=draw(st.integers(0, 10**6)))
     step = 10.0 ** draw(st.floats(-6.0, -2.5))
-    return spec, pts[0], wirtinger_points(pts[0], step)
+    return spec, wirtinger_points(pts[0], step)
 
 
-def _assert_stack_equals_single_frames(spec, points, ref):
-    for frames, single in (
-        (canonical_frames(spec, points), lambda tp: canonical_frame(spec, tp)),
-        (canonical_frames(spec, points, ref=ref), lambda tp: matched_frame(spec, tp, ref)),
-    ):
-        for n, tp in enumerate(points):
-            one = single(tp)
-            for name in FIELDS:
-                a, b = getattr(frames, name)[n], getattr(one, name)
-                # Same labels: u in the same order, and every field close.
-                assert _maxabs(a - b) <= 1e-12 * _maxabs(b), name
-            assert frames.gap[n] == pytest.approx(one.gap, rel=1e-12)
-            assert np.array_equal(frames.point[n], one.point)
+def _assert_stack_equals_single_frames(spec, points):
+    frames = canonical_frames(spec, points)
+    for n, tp in enumerate(points):
+        one = canonical_frame(spec, tp)
+        for name in FIELDS:
+            a, b = getattr(frames, name)[n], getattr(one, name)
+            # Same labels: u in the same order, and every field close.
+            assert _maxabs(a - b) <= 1e-12 * _maxabs(b), name
+        assert frames.gap[n] == pytest.approx(one.gap, rel=1e-12)
+        assert np.array_equal(frames.point[n], one.point)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_stencil_stacks())
 def test_stacked_frames_equal_single_point_frames(stack):
-    spec, t, points = stack
-    _assert_stack_equals_single_frames(spec, points, canonical_frame(spec, t))
+    _assert_stack_equals_single_frames(*stack)
 
 
 # Starts near points where the two eigenvalues have equal real parts, so
@@ -95,14 +91,20 @@ LEX_CROSSINGS = {"quartic2": (0.1 - 0.3j, -0.4 + 0.2j), "p1": (0.3 + 0.1j, 0.2 +
 def test_stacked_labels_across_a_lex_order_crossing(name):
     # The discriminant (u_1 - u_2)^2 is a negative real number exactly where
     # Re u_1 = Re u_2.
+    # verify_harmonic differences label-invariant flat-frame data over
+    # such a stack, so it passes there (D'P read 2.5e-11 on p1 and
+    # 6.7e-10 on quartic2).
     spec = catalog(name)
     start = np.array(LEX_CROSSINGS[name])
     t = _solve_discriminant(spec, start, 1, -abs(_discriminant(spec, start)))
-    ref = canonical_frame(spec, t)
-    points = wirtinger_points(t, 1e-4)
-    first = np.argmin(np.abs(canonical_frames(spec, points).u - ref.u[0]), axis=1)
+    frame = canonical_frame(spec, t)
+    points = wirtinger_points(t, DEFAULT_FD_STEP)
+    first = np.argmin(np.abs(canonical_frames(spec, points).u - frame.u[0]), axis=1)
     assert len(set(first)) == 2  # the stack's points order their eigenvalues differently
-    _assert_stack_equals_single_frames(spec, points, ref)
+    _assert_stack_equals_single_frames(spec, points)
+    hd = harmonic_potential(frame, spec.d)
+    report = verify_harmonic(spec, frame, hd, construct_canonical_cdv(frame, spec.d), TOL)
+    assert report.passed, "\n".join(report.summary_lines())
 
 
 # The former per-point stencil loops, kept as oracles: one frame and one
@@ -116,23 +118,6 @@ def _wirtinger_loop(f, t, k, step=DEFAULT_FD_STEP):
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
-def _harmonic_loop(spec, frame, cdv):
-    """The finite-difference check of verify_harmonic."""
-    t, A, m = frame.point, frame.A, len(frame.u)
-    P = harmonic_potential(frame, spec.d).P
-
-    def P_field(tp):
-        return harmonic_potential(matched_frame(spec, tp, frame), spec.d).P
-
-    wds = [_wirtinger_loop(P_field, t, i)[0] for i in range(m)]
-    res = 0.0
-    for a in range(m):
-        dP = sum(A[i, a] * wds[i] for i in range(m))
-        comm = cdv.omega[a] @ P - P @ cdv.omega[a]
-        res = max(res, _maxabs(dP + comm + cdv.Cmats[a]))
-    return {"dprime_p_equals_higgs": res}
-
-
 def _flat_data_loop(spec, tp):
     """[W.., Phi.., Phidag.., U, kappa U kappa] in flat coordinates at one
     point, from its own frame."""
@@ -144,6 +129,37 @@ def _flat_data_loop(spec, tp):
     Phi = -np.swapaxes(frame.ev.Cmix, 1, 2)
     kUk = K @ np.conj(frame.ev.U) @ np.conj(K)
     return np.concatenate([W, Phi, K @ np.conj(Phi) @ np.conj(K), frame.ev.U[None], kUk[None]])
+
+
+def _harmonic_loop(spec, t):
+    """The checks of verify_harmonic, written out in the flat frame
+    direction by direction, with P differenced over one frame per point."""
+    m = spec.dim
+    g, g_inv = flat_metric(spec)
+
+    def flat(frame, X):
+        return frame.A @ X @ np.linalg.inv(frame.A)
+
+    def P_flat(tp):
+        frame = canonical_frame(spec, tp)
+        return flat(frame, harmonic_potential(frame, spec.d).P)
+
+    frame = canonical_frame(spec, t)
+    hd = harmonic_potential(frame, spec.d)
+    P, Pdag, V = flat(frame, hd.P), flat(frame, hd.Pdag), flat(frame, hd.V)
+    S = _flat_data_loop(spec, t)
+    U = S[3 * m]
+    res = dict.fromkeys(("dprime_p_equals_higgs", "chern_from_levi_civita"), 0.0)
+    for k in range(m):
+        W, Phi = S[k], S[m + k]
+        dP = _wirtinger_loop(P_flat, t, k)[0]
+        res["dprime_p_equals_higgs"] = max(res["dprime_p_equals_higgs"],
+                                           _maxabs(dP + W @ P - P @ W - Phi))
+        res["chern_from_levi_civita"] = max(res["chern_from_levi_civita"],
+                                            _maxabs(W + Pdag @ Phi - Phi @ Pdag))
+    res["p_selfadjoint"] = _maxabs(g_inv @ P.T @ g - P)
+    res["v_commutator"] = _maxabs(V + Pdag @ U - U @ Pdag)
+    return res
 
 
 def _flat_derivatives_loop(spec, t):
@@ -215,7 +231,7 @@ def test_stacked_verifiers_match_per_point_loops(name):
         hd = harmonic_potential(frame, spec.d)
         for report, oracle in (
             (verify_cv_axioms(spec, cdv, TOL), _cv_axioms_loop(spec, t)),
-            (verify_harmonic(spec, frame, hd, cdv, TOL), _harmonic_loop(spec, frame, cdv)),
+            (verify_harmonic(spec, frame, hd, cdv, TOL), _harmonic_loop(spec, t)),
             (pencil_curvature(spec, t, Z_SAMPLES, TOL), _pencil_loop(spec, t)),
         ):
             for check, residual in oracle.items():
@@ -262,14 +278,12 @@ def test_stencil_point_on_discriminant_raises(name):
         canonical_frame(spec, on_disc)
     frame = canonical_frame(spec, centre)
     cdv = construct_canonical_cdv(frame, spec.d)
+    # No verifier matches labels, so the first stencil point that fails is
+    # the one on the discriminant.
     for check in (
         lambda: verify_cv_axioms(spec, cdv, TOL),
         lambda: verify_harmonic(spec, frame, harmonic_potential(frame, spec.d), cdv, TOL),
         lambda: pencil_curvature(spec, centre, Z_SAMPLES, TOL),
     ):
-        with pytest.raises(EvaluationFailure, match=r"stencil offset \S+ along coordinate \d"):
+        with pytest.raises(EvaluationFailure, match=f"offset 1e-05\\+0j along coordinate {k}"):
             check()
-    # Without label matching, the first stencil point that fails is the
-    # one on the discriminant.
-    with pytest.raises(EvaluationFailure, match=f"offset 1e-05\\+0j along coordinate {k}"):
-        pencil_curvature(spec, centre, Z_SAMPLES, TOL)
