@@ -19,7 +19,6 @@ from .potential import (
     PotentialSpec,
     check_homogeneity,
     check_wdvv,
-    eval_derivative,
     flat_eval,
     flat_metric,
     homogeneity_residual,

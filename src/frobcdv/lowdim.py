@@ -7,7 +7,7 @@ vector, upper index = output component, stored as W[k, i, j].
 
 Only the tt* solve uses scipy, so its functions import scipy.sparse on
 first use and the pointwise checks load numpy alone.  They call through
-the module (spla.gmres), never a bound name, so that a wrapper patched
+the module (spla.gcrotmk), never a bound name, so that a wrapper patched
 onto scipy.sparse.linalg sees every call.
 """
 
@@ -317,8 +317,7 @@ class _Multigrid:
 
     Each coarse operator is the Galerkin product R^T A R, so the source
     diagonal of P reaches every level; the coarsest is inverted densely.
-    solve(b) applies one V-cycle of damped Jacobi: a fixed linear map,
-    as GMRES needs of a preconditioner.
+    solve(b) applies one V-cycle of damped Jacobi.
     """
 
     def __init__(self, P, transfers):
@@ -345,25 +344,36 @@ class _Multigrid:
         return x
 
 
-def _newton_step(J, mg, rhs):
-    """Solve J x = rhs by GMRES, right-preconditioned by the V-cycle mg:
-    each Krylov iteration is one V-cycle and one product with J, and
-    GMRES stops on the true residual.  rhs is scaled to max-norm 1 so
-    that GMRES's norms cannot overflow.
+# Forcing terms of Eisenstat and Walker (SIAM J. Sci. Comput. 17, 1996),
+# choice 2 with gamma = 0.9, alpha = 2, on the max-norm residual: the
+# first Newton step is solved to FORCING_CAP, and none more tightly than
+# to FORCING_FLOOR.
+FORCING_CAP, FORCING_FLOOR = 0.1, 1e-6
 
-    The V-cycle may be of the 5-point Jacobian of an earlier Newton step
-    (see PRECONDITIONER_DRIFT).  A GMRES solve that stops short of rtol
-    is still returned: the caller's line search judges the step by the
-    residual it gives.
+
+def _forcing_term(res, prev):
+    """Relative tolerance of the Newton step at residual res, after a
+    step from residual prev (None before the first step)."""
+    if prev is None:
+        return FORCING_CAP
+    return min(FORCING_CAP, max(FORCING_FLOOR, 0.9 * (res / prev) ** 2))
+
+
+def _newton_step(J, mg, rhs, rtol):
+    """Solve J x = rhs to the relative 2-norm residual rtol by flexible
+    GMRES (scipy's GCROT(m,k)), right-preconditioned by the V-cycle mg,
+    perhaps of an earlier step's Jacobian (PRECONDITIONER_DRIFT): one
+    V-cycle per Krylov iteration and none else, as x is formed from the
+    preconditioned basis and the true residual re-checked with J alone.
+    rhs is scaled to max-norm 1 so that the Krylov norms cannot overflow.
+    A solve short of rtol is returned for the line search to judge.
     """
     import scipy.sparse.linalg as spla
 
     scale = np.max(np.abs(rhs))
-    op = spla.LinearOperator(J.shape, matvec=lambda z: J @ mg.solve(z), dtype=float)
-    # Forcing term 1e-6: well below Newton's quadratic contraction, without
-    # oversolving (Eisenstat and Walker 1996).
-    y, _ = spla.gmres(op, rhs / scale, rtol=1e-6, atol=0.0)
-    return scale * mg.solve(y)
+    M = spla.LinearOperator(J.shape, matvec=mg.solve, dtype=float)
+    x, _ = spla.gcrotmk(J, rhs / scale, M=M, rtol=rtol, atol=0.0)
+    return scale * x
 
 
 def _check_grid(rect, n):
@@ -397,15 +407,14 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     """Damped Newton-Krylov solve of the tt* equation in v = log h_11.
 
     Each Newton step solves with the exact Jacobian of the fourth-order
-    residual: the mixed-order stencil matrix plus the diagonal D of the
-    source's derivative.  GMRES does the solve, right-preconditioned by
-    one multigrid V-cycle (_Multigrid) on the 5-point Jacobian lap2 + D;
-    nothing is factored but the coarsest level's at most COARSEST_NODES
-    nodes.  Only D changes between steps: both matrices are assembled
-    once, each step rewrites their diagonals, and the V-cycle's levels
-    are rebuilt only when D has drifted from the diagonal they were built
-    with (PRECONDITIONER_DRIFT); on p1 one hierarchy serves the whole
-    solve.  A damped line search on the max-norm
+    residual (the mixed-order stencil matrix plus the diagonal D of the
+    source's derivative) to the Eisenstat-Walker forcing term
+    (_forcing_term), by flexible GMRES with one multigrid V-cycle
+    (_Multigrid) on the 5-point Jacobian lap2 + D per Krylov iteration.
+    Only D changes between steps: both matrices are assembled once, each
+    step rewrites their diagonals, and the V-cycle's levels are rebuilt
+    only when D has drifted (PRECONDITIONER_DRIFT); on p1 one hierarchy
+    serves the whole solve.  A damped line search on the max-norm
     residual accepts the step, and rejects one whose residual overflows.
 
     boundary gives the Dirichlet data for h_11: a positive number, or a
@@ -424,17 +433,14 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     x = np.linspace(x0, x1, n)
     y = np.linspace(y0, y1, n)
-    hx = (x1 - x0) / (n - 1)
-    hy = (y1 - y0) / (n - 1)
+    hx, hy = (x1 - x0) / (n - 1), (y1 - y0) / (n - 1)
     X, Y = np.meshgrid(x, y, indexing="ij")
     c2 = _fppp_sq(spec, X, Y)
 
     bvals = _boundary_values(boundary, X, Y)
     v = np.log(bvals.mean()) * np.ones((n, n))
-    v[0, :] = np.log(bvals[0, :])
-    v[-1, :] = np.log(bvals[-1, :])
-    v[:, 0] = np.log(bvals[:, 0])
-    v[:, -1] = np.log(bvals[:, -1])
+    for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+        v[edge] = np.log(bvals[edge])
 
     # J = lap4 + D and P = lap2 + D get D in their diagonal slots.
     J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
@@ -445,9 +451,8 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     lap4_diag, lap2_diag = J.data[slots_J], P.data[slots_P]
     c2i = c2[1:-1, 1:-1]
     k = n - 2
-    iterations = 0
-    preconditioners = 0
-    mg = d_built = None
+    iterations = preconditioners = 0
+    mg = d_built = prev = None
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         R = _residual4(v, c2, hx, hy)
@@ -469,7 +474,8 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
             d_built = d
             preconditioners += 1
         J.data[slots_J] = lap4_diag + d
-        delta = _newton_step(J, mg, -R.ravel()).reshape(k, k)
+        delta = _newton_step(J, mg, -R.ravel(), _forcing_term(res, prev)).reshape(k, k)
+        prev = res
         lam = 1.0
         while True:
             trial = v.copy()
@@ -489,9 +495,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
             lam *= 0.5
             if lam < 2.0**-30:
                 if raise_on_failure:
-                    raise NonPositiveIterate(
-                        f"line search stalled at residual {res:.3e}"
-                    )
+                    raise NonPositiveIterate(f"line search stalled at residual {res:.3e}")
                 lam = 0.0
                 break
         if lam == 0.0 or converged:
@@ -504,9 +508,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
         floor=_residual_floor(lap_size, v[1:-1, 1:-1], c2i),
     )
     if not converged and raise_on_failure:
-        raise NoConvergence(
-            f"Newton stopped after {iterations} iterations at residual {res:.3e}"
-        )
+        raise NoConvergence(f"Newton stopped after {iterations} iterations at residual {res:.3e}")
     return solution
 
 
@@ -518,8 +520,7 @@ def tt2d_residual(spec, solution: TT2DSolution):
     """
     n = solution.n
     x0, y0, x1, y1 = solution.rect
-    hx = (x1 - x0) / (n - 1)
-    hy = (y1 - y0) / (n - 1)
+    hx, hy = (x1 - x0) / (n - 1), (y1 - y0) / (n - 1)
     X, Y = np.meshgrid(solution.x, solution.y, indexing="ij")
     c2 = _fppp_sq(spec, X, Y)
     v = np.log(solution.h11)
@@ -546,8 +547,7 @@ def residual_grid(spec, solution: TT2DSolution):
     c2 = _fppp_sq(spec, X, Y)
     n = solution.n
     x0, y0, x1, y1 = solution.rect
-    hx = (x1 - x0) / (n - 1)
-    hy = (y1 - y0) / (n - 1)
+    hx, hy = (x1 - x0) / (n - 1), (y1 - y0) / (n - 1)
     grid = np.zeros((n, n))
     grid[1:-1, 1:-1] = np.abs(_residual4(np.log(solution.h11), c2, hx, hy))
     return grid

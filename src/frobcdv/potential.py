@@ -191,13 +191,6 @@ def _symmetric_derivatives(terms, m, t, order):
     return out.reshape(t.shape[:-1] + (m,) * order)
 
 
-def eval_derivative(spec: PotentialSpec, multi_index, t) -> complex:
-    """Exact partial derivative of F, given the order per coordinate."""
-    if len(multi_index) != spec.dim:
-        raise ValidationError("multi_index length does not match dim")
-    return eval_terms(diff_terms(spec.terms, multi_index), t)
-
-
 def third_derivatives(spec: PotentialSpec, t):
     """Totally symmetric tensor C_ijk at t (one point, or a stack of them)."""
     return _symmetric_derivatives(spec.terms, spec.dim, t, 3)
