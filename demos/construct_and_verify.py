@@ -12,6 +12,7 @@ from frobcdv import (
     canonical_frame,
     catalog,
     construct_canonical_cdv,
+    flat_frame_h,
     harmonic_potential,
     verify_cv_axioms,
     verify_harmonic,
@@ -26,7 +27,9 @@ for name, point in [("quartic2", (0.0, 1.0)), ("a3_3d", A3_POINT)]:
 
     cdv = construct_canonical_cdv(frame, spec.d)
     print("K =", np.round(np.diag(cdv.K), 6))
-    print("h =", np.round(np.diag(cdv.h).real, 6), "(positive definite)")
+    print("h =", np.round(np.diag(cdv.h).real, 6))
+    lam_min = np.linalg.eigvalsh(flat_frame_h(spec, point))[0]
+    print(f"smallest eigenvalue of h in the flat basis: {lam_min:.6g}")
 
     report = verify_cv_axioms(spec, cdv, 1e-5)
     for line in report.summary_lines():

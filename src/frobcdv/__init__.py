@@ -34,7 +34,6 @@ from .canonical import (
 from .catalog import (
     A3_POINT,
     CATALOG_NAMES,
-    SEMISIMPLE_NAMES,
     catalog,
     load_spec,
     spec_from_dict,

@@ -89,9 +89,6 @@ _CATALOG = {
 
 CATALOG_NAMES = tuple(sorted(_CATALOG))
 
-# Catalog entries that are semi-simple on an open dense set.
-SEMISIMPLE_NAMES = ("cubic2", "quartic2", "p1", "a3_3d")
-
 
 def catalog(name: str) -> PotentialSpec:
     try:

@@ -38,10 +38,13 @@ def _parse_point(text, dim):
         raise ParseError(f"point has {len(parts)} coordinates, spec has dimension {dim}")
     out = np.zeros(dim, dtype=complex)
     for i, part in enumerate(parts):
-        nums = part.split(",")
-        if len(nums) != 2:
-            raise ParseError(f"coordinate {part!r} is not of the form re,im")
-        out[i] = complex(float(nums[0]), float(nums[1]))
+        try:
+            re_part, im_part = (float(x) for x in part.split(","))
+        except ValueError:
+            raise ParseError(f"coordinate {part!r} is not of the form re,im") from None
+        out[i] = complex(re_part, im_part)
+    if not np.all(np.isfinite(out)):
+        raise ParseError(f"point {text!r} has a coordinate that is not finite")
     return out
 
 
@@ -131,10 +134,6 @@ def write_report(path, spec_path, points, report, seed, fd_step, skipped=0, extr
     return doc
 
 
-def _load(args):
-    return load_spec(args.spec)
-
-
 def _points_for(spec, args):
     """Points to check; a run that would check none is an error, not a pass."""
     if args.point:
@@ -151,7 +150,7 @@ def _points_for(spec, args):
 
 
 def cmd_verify(args):
-    spec = _load(args)
+    spec = load_spec(args.spec)
     pts, skipped = _points_for(spec, args)
     reports = [check_wdvv(spec, pts, args.tol), check_homogeneity(spec, pts, args.tol)]
     for t in pts:
@@ -171,7 +170,7 @@ def cmd_verify(args):
 
 
 def cmd_cdv(args):
-    spec = _load(args)
+    spec = load_spec(args.spec)
     pts, skipped = _points_for(spec, args)
     t = pts[0]
     frame = canonical_frame(spec, t)
@@ -191,14 +190,14 @@ def cmd_cdv(args):
 
 
 def cmd_connections(args):
-    spec = _load(args)
+    spec = load_spec(args.spec)
     pts, skipped = _points_for(spec, args)
     reports = [cdvmod.connection_gap(spec, t, args.tol) for t in pts]
     return aggregate(reports), pts, skipped, None
 
 
 def cmd_pencil(args):
-    spec = _load(args)
+    spec = load_spec(args.spec)
     pts, skipped = _points_for(spec, args)
     z_samples = [1.0, 1.0j, 2.0]
     reports = [
@@ -209,7 +208,7 @@ def cmd_pencil(args):
 
 
 def cmd_lowdim(args):
-    spec = _load(args)
+    spec = load_spec(args.spec)
     pts, skipped = _points_for(spec, args)
     reports = []
     for t in pts:
@@ -225,7 +224,7 @@ def cmd_lowdim(args):
 
 
 def cmd_tt2d(args):
-    spec = _load(args)
+    spec = load_spec(args.spec)
     try:
         rect = tuple(float(c) for c in args.rect.split(","))
     except ValueError:
@@ -348,11 +347,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_numbers(args)
-        report, pts, skipped, extra = args.func(args)
-    except FrobCdvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        # Arithmetic that overflows far out is an error, not a warning and
+        # a residual read off inf or nan.
+        with np.errstate(over="raise", invalid="raise"):
+            report, pts, skipped, extra = args.func(args)
+    except (FrobCdvError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if report is None:

@@ -14,7 +14,7 @@ class Singular(FrobCdvError):
 
 
 class EvaluationFailure(FrobCdvError):
-    """A function could not be evaluated at a finite-difference stencil point."""
+    """A function could not be evaluated at a point or at a stencil point."""
 
 
 class DegenerateMetric(FrobCdvError):

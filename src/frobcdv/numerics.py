@@ -86,8 +86,11 @@ def solve_eig(M) -> EigenDecomposition:
     vals = vals[n, order]
     vecs = vecs[n[:, None], np.arange(M.shape[-1])[:, None], order[:, None, :]]
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    residual = np.max(np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1),
-                      axis=-1, initial=0.0)
+    # Past ~1e154 the norm's squares overflow to inf, which fails every
+    # residual test of the callers.
+    with np.errstate(over="ignore"):
+        residual = np.max(np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1),
+                          axis=-1, initial=0.0)
     if M.ndim == 2:
         return EigenDecomposition(vals[0], vecs[0], float(residual[0]))
     return EigenDecomposition(vals, vecs, residual)

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .errors import DegenerateMetric, ValidationError
+from .errors import DegenerateMetric, EvaluationFailure, ValidationError
 from .report import VerificationReport
 
 DET_G_MIN = 1e-12
@@ -238,36 +238,44 @@ def flat_eval(spec: PotentialSpec, t) -> FlatPointEval:
     point (m,), or a stack (N, m) evaluated at once)."""
     g, g_inv = flat_metric(spec)
     t = np.asarray(t, dtype=complex)
-    C3 = third_derivatives(spec, t)
-    Cmix = np.einsum("...ijl,lk->...ijk", C3, g_inv)
-    E = spec.euler_components(t)
-    U = np.einsum("...i,...ijk->...kj", E, Cmix)
+    # Far out, the tensors overflow; such a point is rejected, not evaluated.
+    with np.errstate(over="ignore", invalid="ignore"):
+        C3 = third_derivatives(spec, t)
+        Cmix = np.einsum("...ijl,lk->...ijk", C3, g_inv)
+        U = np.einsum("...i,...ijk->...kj", spec.euler_components(t), Cmix)
+    finite = np.isfinite(np.concatenate([C3, Cmix, U[..., None, :, :]], axis=-3))
+    if not np.all(finite):
+        at = t if t.ndim == 1 else t[np.argmin(np.all(finite, axis=(-3, -2, -1)))]
+        raise EvaluationFailure(f"the third derivatives of F overflow at {at}")
     return FlatPointEval(point=t, C3=C3, Cmix=Cmix, g=g, g_inv=g_inv, U=U)
 
 
 def wdvv_residual(spec: PotentialSpec, t) -> float:
-    """Max associativity defect |sum_l C_ij^l C_lk^p - sum_l C_jk^l C_il^p|."""
-    ev = flat_eval(spec, t)
-    left = np.einsum("ijl,lkp->ijkp", ev.Cmix, ev.Cmix)
-    right = np.einsum("jkl,ilp->ijkp", ev.Cmix, ev.Cmix)
+    """Max associativity defect |sum_l C_ij^l C_lk^p - sum_l C_jk^l C_il^p|
+    over t, one point or a stack of them."""
+    Cmix = flat_eval(spec, t).Cmix
+    left = np.einsum("...ijl,...lkp->...ijkp", Cmix, Cmix)
+    right = np.einsum("...jkl,...ilp->...ijkp", Cmix, Cmix)
     return float(np.max(np.abs(left - right)))
 
 
 def wdvv_reduced_m3(spec: PotentialSpec, t) -> float:
-    """The single m=3 normal-form scalar |C223^2 - C222*C233 - C333|."""
+    """The m=3 normal-form scalar |C223^2 - C222*C233 - C333|, maximised
+    over t, one point or a stack of them."""
     if spec.dim != 3:
         raise ValidationError("reduced WDVV scalar is defined for dim 3 only")
-    C3 = third_derivatives(spec, t)
-    return float(abs(C3[1, 1, 2] ** 2 - C3[1, 1, 1] * C3[1, 2, 2] - C3[2, 2, 2]))
+    C = third_derivatives(spec, t)
+    return float(np.max(np.abs(C[..., 1, 1, 2] ** 2 - C[..., 1, 1, 1] * C[..., 1, 2, 2]
+                               - C[..., 2, 2, 2])))
 
 
 def check_wdvv(spec: PotentialSpec, points, tol) -> VerificationReport:
+    points = np.asarray(points, dtype=complex)
     report = VerificationReport()
-    residual = max(wdvv_residual(spec, t) for t in points)
-    report.add("wdvv_associativity", residual, tol, points_checked=len(points))
+    report.add("wdvv_associativity", wdvv_residual(spec, points), tol, points_checked=len(points))
     if spec.dim == 3 and spec.normal_form:
-        reduced = max(wdvv_reduced_m3(spec, t) for t in points)
-        report.add("wdvv_reduced_m3", reduced, tol, points_checked=len(points))
+        report.add("wdvv_reduced_m3", wdvv_reduced_m3(spec, points), tol,
+                   points_checked=len(points))
     return report
 
 

@@ -70,6 +70,24 @@ def test_parse_point():
         _parse_point("1,0", 2)
     with pytest.raises(ParseError):
         _parse_point("1;2", 2)
+    for bad in ("a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "0,-inf;0,1", "1,2,3;0,0"):
+        with pytest.raises(ParseError):
+            _parse_point(bad, 2)
+
+
+BAD_POINTS = ("a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "1e200,0;0,1", "0,1e200;0.5,0")
+
+
+@pytest.mark.parametrize("command", ["verify", "cdv", "connections", "pencil", "lowdim"])
+def test_bad_point_is_one_line_error(tmp_path, capsys, command):
+    # A non-numeric or non-finite coordinate used to end in a traceback;
+    # pencil printed numpy's overflow warning at 1e200.
+    spec = _dump("quartic2", tmp_path)
+    for point in BAD_POINTS:
+        assert main([command, "--spec", spec, "--point", point]) == 2, point
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: "), point
 
 
 def test_sample_points_deterministic_and_in_polydisk():

@@ -30,6 +30,13 @@ def test_eig_euler_operator_matrix():
     assert dec.residual <= 1e-12
 
 
+def test_eig_residual_of_a_huge_matrix_is_inf_without_warning():
+    # The norm's squares overflow; inf then fails every caller's residual
+    # test.  pytest turns the RuntimeWarning numpy would print into an error.
+    dec = solve_eig(1e200 * np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert dec.residual == np.inf
+
+
 def test_eig_defective_block_visible_in_residual():
     dec = solve_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert np.allclose(dec.eigenvalues, [0.0, 0.0])

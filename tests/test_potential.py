@@ -20,7 +20,7 @@ from frobcdv import (
     wdvv_reduced_m3,
     wdvv_residual,
 )
-from frobcdv.errors import DegenerateMetric
+from frobcdv.errors import DegenerateMetric, EvaluationFailure
 from frobcdv.potential import (
     _symmetric_derivatives,
     diff_terms,
@@ -228,3 +228,23 @@ def test_normal_form_degree_identities_enforced():
             degrees=(0.5, 1.0), shifts=(0.0, 0.0), d=0.0, d_F=3.0,
             normal_form=True,
         )
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_wdvv_residuals_of_a_stack_are_the_per_point_maxima(name):
+    spec = catalog(name)
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-1.0, 1.0, (16, spec.dim)) + 1j * rng.uniform(-1.0, 1.0, (16, spec.dim))
+    checks = [wdvv_residual] + ([wdvv_reduced_m3] if spec.dim == 3 else [])
+    for check in checks:
+        assert check(spec, points) == pytest.approx(max(check(spec, t) for t in points),
+                                                    rel=1e-12, abs=1e-15)
+    if name == "broken_wdvv":
+        assert wdvv_residual(spec, points) > 1e-3
+
+
+@pytest.mark.parametrize("name,point", [("p1", (0.0, 1e3)), ("quartic2", (0.0, 1e300))])
+def test_flat_eval_rejects_a_point_where_the_tensors_overflow(name, point):
+    # e^1000 and (1e300)^2 overflow; numpy would warn and return inf.
+    with pytest.raises(EvaluationFailure, match="overflow at"):
+        flat_eval(catalog(name), np.array([[0.0, 1.0], point]))

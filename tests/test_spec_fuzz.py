@@ -5,7 +5,8 @@ powers, extra or missing keys, wrong lengths) and fed to
 ``frobcdv verify``; it must exit 0, 1 or 2, and on exit 2 print exactly
 one line on stderr.  A numpy RuntimeWarning (overflow, invalid value)
 is an error too: a spec that would overflow must be rejected, not
-evaluated.
+evaluated.  Malformed ``--point`` strings get the same test on every
+pointwise command.
 """
 
 import contextlib
@@ -134,3 +135,42 @@ def test_mutated_spec_dict_round_trip(doc):
     again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
     assert again == spec
     assert spec_to_dict(again) == spec_to_dict(spec)
+
+
+COMMANDS = ("verify", "cdv", "connections", "pencil", "lowdim")
+NUMBER = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from(("nan", "inf", "-inf", "1e400", "-1e400")),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: abs(x) > 1e3),
+    st.text(max_size=4),
+).map(str)
+
+
+@st.composite
+def point_strings(draw):
+    """A --point string for a spec of dimension dim: random text, or
+    "re,im;..." with a wrong or right number of coordinates whose numbers
+    may be non-finite, huge or not numbers at all."""
+    dim = draw(st.integers(2, 3))
+    if draw(st.integers(0, 4)) == 0:
+        return dim, draw(st.text(max_size=12))
+    count = draw(st.sampled_from((dim, dim, dim - 1, dim + 1)))
+    coords = [f"{draw(NUMBER)},{draw(NUMBER)}" for _ in range(count)]
+    return dim, ";".join(coords)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(command=st.sampled_from(COMMANDS), dim_and_point=point_strings())
+def test_bad_point_never_ends_in_traceback(command, dim_and_point):
+    dim, point = dim_and_point
+    name = {2: "quartic2", 3: "a3_3d"}[dim]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec_to_dict(catalog(name))))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--spec", str(path), "--point", point])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
