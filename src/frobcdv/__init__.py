@@ -43,12 +43,14 @@ from .catalog import (
 from .cdv import (
     CdvStructure,
     HarmonicData,
+    StencilData,
     connection_gap,
     construct_canonical_cdv,
     flat_frame_dh,
     flat_frame_h,
     harmonic_potential,
     pencil_curvature,
+    stencil_data,
     verify_cv_axioms,
     verify_harmonic,
 )

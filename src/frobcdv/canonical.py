@@ -137,6 +137,12 @@ def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
     return _single(canonical_frames(spec, np.asarray(t, dtype=complex)[None], eps_ss))
 
 
+def as_frame(spec, t) -> CanonicalFrame:
+    """t itself if it is a CanonicalFrame (one built already, e.g. by
+    sampling), else the canonical frame at the point t."""
+    return t if isinstance(t, CanonicalFrame) else canonical_frame(spec, t)
+
+
 def levi_civita_canonical(frame: CanonicalFrame):
     """Christoffel matrices Gamma[alpha, k, beta] of nabla_{e_alpha} e_beta.
 

@@ -3,7 +3,7 @@
 All frame matrices use the column convention M[out, in] (matrix times
 coefficient vector).  CdvStructure and HarmonicData work in the
 canonical idempotent frame.  flat_frame_h, flat_frame_dh,
-flat_ttstar_data, curvature_coefficients, pencil_curvature,
+flat_ttstar_data, stencil_data, curvature_coefficients, pencil_curvature,
 verify_harmonic, verify_cv_axioms and the Kaehler and real Levi-Civita
 gaps of connection_gap work in the flat frame, where every matrix is
 label-invariant, so no verifier matches eigenvalue labels across its
@@ -17,12 +17,14 @@ import numpy as np
 
 from .canonical import (
     CanonicalFrame,
+    as_frame,
     canonical_frame,
     canonical_frames,
     levi_civita_canonical,
 )
 from .numerics import (
     DEFAULT_FD_STEP,
+    WirtingerDerivative,
     evaluate_stencil,
     invert,
     wirtinger_combine,
@@ -58,6 +60,22 @@ class HarmonicData:
     V: np.ndarray
 
 
+@dataclass(frozen=True)
+class StencilData:
+    """The flat data that verify_cv_axioms and verify_harmonic read at one
+    point (stencil_data).
+
+    h is the pairing and S the tt* data (flat_ttstar_data) at the point,
+    dS the Wirtinger derivatives of S and dP the holomorphic ones of
+    P_flat = A P A^{-1}, the harmonic potential in the flat frame.
+    """
+
+    h: np.ndarray
+    S: np.ndarray
+    dS: WirtingerDerivative
+    dP: np.ndarray
+
+
 def construct_canonical_cdv(frame: CanonicalFrame, d: float) -> CdvStructure:
     """The canonical structure K = diag(|eta|/eta), h = diag(|eta|); d is unused."""
     K = np.diag(np.abs(frame.eta) / frame.eta)
@@ -67,12 +85,28 @@ def construct_canonical_cdv(frame: CanonicalFrame, d: float) -> CdvStructure:
     return CdvStructure(frame=frame, K=K, h=h, omega=omega)
 
 
-def _stencil_derivatives(field, t, fd_step):
-    """Wirtinger derivatives along every coordinate of a stacked field
-    (see numerics.evaluate_stencil), from one call on all 4m stencil
-    points."""
-    points = wirtinger_points(t, fd_step)
-    return wirtinger_combine(evaluate_stencil(field, t, points), fd_step)
+def stencil_data(spec, frame: CanonicalFrame, fd_step=DEFAULT_FD_STEP) -> StencilData:
+    """The StencilData of the point of frame, for both FD verifiers.
+
+    h and its exact derivatives come from one flat_frame_dh call, which
+    flat_ttstar_data reuses.  The frames at the 4m Wirtinger stencil
+    points are one canonical_frames stack, on which one evaluate_stencil
+    call gives [flat_ttstar_data, P_flat] and one wirtinger_combine call
+    differences it.
+    """
+    h_dh = flat_frame_dh(frame)
+    S = flat_ttstar_data(frame, h_dh)
+
+    def field(points):
+        frames = canonical_frames(spec, points)
+        P = frames.A @ harmonic_potential(frames, spec.d).P @ invert(frames.A)
+        return np.concatenate([flat_ttstar_data(frames), P[:, None]], axis=-3)
+
+    points = wirtinger_points(frame.point, fd_step)
+    d = wirtinger_combine(evaluate_stencil(field, frame.point, points), fd_step)
+    n = S.shape[-3]
+    return StencilData(h=h_dh[0], S=S, dS=WirtingerDerivative(d.holo[:, :n], d.anti[:, :n]),
+                       dP=d.holo[:, n])
 
 
 def _maxabs(M):
@@ -80,26 +114,26 @@ def _maxabs(M):
 
 
 def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
-                     fd_step=DEFAULT_FD_STEP) -> VerificationReport:
+                     fd_step=DEFAULT_FD_STEP, stencil: StencilData = None) -> VerificationReport:
     """One residual per structure axiom at the point of cdv.frame.
 
-    Every check reads the flat-frame tt* data at that point: h
-    (flat_frame_dh), K = g^{-1} h and W_k, Phi_k, Phidag_k and kappa U
-    kappa (flat_ttstar_data).  The four algebraic checks
-    (kappa_involution, hermitian_pairing, higgs_reality, q_reality) are
-    compared against alg_tol, the five others against tol: unit_parallel
-    is exact; kappa_parallel, higgs_parallel and ttstar_commutator are
-    Laurent coefficients of the pencil's curvature
+    Every check reads the flat-frame tt* data at that point, from stencil
+    (stencil_data at cdv.frame, built with fd_step when it is None): h,
+    K = g^{-1} h and W_k, Phi_k, Phidag_k and kappa U kappa.  The four
+    algebraic checks (kappa_involution, hermitian_pairing, higgs_reality,
+    q_reality) are compared against alg_tol, the five others against tol:
+    unit_parallel is exact; kappa_parallel, higgs_parallel and
+    ttstar_commutator are Laurent coefficients of the pencil's curvature
     (curvature_coefficients), and omega_holomorphy is one term of them.
-    Those four take one Wirtinger difference of the flat data over one
-    stack of stencil frames.
+    Those four read the stencil's Wirtinger difference of the flat data.
     """
     frame = cdv.frame
     m = len(frame.u)
-    h = flat_frame_dh(frame)[0]
+    if stencil is None:
+        stencil = stencil_data(spec, frame, fd_step)
+    h, S, wd = stencil.h, stencil.S, stencil.dS
     h_inv = invert(h)
     K = frame.ev.g_inv @ h
-    S = flat_ttstar_data(frame)
     W, Phi, Phidag, kUk = S[:m], S[m:2 * m], S[2 * m:3 * m], S[3 * m + 1]
     report = VerificationReport()
 
@@ -118,8 +152,6 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
 
     # The curvature coefficients F[k][mu, nu] of z^k; i, j are holomorphic
     # flat directions, ibar, jbar antiholomorphic ones.
-    wd = _stencil_derivatives(lambda points: flat_ttstar_data(canonical_frames(spec, points)),
-                              frame.point, fd_step)
     F = curvature_coefficients(S, wd)
     hol, anti = slice(0, m), slice(m, 2 * m)
 
@@ -183,30 +215,28 @@ def harmonic_potential(frame: CanonicalFrame, d: float) -> HarmonicData:
 
 
 def verify_harmonic(spec, frame: CanonicalFrame, hd: HarmonicData, cdv: CdvStructure, tol,
-                    fd_step=DEFAULT_FD_STEP) -> VerificationReport:
+                    fd_step=DEFAULT_FD_STEP, stencil: StencilData = None) -> VerificationReport:
     """Residuals of the harmonic-potential defining system, in the flat frame.
 
     hd is the harmonic data at the point of frame.  Each of its matrices X
     is read as X_flat = A X A^{-1}, which does not depend on the labels,
-    and checked against the flat tt* data W_k, Phi_k and U
-    (flat_ttstar_data).  The check of D'P differences P_flat over the
-    frames of all stencil points, built as one stack without label
-    matching.  cdv is unused; the call keeps it.
+    and checked against the flat tt* data W_k, Phi_k and U of stencil
+    (stencil_data at frame, built with fd_step when it is None).  The
+    check of D'P reads the stencil's difference of P_flat over the frames
+    of all stencil points, built as one stack without label matching.
+    cdv is unused; the call keeps it.
     """
     m = len(frame.u)
     A, A_inv = frame.A, invert(frame.A)
     P, Pdag, V = (A @ X @ A_inv for X in (hd.P, hd.Pdag, hd.V))
-    S = flat_ttstar_data(frame)
+    if stencil is None:
+        stencil = stencil_data(spec, frame, fd_step)
+    S, dP = stencil.S, stencil.dP
     W, Phi, U = S[:m], S[m:2 * m], S[3 * m]
-
-    def P_field(points):
-        frames = canonical_frames(spec, points)
-        return frames.A @ harmonic_potential(frames, spec.d).P @ invert(frames.A)
 
     report = VerificationReport()
 
     # (a) D'P = Phi: d_k P + [W_k, P] = Phi_k.
-    dP = _stencil_derivatives(P_field, frame.point, fd_step).holo
     report.add("dprime_p_equals_higgs", _maxabs(dP + W @ P - P @ W - Phi), tol)
 
     # (b) D' = nabla - [Pdag, Phi], where nabla is trivial in flat
@@ -242,7 +272,7 @@ def flat_frame_dh(frame: CanonicalFrame):
     terms cancel: d_k h = -B^T M_k conj(B), where M_k[alpha, gamma] =
     dC[k, alpha, gamma] |eta_gamma| / eta_gamma off the diagonal, 0 on it.
     """
-    B = invert(frame.A)
+    B = invert(frame.A, "idempotent frame A", frame.point)
     abs_eta = np.abs(frame.eta)
     h = np.einsum("...ai,...aj,...a->...ij", B, np.conj(B), abs_eta)
     M = frame.dC * (abs_eta / frame.eta)[..., None, None, :]
@@ -276,12 +306,12 @@ def connection_gap(spec, t, tol) -> VerificationReport:
 
     Entries read as distances: an entry "passes" exactly when the
     corresponding gap is below tol, i.e. when the structure behaves as in
-    the trivial (flat) case.  Every derivative of h is exact
-    (flat_frame_dh), so a call takes one eigendecomposition.
+    the trivial (flat) case.  t is a point or the CanonicalFrame at it.
+    Every derivative of h is exact (flat_frame_dh), so a call takes one
+    eigendecomposition at a point and none given its frame.
     """
-    t = np.asarray(t, dtype=complex)
     m = spec.dim
-    frame = canonical_frame(spec, t)
+    frame = as_frame(spec, t)
     cdv = construct_canonical_cdv(frame, spec.d)
     report = VerificationReport()
 
@@ -326,7 +356,7 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     return report
 
 
-def flat_ttstar_data(frames: CanonicalFrame):
+def flat_ttstar_data(frames: CanonicalFrame, h_dh=None):
     """The tt* data in flat coordinates at a frame, or at each of a stack.
 
     The slots, on the axis before the last two (column convention), are
@@ -334,9 +364,10 @@ def flat_ttstar_data(frames: CanonicalFrame):
     is the Chern connection along d_k, Phi_k = -C_k^T the Higgs field,
     Phidag_k = kappa Phi_k kappa = K conj(Phi_k) conj(K) with K = g^{-1} h
     the matrix of kappa, and U the Euler multiplication.  All of it is
-    label-invariant, and the derivatives of h are exact (flat_frame_dh).
+    label-invariant, and the derivatives of h are exact: h_dh is
+    flat_frame_dh(frames), computed here when it is None.
     """
-    h, dh = flat_frame_dh(frames)
+    h, dh = flat_frame_dh(frames) if h_dh is None else h_dh
     ev = frames.ev
     K = ev.g_inv @ h
     W = np.swapaxes(dh @ invert(h)[..., None, :, :], -1, -2)

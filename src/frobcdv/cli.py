@@ -54,13 +54,15 @@ def _draw_point(rng, dim):
     return r * np.exp(1j * th)
 
 
-def sample_points(spec, n, seed):
+def sample_points(spec, n, seed, frames=None):
     """Seeded points on the unit polydisk, resampled off the discriminant.
 
     A draw is kept once canonical_frame accepts it with the eigenvalue
     gap SAMPLING_EPS_SS; each of the n points gets RESAMPLE_LIMIT draws.
     Returns (points, skipped) where skipped counts the points whose draws
-    all stayed too close to the non-semi-simple locus.
+    all stayed too close to the non-semi-simple locus.  If frames is a
+    list, the frame built for each kept point is appended to it, so that
+    a caller need not build it again.
     """
     rng = np.random.default_rng(seed)
     points, skipped = [], 0
@@ -68,10 +70,12 @@ def sample_points(spec, n, seed):
         for _attempt in range(RESAMPLE_LIMIT):
             t = _draw_point(rng, spec.dim)
             try:
-                canonical_frame(spec, t, eps_ss=SAMPLING_EPS_SS)
+                frame = canonical_frame(spec, t, eps_ss=SAMPLING_EPS_SS)
             except FrobCdvError:
                 continue
             points.append(t)
+            if frames is not None:
+                frames.append(frame)
             break
         else:
             skipped += 1
@@ -135,34 +139,36 @@ def write_report(path, spec_path, points, report, seed, fd_step, skipped=0, extr
 
 
 def _points_for(spec, args):
-    """Points to check; a run that would check none is an error, not a pass."""
+    """(points, frames, skipped): the points to check and the canonical
+    frame at each, built once here (by sample_points, or from --point).
+    A run that would check no point is an error, not a pass."""
     if args.point:
-        return [_parse_point(args.point, spec.dim)], 0
+        t = _parse_point(args.point, spec.dim)
+        return [t], [canonical_frame(spec, t)], 0
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")
-    pts, skipped = sample_points(spec, args.points, args.seed)
+    frames = []
+    pts, skipped = sample_points(spec, args.points, args.seed, frames)
     if not pts:
         raise FrobCdvError(
             f"no semi-simple point found: all {skipped} samples skipped after "
             f"{RESAMPLE_LIMIT} draws each (seed {args.seed})"
         )
-    return pts, skipped
+    return pts, frames, skipped
 
 
 def cmd_verify(args):
     spec = load_spec(args.spec)
-    pts, skipped = _points_for(spec, args)
+    pts, frames, skipped = _points_for(spec, args)
     reports = [check_wdvv(spec, pts, args.tol), check_homogeneity(spec, pts, args.tol)]
-    for t in pts:
-        frame = canonical_frame(spec, t)
+    for frame in frames:
         structure = cdvmod.construct_canonical_cdv(frame, spec.d)
-        reports.append(
-            cdvmod.verify_cv_axioms(spec, structure, args.tol, fd_step=args.fd_step)
-        )
+        # Both FD verifiers read one stack of stencil frames.
+        stencil = cdvmod.stencil_data(spec, frame, args.fd_step)
+        reports.append(cdvmod.verify_cv_axioms(spec, structure, args.tol, stencil=stencil))
         hd = cdvmod.harmonic_potential(frame, spec.d)
         reports.append(
-            cdvmod.verify_harmonic(spec, frame, hd, structure, args.tol,
-                                   fd_step=args.fd_step)
+            cdvmod.verify_harmonic(spec, frame, hd, structure, args.tol, stencil=stencil)
         )
         reports.append(check_euler_eta(spec, frame, args.tol))
     report = aggregate(reports)
@@ -171,9 +177,8 @@ def cmd_verify(args):
 
 def cmd_cdv(args):
     spec = load_spec(args.spec)
-    pts, skipped = _points_for(spec, args)
-    t = pts[0]
-    frame = canonical_frame(spec, t)
+    pts, frames, skipped = _points_for(spec, args)
+    frame = frames[0]
     structure = cdvmod.construct_canonical_cdv(frame, spec.d)
     hd = cdvmod.harmonic_potential(frame, spec.d)
     extra = {
@@ -186,19 +191,19 @@ def cmd_cdv(args):
         }
     }
     report = cdvmod.verify_cv_axioms(spec, structure, args.tol, fd_step=args.fd_step)
-    return report, [t], skipped, extra
+    return report, pts, skipped, extra
 
 
 def cmd_connections(args):
     spec = load_spec(args.spec)
-    pts, skipped = _points_for(spec, args)
-    reports = [cdvmod.connection_gap(spec, t, args.tol) for t in pts]
+    pts, frames, skipped = _points_for(spec, args)
+    reports = [cdvmod.connection_gap(spec, frame, args.tol) for frame in frames]
     return aggregate(reports), pts, skipped, None
 
 
 def cmd_pencil(args):
     spec = load_spec(args.spec)
-    pts, skipped = _points_for(spec, args)
+    pts, _, skipped = _points_for(spec, args)
     z_samples = [1.0, 1.0j, 2.0]
     reports = [
         cdvmod.pencil_curvature(spec, t, z_samples, args.tol, fd_step=args.fd_step)
@@ -209,17 +214,17 @@ def cmd_pencil(args):
 
 def cmd_lowdim(args):
     spec = load_spec(args.spec)
-    pts, skipped = _points_for(spec, args)
+    pts, frames, skipped = _points_for(spec, args)
     reports = []
-    for t in pts:
-        inp = ld.from_canonical(spec, t)
+    for frame in frames:
+        inp = ld.from_canonical(spec, frame)
         if spec.dim == 2:
             reports.append(ld.check_m2_relations(inp, args.tol))
         elif spec.dim == 3:
             reports.append(ld.check_m3_relations(inp, args.tol))
         else:
             raise ParseError("lowdim checks support dimensions 2 and 3 only")
-        reports.append(ld.check_euler_degree(spec, t, args.tol))
+        reports.append(ld.check_euler_degree(spec, frame, args.tol))
     return aggregate(reports), pts, skipped, None
 
 
@@ -292,14 +297,18 @@ def build_parser():
         p.add_argument("--tol", type=float, default=1e-5, help="residual tolerance")
         p.add_argument("--report", default=None, help="write JSON report here")
 
-    def pointwise(p):
+    def pointwise(p, one_point):
         common(p)
-        p.add_argument("--points", type=int, default=3, help="number of sample points")
+        if one_point:
+            p.set_defaults(points=1)
+        else:
+            p.add_argument("--points", type=int, default=3, help="number of sample points")
         p.add_argument("--point", default=None,
                        help='explicit point "re,im;re,im;..." (overrides sampling)')
 
     # verify, cdv and pencil take one finite difference of exact frame
-    # data; connections and lowdim are exact, so they accept no step.
+    # data; connections and lowdim are exact, so they accept no step.  cdv
+    # reports the structure at one point, so it samples only that one.
     for name, fn, takes_fd_step in (
         ("verify", cmd_verify, True),
         ("cdv", cmd_cdv, True),
@@ -308,7 +317,7 @@ def build_parser():
         ("lowdim", cmd_lowdim, False),
     ):
         p = sub.add_parser(name)
-        pointwise(p)
+        pointwise(p, one_point=name == "cdv")
         if takes_fd_step:
             p.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP,
                            help="finite-difference step")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import canonical_frame
+from .canonical import as_frame
 from .cdv import flat_frame_dh
 from .errors import NoConvergence, NonPositiveIterate, NotNormalForm, ValidationError
 from .numerics import invert
@@ -44,12 +44,13 @@ def _require_normal_form(spec):
 def from_canonical(spec, t) -> LowDimInput:
     """Build normal-form point data from the canonical construction.
 
-    The Chern forms are omega_i^j = sum_k (d h_ik) h^kj, with h and its
-    derivatives exact from one canonical frame (flat_frame_dh); the third
-    derivatives are the ones that frame was built from.
+    t is a point or the CanonicalFrame at it.  The Chern forms are
+    omega_i^j = sum_k (d h_ik) h^kj, with h and its derivatives exact from
+    that one frame (flat_frame_dh); the third derivatives are the ones the
+    frame was built from.
     """
     _require_normal_form(spec)
-    frame = canonical_frame(spec, t)
+    frame = as_frame(spec, t)
     h, dh = flat_frame_dh(frame)
     return LowDimInput(
         m=spec.dim, h=h, omega=dh @ invert(h), C3=frame.ev.C3,
@@ -125,11 +126,12 @@ def check_m3_relations(inp: LowDimInput, tol) -> VerificationReport:
 
 
 def check_euler_degree(spec, t, tol) -> VerificationReport:
-    """Degree relation (E - Ebar) h_ij = (d_j - d_i) h_ij in flat coordinates."""
+    """Degree relation (E - Ebar) h_ij = (d_j - d_i) h_ij in flat coordinates,
+    at a point t or at the CanonicalFrame t."""
     _require_normal_form(spec)
-    t = np.asarray(t, dtype=complex)
-    h, dh = flat_frame_dh(canonical_frame(spec, t))
-    Eh = np.einsum("k,kij->ij", spec.euler_components(t), dh)
+    frame = as_frame(spec, t)
+    h, dh = flat_frame_dh(frame)
+    Eh = np.einsum("k,kij->ij", spec.euler_components(frame.point), dh)
     lhs = Eh - np.conj(Eh).T  # Ebar(h) = E(h)^dagger, as h is Hermitian
     degrees = np.asarray(spec.degrees)
     rhs = (degrees[None, :] - degrees[:, None]) * h

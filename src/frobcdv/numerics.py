@@ -96,14 +96,23 @@ def solve_eig(M) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs, residual)
 
 
-def invert(M):
+def invert(M, name="matrix", points=None):
     """Inverse of a matrix, or of each in a stack, with an explicit
-    determinant guard (raises Singular if any matrix fails it)."""
+    determinant guard (raises Singular if any matrix fails it).
+
+    The message names the matrix by name and, when points holds the point
+    of each matrix (one point, or a stack of them), the first failing one.
+    """
     M = _check_square(M)
     m = M.shape[-1]
     scale = np.max(np.sum(np.abs(M), axis=-1), axis=-1)  # infinity norm
-    if np.any((scale == 0.0) | (np.abs(np.linalg.det(M)) <= INV_EPS * scale**m)):
-        raise Singular("matrix is singular to working precision")
+    bad = (scale == 0.0) | (np.abs(np.linalg.det(M)) <= INV_EPS * scale**m)
+    if np.any(bad):
+        where = ""
+        if points is not None:
+            point = np.reshape(points, (-1, np.shape(points)[-1]))[int(np.argmax(np.ravel(bad)))]
+            where = " at (" + ", ".join(f"{complex(z):.6g}" for z in point) + ")"
+        raise Singular(f"{name} is singular to working precision{where}")
     return np.linalg.inv(M)
 
 

@@ -28,7 +28,6 @@ from frobcdv import (
     write_spec,
 )
 from frobcdv import cdv as cdv_module
-from frobcdv.canonical import canonical_frames
 from frobcdv.cdv import _real_metric, _real_metric_derivatives
 from frobcdv.cli import main, sample_points
 
@@ -88,10 +87,12 @@ def test_axioms_a3():
 
 
 def _patch_flat(monkeypatch, attr, mutate):
-    """Replace cdv.<attr>, a function of a frame stack, by mutate(frames,
-    its original value)."""
+    """Replace cdv.<attr>, a function of a frame stack (and, for
+    flat_ttstar_data, of flat_frame_dh's value when given), by
+    mutate(frames, its original value)."""
     original = getattr(cdv_module, attr)
-    monkeypatch.setattr(cdv_module, attr, lambda frames: mutate(frames, original(frames)))
+    monkeypatch.setattr(cdv_module, attr,
+                        lambda frames, *args: mutate(frames, original(frames, *args)))
 
 
 def _phidag_with_unconjugated_kappa(frames, S):
@@ -258,9 +259,7 @@ def test_q_reality_equation_is_the_z_inverse_curvature_coefficient(name, t):
     m = spec.dim
     frame = canonical_frame(spec, t)
     S = cdv_module.flat_ttstar_data(frame)
-    wd = cdv_module._stencil_derivatives(
-        lambda points: cdv_module.flat_ttstar_data(canonical_frames(spec, points)),
-        frame.point, 1e-5)
+    wd = cdv_module.stencil_data(spec, frame, 1e-5).dS
     Q = np.random.default_rng(4).normal(size=(m, m)) + 0j
     W, Phi, kUk = S[:m], S[m:2 * m], S[3 * m + 1]
     expected = -(W @ Q - Q @ W) - (Phi @ kUk - kUk @ Phi)
@@ -547,6 +546,22 @@ def test_exact_dh_layers_take_one_eigendecomposition(eig_calls, name, t):
         eig_calls.clear()
         check()
         assert eig_calls == [1]
+
+
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)])
+def test_exact_dh_layers_take_a_frame_for_the_point(eig_calls, name, t):
+    # Given the frame at t they build none, and read exactly the same.
+    spec = catalog(name)
+    frame = canonical_frame(spec, t)
+    for check in (
+        lambda at: connection_gap(spec, at, 1e-5).entries,
+        lambda at: check_euler_degree(spec, at, 1e-10).entries,
+        lambda at: [(f, getattr(from_canonical(spec, at), f).tolist()) for f in ("h", "omega")],
+    ):
+        at_point = check(t)
+        eig_calls.clear()
+        assert check(frame) == at_point
+        assert eig_calls == []
 
 
 @pytest.mark.parametrize("seed", [5, 47])

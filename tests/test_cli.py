@@ -14,10 +14,23 @@ from frobcdv import (
     CATALOG_NAMES,
     ParseError,
     VerificationReport,
+    canonical_frame,
     catalog,
+    check_euler_degree,
+    check_euler_eta,
+    check_homogeneity,
+    check_m2_relations,
+    check_m3_relations,
+    check_wdvv,
+    connection_gap,
+    construct_canonical_cdv,
+    from_canonical,
+    harmonic_potential,
     load_spec,
     spec_from_dict,
     spec_to_dict,
+    verify_cv_axioms,
+    verify_harmonic,
     write_spec,
 )
 from frobcdv.cli import _parse_point, aggregate, main, sample_points
@@ -90,6 +103,33 @@ def test_bad_point_is_one_line_error(tmp_path, capsys, command):
         assert out.err.count("\n") == 1 and out.err.startswith("error: "), point
 
 
+def _points(command, n):
+    """--points n, which cdv does not take: it samples the one point it
+    reports."""
+    return [] if command == "cdv" else ["--points", str(n)]
+
+
+def test_cdv_rejects_points(tmp_path, capsys):
+    spec = _dump("quartic2", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["cdv", "--spec", spec, "--points", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cdv_samples_only_the_point_it_reports(tmp_path, eig_calls):
+    # It used to sample --points (3 by default) and check only the first.
+    pts, skipped = sample_points(catalog("a3_3d"), 1, seed=0)
+    spec = _dump("a3_3d", tmp_path)
+    report = tmp_path / "r.json"
+    eig_calls.clear()
+    assert main(["cdv", "--spec", spec, "--seed", "0", "--report", str(report)]) == 0
+    assert eig_calls == [1, 12]  # the sampled frame, then verify_cv_axioms' stencil
+    doc = json.loads(report.read_text())
+    assert doc["points"] == [[[z.real, z.imag] for z in pts[0]]]
+    assert doc["skipped"] == skipped == 0
+
+
 def test_sample_points_deterministic_and_in_polydisk():
     spec = catalog("quartic2")
     pts1, sk1 = sample_points(spec, 5, seed=3)
@@ -147,6 +187,82 @@ def test_verify_report_check_names(tmp_path, name, wdvv):
                  "--report", str(report)]) == 0
     names = tuple(c["name"] for c in json.loads(report.read_text())["checks"])
     assert names == wdvv + ("euler_homogeneity",) + AXIOM_CHECKS
+
+
+# Matrices per eigen-solve call of one CLI call with --points 1 at seed 0,
+# whose first draw is accepted on each spec: the sampled frame serves every
+# check, and verify's two FD verifiers share one stack of 4m stencil frames.
+EIGS_PER_COMMAND = [
+    ("verify", "quartic2", [1, 8]),
+    ("verify", "a3_3d", [1, 12]),
+    ("connections", "quartic2", [1]),
+    ("connections", "a3_3d", [1]),
+    ("lowdim", "quartic2", [1]),
+    ("lowdim", "a3_3d", [1]),
+    ("pencil", "quartic2", [1, 9]),
+    ("pencil", "a3_3d", [1, 13]),
+]
+
+
+@pytest.mark.parametrize("command,name,eigs", EIGS_PER_COMMAND,
+                         ids=[f"{c}-{n}" for c, n, _ in EIGS_PER_COMMAND])
+def test_one_frame_per_point_per_command(tmp_path, eig_calls, command, name, eigs):
+    spec = _dump(name, tmp_path)
+    eig_calls.clear()
+    main([command, "--spec", spec, "--points", "1", "--seed", "0"])
+    assert eig_calls == eigs
+
+
+def _standalone_residuals(command, spec, pts, tol=1e-5):
+    """The worst residual per check of the public calls that command makes,
+    each at its own frame, over the points pts."""
+    reports = []
+    if command == "verify":
+        reports += [check_wdvv(spec, pts, tol), check_homogeneity(spec, pts, tol)]
+    for t in pts:
+        if command == "verify":
+            frame = canonical_frame(spec, t)
+            cdv = construct_canonical_cdv(frame, spec.d)
+            reports += [verify_cv_axioms(spec, cdv, tol),
+                        verify_harmonic(spec, frame, harmonic_potential(frame, spec.d), cdv, tol),
+                        check_euler_eta(spec, frame, tol)]
+        elif command == "connections":
+            reports.append(connection_gap(spec, t, tol))
+        else:
+            relations = check_m2_relations if spec.dim == 2 else check_m3_relations
+            reports += [relations(from_canonical(spec, t), tol), check_euler_degree(spec, t, tol)]
+    worst = {}
+    for rep in reports:
+        for e in rep.entries:
+            worst[e.name] = max(worst.get(e.name, e.residual), e.residual)
+    return worst
+
+
+@pytest.mark.parametrize("command", ["verify", "connections", "lowdim"])
+def test_reports_equal_standalone_calls_exactly(tmp_path, command):
+    # The CLI hands each sampled frame on, and verify shares one stencil
+    # stack between its verifiers; no residual may move by even one bit.
+    for name in ("quartic2", "p1", "a3_3d"):
+        path = _dump(name, tmp_path)
+        spec = catalog(name)
+        for seed in range(10):
+            report = tmp_path / "r.json"
+            main([command, "--spec", path, "--seed", str(seed), "--report", str(report)])
+            doc = json.loads(report.read_text())
+            pts, _ = sample_points(spec, 3, seed)
+            assert doc["points"] == [[[z.real, z.imag] for z in t] for t in pts]
+            residuals = {c["name"]: c["residual"] for c in doc["checks"]}
+            assert residuals == _standalone_residuals(command, spec, pts), (name, seed)
+
+
+def test_singular_frame_error_names_matrix_and_point(tmp_path, capsys):
+    # Far out on p1 the idempotent frame is singular to working precision;
+    # the message used to name neither the matrix nor the point.
+    spec = _dump("p1", tmp_path)
+    assert main(["verify", "--spec", spec, "--point", "0.3,0;300,0"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: idempotent frame A is singular to working precision "
+                   "at (0.3+0j, 300+0j)\n")
 
 
 def test_explicit_point_flag(tmp_path):
@@ -227,7 +343,7 @@ def test_tt2d_rejects_sampling_options(tmp_path, capsys, flags):
 def test_fd_step_is_reported(tmp_path, command):
     spec = _dump("quartic2", tmp_path)
     report = tmp_path / "r.json"
-    assert main([command, "--spec", spec, "--points", "1", "--fd-step", "2e-5",
+    assert main([command, "--spec", spec, *_points(command, 1), "--fd-step", "2e-5",
                  "--report", str(report)]) == 0
     assert json.loads(report.read_text())["summary"]["fd_step"] == 2e-5
 
@@ -341,7 +457,7 @@ def test_report_deterministic_modulo_timestamp(tmp_path):
 def test_no_point_checked_is_an_error(tmp_path, capsys, command):
     # trivial2 is nowhere semi-simple: every draw is skipped.
     spec = _dump("trivial2", tmp_path)
-    assert main([command, "--spec", spec, "--points", "2"]) == 2
+    assert main([command, "--spec", spec, *_points(command, 2)]) == 2
     out = capsys.readouterr()
     assert "PASS" not in out.out
     assert out.err.count("\n") == 1 and "no semi-simple point" in out.err
@@ -371,7 +487,7 @@ def test_bad_step_or_tolerance_is_one_line_error(tmp_path, capsys, argv):
     # A zero step used to end in a ValueError traceback, an infinite one
     # in a RuntimeWarning, and a NaN tolerance in a FAIL of every check.
     spec = _dump("quartic2", tmp_path)
-    assert main(argv[:1] + ["--spec", spec, "--points", "1"] + argv[1:]) == 2
+    assert main(argv[:1] + ["--spec", spec, *_points(argv[0], 1)] + argv[1:]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith(f"error: {argv[1]} must be ")

@@ -129,6 +129,14 @@ def test_invert_rejects_singular():
         invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def test_invert_names_the_matrix_and_first_singular_point():
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2))])
+    points = np.array([[0.0, 1.0], [0.5 - 2.0j, 1e-7j], [3.0, 3.0]])
+    with pytest.raises(Singular, match=r"^frame M is singular to working precision "
+                                       r"at \(0\.5-2j, 0\+1e-07j\)$"):
+        invert(stack, "frame M", points)
+
+
 def test_invert_twice_is_identity():
     rng = np.random.default_rng(5)
     for _ in range(5):
