@@ -7,8 +7,10 @@ flat_ttstar_data, stencil_data, curvature_coefficients, pencil_curvature,
 verify_harmonic, verify_cv_axioms and the Kaehler and real Levi-Civita
 gaps of connection_gap work in the flat frame, where every matrix is
 label-invariant, so no verifier matches eigenvalue labels across its
-stencil.  The Hermitian pairing convention is h(u, v) = sum_ij u^i
-conj(v^j) h_ij, C-linear in the first slot.
+stencil.  stencil_data builds the one stencil of all three FD
+verifiers (verify_cv_axioms, verify_harmonic and pencil_curvature).  The
+Hermitian pairing convention is h(u, v) = sum_ij u^i conj(v^j) h_ij,
+C-linear in the first slot.
 """
 
 from dataclasses import dataclass
@@ -62,8 +64,8 @@ class HarmonicData:
 
 @dataclass(frozen=True)
 class StencilData:
-    """The flat data that verify_cv_axioms and verify_harmonic read at one
-    point (stencil_data).
+    """The flat data that verify_cv_axioms, verify_harmonic and
+    pencil_curvature read at one point (stencil_data).
 
     h is the pairing and S the tt* data (flat_ttstar_data) at the point,
     dS the Wirtinger derivatives of S and dP the holomorphic ones of
@@ -86,7 +88,7 @@ def construct_canonical_cdv(frame: CanonicalFrame, d: float) -> CdvStructure:
 
 
 def stencil_data(spec, frame: CanonicalFrame, fd_step=DEFAULT_FD_STEP) -> StencilData:
-    """The StencilData of the point of frame, for both FD verifiers.
+    """The StencilData of the point of frame, for all three FD verifiers.
 
     h and its exact derivatives come from one flat_frame_dh call, which
     flat_ttstar_data reuses.  The frames at the 4m Wirtinger stencil
@@ -433,16 +435,12 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
     ttstar_commutator and omega_holomorphy off the same coefficients,
     and solves the Q of its q_reality from the z^-1 coefficient of
     (i, z).  The tt* data (flat_ttstar_data) does not depend on z, so it
-    is built from the frames at the centre and at the 4m Wirtinger
-    stencil points, all in one stack: one eigen-solve call of 4m+1
-    matrices and one evaluation of the third derivatives, which the
-    frames carry.  The only finite differences are those of that data.
+    and its Wirtinger derivatives come from stencil_data at t, a point or
+    the CanonicalFrame at it, as for both other FD verifiers.  The only
+    finite differences are those of that data.
     """
-    t = np.asarray(t, dtype=complex)
-    points = np.concatenate([t[None], wirtinger_points(t, fd_step)])
-    S = evaluate_stencil(lambda p: flat_ttstar_data(canonical_frames(spec, p)), t, points)
-    F = curvature_coefficients(S[0], wirtinger_combine(S[1:], fd_step),
-                               0.0 if Q is None else np.asarray(Q, dtype=complex))
+    st = stencil_data(spec, as_frame(spec, t), fd_step)
+    F = curvature_coefficients(st.S, st.dS, 0.0 if Q is None else np.asarray(Q, dtype=complex))
     z = np.asarray(list(z_samples), dtype=complex)
     Fz = np.tensordot(z[:, None] ** np.array(list(F)), np.stack(list(F.values())), 1)
 

@@ -203,11 +203,11 @@ def cmd_connections(args):
 
 def cmd_pencil(args):
     spec = load_spec(args.spec)
-    pts, _, skipped = _points_for(spec, args)
+    pts, frames, skipped = _points_for(spec, args)
     z_samples = [1.0, 1.0j, 2.0]
     reports = [
-        cdvmod.pencil_curvature(spec, t, z_samples, args.tol, fd_step=args.fd_step)
-        for t in pts
+        cdvmod.pencil_curvature(spec, frame, z_samples, args.tol, fd_step=args.fd_step)
+        for frame in frames
     ]
     return aggregate(reports), pts, skipped, None
 
@@ -342,7 +342,10 @@ def build_parser():
 
 
 def _check_numbers(args):
-    """Reject a tolerance or finite-difference step no check can use."""
+    """Reject a seed, tolerance or finite-difference step no check can use."""
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {seed}")
     tol = getattr(args, "tol", 0.0)
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ParseError(f"--tol must be finite and non-negative, got {tol}")
@@ -360,13 +363,13 @@ def main(argv=None):
         # a residual read off inf or nan.
         with np.errstate(over="raise", invalid="raise"):
             report, pts, skipped, extra = args.func(args)
+        if report is None:
+            return 0
+        doc = write_report(args.report, args.spec, pts, report, args.seed, args.fd_step,
+                           skipped=skipped, extra=extra)
     except (FrobCdvError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if report is None:
-        return 0
-    doc = write_report(args.report, args.spec, pts, report, args.seed, args.fd_step,
-                       skipped=skipped, extra=extra)
     for line in report.summary_lines():
         print(line)
     print(f"summary: {'PASS' if doc['summary']['pass'] else 'FAIL'}")

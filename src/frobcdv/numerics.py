@@ -133,15 +133,14 @@ def wirtinger_points(point, step=DEFAULT_FD_STEP):
 
 
 def evaluate_stencil(f, point, points):
-    """f at a stack of stencil points about point: f maps an (N, m) stack
-    of points to an (N, ...) stack of values.
+    """f at a stack of stencil points about point, which is not among
+    them: f maps an (N, m) stack of points to an (N, ...) stack of values.
 
-    points may include point itself.  A numerical failure of f (a
-    FrobCdvError, ArithmeticError or ValueError, which includes
-    np.linalg.LinAlgError) is traced to the first point of the stack at
-    which f fails on its own: at point itself its exception propagates,
-    elsewhere it becomes EvaluationFailure naming the offset.  Any other
-    exception propagates unchanged.
+    A numerical failure of f (a FrobCdvError, ArithmeticError or
+    ValueError, which includes np.linalg.LinAlgError) is traced to the
+    first point of the stack at which f fails on its own, and becomes
+    EvaluationFailure naming its offset from point.  Any other exception
+    propagates unchanged.
     """
     try:
         return np.asarray(f(points), dtype=complex)
@@ -151,8 +150,6 @@ def evaluate_stencil(f, point, points):
                 f(p[None])
             except _NUMERICAL_FAILURES as exc_p:
                 offset = p - point
-                if not np.any(offset):
-                    raise  # a failure at point itself is not a stencil failure
                 k = int(np.argmax(np.abs(offset)))
                 raise EvaluationFailure(
                     f"function evaluation failed at stencil offset {complex(offset[k]):.3g} "

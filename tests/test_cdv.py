@@ -506,18 +506,23 @@ def test_pencil_scalar_grading_term_is_invisible():
     )
 
 
-@pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 9), ("a3_3d", A3_POINT, 13)])
+@pytest.mark.parametrize("given", ["frame", "point"])
+@pytest.mark.parametrize("name,t,m", [("quartic2", QPT, 2), ("a3_3d", A3_POINT, 3)],
+                         ids=["quartic2", "a3_3d"])
 def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, third_derivative_calls,
-                                                        name, t, eigs):
-    # 4m+1: base data at the centre and at 4m stencil points, each from
-    # one frame, since the derivatives of h in it are exact.  All frames
-    # are one stack: one eigen-solve call of 4m+1 matrices, and one
-    # evaluation of the third derivatives at the same 4m+1 points.
+                                                        name, t, m, given):
+    # stencil_data: the centre's base data comes from its frame, and the
+    # 4m stencil points' from one stack: one eigen-solve call of 4m
+    # matrices and one evaluation of the third derivatives at the same 4m
+    # points.  Given a point, its frame takes one more call of its own.
     spec = catalog(name)
     flat_metric(spec)  # cached once per spec; not part of the count
+    t = canonical_frame(spec, t) if given == "frame" else t
+    eig_calls.clear()
     third_derivative_calls.clear()
     pencil_curvature(spec, t, [1.0, 1.0j, 2.0], 1e-5)
-    assert eig_calls == third_derivative_calls == [eigs]
+    expected = [4 * m] if given == "frame" else [1, 4 * m]
+    assert eig_calls == third_derivative_calls == expected
 
 
 @pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 8), ("a3_3d", A3_POINT, 12)])

@@ -27,6 +27,7 @@ from frobcdv import (
     from_canonical,
     harmonic_potential,
     load_spec,
+    pencil_curvature,
     spec_from_dict,
     spec_to_dict,
     verify_cv_axioms,
@@ -191,7 +192,7 @@ def test_verify_report_check_names(tmp_path, name, wdvv):
 
 # Matrices per eigen-solve call of one CLI call with --points 1 at seed 0,
 # whose first draw is accepted on each spec: the sampled frame serves every
-# check, and verify's two FD verifiers share one stack of 4m stencil frames.
+# check, and each command's FD verifiers share one stack of 4m stencil frames.
 EIGS_PER_COMMAND = [
     ("verify", "quartic2", [1, 8]),
     ("verify", "a3_3d", [1, 12]),
@@ -199,8 +200,8 @@ EIGS_PER_COMMAND = [
     ("connections", "a3_3d", [1]),
     ("lowdim", "quartic2", [1]),
     ("lowdim", "a3_3d", [1]),
-    ("pencil", "quartic2", [1, 9]),
-    ("pencil", "a3_3d", [1, 13]),
+    ("pencil", "quartic2", [1, 8]),
+    ("pencil", "a3_3d", [1, 12]),
 ]
 
 
@@ -228,6 +229,8 @@ def _standalone_residuals(command, spec, pts, tol=1e-5):
                         check_euler_eta(spec, frame, tol)]
         elif command == "connections":
             reports.append(connection_gap(spec, t, tol))
+        elif command == "pencil":
+            reports.append(pencil_curvature(spec, t, [1, 1j, 2], tol))
         else:
             relations = check_m2_relations if spec.dim == 2 else check_m3_relations
             reports += [relations(from_canonical(spec, t), tol), check_euler_degree(spec, t, tol)]
@@ -238,7 +241,7 @@ def _standalone_residuals(command, spec, pts, tol=1e-5):
     return worst
 
 
-@pytest.mark.parametrize("command", ["verify", "connections", "lowdim"])
+@pytest.mark.parametrize("command", ["verify", "connections", "lowdim", "pencil"])
 def test_reports_equal_standalone_calls_exactly(tmp_path, command):
     # The CLI hands each sampled frame on, and verify shares one stencil
     # stack between its verifiers; no residual may move by even one bit.
@@ -492,6 +495,29 @@ def test_bad_step_or_tolerance_is_one_line_error(tmp_path, capsys, argv):
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith(f"error: {argv[1]} must be ")
     assert out.err.rstrip().endswith(f"got {float(argv[2])}")
+
+
+@pytest.mark.parametrize("command", ["verify", "cdv", "pencil", "connections", "lowdim"])
+def test_negative_seed_is_one_line_error(tmp_path, capsys, command):
+    # Sampling used to end in a ValueError traceback with exit 1, the code
+    # of a failed check.
+    spec = _dump("quartic2", tmp_path)
+    assert main([command, "--spec", spec, *_points(command, 1), "--seed", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_report_is_one_line_error(tmp_path, capsys, where):
+    # The report used to be written outside the error handling: a
+    # FileNotFoundError or IsADirectoryError traceback with exit 1.
+    spec = _dump("quartic2", tmp_path)
+    path = tmp_path / "missing" / "r.json" if where == "missing_dir" else tmp_path
+    assert main(["verify", "--spec", spec, "--points", "1", "--report", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ") and str(path) in out.err
 
 
 def test_tt2d_zero_tolerance_stops_at_roundoff_floor(tmp_path, capsys):
