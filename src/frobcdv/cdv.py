@@ -94,15 +94,17 @@ def stencil_data(spec, frame: CanonicalFrame, fd_step=DEFAULT_FD_STEP) -> Stenci
     flat_ttstar_data reuses.  The frames at the 4m Wirtinger stencil
     points are one canonical_frames stack, on which one evaluate_stencil
     call gives [flat_ttstar_data, P_flat] and one wirtinger_combine call
-    differences it.
+    differences it; the stack's A is inverted once, for both.
     """
     h_dh = flat_frame_dh(frame)
     S = flat_ttstar_data(frame, h_dh)
 
     def field(points):
         frames = canonical_frames(spec, points)
-        P = frames.A @ harmonic_potential(frames, spec.d).P @ invert(frames.A)
-        return np.concatenate([flat_ttstar_data(frames), P[:, None]], axis=-3)
+        B = _frame_inverse(frames)
+        P = frames.A @ harmonic_potential(frames, spec.d).P @ B
+        return np.concatenate([flat_ttstar_data(frames, flat_frame_dh(frames, B)), P[:, None]],
+                              axis=-3)
 
     points = wirtinger_points(frame.point, fd_step)
     d = wirtinger_combine(evaluate_stencil(field, frame.point, points), fd_step)
@@ -259,12 +261,18 @@ def flat_frame_h(spec, t):
     return flat_frame_dh(canonical_frame(spec, t))[0]
 
 
-def flat_frame_dh(frame: CanonicalFrame):
+def _frame_inverse(frame: CanonicalFrame):
+    """A^{-1} of a frame, or of each frame of a stack."""
+    return invert(frame.A, "idempotent frame A", frame.point)
+
+
+def flat_frame_dh(frame: CanonicalFrame, B=None):
     """h in the flat basis and its exact derivatives dh[k] = d_k h.
 
     h = B^T diag|eta| conj(B) with B = A^{-1} (row alpha = frame
     components of the flat vectors); it is label-invariant, and so is dh.
-    A frame stack gives h and dh for each of its points.
+    A frame stack gives h and dh for each of its points.  B is
+    _frame_inverse(frame), computed here when it is None.
     dbar_k h = dh[k]^dagger, as h is Hermitian.  d_k conj(B) = 0 and d_k B
     = -B (d_k A) B.  Differentiating e_alpha o e_alpha = e_alpha gives
     d_k e_alpha = sum_gamma x_gamma e_gamma with x_gamma = r_gamma for
@@ -274,7 +282,8 @@ def flat_frame_dh(frame: CanonicalFrame):
     terms cancel: d_k h = -B^T M_k conj(B), where M_k[alpha, gamma] =
     dC[k, alpha, gamma] |eta_gamma| / eta_gamma off the diagonal, 0 on it.
     """
-    B = invert(frame.A, "idempotent frame A", frame.point)
+    if B is None:
+        B = _frame_inverse(frame)
     abs_eta = np.abs(frame.eta)
     h = np.einsum("...ai,...aj,...a->...ij", B, np.conj(B), abs_eta)
     M = frame.dC * (abs_eta / frame.eta)[..., None, None, :]

@@ -217,14 +217,16 @@ def cmd_lowdim(args):
     pts, frames, skipped = _points_for(spec, args)
     reports = []
     for frame in frames:
-        inp = ld.from_canonical(spec, frame)
+        # Both checks read h and its derivatives at the one frame.
+        h_dh = cdvmod.flat_frame_dh(frame)
+        inp = ld.from_canonical(spec, frame, h_dh)
         if spec.dim == 2:
             reports.append(ld.check_m2_relations(inp, args.tol))
         elif spec.dim == 3:
             reports.append(ld.check_m3_relations(inp, args.tol))
         else:
             raise ParseError("lowdim checks support dimensions 2 and 3 only")
-        reports.append(ld.check_euler_degree(spec, frame, args.tol))
+        reports.append(ld.check_euler_degree(spec, frame, args.tol, h_dh))
     return aggregate(reports), pts, skipped, None
 
 

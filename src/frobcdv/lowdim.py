@@ -41,17 +41,17 @@ def _require_normal_form(spec):
         raise NotNormalForm("this check requires a spec in antidiagonal normal form")
 
 
-def from_canonical(spec, t) -> LowDimInput:
+def from_canonical(spec, t, h_dh=None) -> LowDimInput:
     """Build normal-form point data from the canonical construction.
 
     t is a point or the CanonicalFrame at it.  The Chern forms are
     omega_i^j = sum_k (d h_ik) h^kj, with h and its derivatives exact from
-    that one frame (flat_frame_dh); the third derivatives are the ones the
-    frame was built from.
+    that one frame: h_dh is flat_frame_dh(frame), computed here when it
+    is None.  The third derivatives are the ones the frame was built from.
     """
     _require_normal_form(spec)
     frame = as_frame(spec, t)
-    h, dh = flat_frame_dh(frame)
+    h, dh = flat_frame_dh(frame) if h_dh is None else h_dh
     return LowDimInput(
         m=spec.dim, h=h, omega=dh @ invert(h), C3=frame.ev.C3,
         degrees=spec.degrees, d=spec.d,
@@ -125,12 +125,13 @@ def check_m3_relations(inp: LowDimInput, tol) -> VerificationReport:
     return report
 
 
-def check_euler_degree(spec, t, tol) -> VerificationReport:
+def check_euler_degree(spec, t, tol, h_dh=None) -> VerificationReport:
     """Degree relation (E - Ebar) h_ij = (d_j - d_i) h_ij in flat coordinates,
-    at a point t or at the CanonicalFrame t."""
+    at a point t or at the CanonicalFrame t; h_dh is flat_frame_dh at that
+    frame, computed here when it is None."""
     _require_normal_form(spec)
     frame = as_frame(spec, t)
-    h, dh = flat_frame_dh(frame)
+    h, dh = flat_frame_dh(frame) if h_dh is None else h_dh
     Eh = np.einsum("k,kij->ij", spec.euler_components(frame.point), dh)
     lhs = Eh - np.conj(Eh).T  # Ebar(h) = E(h)^dagger, as h is Hermitian
     degrees = np.asarray(spec.degrees)
@@ -226,21 +227,32 @@ def _source_jacobian(v, c2):
     return (-2.0 * np.exp(2.0 * vi) * c2[1:-1, 1:-1] - 2.0 * np.exp(-2.0 * vi)).ravel()
 
 
-def _d2_matrix(n, hstep, wide):
-    """Sparse second difference on the n - 2 interior nodes of a line.
+def _d2_wide(n, hstep):
+    """Dense matrix of _lap4_1d on the n - 2 interior nodes of a line,
+    read off from its action on the interior unit vectors."""
+    unit = np.zeros((n, n - 2))
+    unit[1:-1] = np.eye(n - 2)
+    return _lap4_1d(unit, 0, hstep)
 
-    With ``wide`` it is the matrix of ``_lap4_1d``, read off from its
-    action on the interior unit vectors; otherwise the 3-point formula
-    is used on every row.
-    """
+
+def _d2_matrix(n, hstep, wide):
+    """Sparse second difference on the n - 2 interior nodes of a line:
+    with ``wide`` the matrix of _lap4_1d (_d2_wide), otherwise the
+    3-point formula on every row."""
     import scipy.sparse as sp
 
-    k = n - 2
     if wide:
-        unit = np.zeros((n, k))
-        unit[1:-1] = np.eye(k)
-        return sp.csr_matrix(_lap4_1d(unit, 0, hstep))
+        return sp.csr_matrix(_d2_wide(n, hstep))
+    k = n - 2
     return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(k, k)) / hstep**2
+
+
+def _lap_size(n, hx, hy):
+    """Largest absolute row sum of (1/4) lap4 on the (n-2) x (n-2) interior
+    grid.  lap4 is the Kronecker sum of the 1-d matrices of x and y, whose
+    diagonals are negative, so it is the sum of their largest ones."""
+    return 0.25 * sum(float(np.max(np.sum(np.abs(_d2_wide(n, hstep)), axis=1)))
+                      for hstep in (hx, hy))
 
 
 def _laplacian_matrix(n, hx, hy, wide):
@@ -353,12 +365,22 @@ class _Multigrid:
 FORCING_CAP, FORCING_FLOOR = 0.1, 1e-6
 
 
-def _forcing_term(res, prev):
+def _forcing_term(res, prev, tol):
     """Relative tolerance of the Newton step at residual res, after a
-    step from residual prev (None before the first step)."""
+    step from residual prev (None before the first step).
+
+    Kelley's safeguard (Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, section 6.3) solves no step more tightly than
+    to 0.5 tol / res, which brings the linearised residual to half the
+    Newton tolerance tol, so the last step is not oversolved either.
+    tol = 0 or res = 0 leaves the Eisenstat-Walker term alone.
+    """
     if prev is None:
         return FORCING_CAP
-    return min(FORCING_CAP, max(FORCING_FLOOR, 0.9 * (res / prev) ** 2))
+    eta = max(FORCING_FLOOR, 0.9 * (res / prev) ** 2)
+    if res > 0.0:
+        eta = max(eta, 0.5 * tol / res)
+    return min(FORCING_CAP, eta)
 
 
 def _newton_step(J, mg, rhs, rtol):
@@ -410,9 +432,10 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
 
     Each Newton step solves with the exact Jacobian of the fourth-order
     residual (the mixed-order stencil matrix plus the diagonal D of the
-    source's derivative) to the Eisenstat-Walker forcing term
-    (_forcing_term), by flexible GMRES with one multigrid V-cycle
-    (_Multigrid) on the 5-point Jacobian lap2 + D per Krylov iteration.
+    source's derivative) to the Eisenstat-Walker forcing term, with
+    Kelley's safeguard for tol (_forcing_term), by flexible GMRES with
+    one multigrid V-cycle (_Multigrid) on the 5-point Jacobian lap2 + D
+    per Krylov iteration.
     Only D changes between steps: both matrices are assembled once, each
     step rewrites their diagonals, and the V-cycle's levels are rebuilt
     only when D has drifted (PRECONDITIONER_DRIFT); on p1 one hierarchy
@@ -447,7 +470,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     # J = lap4 + D and P = lap2 + D get D in their diagonal slots.
     J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
     P = 0.25 * _laplacian_matrix(n, hx, hy, wide=False)
-    lap_size = float(np.max(abs(J).sum(axis=1)))
+    lap_size = _lap_size(n, hx, hy)
     slots_J, slots_P = _diagonal_slots(J), _diagonal_slots(P)
     transfers = _transfers(n - 2, hx, hy)  # fixed by the grid, so made once
     lap4_diag, lap2_diag = J.data[slots_J], P.data[slots_P]
@@ -476,7 +499,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
             d_built = d
             preconditioners += 1
         J.data[slots_J] = lap4_diag + d
-        delta = _newton_step(J, mg, -R.ravel(), _forcing_term(res, prev)).reshape(k, k)
+        delta = _newton_step(J, mg, -R.ravel(), _forcing_term(res, prev, tol)).reshape(k, k)
         prev = res
         lam = 1.0
         while True:
@@ -585,7 +608,7 @@ def invariant_boundary(spec, rect, n, tol=1e-12, max_iter=60):
     c2 = _fppp_sq(spec, x, np.zeros(n))
     # Same mixed-order second-derivative stencil as the 2-d solver, so
     # that the y-independent extension solves the 2-d system exactly.
-    lap = 0.25 * _d2_matrix(n, hstep, wide=True).toarray()
+    lap = 0.25 * _d2_wide(n, hstep)
     lap_size = np.max(np.sum(np.abs(lap), axis=1))
     v = np.zeros(n)
     res = prev = np.inf

@@ -525,6 +525,25 @@ def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, third_derivat
     assert eig_calls == third_derivative_calls == expected
 
 
+@pytest.mark.parametrize("name,t,m", [("quartic2", QPT, 2), ("a3_3d", A3_POINT, 3)],
+                         ids=["quartic2", "a3_3d"])
+def test_stencil_data_inverts_each_frame_once(monkeypatch, name, t, m):
+    # A and h at the centre, then A and h of the 4m stencil frames in one
+    # stack each: the stack's inverse of A serves both h and P_flat.
+    spec = catalog(name)
+    frame = canonical_frame(spec, t)
+    shapes = []
+    invert = cdv_module.invert
+
+    def counting(M, *args):
+        shapes.append(np.shape(M))
+        return invert(M, *args)
+
+    monkeypatch.setattr(cdv_module, "invert", counting)
+    cdv_module.stencil_data(spec, frame, 1e-5)
+    assert shapes == [(m, m), (m, m), (4 * m, m, m), (4 * m, m, m)]
+
+
 @pytest.mark.parametrize("name,t,eigs", [("quartic2", QPT, 8), ("a3_3d", A3_POINT, 12)])
 def test_verifiers_take_one_frame_per_stencil_point(eig_calls, name, t, eigs):
     # 4m stencil points, one frame each, all in one eigen-solve call: a

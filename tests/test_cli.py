@@ -214,6 +214,28 @@ def test_one_frame_per_point_per_command(tmp_path, eig_calls, command, name, eig
     assert eig_calls == eigs
 
 
+@pytest.mark.parametrize("points", [1, 3])
+@pytest.mark.parametrize("name", ["quartic2", "a3_3d"])
+def test_lowdim_builds_h_once_per_point(tmp_path, monkeypatch, name, points):
+    # from_canonical and check_euler_degree read h and its derivatives from
+    # one flat_frame_dh call at each sampled frame.
+    import frobcdv.cdv as cdv_module
+    import frobcdv.lowdim as lowdim_module
+
+    calls = []
+    flat_frame_dh = cdv_module.flat_frame_dh
+
+    def counting(frame, *args):
+        calls.append(tuple(frame.point))
+        return flat_frame_dh(frame, *args)
+
+    for module in (cdv_module, lowdim_module):
+        monkeypatch.setattr(module, "flat_frame_dh", counting)
+    spec = _dump(name, tmp_path)
+    assert main(["lowdim", "--spec", spec, "--points", str(points), "--seed", "0"]) == 0
+    assert len(calls) == len(set(calls)) == points
+
+
 def _standalone_residuals(command, spec, pts, tol=1e-5):
     """The worst residual per check of the public calls that command makes,
     each at its own frame, over the points pts."""

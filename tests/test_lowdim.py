@@ -33,6 +33,7 @@ from frobcdv.lowdim import (
     _fppp_sq,
     _omega_antisymmetry,
     _lap4_1d,
+    _lap_size,
     _laplacian_matrix,
     _residual4,
     _source_jacobian,
@@ -319,9 +320,10 @@ def test_tt2d_newton_iterations(counting_multigrid):
     assert sol.converged and sol.iterations == 4
     # The source diagonal hardly moves on p1: one hierarchy serves every step.
     assert sol.preconditioners == counting_multigrid.builds == 1
-    # One V-cycle per Krylov iteration and none else: 16 here (1 + 3 + 6 + 6
-    # over the four steps), against 32 with GMRES to 1e-6 on every step.
-    assert counting_multigrid.solves <= 18
+    # One V-cycle per Krylov iteration and none else: 13 here (1 + 3 + 6 + 3
+    # over the four steps), against 32 with GMRES to 1e-6 on every step and
+    # 16 with the last step solved to 1e-6 rather than to 0.5 tol / res.
+    assert counting_multigrid.solves <= 14
     # The round-off floor lies far below tol here, so it stops no step.
     assert sol.residual <= 1e-10 and sol.floor <= 0.1 * 1e-10
     sol = solve_tt2d(spec, rect, 64, invariant_boundary(spec, rect, 64))
@@ -401,12 +403,69 @@ def test_newton_step_honours_forcing_term(counting_multigrid):
 
 def test_forcing_term_sequence():
     # Eisenstat-Walker choice 2: 0.1 for the first step, then
-    # 0.9 (res / prev)^2 kept within [1e-6, 0.1].
-    assert lowdim._forcing_term(1.0, None) == 0.1
-    assert lowdim._forcing_term(1.0, 1.0) == 0.1
-    assert lowdim._forcing_term(0.2, 1.0) == pytest.approx(0.9 * 0.04, rel=1e-15)
-    assert lowdim._forcing_term(1e-3, 1.0) == 1e-6
-    assert lowdim._forcing_term(0.0, 1.0) == 1e-6
+    # 0.9 (res / prev)^2 kept within [1e-6, 0.1].  Kelley's safeguard
+    # 0.5 tol / res lies below these terms at tol = 1e-10, is off at
+    # tol = 0, and at res = 0 divides by nothing.
+    for tol in (0.0, 1e-10):
+        assert lowdim._forcing_term(1.0, None, tol) == 0.1
+        assert lowdim._forcing_term(1.0, 1.0, tol) == 0.1
+        assert lowdim._forcing_term(0.2, 1.0, tol) == pytest.approx(0.9 * 0.04, rel=1e-15)
+        assert lowdim._forcing_term(1e-3, 1.0, tol) == 1e-6
+        assert lowdim._forcing_term(0.0, 1.0, tol) == lowdim.FORCING_FLOOR
+    # The last step on p1 at 128^2 starts at residual 1.7e-8 against tol
+    # 1e-10: solving it to a relative 0.5 tol / res takes the linear model
+    # to half of tol, so the term is 2.9e-3 rather than 1e-6.
+    assert lowdim._forcing_term(1.7e-8, 2.1e-3, 1e-10) == 0.5e-10 / 1.7e-8
+    assert lowdim._forcing_term(1.7e-8, 2.1e-3, 0.0) == 1e-6
+    # Never looser than the first step's term.
+    assert lowdim._forcing_term(1.5e-10, 1e-3, 1e-10) == 0.1
+
+
+# (spec, rect, n, boundary, Newton steps, V-cycles) of solves whose steps
+# the safeguard must leave alone; "invariant" is invariant_boundary.
+SAFEGUARD_CASES = [
+    ("p1", (-1.0, -1.0, 1.0, 1.0), 128, 1.0, 4, 13),
+    ("quartic2", (0.0, 0.0, 3.0, 1.0), 64, 5.0, 11, 20),
+    ("cubic2", (0.0, 0.0, 16.0, 1.0), 65, 2.0, 4, 13),
+    ("p1", (-3.0, -1.0, 3.0, 1.0), 64, 1.0, 6, 14),
+    ("p1", (0.0, 0.0, 16.0, 1.0), 33, "invariant", 16, 22),
+]
+
+
+@pytest.mark.parametrize("name,rect,n,boundary,steps,cycles", SAFEGUARD_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in SAFEGUARD_CASES])
+def test_forcing_safeguard_keeps_steps_and_solution(monkeypatch, counting_multigrid, name, rect,
+                                                     n, boundary, steps, cycles):
+    # The safeguard saves V-cycles (16 -> 13 on the first case, 24 -> 22 on
+    # the last) but no Newton step.  The solution is the one without it to
+    # 1e-12, and the one a solve to the round-off floor (tol = 0, which
+    # turns the safeguard off) gives to the precision tol = 1e-10 asks
+    # for: cubic2 stops at residual 4.4e-11 with or without the safeguard,
+    # 3.4e-12 (relative) from its tol = 0 solution.
+    spec = catalog(name)
+    if boundary == "invariant":
+        boundary = invariant_boundary(spec, rect, n)
+    sol = solve_tt2d(spec, rect, n, boundary)
+    assert sol.converged and sol.iterations == steps
+    assert counting_multigrid.solves <= cycles
+    floor = solve_tt2d(spec, rect, n, boundary, tol=0.0)
+    assert floor.converged
+    assert sol.h11 == pytest.approx(floor.h11, rel=1e-11)
+    forcing_term = lowdim._forcing_term
+    monkeypatch.setattr(lowdim, "_forcing_term", lambda res, prev, tol: forcing_term(res, prev, 0.0))
+    unguarded = solve_tt2d(spec, rect, n, boundary)
+    assert unguarded.iterations == steps
+    assert sol.h11 == pytest.approx(unguarded.h11, rel=1e-12)
+
+
+@pytest.mark.parametrize("aspect", [1.0, 16.0, 1.0 / 16.0])
+def test_lap_size_from_one_dimensional_factors(aspect):
+    # Oracle: the largest absolute row sum of the 2-d matrix itself.
+    for n in [*range(3, 18), 33, 64, 65, 128]:
+        hx, hy = aspect / (n - 1), 1.0 / (n - 1)
+        J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
+        assert _lap_size(n, hx, hy) == pytest.approx(float(np.max(abs(J).sum(axis=1))),
+                                                     rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 5, 10])

@@ -250,8 +250,8 @@ DH_MUTANTS = {
 def test_flat_checks_match_loop_on_mutated_dh(monkeypatch, mutant):
     original = flat_frame_dh
 
-    def mutated(frames):
-        h, dh = original(frames)
+    def mutated(frames, *args):
+        h, dh = original(frames, *args)
         return h, DH_MUTANTS[mutant](dh)
 
     monkeypatch.setattr(cdv_module, "flat_frame_dh", mutated)
