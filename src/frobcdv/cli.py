@@ -245,10 +245,12 @@ def cmd_tt2d(args):
     pde, inv = ld.tt2d_residual(spec, solution)
     report = VerificationReport()
     # Below the residual's round-off floor, tol cannot be met.  Both checks
-    # share that target, so a failed solve fails the independent one too.
+    # share that target; the independent one allows 10x for the round-off
+    # of its own code, but only on a converged solve: one that stopped
+    # short (a line search can stall just above the floor) gets no slack.
     tol = max(args.tol, solution.floor)
     report.add("tt2d_solver_residual", solution.residual, tol)
-    report.add("tt2d_independent_residual", pde, 10.0 * tol)
+    report.add("tt2d_independent_residual", pde, 10.0 * tol if solution.converged else tol)
     if args.csv:
         ld.write_tt2d_csv(spec, solution, args.csv)
     extra = {

@@ -227,53 +227,53 @@ def _source_jacobian(v, c2):
     return (-2.0 * np.exp(2.0 * vi) * c2[1:-1, 1:-1] - 2.0 * np.exp(-2.0 * vi)).ravel()
 
 
-def _d2_wide(n, hstep):
-    """Dense matrix of _lap4_1d on the n - 2 interior nodes of a line,
-    read off from its action on the interior unit vectors."""
-    unit = np.zeros((n, n - 2))
-    unit[1:-1] = np.eye(n - 2)
-    return _lap4_1d(unit, 0, hstep)
-
-
 def _d2_matrix(n, hstep, wide):
-    """Sparse second difference on the n - 2 interior nodes of a line:
-    with ``wide`` the matrix of _lap4_1d (_d2_wide), otherwise the
-    3-point formula on every row."""
-    import scipy.sparse as sp
-
-    if wide:
-        return sp.csr_matrix(_d2_wide(n, hstep))
+    """Dense second difference on the n - 2 interior nodes of a line: with
+    ``wide`` the matrix of _lap4_1d, read off from its action on the
+    interior unit vectors, otherwise the 3-point formula on every row."""
     k = n - 2
-    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(k, k)) / hstep**2
+    if not wide:
+        return (np.eye(k, k, -1) - 2.0 * np.eye(k) + np.eye(k, k, 1)) / hstep**2
+    unit = np.zeros((n, k))
+    unit[1:-1] = np.eye(k)
+    return _lap4_1d(unit, 0, hstep)
 
 
 def _lap_size(n, hx, hy):
     """Largest absolute row sum of (1/4) lap4 on the (n-2) x (n-2) interior
     grid.  lap4 is the Kronecker sum of the 1-d matrices of x and y, whose
     diagonals are negative, so it is the sum of their largest ones."""
-    return 0.25 * sum(float(np.max(np.sum(np.abs(_d2_wide(n, hstep)), axis=1)))
+    return 0.25 * sum(float(np.max(np.sum(np.abs(_d2_matrix(n, hstep, True)), axis=1)))
                       for hstep in (hx, hy))
 
 
 def _laplacian_matrix(n, hx, hy, wide):
     """Sparse Laplacian on the (n-2) x (n-2) interior grid (see _d2_matrix),
-    CSR with node (ix, iy) at row ix (n-2) + iy, from the 1-d diagonals:
-    x's repeated, y's tiled per grid line (their zeros outside the 1-d
-    matrix keep the lines apart, and tocsr drops them)."""
+    stored by diagonals (DIA) with node (ix, iy) at row ix (n-2) + iy.
+    The 1-d matrices' diagonals (offsets o = -2..2) are broadcast over the
+    grid: x's varies with ix and goes to offset (n-2) o, y's varies with
+    iy and goes to offset o.  Each DIA row holds column j's entry, and the
+    zeros that pad a 1-d diagonal to the matrix's width keep the grid
+    lines apart."""
     import scipy.sparse as sp
 
     k = n - 2
-    diagonals = {}
-    for hstep, stride, spread in ((hx, k, np.repeat), (hy, 1, np.tile)):
-        d2 = _d2_matrix(n, hstep, wide).todia()
-        for offset, diag in zip(d2.offsets, d2.data):
-            diagonals[stride * offset] = diagonals.get(stride * offset, 0.0) + spread(diag, k)
-    return sp.dia_matrix((list(diagonals.values()), list(diagonals)), shape=(k * k, k * k)).tocsr()
-
-
-def _diagonal_slots(A):
-    """Positions in A.data of the diagonal of a square CSR or CSC matrix."""
-    return np.flatnonzero(A.indices == np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)))
+    parts = {}
+    for hstep, stride, axis in ((hx, k, 0), (hy, 1, 1)):
+        d2 = _d2_matrix(n, hstep, wide)
+        for offset in range(-2, 3):
+            diag = np.diagonal(d2, offset)
+            if diag.any():
+                row = np.zeros(k)
+                row[max(offset, 0):k + min(offset, 0)] = diag
+                parts.setdefault(stride * offset, []).append(np.expand_dims(row, 1 - axis))
+    # One block for all diagonals: a grid array per diagonal, copied into
+    # one at the end, made the assembly about twice as slow.
+    data = np.zeros((len(parts), k, k))
+    for grid, rows in zip(data, parts.values()):
+        for row in rows:
+            grid += row
+    return sp.dia_matrix((data.reshape(len(parts), k * k), list(parts)), shape=(k * k, k * k))
 
 
 # The V-cycle preconditioner (_Multigrid): damped Jacobi with this weight,
@@ -331,6 +331,8 @@ class _Multigrid:
 
     Each coarse operator is the Galerkin product R^T A R, so the source
     diagonal of P reaches every level; the coarsest is inverted densely.
+    The finest level smooths on P as given (DIA in solve_tt2d), which is
+    converted to CSR once, for its product; the coarse levels are CSR.
     solve(b) applies one V-cycle of damped Jacobi.
     """
 
@@ -339,7 +341,7 @@ class _Multigrid:
         A = P
         for R, RT in transfers:
             self.levels.append((A, JACOBI_WEIGHT / A.diagonal(), R, RT))
-            A = (RT @ A @ R).tocsr()
+            A = (RT @ A.tocsr() @ R).tocsr()
         self.coarse_inverse = np.linalg.inv(A.toarray())
 
     def solve(self, b):
@@ -401,12 +403,21 @@ def _newton_step(J, mg, rhs, rtol):
 
 
 def _check_grid(rect, n):
-    """The corners of rect as floats, once an n x n grid on it is usable."""
+    """The corners of rect as floats, once an n x n grid on it is usable:
+    the squared spacings h^2 must be finite, and 1/h^2 small enough that
+    the stencils' coefficients (row sums up to (16/3) / h^2) are too."""
     x0, y0, x1, y1 = (float(c) for c in rect)
     if n < 3:
         raise ValidationError(f"the grid needs at least 3 nodes per side, got {n}")
     if not np.all(np.isfinite((x0, y0, x1, y1))) or x0 == x1 or y0 == y1:
         raise ValidationError(f"rect {rect} must have finite, nonzero width and height")
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        h2 = np.square([(x1 - x0) / (n - 1), (y1 - y0) / (n - 1)])
+        inv_h2 = 1.0 / h2
+    if not (np.all(np.isfinite(h2)) and np.all(inv_h2 <= np.finfo(float).max / 16)):
+        raise ValidationError(
+            f"rect {rect} is too thin or too wide for a grid of n = {n}: the squared "
+            f"spacings {h2[0]:.3g}, {h2[1]:.3g} are out of floating-point range")
     return x0, y0, x1, y1
 
 
@@ -436,11 +447,12 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     Kelley's safeguard for tol (_forcing_term), by flexible GMRES with
     one multigrid V-cycle (_Multigrid) on the 5-point Jacobian lap2 + D
     per Krylov iteration.
-    Only D changes between steps: both matrices are assembled once, each
-    step rewrites their diagonals, and the V-cycle's levels are rebuilt
-    only when D has drifted (PRECONDITIONER_DRIFT); on p1 one hierarchy
-    serves the whole solve.  A damped line search on the max-norm
-    residual accepts the step, and rejects one whose residual overflows.
+    Only D changes between steps: both matrices are assembled once and
+    stored by diagonals, each step rewrites the main-diagonal row of J,
+    and P's row and the V-cycle's levels are rebuilt only when D has
+    drifted (PRECONDITIONER_DRIFT); on p1 one hierarchy serves the whole
+    solve.  A damped line search on the max-norm residual accepts the
+    step, and rejects one whose residual overflows.
 
     boundary gives the Dirichlet data for h_11: a positive number, or a
     callable boundary(X, Y) on the grid such as invariant_boundary
@@ -467,13 +479,17 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
         v[edge] = np.log(bvals[edge])
 
-    # J = lap4 + D and P = lap2 + D get D in their diagonal slots.
-    J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
-    P = 0.25 * _laplacian_matrix(n, hx, hy, wide=False)
+    # J = 0.25 lap4 + D and P = 0.25 lap2 + D, stored by diagonals: 0.25
+    # scales their data in place (exactly, as a power of 2), and D goes
+    # into their main-diagonal rows (offset 0), which diag_J and diag_P view.
+    J = _laplacian_matrix(n, hx, hy, wide=True)
+    P = _laplacian_matrix(n, hx, hy, wide=False)
+    J.data *= 0.25
+    P.data *= 0.25
     lap_size = _lap_size(n, hx, hy)
-    slots_J, slots_P = _diagonal_slots(J), _diagonal_slots(P)
     transfers = _transfers(n - 2, hx, hy)  # fixed by the grid, so made once
-    lap4_diag, lap2_diag = J.data[slots_J], P.data[slots_P]
+    diag_J, diag_P = (A.data[list(A.offsets).index(0)] for A in (J, P))
+    lap4_diag, lap2_diag = diag_J.copy(), diag_P.copy()
     c2i = c2[1:-1, 1:-1]
     k = n - 2
     iterations = preconditioners = 0
@@ -494,11 +510,11 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
         d = _source_jacobian(v, c2)  # < 0 everywhere, so the quotient is defined
         if mg is None or np.max(np.abs(d / d_built - 1.0)) > PRECONDITIONER_DRIFT:
             mg = None  # free the old hierarchy before building the new one
-            P.data[slots_P] = lap2_diag + d
+            np.add(lap2_diag, d, out=diag_P)
             mg = _Multigrid(P, transfers)
             d_built = d
             preconditioners += 1
-        J.data[slots_J] = lap4_diag + d
+        np.add(lap4_diag, d, out=diag_J)
         delta = _newton_step(J, mg, -R.ravel(), _forcing_term(res, prev, tol)).reshape(k, k)
         prev = res
         lam = 1.0
@@ -608,7 +624,7 @@ def invariant_boundary(spec, rect, n, tol=1e-12, max_iter=60):
     c2 = _fppp_sq(spec, x, np.zeros(n))
     # Same mixed-order second-derivative stencil as the 2-d solver, so
     # that the y-independent extension solves the 2-d system exactly.
-    lap = 0.25 * _d2_wide(n, hstep)
+    lap = 0.25 * _d2_matrix(n, hstep, wide=True)
     lap_size = np.max(np.sum(np.abs(lap), axis=1))
     v = np.zeros(n)
     res = prev = np.inf

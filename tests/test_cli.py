@@ -349,6 +349,24 @@ def test_tt2d_failed_solve_fails_independent_check(tmp_path):
         "tt2d_solver_residual", "tt2d_independent_residual"]
 
 
+def test_tt2d_stalled_solve_fails_independent_check(tmp_path):
+    # On (0, 0, 20, 1) at n = 17 the line search stalls after 22 steps at
+    # residual 2.68e-7, just above the round-off floor 2.47e-7.  The
+    # independent residual reads the same; with the 10x slack that only a
+    # converged solve gets, it would pass.
+    spec = _dump("p1", tmp_path)
+    report = tmp_path / "r.json"
+    argv = ["tt2d", "--spec", spec, "--grid", "17", "--rect", "0,0,20,1",
+            "--report", str(report)]
+    assert main(argv) == 1
+    doc = json.loads(report.read_text())
+    assert doc["tt2d"]["converged"] is False
+    solver, independent = doc["checks"]
+    assert not solver["pass"] and not independent["pass"]
+    tol = solver["tolerance"]
+    assert independent["tolerance"] == tol < solver["residual"] < 1.1 * tol
+
+
 @pytest.mark.parametrize("flags", [
     ["--points", "7"],
     ["--point", "9,9;9,9"],
@@ -560,6 +578,10 @@ def test_tt2d_zero_tolerance_stops_at_roundoff_floor(tmp_path, capsys):
     ["--rect", "0,0,0,1"],
     ["--rect", "0,0,1,0"],
     ["--rect", "0,0,nan,1"],
+    ["--rect", "0,0,1e-300,1"],
+    ["--rect", "0,0,1,1e-300"],
+    ["--rect", "0,0,1e-160,1"],
+    ["--rect", "0,0,1e160,1"],
     ["--rect", "a,b,c,d"],
     ["--max-iter", "-1"],
     ["--boundary", "0"],

@@ -205,6 +205,16 @@ def test_tt2d_iteration_cap():
     assert sol.iterations == 1
 
 
+@pytest.mark.parametrize("rect", [(0.0, 0.0, 1e-300, 1.0), (0.0, 0.0, 1.0, 1e-300),
+                                  (0.0, 0.0, 1e-160, 1.0), (0.0, 0.0, 1e160, 1.0)])
+def test_tt2d_rejects_spacing_out_of_range(rect):
+    # h^2 underflows (or 1/h^2 overflows, or h^2 overflows): the stencil
+    # would divide by zero or overflow.  One error names the rect and n.
+    with pytest.raises(ValidationError) as err:
+        solve_tt2d(catalog("cubic2"), rect, 9, 1.0)
+    assert str(err.value).startswith(f"rect {rect} ") and " n = 9:" in str(err.value)
+
+
 def test_tt2d_csv_round_trip(tmp_path):
     spec = catalog("cubic2")
     sol = solve_tt2d(spec, (-1.0, -1.0, 1.0, 1.0), 9, 1.0)
@@ -239,24 +249,26 @@ def test_tt2d_jacobian_matches_residual_derivative(n):
 @pytest.mark.parametrize("wide", [True, False])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 17])
 def test_laplacian_matrix_matches_kron(n, wide):
-    # Oracle: the 2-d operator as the Kronecker sum of the 1-d ones.  kron
-    # stores explicit zeros (at n = 4), so the values are compared, not nnz.
-    hx, hy = 0.3, 0.2
+    # Oracle: the 2-d operator as the Kronecker sum of the 1-d ones, at
+    # hx : hy = 3:2, 16:1 and 1:16.  The matrix is stored by diagonals,
+    # so the values are compared, not the stored entries.
     eye = sp.identity(n - 2)
-    oracle = sp.kron(_d2_matrix(n, hx, wide), eye) + sp.kron(eye, _d2_matrix(n, hy, wide))
-    lap = _laplacian_matrix(n, hx, hy, wide)
-    assert lap.format == "csr"
-    assert np.array_equal(lap.toarray(), oracle.toarray())
+    for aspect in (1.5, 16.0, 1.0 / 16.0):
+        hx, hy = 0.2 * aspect, 0.2
+        oracle = sp.kron(_d2_matrix(n, hx, wide), eye) + sp.kron(eye, _d2_matrix(n, hy, wide))
+        lap = _laplacian_matrix(n, hx, hy, wide)
+        assert lap.format == "dia"
+        assert np.array_equal(lap.toarray(), oracle.toarray())
 
 
 def test_tt2d_newton_matrices_are_current(monkeypatch):
-    # The solver assembles J and the preconditioner's matrix once and
-    # rewrites their diagonals in place; at every Newton step J must be
-    # the exact Jacobian at the current iterate, and each matrix handed
-    # to the V-cycle builder the 5-point Jacobian there.
+    # The solver assembles J and the preconditioner's matrix once, stored
+    # by diagonals, and rewrites their main diagonals in place; at every
+    # Newton step J must be the exact Jacobian at the current iterate, and
+    # each matrix handed to the V-cycle builder the 5-point Jacobian there.
     n, rect = 9, (0.0, 0.0, 3.0, 1.0)
     hx, hy = 3.0 / (n - 1), 1.0 / (n - 1)
-    iterates, jacobians, built = [], [], []
+    iterates, jacobians, built, off_diagonal = [], [], [], []
     source_jacobian, newton_step = lowdim._source_jacobian, lowdim._newton_step
     multigrid = lowdim._Multigrid
 
@@ -265,10 +277,13 @@ def test_tt2d_newton_matrices_are_current(monkeypatch):
         return source_jacobian(v, c2)
 
     def record_jacobian(J, mg, rhs, rtol):
+        assert J.format == "dia"
         jacobians.append(J.toarray())
+        off_diagonal.append(J.data[J.offsets != 0].copy())
         return newton_step(J, mg, rhs, rtol)
 
     def record_build(P, transfers):
+        assert P.format == "dia"
         built.append((len(iterates), P.toarray()))
         return multigrid(P, transfers)
 
@@ -285,6 +300,8 @@ def test_tt2d_newton_matrices_are_current(monkeypatch):
         d = source_jacobian(*iterates[step - 1])
         exact = 0.25 * _laplacian_matrix(n, hx, hy, wide=False) + sp.diags(d)
         assert np.array_equal(P, exact.toarray())
+    # Only the main-diagonal row of J.data is rewritten.
+    assert all(np.array_equal(rows, off_diagonal[0]) for rows in off_diagonal)
 
 
 class _CountingMultigrid:
