@@ -42,15 +42,15 @@ from .catalog import (
 )
 from .cdv import (
     CdvStructure,
+    DerivativeData,
     HarmonicData,
-    StencilData,
     connection_gap,
     construct_canonical_cdv,
+    derivative_data,
     flat_frame_dh,
     flat_frame_h,
     harmonic_potential,
     pencil_curvature,
-    stencil_data,
     verify_cv_axioms,
     verify_harmonic,
 )

@@ -4,8 +4,8 @@ The canonical values u^alpha are the eigenvalues of the Euler
 multiplication operator; eigenvectors are rescaled to idempotents, which
 removes every gauge freedom except labeling.  Labels follow the
 lexicographic order of the eigenvalues at each point on its own; the
-finite-difference verifiers difference only label-invariant data, so
-frames on a stencil need no matching.
+verifiers read only label-invariant data, with exact derivatives from
+each point's own frame, so no two frames need matching.
 """
 
 from dataclasses import dataclass

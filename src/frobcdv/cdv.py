@@ -3,35 +3,24 @@
 All frame matrices use the column convention M[out, in] (matrix times
 coefficient vector).  CdvStructure and HarmonicData work in the
 canonical idempotent frame.  flat_frame_h, flat_frame_dh,
-flat_ttstar_data, stencil_data, curvature_coefficients, pencil_curvature,
-verify_harmonic, verify_cv_axioms and the Kaehler and real Levi-Civita
-gaps of connection_gap work in the flat frame, where every matrix is
-label-invariant, so no verifier matches eigenvalue labels across its
-stencil.  stencil_data builds the one stencil of all three FD
-verifiers (verify_cv_axioms, verify_harmonic and pencil_curvature).  The
-Hermitian pairing convention is h(u, v) = sum_ij u^i conj(v^j) h_ij,
-C-linear in the first slot.
+flat_ttstar_data, derivative_data, curvature_coefficients,
+pencil_curvature, verify_harmonic, verify_cv_axioms and the Kaehler and
+real Levi-Civita gaps of connection_gap work in the flat frame, where
+every matrix is label-invariant, so no verifier matches eigenvalue
+labels.  derivative_data gives all three verifiers (verify_cv_axioms,
+verify_harmonic and pencil_curvature) the tt* data and its exact
+derivatives from the point's own frame; no verifier takes a finite
+difference.  The Hermitian pairing convention is h(u, v) = sum_ij u^i
+conj(v^j) h_ij, C-linear in the first slot.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (
-    CanonicalFrame,
-    as_frame,
-    canonical_frame,
-    canonical_frames,
-    levi_civita_canonical,
-)
-from .numerics import (
-    DEFAULT_FD_STEP,
-    WirtingerDerivative,
-    evaluate_stencil,
-    invert,
-    wirtinger_combine,
-    wirtinger_points,
-)
+from .canonical import CanonicalFrame, as_frame, canonical_frame, levi_civita_canonical
+from .numerics import WirtingerDerivative, invert
+from .potential import fifth_derivatives, fourth_derivatives
 from .report import VerificationReport
 
 ALG_TOL = 1e-10
@@ -63,9 +52,9 @@ class HarmonicData:
 
 
 @dataclass(frozen=True)
-class StencilData:
+class DerivativeData:
     """The flat data that verify_cv_axioms, verify_harmonic and
-    pencil_curvature read at one point (stencil_data).
+    pencil_curvature read at one point (derivative_data).
 
     h is the pairing and S the tt* data (flat_ttstar_data) at the point,
     dS the Wirtinger derivatives of S and dP the holomorphic ones of
@@ -87,55 +76,110 @@ def construct_canonical_cdv(frame: CanonicalFrame, d: float) -> CdvStructure:
     return CdvStructure(frame=frame, K=K, h=h, omega=omega)
 
 
-def stencil_data(spec, frame: CanonicalFrame, fd_step=DEFAULT_FD_STEP) -> StencilData:
-    """The StencilData of the point of frame, for all three FD verifiers.
+def derivative_data(spec, frame: CanonicalFrame) -> DerivativeData:
+    """The DerivativeData of the point of frame, exact, for all three verifiers.
 
-    h and its exact derivatives come from one flat_frame_dh call, which
-    flat_ttstar_data reuses.  The frames at the 4m Wirtinger stencil
-    points are one canonical_frames stack, on which one evaluate_stencil
-    call gives [flat_ttstar_data, P_flat] and one wirtinger_combine call
-    differences it; the stack's A is inverted once, for both.
+    h and its first derivatives come from one flat_frame_dh call, which
+    flat_ttstar_data reuses.  Every derivative of the tt* data is first
+    order in the frame except d_j W_k, which takes d_j dC, one evaluation
+    of the fifth partials of F; dPhi and dU take one of the fourth.
+
+    The idempotents are g-orthogonal, so A^{-1} = diag(1/eta) A^T g and
+    h^{-1} = conj(A) diag(1/|eta|) A^T, and G = diag(sqrt eta) A^{-1} (any
+    branch of the root) has h = G^T conj(G) and d_k G = N_k G, where N_k[a, c] = -dC[k, c, a] / sqrt(eta_a eta_c)
+    off the diagonal and 0 on it.  So d_k h = G^T N_k^T conj(G), dbar_j
+    d_k h = G^T N_k^T conj(N_j) conj(G) and d_j d_k h = G^T (d_j N_k + N_k
+    N_j)^T conj(G), and W_k = (d_k h h^{-1})^T follows by the quotient
+    rule; Phidag_k and kappa U kappa = K conj(Y) conj(K) (Y = Phi_k, U)
+    by the product rule, with d_j K = g^{-1} d_j h and dbar_j K = g^{-1}
+    (d_j h)^dagger.  P_flat = A P A^{-1} has d_k P_flat = A ([X_k, P] +
+    d_k P) A^{-1}, X_k the matrix of d_k e_alpha (flat_frame_dh), and P
+    holds conj(eta_d), whose holomorphic derivative is 0.
     """
     h_dh = flat_frame_dh(frame)
+    h, dh = h_dh
     S = flat_ttstar_data(frame, h_dh)
+    m = len(frame.u)
+    a = np.arange(m)
+    A, eta, dC, ev = frame.A, frame.eta, frame.dC, frame.ev
+    B = (A.T @ ev.g) / eta[:, None]
+    h_inv = (np.conj(A) / np.abs(eta)) @ A.T
+    s = np.sqrt(eta)
+    ss = np.multiply.outer(s, s)
+    G = s[:, None] * B
+    q = dC[:, a, a] / eta  # q[j, alpha] = -d_j eta_alpha / (2 eta_alpha)
+    X = np.swapaxes(dC, 1, 2) / eta[:, None]  # X[k, c, a] = dC[k, a, c] / eta_c
+    X[:, a, a] = -q
+    N = -np.swapaxes(dC, 1, 2) / ss
+    N[:, a, a] = 0.0
 
-    def field(points):
-        frames = canonical_frames(spec, points)
-        B = _frame_inverse(frames)
-        P = frames.A @ harmonic_potential(frames, spec.d).P @ B
-        return np.concatenate([flat_ttstar_data(frames, flat_frame_dh(frames, B)), P[:, None]],
-                              axis=-3)
+    # d_j dC[k, c, a] = F5(d_j, d_k, e_c, e_c, e_a) + F4 with d_j e_c = sum_d
+    # X[j, d, c] e_d in each idempotent slot; T[k, b, c, a] = F4(d_k, e_b,
+    # e_c, e_a), so T[k, c, c, a] = dC[k, c, a].
+    F4 = fourth_derivatives(spec, frame.point)
+    T = np.einsum("kijl,ib,jc,la->kbca", F4, A, A, A)
+    ddC = (np.einsum("jkiln,ic,lc,na->jkca", fifth_derivatives(spec, frame.point), A, A, A)
+           + 2.0 * np.einsum("jdc,kdca->jkca", X, T) + np.einsum("jda,kcd->jkca", X, dC))
+    dN = (-np.swapaxes(ddC, 2, 3) / ss + N * (q[:, None, :, None] + q[:, None, None, :]))
+    dN[..., a, a] = 0.0
 
-    points = wirtinger_points(frame.point, fd_step)
-    d = wirtinger_combine(evaluate_stencil(field, frame.point, points), fd_step)
-    n = S.shape[-3]
-    return StencilData(h=h_dh[0], S=S, dS=WirtingerDerivative(d.holo[:, :n], d.anti[:, :n]),
-                       dP=d.holo[:, n])
+    def sandwich(Y):  # G^T Y conj(G)
+        return G.T @ Y @ np.conj(G)
+
+    dh_bar = np.conj(np.swapaxes(dh, 1, 2))  # dbar_j h
+    hol_h = sandwich(np.swapaxes(dN + N @ N[:, None], -1, -2))  # [j, k]: d_j d_k h
+    anti_h = sandwich(np.swapaxes(N, 1, 2) @ np.conj(N)[:, None])  # [j, k]: dbar_j d_k h
+    hol_W = np.swapaxes((hol_h - dh @ h_inv @ dh[:, None]) @ h_inv, -1, -2)
+    anti_W = np.swapaxes((anti_h - dh @ h_inv @ dh_bar[:, None]) @ h_inv, -1, -2)
+
+    # Phi_k = -C_k^T and U = sum_i E^i C_i^T, with d_j E^i = degree_i delta_ij.
+    dCmix = F4 @ ev.g_inv
+    dPhi = -np.swapaxes(dCmix, -1, -2)
+    dU = (np.asarray(spec.degrees)[:, None, None] * np.swapaxes(ev.Cmix, 1, 2)
+          + np.einsum("i,jikl->jlk", spec.euler_components(frame.point), dCmix))
+    Y = np.concatenate([S[m:2 * m], S[3 * m:3 * m + 1]])
+    dY = np.concatenate([dPhi, dU[:, None]], axis=1)
+    K = ev.g_inv @ h
+    dK, dK_bar = ev.g_inv @ dh, ev.g_inv @ dh_bar
+    hol_KY = dK[:, None] @ np.conj(Y) @ np.conj(K) + K @ np.conj(Y) @ np.conj(dK_bar)[:, None]
+    anti_KY = (dK_bar[:, None] @ np.conj(Y) @ np.conj(K) + K @ np.conj(dY) @ np.conj(K)
+               + K @ np.conj(Y) @ np.conj(dK)[:, None])
+    zero = np.zeros_like(dY)
+    holo = np.concatenate([hol_W, dY[:, :m], hol_KY[:, :m], dY[:, m:], hol_KY[:, m:]], axis=1)
+    anti = np.concatenate([anti_W, zero[:, :m], anti_KY[:, :m], zero[:, m:], anti_KY[:, m:]],
+                          axis=1)
+
+    P = harmonic_potential(frame, spec.d).P
+    dP = P * (q[:, :, None] - q[:, None, :])
+    dP[:, a, a] = -np.einsum("bi,kij,jb->kb", B, dU, A)  # -d_k u_beta
+    dP = A @ (X @ P - P @ X + dP) @ B
+    return DerivativeData(h=h, S=S, dS=WirtingerDerivative(holo, anti), dP=dP)
 
 
 def _maxabs(M):
     return float(np.max(np.abs(M)))
 
 
-def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL,
-                     fd_step=DEFAULT_FD_STEP, stencil: StencilData = None) -> VerificationReport:
+def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None,
+                     data: DerivativeData = None) -> VerificationReport:
     """One residual per structure axiom at the point of cdv.frame.
 
-    Every check reads the flat-frame tt* data at that point, from stencil
-    (stencil_data at cdv.frame, built with fd_step when it is None): h,
+    Every check reads the flat-frame tt* data at that point, from data
+    (derivative_data at cdv.frame, built here when it is None): h,
     K = g^{-1} h and W_k, Phi_k, Phidag_k and kappa U kappa.  The four
     algebraic checks (kappa_involution, hermitian_pairing, higgs_reality,
     q_reality) are compared against alg_tol, the five others against tol:
     unit_parallel is exact; kappa_parallel, higgs_parallel and
     ttstar_commutator are Laurent coefficients of the pencil's curvature
     (curvature_coefficients), and omega_holomorphy is one term of them.
-    Those four read the stencil's Wirtinger difference of the flat data.
+    Those four read the exact Wirtinger derivatives of the flat data.
+    fd_step is unused; the call keeps it.
     """
     frame = cdv.frame
     m = len(frame.u)
-    if stencil is None:
-        stencil = stencil_data(spec, frame, fd_step)
-    h, S, wd = stencil.h, stencil.S, stencil.dS
+    if data is None:
+        data = derivative_data(spec, frame)
+    h, S, wd = data.h, data.S, data.dS
     h_inv = invert(h)
     K = frame.ev.g_inv @ h
     W, Phi, Phidag, kUk = S[:m], S[m:2 * m], S[2 * m:3 * m], S[3 * m + 1]
@@ -219,23 +263,24 @@ def harmonic_potential(frame: CanonicalFrame, d: float) -> HarmonicData:
 
 
 def verify_harmonic(spec, frame: CanonicalFrame, hd: HarmonicData, cdv: CdvStructure, tol,
-                    fd_step=DEFAULT_FD_STEP, stencil: StencilData = None) -> VerificationReport:
+                    data: DerivativeData = None) -> VerificationReport:
     """Residuals of the harmonic-potential defining system, in the flat frame.
 
     hd is the harmonic data at the point of frame.  Each of its matrices X
     is read as X_flat = A X A^{-1}, which does not depend on the labels,
-    and checked against the flat tt* data W_k, Phi_k and U of stencil
-    (stencil_data at frame, built with fd_step when it is None).  The
-    check of D'P reads the stencil's difference of P_flat over the frames
-    of all stencil points, built as one stack without label matching.
+    and checked against the flat tt* data W_k, Phi_k and U of data
+    (derivative_data at frame, built here when it is None).  The check of
+    D'P reads its exact derivative of P_flat.  The three other checks are
+    identities of harmonic_potential's formulas, relative to the size of
+    their terms, so that their round-off does not grow with the data.
     cdv is unused; the call keeps it.
     """
     m = len(frame.u)
     A, A_inv = frame.A, invert(frame.A)
     P, Pdag, V = (A @ X @ A_inv for X in (hd.P, hd.Pdag, hd.V))
-    if stencil is None:
-        stencil = stencil_data(spec, frame, fd_step)
-    S, dP = stencil.S, stencil.dP
+    if data is None:
+        data = derivative_data(spec, frame)
+    S, dP = data.S, data.dP
     W, Phi, U = S[:m], S[m:2 * m], S[3 * m]
 
     report = VerificationReport()
@@ -244,14 +289,16 @@ def verify_harmonic(spec, frame: CanonicalFrame, hd: HarmonicData, cdv: CdvStruc
     report.add("dprime_p_equals_higgs", _maxabs(dP + W @ P - P @ W - Phi), tol)
 
     # (b) D' = nabla - [Pdag, Phi], where nabla is trivial in flat
-    # coordinates: W_k = -[Pdag, Phi_k].
-    report.add("chern_from_levi_civita", _maxabs(W + Pdag @ Phi - Phi @ Pdag), tol)
+    # coordinates: W_k = -[Pdag, Phi_k], relative to |Pdag| |Phi|.
+    report.add("chern_from_levi_civita",
+               _maxabs(W + Pdag @ Phi - Phi @ Pdag) / (_maxabs(Pdag) * _maxabs(Phi)), tol)
 
-    # (c) P is g-self-adjoint: g^{-1} P^T g = P.
-    report.add("p_selfadjoint", _maxabs(frame.ev.g_inv @ P.T @ frame.ev.g - P), tol)
+    # (c) P is g-self-adjoint: g^{-1} P^T g = P, relative to |P|.
+    report.add("p_selfadjoint", _maxabs(frame.ev.g_inv @ P.T @ frame.ev.g - P) / _maxabs(P), tol)
 
-    # (d) V + [Pdag, U] = 0.
-    report.add("v_commutator", _maxabs(V + Pdag @ U - U @ Pdag), tol)
+    # (d) V + [Pdag, U] = 0, relative to |Pdag| |U|.
+    report.add("v_commutator",
+               _maxabs(V + Pdag @ U - U @ Pdag) / (_maxabs(Pdag) * _maxabs(U)), tol)
 
     return report
 
@@ -266,13 +313,12 @@ def _frame_inverse(frame: CanonicalFrame):
     return invert(frame.A, "idempotent frame A", frame.point)
 
 
-def flat_frame_dh(frame: CanonicalFrame, B=None):
+def flat_frame_dh(frame: CanonicalFrame):
     """h in the flat basis and its exact derivatives dh[k] = d_k h.
 
     h = B^T diag|eta| conj(B) with B = A^{-1} (row alpha = frame
     components of the flat vectors); it is label-invariant, and so is dh.
-    A frame stack gives h and dh for each of its points.  B is
-    _frame_inverse(frame), computed here when it is None.
+    A frame stack gives h and dh for each of its points.
     dbar_k h = dh[k]^dagger, as h is Hermitian.  d_k conj(B) = 0 and d_k B
     = -B (d_k A) B.  Differentiating e_alpha o e_alpha = e_alpha gives
     d_k e_alpha = sum_gamma x_gamma e_gamma with x_gamma = r_gamma for
@@ -282,8 +328,7 @@ def flat_frame_dh(frame: CanonicalFrame, B=None):
     terms cancel: d_k h = -B^T M_k conj(B), where M_k[alpha, gamma] =
     dC[k, alpha, gamma] |eta_gamma| / eta_gamma off the diagonal, 0 on it.
     """
-    if B is None:
-        B = _frame_inverse(frame)
+    B = _frame_inverse(frame)
     abs_eta = np.abs(frame.eta)
     h = np.einsum("...ai,...aj,...a->...ij", B, np.conj(B), abs_eta)
     M = frame.dC * (abs_eta / frame.eta)[..., None, None, :]
@@ -429,8 +474,7 @@ def curvature_coefficients(S, wd, Q=0.0):
     return {k - 4: F[k] for k in range(7)}
 
 
-def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
-                     Q=None) -> VerificationReport:
+def pencil_curvature(spec, t, z_samples, tol, Q=None) -> VerificationReport:
     """Flatness of the one-parameter family of connections.
 
     The family is D + Phi/z + z Phidag + (U/z^2 - Q/z - kappa U kappa) dz
@@ -444,12 +488,11 @@ def pencil_curvature(spec, t, z_samples, tol, fd_step=DEFAULT_FD_STEP,
     ttstar_commutator and omega_holomorphy off the same coefficients,
     and solves the Q of its q_reality from the z^-1 coefficient of
     (i, z).  The tt* data (flat_ttstar_data) does not depend on z, so it
-    and its Wirtinger derivatives come from stencil_data at t, a point or
-    the CanonicalFrame at it, as for both other FD verifiers.  The only
-    finite differences are those of that data.
+    and its Wirtinger derivatives come from derivative_data at t, a point
+    or the CanonicalFrame at it, as for both other verifiers.
     """
-    st = stencil_data(spec, as_frame(spec, t), fd_step)
-    F = curvature_coefficients(st.S, st.dS, 0.0 if Q is None else np.asarray(Q, dtype=complex))
+    data = derivative_data(spec, as_frame(spec, t))
+    F = curvature_coefficients(data.S, data.dS, 0.0 if Q is None else np.asarray(Q, dtype=complex))
     z = np.asarray(list(z_samples), dtype=complex)
     Fz = np.tensordot(z[:, None] ** np.array(list(F)), np.stack(list(F.values())), 1)
 

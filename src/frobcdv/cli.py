@@ -17,16 +17,15 @@ from . import lowdim as ld
 from .canonical import canonical_frame, check_euler_eta
 from .catalog import CATALOG_NAMES, _c, catalog as catalog_entry, load_spec, write_spec
 from .errors import FrobCdvError, ParseError
-from .numerics import DEFAULT_FD_STEP
 from .potential import check_homogeneity, check_wdvv
 from .report import VerificationReport
 
 # The smallest eigenvalue gap, relative to 1 + max|u|, of a sampled point.
-# The truncation error of verify_harmonic's finite difference of P grows
-# about as gap^-3.  On seeded draws of quartic2 and a3_3d, its D'P residual
-# passed the default tolerance 1e-5 at every gap from 0.05 to 0.1 (worst
-# 1.8e-6) and failed it at some smaller ones (1.1e-5 on quartic2 at
-# 0.02-0.05, 2.3e-5 on a3_3d at 0.01-0.02).
+# The verifiers' derivatives are exact, so nothing fails below it: at 400
+# seeded points per spec at gaps 0.01-0.05 every check of verify and pencil
+# passed, with margin (tolerance / residual) at least 504 (higgs_reality on
+# a3_3d) and at least 1.6e6 for the derivative checks.  A smaller value
+# would move the sampled points, and so every seeded report.
 SAMPLING_EPS_SS = 0.05
 RESAMPLE_LIMIT = 10
 
@@ -107,11 +106,8 @@ def _matrix_json(M):
     return [[_c(z) for z in row] for row in M]
 
 
-def write_report(path, spec_path, points, report, seed, fd_step, skipped=0, extra=None):
-    """The JSON report; summary.fd_step is written only when fd_step is not None."""
-    summary = {"pass": report.passed, "seed": seed}
-    if fd_step is not None:
-        summary["fd_step"] = fd_step
+def write_report(path, spec_path, points, report, seed, skipped=0, extra=None):
+    """The JSON report."""
     doc = {
         "spec": str(spec_path),
         "points": [[_c(z) for z in np.atleast_1d(t)] for t in points],
@@ -125,7 +121,7 @@ def write_report(path, spec_path, points, report, seed, fd_step, skipped=0, extr
             }
             for e in report.entries
         ],
-        "summary": summary,
+        "summary": {"pass": report.passed, "seed": seed},
         "skipped": skipped,
         "timestamp": datetime.datetime.now().isoformat(),
     }
@@ -163,13 +159,11 @@ def cmd_verify(args):
     reports = [check_wdvv(spec, pts, args.tol), check_homogeneity(spec, pts, args.tol)]
     for frame in frames:
         structure = cdvmod.construct_canonical_cdv(frame, spec.d)
-        # Both FD verifiers read one stack of stencil frames.
-        stencil = cdvmod.stencil_data(spec, frame, args.fd_step)
-        reports.append(cdvmod.verify_cv_axioms(spec, structure, args.tol, stencil=stencil))
+        # Both verifiers read one derivative_data.
+        data = cdvmod.derivative_data(spec, frame)
+        reports.append(cdvmod.verify_cv_axioms(spec, structure, args.tol, data=data))
         hd = cdvmod.harmonic_potential(frame, spec.d)
-        reports.append(
-            cdvmod.verify_harmonic(spec, frame, hd, structure, args.tol, stencil=stencil)
-        )
+        reports.append(cdvmod.verify_harmonic(spec, frame, hd, structure, args.tol, data=data))
         reports.append(check_euler_eta(spec, frame, args.tol))
     report = aggregate(reports)
     return report, pts, skipped, None
@@ -190,7 +184,7 @@ def cmd_cdv(args):
             "u": [_c(z) for z in frame.u],
         }
     }
-    report = cdvmod.verify_cv_axioms(spec, structure, args.tol, fd_step=args.fd_step)
+    report = cdvmod.verify_cv_axioms(spec, structure, args.tol)
     return report, pts, skipped, extra
 
 
@@ -205,10 +199,7 @@ def cmd_pencil(args):
     spec = load_spec(args.spec)
     pts, frames, skipped = _points_for(spec, args)
     z_samples = [1.0, 1.0j, 2.0]
-    reports = [
-        cdvmod.pencil_curvature(spec, frame, z_samples, args.tol, fd_step=args.fd_step)
-        for frame in frames
-    ]
+    reports = [cdvmod.pencil_curvature(spec, frame, z_samples, args.tol) for frame in frames]
     return aggregate(reports), pts, skipped, None
 
 
@@ -310,23 +301,16 @@ def build_parser():
         p.add_argument("--point", default=None,
                        help='explicit point "re,im;re,im;..." (overrides sampling)')
 
-    # verify, cdv and pencil take one finite difference of exact frame
-    # data; connections and lowdim are exact, so they accept no step.  cdv
-    # reports the structure at one point, so it samples only that one.
-    for name, fn, takes_fd_step in (
-        ("verify", cmd_verify, True),
-        ("cdv", cmd_cdv, True),
-        ("connections", cmd_connections, False),
-        ("pencil", cmd_pencil, True),
-        ("lowdim", cmd_lowdim, False),
+    # cdv reports the structure at one point, so it samples only that one.
+    for name, fn in (
+        ("verify", cmd_verify),
+        ("cdv", cmd_cdv),
+        ("connections", cmd_connections),
+        ("pencil", cmd_pencil),
+        ("lowdim", cmd_lowdim),
     ):
         p = sub.add_parser(name)
         pointwise(p, one_point=name == "cdv")
-        if takes_fd_step:
-            p.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP,
-                           help="finite-difference step")
-        else:
-            p.set_defaults(fd_step=None)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("tt2d")
@@ -336,7 +320,7 @@ def build_parser():
     p.add_argument("--boundary", type=float, default=1.0, help="constant boundary h11")
     p.add_argument("--max-iter", type=int, default=50, help="Newton iteration cap")
     p.add_argument("--csv", default=None, help="write the grid as CSV here")
-    p.set_defaults(func=cmd_tt2d, tol=1e-10, fd_step=None)
+    p.set_defaults(func=cmd_tt2d, tol=1e-10)
 
     p = sub.add_parser("catalog")
     p.add_argument("--name", default=None, help="emit one entry (default: all)")
@@ -346,16 +330,13 @@ def build_parser():
 
 
 def _check_numbers(args):
-    """Reject a seed, tolerance or finite-difference step no check can use."""
+    """Reject a seed or tolerance no check can use."""
     seed = getattr(args, "seed", 0)
     if seed < 0:
         raise ParseError(f"--seed must be non-negative, got {seed}")
     tol = getattr(args, "tol", 0.0)
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ParseError(f"--tol must be finite and non-negative, got {tol}")
-    fd_step = getattr(args, "fd_step", None)
-    if fd_step is not None and not (np.isfinite(fd_step) and fd_step > 0.0):
-        raise ParseError(f"--fd-step must be finite and positive, got {fd_step}")
 
 
 def main(argv=None):
@@ -369,8 +350,8 @@ def main(argv=None):
             report, pts, skipped, extra = args.func(args)
         if report is None:
             return 0
-        doc = write_report(args.report, args.spec, pts, report, args.seed, args.fd_step,
-                           skipped=skipped, extra=extra)
+        doc = write_report(args.report, args.spec, pts, report, args.seed, skipped=skipped,
+                           extra=extra)
     except (FrobCdvError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ class Singular(FrobCdvError):
 
 
 class EvaluationFailure(FrobCdvError):
-    """A function could not be evaluated at a point or at a stencil point."""
+    """A function could not be evaluated at a point."""
 
 
 class DegenerateMetric(FrobCdvError):

@@ -171,11 +171,18 @@ class TT2DSolution:
 
 
 def _fppp_sq(spec, X, Y):
-    """|d^3 F / d(t^2)^3|^2 on the grid, at t = (0, x + i y)."""
+    """|d^3 F / d(t^2)^3|^2 on the grid, at t = (0, x + i y); raises
+    ValidationError, naming the grid's rect, where it overflows."""
     if spec.dim != 2:
         raise ValidationError("the 2d tt* equation needs a 2-dimensional spec")
     Z = X + 1j * Y
-    return np.abs(eval_terms(diff_terms(spec.terms, (0, 3)), (np.zeros_like(Z), Z))) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = np.abs(eval_terms(diff_terms(spec.terms, (0, 3)), (np.zeros_like(Z), Z))) ** 2
+    if not np.all(np.isfinite(c2)):
+        rect = ", ".join(f"{bound(v):g}" for bound in (np.min, np.max) for v in (X, Y))
+        raise ValidationError(f"the source |f'''|^2 of the tt* equation overflows on the "
+                              f"rect ({rect})")
+    return c2
 
 
 def _lap4_1d(v, axis, hstep):

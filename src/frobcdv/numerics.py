@@ -1,4 +1,5 @@
-"""Small dense complex linear algebra and Wirtinger finite differences.
+"""Small dense complex linear algebra, and the container of Wirtinger
+derivatives.
 
 All heavier routines delegate to numpy.linalg; this module pins down the
 deterministic conventions (eigenvalue ordering, residual reporting, pivot
@@ -9,15 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationFailure, FrobCdvError, NoConvergence, Singular
+from .errors import NoConvergence, Singular
 
 MAX_DIM = 8
-DEFAULT_FD_STEP = 1e-5
 INV_EPS = 1e-12
-
-# Exceptions by which a function signals that it cannot be evaluated at a
-# point (np.linalg.LinAlgError is a ValueError).
-_NUMERICAL_FAILURES = (FrobCdvError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,7 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class WirtingerDerivative:
-    """Holomorphic and antiholomorphic parts of d/dz^j by central differences.
+    """Holomorphic and antiholomorphic derivatives d/dz^j and d/dconj(z^j).
 
     holo = (1/2)(D_x - i D_y), anti = (1/2)(D_x + i D_y); each has a
     leading axis over the coordinates j, then the output shape of the
@@ -114,59 +110,3 @@ def invert(M, name="matrix", points=None):
             where = " at (" + ", ".join(f"{complex(z):.6g}" for z in point) + ")"
         raise Singular(f"{name} is singular to working precision{where}")
     return np.linalg.inv(M)
-
-
-def wirtinger_points(point, step=DEFAULT_FD_STEP):
-    """The points of the central Wirtinger stencils along every coordinate,
-    as one (4m, m) stack.
-
-    Per coordinate come 4 points, shifted along it by -step, step, -1j
-    step and 1j step.  wirtinger_combine takes the values of a function at
-    these points.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    point = np.asarray(point, dtype=complex)
-    shifts = step * np.array([-1.0, 1.0, -1j, 1j])
-    points = point + np.eye(len(point))[:, None, :] * shifts[:, None]
-    return points.reshape(-1, len(point))
-
-
-def evaluate_stencil(f, point, points):
-    """f at a stack of stencil points about point, which is not among
-    them: f maps an (N, m) stack of points to an (N, ...) stack of values.
-
-    A numerical failure of f (a FrobCdvError, ArithmeticError or
-    ValueError, which includes np.linalg.LinAlgError) is traced to the
-    first point of the stack at which f fails on its own, and becomes
-    EvaluationFailure naming its offset from point.  Any other exception
-    propagates unchanged.
-    """
-    try:
-        return np.asarray(f(points), dtype=complex)
-    except _NUMERICAL_FAILURES as exc:
-        for p in points:
-            try:
-                f(p[None])
-            except _NUMERICAL_FAILURES as exc_p:
-                offset = p - point
-                k = int(np.argmax(np.abs(offset)))
-                raise EvaluationFailure(
-                    f"function evaluation failed at stencil offset {complex(offset[k]):.3g} "
-                    f"along coordinate {k}: {exc_p}"
-                ) from exc_p
-        raise EvaluationFailure(f"function evaluation failed on the stencil: {exc}") from exc
-
-
-def wirtinger_combine(values, step=DEFAULT_FD_STEP) -> WirtingerDerivative:
-    """Wirtinger derivatives from a function's values at wirtinger_points.
-
-    values has a leading axis over the stencil points; holo and anti have
-    one over the coordinates instead.  Central differences in the real and
-    imaginary parts of each coordinate are combined into
-    holo = (D_x - i D_y)/2 and anti = (D_x + i D_y)/2.
-    """
-    v = np.asarray(values).reshape((-1, 2, 2) + np.shape(values)[1:])
-    d = (v[:, :, 1] - v[:, :, 0]) / (2.0 * step)
-    dx, dy = d[:, 0], d[:, 1]
-    return WirtingerDerivative(holo=0.5 * (dx - 1j * dy), anti=0.5 * (dx + 1j * dy))

@@ -202,6 +202,12 @@ def fourth_derivatives(spec: PotentialSpec, t):
     return _symmetric_derivatives(spec.terms, spec.dim, t, 4)
 
 
+def fifth_derivatives(spec: PotentialSpec, t):
+    """Totally symmetric tensor of fifth partials of F at t (one point, or
+    a stack of them)."""
+    return _symmetric_derivatives(spec.terms, spec.dim, t, 5)
+
+
 @lru_cache(maxsize=None)
 def flat_metric(spec: PotentialSpec):
     """Constant flat metric g_ij = C_1ij, validated once per spec.

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -22,22 +24,18 @@ def eig_calls(monkeypatch):
 
 
 @pytest.fixture
-def third_derivative_calls(monkeypatch):
-    """A list that gains one entry per evaluation of the third derivatives
-    of F, through any frobcdv module: the number of points evaluated."""
-    import sys
-
+def derivative_calls(monkeypatch):
+    """A dict from each order to a list that gains one entry per evaluation
+    of the partials of F of that order, through any frobcdv module: the
+    number of points evaluated."""
     import frobcdv.potential as potential
 
-    calls = []
-    third_derivatives = potential.third_derivatives
+    calls = collections.defaultdict(list)
+    symmetric_derivatives = potential._symmetric_derivatives
 
-    def counting(spec, t):
-        calls.append(len(t) if np.ndim(t) == 2 else 1)
-        return third_derivatives(spec, t)
+    def counting(terms, m, t, order):
+        calls[order].append(len(t) if np.ndim(t) == 2 else 1)
+        return symmetric_derivatives(terms, m, t, order)
 
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("frobcdv")
-                and getattr(module, "third_derivatives", None) is third_derivatives):
-            monkeypatch.setattr(module, "third_derivatives", counting)
+    monkeypatch.setattr(potential, "_symmetric_derivatives", counting)
     return calls

@@ -125,7 +125,7 @@ def test_cdv_samples_only_the_point_it_reports(tmp_path, eig_calls):
     report = tmp_path / "r.json"
     eig_calls.clear()
     assert main(["cdv", "--spec", spec, "--seed", "0", "--report", str(report)]) == 0
-    assert eig_calls == [1, 12]  # the sampled frame, then verify_cv_axioms' stencil
+    assert eig_calls == [1]  # the sampled frame serves verify_cv_axioms too
     doc = json.loads(report.read_text())
     assert doc["points"] == [[[z.real, z.imag] for z in pts[0]]]
     assert doc["skipped"] == skipped == 0
@@ -192,16 +192,16 @@ def test_verify_report_check_names(tmp_path, name, wdvv):
 
 # Matrices per eigen-solve call of one CLI call with --points 1 at seed 0,
 # whose first draw is accepted on each spec: the sampled frame serves every
-# check, and each command's FD verifiers share one stack of 4m stencil frames.
+# check, and every derivative is exact, taken from that frame.
 EIGS_PER_COMMAND = [
-    ("verify", "quartic2", [1, 8]),
-    ("verify", "a3_3d", [1, 12]),
+    ("verify", "quartic2", [1]),
+    ("verify", "a3_3d", [1]),
     ("connections", "quartic2", [1]),
     ("connections", "a3_3d", [1]),
     ("lowdim", "quartic2", [1]),
     ("lowdim", "a3_3d", [1]),
-    ("pencil", "quartic2", [1, 8]),
-    ("pencil", "a3_3d", [1, 12]),
+    ("pencil", "quartic2", [1]),
+    ("pencil", "a3_3d", [1]),
 ]
 
 
@@ -212,6 +212,16 @@ def test_one_frame_per_point_per_command(tmp_path, eig_calls, command, name, eig
     eig_calls.clear()
     main([command, "--spec", spec, "--points", "1", "--seed", "0"])
     assert eig_calls == eigs
+
+
+@pytest.mark.parametrize("command", ["verify", "pencil"])
+def test_one_fifth_partials_evaluation_per_point(tmp_path, derivative_calls, command):
+    # Only d_j W_k reads the fifth partials of F, once per point for both
+    # verifiers of verify.
+    spec = _dump("a3_3d", tmp_path)
+    derivative_calls.clear()
+    assert main([command, "--spec", spec, "--points", "3", "--seed", "0"]) == 0
+    assert derivative_calls[5] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("points", [1, 3])
@@ -265,8 +275,9 @@ def _standalone_residuals(command, spec, pts, tol=1e-5):
 
 @pytest.mark.parametrize("command", ["verify", "connections", "lowdim", "pencil"])
 def test_reports_equal_standalone_calls_exactly(tmp_path, command):
-    # The CLI hands each sampled frame on, and verify shares one stencil
-    # stack between its verifiers; no residual may move by even one bit.
+    # The CLI hands each sampled frame on, and verify shares one
+    # derivative_data between its verifiers; no residual may move by even
+    # one bit.
     for name in ("quartic2", "p1", "a3_3d"):
         path = _dump(name, tmp_path)
         spec = catalog(name)
@@ -331,7 +342,7 @@ def test_tt2d_command(tmp_path):
     assert doc["tt2d"]["converged"] is True
     assert doc["tt2d"]["rect"] == [-1.0, -0.5, 1.0, 0.5]
     assert doc["summary"]["seed"] == 4
-    assert "fd_step" not in doc["summary"]  # tt2d takes no finite differences
+    assert set(doc["summary"]) == {"pass", "seed"}
 
 
 def test_tt2d_failed_solve_fails_independent_check(tmp_path):
@@ -382,21 +393,12 @@ def test_tt2d_rejects_sampling_options(tmp_path, capsys, flags):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["verify", "cdv", "pencil"])
-def test_fd_step_is_reported(tmp_path, command):
-    spec = _dump("quartic2", tmp_path)
-    report = tmp_path / "r.json"
-    assert main([command, "--spec", spec, *_points(command, 1), "--fd-step", "2e-5",
-                 "--report", str(report)]) == 0
-    assert json.loads(report.read_text())["summary"]["fd_step"] == 2e-5
-
-
-@pytest.mark.parametrize("command", ["connections", "lowdim"])
+@pytest.mark.parametrize("command", ["verify", "cdv", "connections", "pencil", "lowdim"])
 def test_exact_subcommands_reject_fd_step(tmp_path, capsys, command):
-    # Their derivatives are exact: a step would be accepted and ignored.
+    # Every derivative is exact: a step would be accepted and ignored.
     spec = _dump("quartic2", tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main([command, "--spec", spec, "--points", "1", "--fd-step", "7"])
+        main([command, "--spec", spec, *_points(command, 1), "--fd-step", "7"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -513,22 +515,15 @@ def test_zero_points_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--fd-step", "0"],
-    ["verify", "--fd-step", "-0.001"],
-    ["cdv", "--fd-step", "nan"],
-    ["pencil", "--fd-step", "inf"],
     ["verify", "--tol", "nan"],
     ["connections", "--tol", "nan"],
     ["lowdim", "--tol", "inf"],
     ["pencil", "--tol", "-1"],
-    ["verify", "--fd-step", "-1e-5"],
-    ["cdv", "--fd-step", "-1E-5"],
     ["verify", "--tol", "-1e-5"],
     ["connections", "--tol", "-.5"],
 ], ids=" ".join)
 def test_bad_step_or_tolerance_is_one_line_error(tmp_path, capsys, argv):
-    # A zero step used to end in a ValueError traceback, an infinite one
-    # in a RuntimeWarning, and a NaN tolerance in a FAIL of every check.
+    # A NaN tolerance used to end in a FAIL of every check.
     spec = _dump("quartic2", tmp_path)
     assert main(argv[:1] + ["--spec", spec, *_points(argv[0], 1)] + argv[1:]) == 2
     out = capsys.readouterr()
@@ -570,6 +565,10 @@ def test_tt2d_zero_tolerance_stops_at_roundoff_floor(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# p1's source |f'''|^2 = e^(2x) overflows at x = 400; cubic2's is constant.
+OVERFLOWING_SOURCE = ["--rect", "0,0,400,1"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--grid", "2"],
     ["--grid", "1"],
@@ -591,13 +590,16 @@ def test_tt2d_zero_tolerance_stops_at_roundoff_floor(tmp_path, capsys):
     ["--tol", "-1"],
     ["--tol", "nan"],
     ["--tol", "inf"],
+    OVERFLOWING_SOURCE,
 ], ids=" ".join)
 def test_tt2d_bad_grid_input_is_one_line_error(tmp_path, capsys, flags):
-    spec = _dump("cubic2", tmp_path)
+    spec = _dump("p1" if flags == OVERFLOWING_SOURCE else "cubic2", tmp_path)
     assert main(["tt2d", "--spec", spec, "--grid", "9"] + flags) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+    if flags == OVERFLOWING_SOURCE:
+        assert "|f'''|^2" in out.err and "(0, 0, 400, 1)" in out.err
 
 
 # Runs in a fresh interpreter, so that no module this test process has

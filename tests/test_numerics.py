@@ -1,17 +1,10 @@
-"""Tests for the small linear-algebra and Wirtinger-derivative layer."""
+"""Tests for the small linear-algebra layer."""
 
 import numpy as np
 import pytest
 
-from frobcdv.errors import EvaluationFailure, NotSemisimple, Singular
-from frobcdv.numerics import (
-    evaluate_stencil,
-    invert,
-    lex_order,
-    solve_eig,
-    wirtinger_combine,
-    wirtinger_points,
-)
+from frobcdv.errors import Singular
+from frobcdv.numerics import invert, lex_order, solve_eig
 
 
 def test_eig_identity():
@@ -51,62 +44,6 @@ def test_eig_sorted_deterministically():
     expected = vals[lex_order(vals)]
     assert np.allclose(dec.eigenvalues, expected)
     assert dec.residual <= 1e-14 * np.max(np.abs(vals))
-
-
-def _wirtinger(f, point, step=1e-5):
-    """Wirtinger derivatives of f, which takes one point at a time, along
-    the first coordinate."""
-    points = wirtinger_points(point, step)
-    values = evaluate_stencil(lambda pts: np.stack([f(p) for p in pts]), point, points)
-    wd = wirtinger_combine(values, step)
-    return wd.holo[0], wd.anti[0]
-
-
-def test_wirtinger_holomorphic_square():
-    holo, anti = _wirtinger(lambda z: z[0] ** 2, [1.0 + 0.0j])
-    assert abs(holo - 2.0) <= 1e-9
-    assert abs(anti) <= 1e-9
-
-
-def test_wirtinger_antiholomorphic_identity():
-    holo, anti = _wirtinger(lambda z: np.conj(z[0]), [0.3 + 0.7j])
-    assert abs(holo) <= 1e-9
-    assert abs(anti - 1.0) <= 1e-9
-
-
-def test_wirtinger_modulus_squared():
-    holo, anti = _wirtinger(lambda z: z[0] * np.conj(z[0]), [2.0 + 1.0j])
-    assert abs(holo - (2.0 - 1.0j)) <= 1e-8
-    assert abs(anti - (2.0 + 1.0j)) <= 1e-8
-
-
-def test_wirtinger_random_holomorphic_polynomials():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
-        z0 = rng.normal() + 1j * rng.normal()
-
-        def p(z):
-            return sum(c * z[0] ** k for k, c in enumerate(coeffs))
-
-        deriv = sum(k * c * z0 ** (k - 1) for k, c in enumerate(coeffs) if k > 0)
-        holo, anti = _wirtinger(p, [z0])
-        assert abs(anti) <= 1e-8
-        assert abs(holo - deriv) <= 1e-8
-
-
-def test_wirtinger_wraps_only_numerical_failures():
-    def raises(exc):
-        def f(z):
-            raise exc
-        return f
-
-    for exc in (NotSemisimple("gap"), ZeroDivisionError(), np.linalg.LinAlgError()):
-        with pytest.raises(EvaluationFailure):
-            _wirtinger(raises(exc), [0.5 + 0.0j])
-    # A programming error in f is not an evaluation failure.
-    with pytest.raises(TypeError):
-        _wirtinger(raises(TypeError("bad call")), [0.5 + 0.0j])
 
 
 def test_invert_antidiagonal_involution():

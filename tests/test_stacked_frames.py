@@ -1,5 +1,6 @@
-"""Frames built as one stack of stencil points, against the per-point frame
-routine and against the former per-point stencil loops of the verifiers."""
+"""Frames built as one stack of nearby points, against the per-point frame
+routine, and the verifiers against per-point loops that difference the
+flat data over the frames of nearby points."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,7 @@ from hypothesis import strategies as st
 
 from frobcdv import (
     A3_POINT,
-    DefectiveU,
-    EvaluationFailure,
-    NotSemisimple,
+    DerivativeData,
     canonical_frame,
     catalog,
     construct_canonical_cdv,
@@ -25,11 +24,12 @@ from frobcdv import (
 from frobcdv import cdv as cdv_module
 from frobcdv.canonical import canonical_frames
 from frobcdv.cli import sample_points
-from frobcdv.numerics import DEFAULT_FD_STEP, wirtinger_points
+from frobcdv.numerics import WirtingerDerivative
 
 NAMES = ("quartic2", "p1", "a3_3d")
 TOL = 1e-5
 Z_SAMPLES = (1.0, 1.0j, 2.0)
+STEP = 1e-5
 FIELDS = ("u", "A", "eta", "eta_d", "dC")
 
 
@@ -56,12 +56,19 @@ def _solve_discriminant(spec, t, k, value=0.0):
     return t
 
 
+def _neighbours(t, step):
+    """The 4m points t -+ step and t -+ 1j step along each coordinate, as
+    one (4m, m) stack."""
+    shifts = step * np.array([-1.0, 1.0, -1j, 1j])
+    return (t + np.eye(len(t))[:, None, :] * shifts[:, None]).reshape(-1, len(t))
+
+
 @st.composite
-def _stencil_stacks(draw):
+def _neighbour_stacks(draw):
     spec = catalog(draw(st.sampled_from(NAMES)))
     pts, _ = sample_points(spec, 1, seed=draw(st.integers(0, 10**6)))
     step = 10.0 ** draw(st.floats(-6.0, -2.5))
-    return spec, wirtinger_points(pts[0], step)
+    return spec, _neighbours(pts[0], step)
 
 
 def _assert_stack_equals_single_frames(spec, points):
@@ -77,7 +84,7 @@ def _assert_stack_equals_single_frames(spec, points):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(_stencil_stacks())
+@given(_neighbour_stacks())
 def test_stacked_frames_equal_single_point_frames(stack):
     _assert_stack_equals_single_frames(*stack)
 
@@ -91,14 +98,13 @@ LEX_CROSSINGS = {"quartic2": (0.1 - 0.3j, -0.4 + 0.2j), "p1": (0.3 + 0.1j, 0.2 +
 def test_stacked_labels_across_a_lex_order_crossing(name):
     # The discriminant (u_1 - u_2)^2 is a negative real number exactly where
     # Re u_1 = Re u_2.
-    # verify_harmonic differences label-invariant flat-frame data over
-    # such a stack, so it passes there (D'P read 2.5e-11 on p1 and
-    # 6.7e-10 on quartic2).
+    # verify_harmonic reads label-invariant flat-frame data, so it passes
+    # there.
     spec = catalog(name)
     start = np.array(LEX_CROSSINGS[name])
     t = _solve_discriminant(spec, start, 1, -abs(_discriminant(spec, start)))
     frame = canonical_frame(spec, t)
-    points = wirtinger_points(t, DEFAULT_FD_STEP)
+    points = _neighbours(t, STEP)
     first = np.argmin(np.abs(canonical_frames(spec, points).u - frame.u[0]), axis=1)
     assert len(set(first)) == 2  # the stack's points order their eigenvalues differently
     _assert_stack_equals_single_frames(spec, points)
@@ -107,11 +113,10 @@ def test_stacked_labels_across_a_lex_order_crossing(name):
     assert report.passed, "\n".join(report.summary_lines())
 
 
-# The former per-point stencil loops, kept as oracles: one frame and one
-# function call per stencil point, and an order-2 Wirtinger difference
-# written out.
+# Per-point loops, kept as oracles: one frame and one function call per
+# nearby point, and an order-2 Wirtinger difference written out.
 
-def _wirtinger_loop(f, t, k, step=DEFAULT_FD_STEP):
+def _wirtinger_loop(f, t, k, step=STEP):
     e = np.eye(len(t))[k]
     dx = (f(t + step * e) - f(t - step * e)) / (2.0 * step)
     dy = (f(t + 1j * step * e) - f(t - 1j * step * e)) / (2.0 * step)
@@ -248,14 +253,21 @@ DH_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", sorted(DH_MUTANTS))
 def test_flat_checks_match_loop_on_mutated_dh(monkeypatch, mutant):
+    # derivative_data gives what the loops read: the mutated flat data at
+    # the point and its differences over the frames of nearby points.
     original = flat_frame_dh
 
-    def mutated(frames, *args):
-        h, dh = original(frames, *args)
+    def mutated(frame):
+        h, dh = original(frame)
         return h, DH_MUTANTS[mutant](dh)
 
-    monkeypatch.setattr(cdv_module, "flat_frame_dh", mutated)
+    def loop_data(spec, frame):
+        holo, anti = _flat_derivatives_loop(spec, frame.point)
+        return DerivativeData(h=mutated(frame)[0], S=_flat_data_loop(spec, frame.point),
+                              dS=WirtingerDerivative(np.stack(holo), np.stack(anti)), dP=None)
+
     monkeypatch.setitem(globals(), "flat_frame_dh", mutated)
+    monkeypatch.setattr(cdv_module, "derivative_data", loop_data)
     spec = catalog("a3_3d")
     cdv = construct_canonical_cdv(canonical_frame(spec, A3_POINT), spec.d)
     report = verify_cv_axioms(spec, cdv, TOL)
@@ -263,27 +275,3 @@ def test_flat_checks_match_loop_on_mutated_dh(monkeypatch, mutant):
     assert max(oracle.values()) > 0.1
     for check, residual in oracle.items():
         assert report[check].residual == pytest.approx(residual, rel=1e-6, abs=1e-3 * TOL), check
-
-
-# p1 is semi-simple at every finite point, so it has no stencil point to push.
-@pytest.mark.parametrize("name", ["quartic2", "a3_3d"])
-def test_stencil_point_on_discriminant_raises(name):
-    spec = catalog(name)
-    k = spec.dim - 1  # the Euler shift along t^1 moves every u alike
-    pts, _ = sample_points(spec, 1, seed=2)
-    centre = _solve_discriminant(spec, pts[0], k) - DEFAULT_FD_STEP * np.eye(spec.dim)[k]
-    # The stencil point centre + step e_k lies on the discriminant.
-    on_disc = wirtinger_points(centre, DEFAULT_FD_STEP)[4 * k + 1]
-    with pytest.raises((NotSemisimple, DefectiveU)):
-        canonical_frame(spec, on_disc)
-    frame = canonical_frame(spec, centre)
-    cdv = construct_canonical_cdv(frame, spec.d)
-    # No verifier matches labels, so the first stencil point that fails is
-    # the one on the discriminant.
-    for check in (
-        lambda: verify_cv_axioms(spec, cdv, TOL),
-        lambda: verify_harmonic(spec, frame, harmonic_potential(frame, spec.d), cdv, TOL),
-        lambda: pencil_curvature(spec, centre, Z_SAMPLES, TOL),
-    ):
-        with pytest.raises(EvaluationFailure, match=f"offset 1e-05\\+0j along coordinate {k}"):
-            check()
