@@ -47,7 +47,6 @@ from .cdv import (
     connection_gap,
     construct_canonical_cdv,
     derivative_data,
-    flat_frame_dh,
     flat_frame_h,
     harmonic_potential,
     pencil_curvature,

@@ -6,14 +6,19 @@ removes every gauge freedom except labeling.  Labels follow the
 lexicographic order of the eigenvalues at each point on its own; the
 verifiers read only label-invariant data, with exact derivatives from
 each point's own frame, so no two frames need matching.
+
+canonical_frames forms each point's flat first-order data once: A^{-1},
+the Hermitian pairing h in the flat basis with its exact derivatives
+(flat_frame_dh), h^{-1} and the fourth partials of F.  Both inversions
+are guarded there, and every reader of a frame takes them from it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DefectiveU, NotSemisimple
-from .numerics import solve_eig
+from .numerics import invert, solve_eig
 from .potential import FlatPointEval, flat_eval, fourth_derivatives
 from .report import VerificationReport
 
@@ -30,7 +35,10 @@ class CanonicalFrame:
     dC[k, alpha, gamma] = F''''(d_k, e_alpha, e_alpha, e_gamma), i.e.
     g((d_k C)(e_alpha, e_alpha), e_gamma), the flat derivative of the
     multiplication that gives eta_d and the derivatives of the idempotents.
-    ev holds the flat tensors at the point that the eigendecomposition used.
+    ev holds the flat tensors at the point that the eigendecomposition used
+    and F4 the fourth partials of F there.  A_inv = A^{-1} (row alpha =
+    frame components of the flat vectors), h is the Hermitian pairing in
+    the flat basis, dh[k] = d_k h (flat_frame_dh) and h_inv = h^{-1}.
     The frames at a stack of N points (canonical_frames) are one
     CanonicalFrame whose fields gain a leading axis of length N; gap is
     then an array.
@@ -44,6 +52,11 @@ class CanonicalFrame:
     dC: np.ndarray
     gap: float
     ev: FlatPointEval
+    F4: np.ndarray
+    A_inv: np.ndarray
+    h: np.ndarray
+    dh: np.ndarray
+    h_inv: np.ndarray
 
 
 def _pairwise_gap(u):
@@ -93,8 +106,8 @@ def _bare_frame(spec, t, eps_ss):
 
 
 def _derivative_data(spec, t, A):
-    """dC (see CanonicalFrame) and eta_d at a stack of points t, from one
-    evaluation of F''''.
+    """The fourth partials F4 of F, dC (see CanonicalFrame) and eta_d at a
+    stack of points t, from one evaluation of F''''.
 
     eta_d[alpha, beta] = e_alpha(eta_beta) = -2 F''''(e_alpha, e_beta,
     e_beta, e_beta): eta_beta = F'''(e_beta, e_beta, e_beta), and
@@ -106,19 +119,49 @@ def _derivative_data(spec, t, A):
     F4 = fourth_derivatives(spec, t)
     dC = np.einsum("nkijl,nia,nja,nlg->nkag", F4, A, A, A)
     eta_d = -2.0 * np.einsum("nka,nkbb->nab", A, dC)
-    return dC, eta_d
+    return F4, dC, eta_d
+
+
+def flat_frame_dh(A_inv, eta, dC):
+    """h in the flat basis and its exact derivatives dh[k] = d_k h, from
+    the eigen-data of a frame (or of each frame of a stack).
+
+    h = B^T diag|eta| conj(B) with B = A^{-1} (A_inv); it is
+    label-invariant, and so is dh.  dbar_k h = dh[k]^dagger, as h is
+    Hermitian.  d_k conj(B) = 0 and d_k B = -B (d_k A) B.  Differentiating
+    e_alpha o e_alpha = e_alpha gives d_k e_alpha = sum_gamma x_gamma
+    e_gamma with x_gamma = r_gamma for gamma != alpha and x_alpha =
+    -r_alpha, where r_gamma = dC[k, alpha, gamma] / eta_gamma.  With d_k
+    eta_alpha = -2 dC[k, alpha, alpha] and d_k|eta_alpha| = |eta_alpha|
+    d_k eta_alpha / (2 eta_alpha) the diagonal terms cancel: d_k h = -B^T
+    M_k conj(B), where M_k[alpha, gamma] = dC[k, alpha, gamma] |eta_gamma|
+    / eta_gamma off the diagonal, 0 on it.
+    """
+    B = A_inv
+    abs_eta = np.abs(eta)
+    h = np.einsum("...ai,...aj,...a->...ij", B, np.conj(B), abs_eta)
+    M = dC * (abs_eta / eta)[..., None, None, :]
+    a = np.arange(eta.shape[-1])
+    M[..., a, a] = 0.0
+    dh = -np.einsum("...ai,...kag,...gj->...kij", B, M, np.conj(B))
+    return h, dh
 
 
 def canonical_frames(spec, points, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
     """Canonical frames at a stack of points (N, m), with exact derivatives.
 
     One eigen-solve call and one evaluation of each partial of F cover the
-    stack.  Each point's labels are its own (lexicographic order).
+    stack.  Each point's labels are its own (lexicographic order).  A and
+    h are inverted once each, under a guard (numerics.invert) whose error
+    names the matrix and the first point that fails it.
     """
     t = np.asarray(points, dtype=complex)
     u, A, eta, gap, ev = _bare_frame(spec, t, eps_ss)
-    dC, eta_d = _derivative_data(spec, t, A)
-    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC, gap=gap, ev=ev)
+    F4, dC, eta_d = _derivative_data(spec, t, A)
+    A_inv = invert(A, "idempotent frame A", t)
+    h, dh = flat_frame_dh(A_inv, eta, dC)
+    return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC, gap=gap, ev=ev,
+                          F4=F4, A_inv=A_inv, h=h, dh=dh, h_inv=invert(h, "flat pairing h", t))
 
 
 def _single(frames: CanonicalFrame) -> CanonicalFrame:
@@ -126,10 +169,8 @@ def _single(frames: CanonicalFrame) -> CanonicalFrame:
     ev = frames.ev
     ev = FlatPointEval(point=ev.point[0], C3=ev.C3[0], Cmix=ev.Cmix[0], g=ev.g,
                        g_inv=ev.g_inv, U=ev.U[0])
-    return CanonicalFrame(
-        point=frames.point[0], u=frames.u[0], A=frames.A[0], eta=frames.eta[0],
-        eta_d=frames.eta_d[0], dC=frames.dC[0], gap=float(frames.gap[0]), ev=ev,
-    )
+    first = {f.name: getattr(frames, f.name)[0] for f in fields(frames) if f.name != "ev"}
+    return CanonicalFrame(**{**first, "gap": float(frames.gap[0]), "ev": ev})
 
 
 def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:

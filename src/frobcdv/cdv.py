@@ -2,16 +2,17 @@
 
 All frame matrices use the column convention M[out, in] (matrix times
 coefficient vector).  CdvStructure and HarmonicData work in the
-canonical idempotent frame.  flat_frame_h, flat_frame_dh,
-flat_ttstar_data, derivative_data, curvature_coefficients,
-pencil_curvature, verify_harmonic, verify_cv_axioms and the Kaehler and
-real Levi-Civita gaps of connection_gap work in the flat frame, where
-every matrix is label-invariant, so no verifier matches eigenvalue
-labels.  derivative_data gives all three verifiers (verify_cv_axioms,
-verify_harmonic and pencil_curvature) the tt* data and its exact
-derivatives from the point's own frame; no verifier takes a finite
-difference.  The Hermitian pairing convention is h(u, v) = sum_ij u^i
-conj(v^j) h_ij, C-linear in the first slot.
+canonical idempotent frame.  flat_frame_h, flat_ttstar_data,
+derivative_data, curvature_coefficients, pencil_curvature,
+verify_harmonic, verify_cv_axioms and the Kaehler and real Levi-Civita
+gaps of connection_gap work in the flat frame, where every matrix is
+label-invariant, so no verifier matches eigenvalue labels.  Each reads
+A^{-1}, the pairing h, its derivatives and h^{-1} from the point's
+CanonicalFrame, which forms them once.  derivative_data gives all three
+verifiers (verify_cv_axioms, verify_harmonic and pencil_curvature) the
+tt* data and its exact derivatives from that frame; no verifier takes a
+finite difference.  The Hermitian pairing convention is h(u, v) =
+sum_ij u^i conj(v^j) h_ij, C-linear in the first slot.
 """
 
 from dataclasses import dataclass
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalFrame, as_frame, canonical_frame, levi_civita_canonical
-from .numerics import WirtingerDerivative, invert
-from .potential import fifth_derivatives, fourth_derivatives
+from .potential import fifth_derivatives
 from .report import VerificationReport
 
 ALG_TOL = 1e-10
@@ -56,14 +56,14 @@ class DerivativeData:
     """The flat data that verify_cv_axioms, verify_harmonic and
     pencil_curvature read at one point (derivative_data).
 
-    h is the pairing and S the tt* data (flat_ttstar_data) at the point,
-    dS the Wirtinger derivatives of S and dP the holomorphic ones of
-    P_flat = A P A^{-1}, the harmonic potential in the flat frame.
+    S is the tt* data (flat_ttstar_data) at the point, dS its Wirtinger
+    derivatives along the 2m directions, d/dt^j then d/dconj(t^j)
+    (curvature_coefficients' order), and dP the holomorphic ones of P_flat
+    = A P A^{-1}, the harmonic potential in the flat frame.
     """
 
-    h: np.ndarray
     S: np.ndarray
-    dS: WirtingerDerivative
+    dS: np.ndarray
     dP: np.ndarray
 
 
@@ -79,31 +79,27 @@ def construct_canonical_cdv(frame: CanonicalFrame, d: float) -> CdvStructure:
 def derivative_data(spec, frame: CanonicalFrame) -> DerivativeData:
     """The DerivativeData of the point of frame, exact, for all three verifiers.
 
-    h and its first derivatives come from one flat_frame_dh call, which
-    flat_ttstar_data reuses.  Every derivative of the tt* data is first
-    order in the frame except d_j W_k, which takes d_j dC, one evaluation
-    of the fifth partials of F; dPhi and dU take one of the fourth.
+    h, its first derivatives, h^{-1}, A^{-1} and the fourth partials of F
+    come from the frame.  Every derivative of the tt* data is first order
+    in the frame except d_j W_k, which takes d_j dC, one evaluation of the
+    fifth partials of F.
 
-    The idempotents are g-orthogonal, so A^{-1} = diag(1/eta) A^T g and
-    h^{-1} = conj(A) diag(1/|eta|) A^T, and G = diag(sqrt eta) A^{-1} (any
-    branch of the root) has h = G^T conj(G) and d_k G = N_k G, where N_k[a, c] = -dC[k, c, a] / sqrt(eta_a eta_c)
+    G = diag(sqrt eta) A^{-1} (any branch of the root) has h = G^T conj(G)
+    and d_k G = N_k G, where N_k[a, c] = -dC[k, c, a] / sqrt(eta_a eta_c)
     off the diagonal and 0 on it.  So d_k h = G^T N_k^T conj(G), dbar_j
     d_k h = G^T N_k^T conj(N_j) conj(G) and d_j d_k h = G^T (d_j N_k + N_k
     N_j)^T conj(G), and W_k = (d_k h h^{-1})^T follows by the quotient
     rule; Phidag_k and kappa U kappa = K conj(Y) conj(K) (Y = Phi_k, U)
     by the product rule, with d_j K = g^{-1} d_j h and dbar_j K = g^{-1}
     (d_j h)^dagger.  P_flat = A P A^{-1} has d_k P_flat = A ([X_k, P] +
-    d_k P) A^{-1}, X_k the matrix of d_k e_alpha (flat_frame_dh), and P
-    holds conj(eta_d), whose holomorphic derivative is 0.
+    d_k P) A^{-1}, X_k the matrix of d_k e_alpha (canonical.flat_frame_dh),
+    and P holds conj(eta_d), whose holomorphic derivative is 0.
     """
-    h_dh = flat_frame_dh(frame)
-    h, dh = h_dh
-    S = flat_ttstar_data(frame, h_dh)
+    S = flat_ttstar_data(frame)
     m = len(frame.u)
     a = np.arange(m)
-    A, eta, dC, ev = frame.A, frame.eta, frame.dC, frame.ev
-    B = (A.T @ ev.g) / eta[:, None]
-    h_inv = (np.conj(A) / np.abs(eta)) @ A.T
+    A, B, eta, dC, ev = frame.A, frame.A_inv, frame.eta, frame.dC, frame.ev
+    h, dh, h_inv, F4 = frame.h, frame.dh, frame.h_inv, frame.F4
     s = np.sqrt(eta)
     ss = np.multiply.outer(s, s)
     G = s[:, None] * B
@@ -116,7 +112,6 @@ def derivative_data(spec, frame: CanonicalFrame) -> DerivativeData:
     # d_j dC[k, c, a] = F5(d_j, d_k, e_c, e_c, e_a) + F4 with d_j e_c = sum_d
     # X[j, d, c] e_d in each idempotent slot; T[k, b, c, a] = F4(d_k, e_b,
     # e_c, e_a), so T[k, c, c, a] = dC[k, c, a].
-    F4 = fourth_derivatives(spec, frame.point)
     T = np.einsum("kijl,ib,jc,la->kbca", F4, A, A, A)
     ddC = (np.einsum("jkiln,ic,lc,na->jkca", fifth_derivatives(spec, frame.point), A, A, A)
            + 2.0 * np.einsum("jdc,kdca->jkca", X, T) + np.einsum("jda,kcd->jkca", X, dC))
@@ -153,7 +148,7 @@ def derivative_data(spec, frame: CanonicalFrame) -> DerivativeData:
     dP = P * (q[:, :, None] - q[:, None, :])
     dP[:, a, a] = -np.einsum("bi,kij,jb->kb", B, dU, A)  # -d_k u_beta
     dP = A @ (X @ P - P @ X + dP) @ B
-    return DerivativeData(h=h, S=S, dS=WirtingerDerivative(holo, anti), dP=dP)
+    return DerivativeData(S=S, dS=np.concatenate([holo, anti]), dP=dP)
 
 
 def _maxabs(M):
@@ -164,12 +159,12 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
                      data: DerivativeData = None) -> VerificationReport:
     """One residual per structure axiom at the point of cdv.frame.
 
-    Every check reads the flat-frame tt* data at that point, from data
-    (derivative_data at cdv.frame, built here when it is None): h,
-    K = g^{-1} h and W_k, Phi_k, Phidag_k and kappa U kappa.  The four
-    algebraic checks (kappa_involution, hermitian_pairing, higgs_reality,
-    q_reality) are compared against alg_tol, the five others against tol:
-    unit_parallel is exact; kappa_parallel, higgs_parallel and
+    Every check reads the flat-frame tt* data at that point: h, h^{-1} and
+    K = g^{-1} h from cdv.frame, and W_k, Phi_k, Phidag_k and kappa U kappa
+    from data (derivative_data at cdv.frame, built here when it is None).
+    The four algebraic checks (kappa_involution, hermitian_pairing,
+    higgs_reality, q_reality) are compared against alg_tol, the five others
+    against tol: unit_parallel is exact; kappa_parallel, higgs_parallel and
     ttstar_commutator are Laurent coefficients of the pencil's curvature
     (curvature_coefficients), and omega_holomorphy is one term of them.
     Those four read the exact Wirtinger derivatives of the flat data.
@@ -179,8 +174,7 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
     m = len(frame.u)
     if data is None:
         data = derivative_data(spec, frame)
-    h, S, wd = data.h, data.S, data.dS
-    h_inv = invert(h)
+    h, h_inv, S, dS = frame.h, frame.h_inv, data.S, data.dS
     K = frame.ev.g_inv @ h
     W, Phi, Phidag, kUk = S[:m], S[m:2 * m], S[2 * m:3 * m], S[3 * m + 1]
     report = VerificationReport()
@@ -200,7 +194,7 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
 
     # The curvature coefficients F[k][mu, nu] of z^k; i, j are holomorphic
     # flat directions, ibar, jbar antiholomorphic ones.
-    F = curvature_coefficients(S, wd)
+    F = curvature_coefficients(S, dS)
     hol, anti = slice(0, m), slice(m, 2 * m)
 
     # (d) kappa is Chern-parallel: the z^1 coefficients of (i, jbar),
@@ -237,7 +231,7 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
 
     # (i) holomorphy of the Chern connection: dbar_j W_i, its curvature,
     # vanishes.
-    report.add("omega_holomorphy", _maxabs(wd.anti[:, :m]), tol)
+    report.add("omega_holomorphy", _maxabs(dS[m:, :m]), tol)
 
     return report
 
@@ -276,7 +270,7 @@ def verify_harmonic(spec, frame: CanonicalFrame, hd: HarmonicData, cdv: CdvStruc
     cdv is unused; the call keeps it.
     """
     m = len(frame.u)
-    A, A_inv = frame.A, invert(frame.A)
+    A, A_inv = frame.A, frame.A_inv
     P, Pdag, V = (A @ X @ A_inv for X in (hd.P, hd.Pdag, hd.V))
     if data is None:
         data = derivative_data(spec, frame)
@@ -305,37 +299,7 @@ def verify_harmonic(spec, frame: CanonicalFrame, hd: HarmonicData, cdv: CdvStruc
 
 def flat_frame_h(spec, t):
     """The Hermitian pairing in the flat basis: h_ij = h(d_i, conj(d_j))."""
-    return flat_frame_dh(canonical_frame(spec, t))[0]
-
-
-def _frame_inverse(frame: CanonicalFrame):
-    """A^{-1} of a frame, or of each frame of a stack."""
-    return invert(frame.A, "idempotent frame A", frame.point)
-
-
-def flat_frame_dh(frame: CanonicalFrame):
-    """h in the flat basis and its exact derivatives dh[k] = d_k h.
-
-    h = B^T diag|eta| conj(B) with B = A^{-1} (row alpha = frame
-    components of the flat vectors); it is label-invariant, and so is dh.
-    A frame stack gives h and dh for each of its points.
-    dbar_k h = dh[k]^dagger, as h is Hermitian.  d_k conj(B) = 0 and d_k B
-    = -B (d_k A) B.  Differentiating e_alpha o e_alpha = e_alpha gives
-    d_k e_alpha = sum_gamma x_gamma e_gamma with x_gamma = r_gamma for
-    gamma != alpha and x_alpha = -r_alpha, where r_gamma = dC[k, alpha,
-    gamma] / eta_gamma.  With d_k eta_alpha = -2 dC[k, alpha, alpha] and
-    d_k|eta_alpha| = |eta_alpha| d_k eta_alpha / (2 eta_alpha) the diagonal
-    terms cancel: d_k h = -B^T M_k conj(B), where M_k[alpha, gamma] =
-    dC[k, alpha, gamma] |eta_gamma| / eta_gamma off the diagonal, 0 on it.
-    """
-    B = _frame_inverse(frame)
-    abs_eta = np.abs(frame.eta)
-    h = np.einsum("...ai,...aj,...a->...ij", B, np.conj(B), abs_eta)
-    M = frame.dC * (abs_eta / frame.eta)[..., None, None, :]
-    a = np.arange(frame.eta.shape[-1])
-    M[..., a, a] = 0.0
-    dh = -np.einsum("...ai,...kag,...gj->...kij", B, M, np.conj(B))
-    return h, dh
+    return canonical_frame(spec, t).h
 
 
 def _real_metric(h):
@@ -363,8 +327,8 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     Entries read as distances: an entry "passes" exactly when the
     corresponding gap is below tol, i.e. when the structure behaves as in
     the trivial (flat) case.  t is a point or the CanonicalFrame at it.
-    Every derivative of h is exact (flat_frame_dh), so a call takes one
-    eigendecomposition at a point and none given its frame.
+    h, its exact derivatives and h^{-1} come from the frame, so a call
+    takes one eigendecomposition at a point and none given its frame.
     """
     m = spec.dim
     frame = as_frame(spec, t)
@@ -387,14 +351,14 @@ def connection_gap(spec, t, tol) -> VerificationReport:
 
     # (c) closedness of the Kaehler form, flat coordinates:
     # max |d_k h_ij - d_i h_kj|.
-    h0, dh = flat_frame_dh(frame)
+    dh = frame.dh
     res_c = _maxabs(dh - np.swapaxes(dh, 0, 1))
     report.add("kaehler_closedness", res_c, tol)
 
     # (d) real Levi-Civita of Re h vs Chern and vs flat, after
     # complexifying real output vectors via v = v_x + i v_y.
     dg = _real_metric_derivatives(dh)
-    ghat_inv = np.linalg.inv(_real_metric(h0))
+    ghat_inv = np.linalg.inv(_real_metric(frame.h))
     # gamma_hat[a, b, c] = Christoffel symbol Gamma^c_ab of the real metric,
     # from dg[a, b, c] = d_a ghat_bc; v_hat complexifies its output index.
     lowered = dg + np.swapaxes(dg, 0, 1) - np.transpose(dg, (1, 2, 0))
@@ -403,7 +367,7 @@ def connection_gap(spec, t, tol) -> VerificationReport:
 
     # Chern connection in the flat basis: D_{d_i} d_j = sum_k W[i, j, k] d_k,
     # with factor 1 for an x-type and i for a y-type direction or section.
-    W = dh @ invert(h0)
+    W = dh @ frame.h_inv
     factor = np.repeat([1.0, 1j], m)
     v_chern = np.tile(W, (2, 2, 1)) * np.multiply.outer(factor, factor)[:, :, None]
     report.add("real_lc_vs_chern", _maxabs(v_hat - v_chern), tol)
@@ -412,7 +376,7 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     return report
 
 
-def flat_ttstar_data(frames: CanonicalFrame, h_dh=None):
+def flat_ttstar_data(frames: CanonicalFrame):
     """The tt* data in flat coordinates at a frame, or at each of a stack.
 
     The slots, on the axis before the last two (column convention), are
@@ -420,13 +384,12 @@ def flat_ttstar_data(frames: CanonicalFrame, h_dh=None):
     is the Chern connection along d_k, Phi_k = -C_k^T the Higgs field,
     Phidag_k = kappa Phi_k kappa = K conj(Phi_k) conj(K) with K = g^{-1} h
     the matrix of kappa, and U the Euler multiplication.  All of it is
-    label-invariant, and the derivatives of h are exact: h_dh is
-    flat_frame_dh(frames), computed here when it is None.
+    label-invariant, and h, its exact derivatives and h^{-1} are the
+    frame's.
     """
-    h, dh = flat_frame_dh(frames) if h_dh is None else h_dh
     ev = frames.ev
-    K = ev.g_inv @ h
-    W = np.swapaxes(dh @ invert(h)[..., None, :, :], -1, -2)
+    K = ev.g_inv @ frames.h
+    W = np.swapaxes(frames.dh @ frames.h_inv[..., None, :, :], -1, -2)
     Phi = -np.swapaxes(ev.Cmix, -1, -2)
     Phidag = K[..., None, :, :] @ np.conj(Phi) @ np.conj(K)[..., None, :, :]
     kUk = K @ np.conj(ev.U) @ np.conj(K)
@@ -447,18 +410,17 @@ def _connection_coefficients(S, Q):
     return np.stack([np.concatenate(row, axis=-3) for row in rows])
 
 
-def curvature_coefficients(S, wd, Q=0.0):
+def curvature_coefficients(S, dS, Q=0.0):
     """Laurent coefficients in z of the curvature of the pencil
     D + Phi/z + z Phidag + (U/z^2 - Q/z - kappa U kappa) dz.
 
-    S is flat_ttstar_data at a point, wd its Wirtinger derivatives there
-    and Q a constant.  Returns {k: F_k} for k = -4..2, where F_k[mu, nu]
+    S is flat_ttstar_data at a point, dS its Wirtinger derivatives there
+    (DerivativeData.dS) and Q a constant.  Returns {k: F_k} for k = -4..2, where F_k[mu, nu]
     is the coefficient of z^k in the curvature component F(d_mu, d_nu),
     with mu, nu over the m holomorphic flat directions, then the m
     antiholomorphic ones, then z.  With G[mu, nu] = d_mu A_nu + A_mu
     A_nu, F = G - G^T over (mu, nu), so F is exactly antisymmetric.
     """
-    dS = np.concatenate([wd.holo, wd.anti])
     n = len(dS)
     a = _connection_coefficients(S, Q)  # a[p + 2, mu]
     da = _connection_coefficients(dS, 0.0)  # da[p + 2, nu, mu] = d_nu a[p + 2, mu]

@@ -7,7 +7,6 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 error.
 import argparse
 import datetime
 import json
-import re
 import sys
 
 import numpy as np
@@ -208,16 +207,14 @@ def cmd_lowdim(args):
     pts, frames, skipped = _points_for(spec, args)
     reports = []
     for frame in frames:
-        # Both checks read h and its derivatives at the one frame.
-        h_dh = cdvmod.flat_frame_dh(frame)
-        inp = ld.from_canonical(spec, frame, h_dh)
+        inp = ld.from_canonical(spec, frame)
         if spec.dim == 2:
             reports.append(ld.check_m2_relations(inp, args.tol))
         elif spec.dim == 3:
             reports.append(ld.check_m3_relations(inp, args.tol))
         else:
             raise ParseError("lowdim checks support dimensions 2 and 3 only")
-        reports.append(ld.check_euler_degree(spec, frame, args.tol, h_dh))
+        reports.append(ld.check_euler_degree(spec, frame, args.tol))
     return aggregate(reports), pts, skipped, None
 
 
@@ -238,7 +235,7 @@ def cmd_tt2d(args):
     # Below the residual's round-off floor, tol cannot be met.  Both checks
     # share that target; the independent one allows 10x for the round-off
     # of its own code, but only on a converged solve: one that stopped
-    # short (a line search can stall just above the floor) gets no slack.
+    # short (at --max-iter, or in a stalled line search) gets no slack.
     tol = max(args.tol, solution.floor)
     report.add("tt2d_solver_residual", solution.residual, tol)
     report.add("tt2d_independent_residual", pde, 10.0 * tol if solution.converged else tol)
@@ -270,13 +267,17 @@ def cmd_catalog(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads a negative number after an option
-    ("-1e-5", "-0.3,0.1;0,1") as the option's value, as Python 3.13's does;
-    older ones take "-1e-5" for an unknown option."""
+    """An ArgumentParser that reads a word starting with "-" that names no
+    option ("-1e-5", "-0.3,0.1;0,1", "-inf,0;0,0") as a value, so that
+    the option before it takes it; argparse takes it for an unknown
+    option, and exits with its usage when that option needs a value."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+    def _parse_optional(self, arg_string):
+        parsed = super()._parse_optional(arg_string)
+        # One (action, ...) tuple, or a list of them (Python >= 3.12);
+        # a word that names no option comes back with action None.
+        first = parsed[0] if isinstance(parsed, list) else parsed
+        return None if parsed is not None and first[0] is None else parsed
 
 
 def build_parser():

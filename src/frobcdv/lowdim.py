@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import as_frame
-from .cdv import flat_frame_dh
 from .errors import NoConvergence, NonPositiveIterate, NotNormalForm, ValidationError
-from .numerics import invert
 from .potential import diff_terms, eval_terms
 from .report import VerificationReport
 
@@ -41,19 +39,17 @@ def _require_normal_form(spec):
         raise NotNormalForm("this check requires a spec in antidiagonal normal form")
 
 
-def from_canonical(spec, t, h_dh=None) -> LowDimInput:
+def from_canonical(spec, t) -> LowDimInput:
     """Build normal-form point data from the canonical construction.
 
     t is a point or the CanonicalFrame at it.  The Chern forms are
-    omega_i^j = sum_k (d h_ik) h^kj, with h and its derivatives exact from
-    that one frame: h_dh is flat_frame_dh(frame), computed here when it
-    is None.  The third derivatives are the ones the frame was built from.
+    omega_i^j = sum_k (d h_ik) h^kj, with h, its exact derivatives and
+    h^{-1} read from that one frame, as are the third derivatives.
     """
     _require_normal_form(spec)
     frame = as_frame(spec, t)
-    h, dh = flat_frame_dh(frame) if h_dh is None else h_dh
     return LowDimInput(
-        m=spec.dim, h=h, omega=dh @ invert(h), C3=frame.ev.C3,
+        m=spec.dim, h=frame.h, omega=frame.dh @ frame.h_inv, C3=frame.ev.C3,
         degrees=spec.degrees, d=spec.d,
     )
 
@@ -125,17 +121,16 @@ def check_m3_relations(inp: LowDimInput, tol) -> VerificationReport:
     return report
 
 
-def check_euler_degree(spec, t, tol, h_dh=None) -> VerificationReport:
+def check_euler_degree(spec, t, tol) -> VerificationReport:
     """Degree relation (E - Ebar) h_ij = (d_j - d_i) h_ij in flat coordinates,
-    at a point t or at the CanonicalFrame t; h_dh is flat_frame_dh at that
-    frame, computed here when it is None."""
+    at a point t or at the CanonicalFrame t, with h and its derivatives
+    read from the frame."""
     _require_normal_form(spec)
     frame = as_frame(spec, t)
-    h, dh = flat_frame_dh(frame) if h_dh is None else h_dh
-    Eh = np.einsum("k,kij->ij", spec.euler_components(frame.point), dh)
+    Eh = np.einsum("k,kij->ij", spec.euler_components(frame.point), frame.dh)
     lhs = Eh - np.conj(Eh).T  # Ebar(h) = E(h)^dagger, as h is Hermitian
     degrees = np.asarray(spec.degrees)
-    rhs = (degrees[None, :] - degrees[:, None]) * h
+    rhs = (degrees[None, :] - degrees[:, None]) * frame.h
     report = VerificationReport()
     report.add("euler_degree_relation", float(np.max(np.abs(lhs - rhs))), tol)
     return report
@@ -210,13 +205,30 @@ def _residual4(v, c2, hx, hy):
 
 
 def _residual_floor(lap_size, vi, c2i):
-    """Round-off floor of the residual (1/4) Lap v - e^{2v} c2 + e^{-2v}:
-    4 eps times the sum of its largest terms, at the interior values vi
-    with the source c2i there; lap_size is the largest absolute row sum
-    of (1/4) Lap."""
-    return 4.0 * np.finfo(float).eps * (
-        lap_size * np.max(np.abs(vi)) + np.max(np.exp(2.0 * vi) * c2i)
-        + np.max(np.exp(-2.0 * vi)))
+    """Round-off floor of the residual R = (1/4) Lap v - e^{2v} c2 + e^{-2v}
+    at the interior values vi, with the source c2i there; lap_size is the
+    largest absolute row sum of (1/4) Lap, so |(1/4) Lap v| <= lap_size
+    max|v| =: L.
+
+    A first-order bound at each node, in units of u = eps / 2, with c2 and
+    the spacings taken as exact (the solver and tt2d_residual share them):
+    - Storing v rounds each value by up to u |v|.  That moves R by up to
+      u (L + 2|v| (e^{2v} c2 + e^{-2v})): e^{+-2v} amplify it by 2|v|,
+      which dominates where the source is large.
+    - Evaluating R (_residual4) errs by up to 11u L + 5u e^{2v} c2 +
+      4u e^{-2v}.  The 5-point stencil rounds its product by 30, its four
+      additions, 12 h^2 twice and the quotient (8u), the sum over both
+      axes adds u, and the two additions of the three terms of R add 2u
+      to each.  exp (taken as accurate to one ulp) adds 2u to each
+      exponential, and the product with c2 one more u.
+    A Newton step from v cancels R up to its evaluation error there, and
+    the residual then read adds that error again: the floor is the first
+    bound plus twice the second, maximised over the nodes.
+    """
+    u = 0.5 * np.finfo(float).eps
+    av = np.abs(vi)
+    return u * (23.0 * lap_size * np.max(av) + np.max(
+        (10.0 + 2.0 * av) * np.exp(2.0 * vi) * c2i + (8.0 + 2.0 * av) * np.exp(-2.0 * vi)))
 
 
 def _at_roundoff_floor(res, prev, lap_size, vi, c2i):
@@ -244,14 +256,6 @@ def _d2_matrix(n, hstep, wide):
     unit = np.zeros((n, k))
     unit[1:-1] = np.eye(k)
     return _lap4_1d(unit, 0, hstep)
-
-
-def _lap_size(n, hx, hy):
-    """Largest absolute row sum of (1/4) lap4 on the (n-2) x (n-2) interior
-    grid.  lap4 is the Kronecker sum of the 1-d matrices of x and y, whose
-    diagonals are negative, so it is the sum of their largest ones."""
-    return 0.25 * sum(float(np.max(np.sum(np.abs(_d2_matrix(n, hstep, True)), axis=1)))
-                      for hstep in (hx, hy))
 
 
 def _laplacian_matrix(n, hx, hy, wide):
@@ -493,7 +497,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     P = _laplacian_matrix(n, hx, hy, wide=False)
     J.data *= 0.25
     P.data *= 0.25
-    lap_size = _lap_size(n, hx, hy)
+    lap_size = float(np.max(abs(J) @ np.ones(J.shape[1])))  # before D goes in
     transfers = _transfers(n - 2, hx, hy)  # fixed by the grid, so made once
     diag_J, diag_P = (A.data[list(A.offsets).index(0)] for A in (J, P))
     lap4_diag, lap2_diag = diag_J.copy(), diag_P.copy()

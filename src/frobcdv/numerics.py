@@ -1,5 +1,4 @@
-"""Small dense complex linear algebra, and the container of Wirtinger
-derivatives.
+"""Small dense complex linear algebra.
 
 All heavier routines delegate to numpy.linalg; this module pins down the
 deterministic conventions (eigenvalue ordering, residual reporting, pivot
@@ -30,19 +29,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float
-
-
-@dataclass(frozen=True)
-class WirtingerDerivative:
-    """Holomorphic and antiholomorphic derivatives d/dz^j and d/dconj(z^j).
-
-    holo = (1/2)(D_x - i D_y), anti = (1/2)(D_x + i D_y); each has a
-    leading axis over the coordinates j, then the output shape of the
-    differentiated function.
-    """
-
-    holo: np.ndarray
-    anti: np.ndarray
 
 
 def _check_square(M):

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import collections
+import sys
 
 import numpy as np
 import pytest
@@ -38,4 +39,23 @@ def derivative_calls(monkeypatch):
         return symmetric_derivatives(terms, m, t, order)
 
     monkeypatch.setattr(potential, "_symmetric_derivatives", counting)
+    return calls
+
+
+@pytest.fixture
+def invert_calls(monkeypatch):
+    """A list that gains the name of the matrix at each guarded inversion
+    (numerics.invert), through any frobcdv module."""
+    import frobcdv.numerics as numerics
+
+    calls = []
+    invert = numerics.invert
+
+    def counting(M, name="matrix", points=None):
+        calls.append(name)
+        return invert(M, name, points)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("frobcdv") and getattr(module, "invert", None) is invert:
+            monkeypatch.setattr(module, "invert", counting)
     return calls

@@ -18,7 +18,6 @@ from frobcdv import (
     connection_gap,
     check_euler_degree,
     construct_canonical_cdv,
-    flat_frame_dh,
     flat_frame_h,
     flat_metric,
     from_canonical,
@@ -28,10 +27,11 @@ from frobcdv import (
     verify_harmonic,
     write_spec,
 )
+from frobcdv import canonical as canonical_module
 from frobcdv import cdv as cdv_module
+from frobcdv.canonical import flat_frame_dh
 from frobcdv.cdv import _real_metric, _real_metric_derivatives
 from frobcdv.cli import main, sample_points
-from frobcdv.numerics import WirtingerDerivative
 from test_stacked_frames import _flat_data_loop
 
 QPT = (0.0, 1.0)
@@ -49,6 +49,11 @@ def _fake_frame(eta):
         dC=np.zeros((m, m, m), dtype=complex),
         gap=1.0,
         ev=None,
+        F4=None,
+        A_inv=None,
+        h=None,
+        dh=None,
+        h_inv=None,
     )
 
 
@@ -90,14 +95,19 @@ def test_axioms_a3():
 
 
 def _patch_flat(monkeypatch, attr, mutate):
-    """Replace cdv.<attr>, a function of a frame (and, for
-    flat_ttstar_data, of flat_frame_dh's value when given), by
-    mutate(frame, its original value), and cdv.derivative_data by
-    _fd_derivative_data of the mutated flat data."""
-    original = getattr(cdv_module, attr)
-    monkeypatch.setattr(cdv_module, attr,
-                        lambda frames, *args: mutate(frames, original(frames, *args)))
+    """Replace <attr> (canonical.flat_frame_dh, which every frame built
+    afterwards reads, or cdv.flat_ttstar_data) by mutate(*its arguments,
+    its original value), and cdv.derivative_data by _fd_derivative_data of
+    the mutated flat data."""
+    module = canonical_module if attr == "flat_frame_dh" else cdv_module
+    original = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: mutate(*args, original(*args)))
     _patch_derivative_data(monkeypatch)
+
+
+def _axioms(spec, t):
+    """verify_cv_axioms at the frame of t, built now."""
+    return verify_cv_axioms(spec, construct_canonical_cdv(canonical_frame(spec, t), spec.d), 1e-5)
 
 
 def _patch_derivative_data(monkeypatch):
@@ -114,7 +124,7 @@ def _patch_derivative_data(monkeypatch):
 def _phidag_with_unconjugated_kappa(frames, S):
     # Phidag_k = K Phi_k conj(K) in place of K conj(Phi_k) conj(K).
     m = frames.A.shape[-1]
-    K = frames.ev.g_inv @ flat_frame_dh(frames)[0]
+    K = frames.ev.g_inv @ frames.h
     S = S.copy()
     K = K[..., None, :, :]
     S[..., 2 * m:3 * m, :, :] = K @ S[..., m:2 * m, :, :] @ np.conj(K)
@@ -144,18 +154,18 @@ def _conjugated_phi(frames, S):
     return S
 
 
-def _dbar_h_for_dh(frames, h_dh):
+def _dbar_h_for_dh(A_inv, eta, dC, h_dh):
     h, dh = h_dh
     return h, np.conj(np.swapaxes(dh, -1, -2))  # dbar_k h = (d_k h)^dagger
 
 
-def _direction_and_row_swapped(frames, h_dh):
+def _direction_and_row_swapped(A_inv, eta, dC, h_dh):
     h, dh = h_dh
     return h, np.swapaxes(dh, -3, -2)  # dh[i, k, j] in place of dh[k, i, j]
 
 
-# (check, spec, point, patched function of cdv, mutant).  Each mutant reaches
-# the verifier through derivative_data's output (_patch_flat).  On p1 the dbar h
+# (check, spec, point, patched function, mutant).  Each mutant reaches the
+# verifier through the frame and derivative_data's output (_patch_flat).  On p1 the dbar h
 # mutant leaves every check at round-off, hence a3_3d; d_e h = 0 exactly
 # along the unit e, so no mutant of dh moves unit_parallel.  The rolled
 # Phidag and the conjugated Phi move only the second term of their check.
@@ -174,10 +184,9 @@ FLAT_MUTANTS = [
                          ids=[f"{m[0]}-{m[4].__name__.strip('_')}" for m in FLAT_MUTANTS])
 def test_derivative_check_fails_on_mutated_flat_data(monkeypatch, check, name, t, attr, mutate):
     spec = catalog(name)
-    cdv = construct_canonical_cdv(canonical_frame(spec, t), spec.d)
-    assert verify_cv_axioms(spec, cdv, 1e-5)[check].residual <= 1e-5
+    assert _axioms(spec, t)[check].residual <= 1e-5
     _patch_flat(monkeypatch, attr, mutate)
-    assert verify_cv_axioms(spec, cdv, 1e-5)[check].residual > 1e-3
+    assert _axioms(spec, t)[check].residual > 1e-3
 
 
 ALG_NAMES = ("kappa_involution", "hermitian_pairing", "higgs_reality", "q_reality")
@@ -186,9 +195,8 @@ ALG_NAMES = ("kappa_involution", "hermitian_pairing", "higgs_reality", "q_realit
 def _h_with_weights(weights):
     """A mutant of flat_frame_dh: h = B^T diag(weights(eta)) conj(B) in
     place of the weights |eta|, and dh unchanged."""
-    def mutate(frames, h_dh):
-        B = np.linalg.inv(frames.A)
-        h = np.einsum("...ai,...aj,...a->...ij", B, np.conj(B), weights(frames.eta))
+    def mutate(B, eta, dC, h_dh):
+        h = np.einsum("...ai,...aj,...a->...ij", B, np.conj(B), weights(eta))
         return h, h_dh[1]
     return mutate
 
@@ -204,9 +212,8 @@ def test_global_sign_flip_is_still_an_involution(monkeypatch):
     # h -> -h turns K into -K, which is still an involution, and leaves
     # W = (dh h^-1)^T and Phidag unchanged: only positivity sees it.
     spec = catalog("quartic2")
-    cdv = construct_canonical_cdv(canonical_frame(spec, QPT), spec.d)
-    _patch_flat(monkeypatch, "flat_frame_dh", lambda frames, h_dh: (-h_dh[0], -h_dh[1]))
-    rep = verify_cv_axioms(spec, cdv, 1e-5)
+    _patch_flat(monkeypatch, "flat_frame_dh", lambda *args: (-args[-1][0], -args[-1][1]))
+    rep = _axioms(spec, QPT)
     assert rep["kappa_involution"].residual <= 1e-12
     assert rep["hermitian_pairing"].residual >= 1.0
 
@@ -220,7 +227,7 @@ def test_algebraic_checks_hold_and_h_is_positive(name, seed):
     rep = verify_cv_axioms(spec, construct_canonical_cdv(frame, spec.d), 1e-5)
     for check in ALG_NAMES:
         assert rep[check].residual <= 1e-12, check
-    assert np.linalg.eigvalsh(flat_frame_dh(frame)[0])[0] > 0.0
+    assert np.linalg.eigvalsh(frame.h)[0] > 0.0
 
 
 @pytest.mark.parametrize("name,radius", [("quartic2", 1000.0), ("a3_3d", 100.0)])
@@ -247,8 +254,8 @@ def test_algebraic_checks_stay_at_roundoff_far_out(name, radius):
         assert rep.passed, "\n".join(rep.summary_lines())
 
 
-# (check, patched function of cdv, mutant, the checks it leaves at
-# round-off, its residual at A3_POINT).  A mutant changes the flat data
+# (check, patched function, mutant, the checks it leaves at round-off, its
+# residual at A3_POINT).  A mutant changes the flat data
 # of every frame, and so derivative_data's output (_patch_flat).
 ALG_MUTANTS = [
     ("hermitian_pairing", "flat_frame_dh", _h_with_weights(lambda eta: eta),
@@ -267,10 +274,9 @@ ALG_MUTANTS = [
 def test_algebraic_check_fails_on_mutated_flat_data(monkeypatch, check, attr, mutate,
                                                     unmoved, expected):
     spec = catalog("a3_3d")
-    cdv = construct_canonical_cdv(canonical_frame(spec, A3_POINT), spec.d)
-    assert verify_cv_axioms(spec, cdv, 1e-5)[check].residual <= 1e-12
+    assert _axioms(spec, A3_POINT)[check].residual <= 1e-12
     _patch_flat(monkeypatch, attr, mutate)
-    rep = verify_cv_axioms(spec, cdv, 1e-5)
+    rep = _axioms(spec, A3_POINT)
     assert rep[check].residual == pytest.approx(expected, abs=0.06)
     for other in unmoved:
         assert rep[other].residual <= 1e-12, other
@@ -284,11 +290,11 @@ def test_q_reality_equation_is_the_z_inverse_curvature_coefficient(name, t):
     m = spec.dim
     frame = canonical_frame(spec, t)
     S = cdv_module.flat_ttstar_data(frame)
-    wd = cdv_module.derivative_data(spec, frame).dS
+    dS = cdv_module.derivative_data(spec, frame).dS
     Q = np.random.default_rng(4).normal(size=(m, m)) + 0j
     W, Phi, kUk = S[:m], S[m:2 * m], S[3 * m + 1]
     expected = -(W @ Q - Q @ W) - (Phi @ kUk - kUk @ Phi)
-    coefficient = cdv_module.curvature_coefficients(S, wd, Q)[-1][:m, 2 * m]
+    coefficient = cdv_module.curvature_coefficients(S, dS, Q)[-1][:m, 2 * m]
     assert np.max(np.abs(coefficient - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -388,10 +394,10 @@ def _wirtinger_order4(f, t, k, step):
 
 
 def _fd_derivative_data(spec, t, flat_data):
-    """A DerivativeData at t by finite differences: h (cdv.flat_frame_dh)
-    and S = flat_data(t) at t, and an order-4 Wirtinger difference (step
-    1e-4) of flat_data and of P_flat = A P A^{-1} (cdv.harmonic_potential)
-    over the frames of nearby points."""
+    """A DerivativeData at t by finite differences: S = flat_data(t) at t,
+    and an order-4 Wirtinger difference (step 1e-4) of flat_data and of
+    P_flat = A P A^{-1} (cdv.harmonic_potential) over the frames of nearby
+    points."""
     t = np.asarray(t, dtype=complex)
     n = 3 * spec.dim + 2
 
@@ -402,8 +408,7 @@ def _fd_derivative_data(spec, t, flat_data):
 
     holo, anti = (np.stack(d) for d in zip(*(_wirtinger_order4(values, t, k, 1e-4)
                                              for k in range(spec.dim))))
-    return DerivativeData(h=cdv_module.flat_frame_dh(canonical_frame(spec, t))[0],
-                          S=flat_data(t), dS=WirtingerDerivative(holo[:, :n], anti[:, :n]),
+    return DerivativeData(S=flat_data(t), dS=np.concatenate([holo[:, :n], anti[:, :n]]),
                           dP=holo[:, n])
 
 
@@ -422,10 +427,8 @@ def test_derivative_data_against_fd_oracle(name, seed):
     fd = _fd_derivative_data(spec, pts[0], lambda tp: _flat_data_loop(spec, tp))
     blocks = (slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m), slice(3 * m, 3 * m + 2))
     for b in blocks:
-        scale = max(np.max(np.abs(M)) for M in (exact.S[b], exact.dS.holo[:, b],
-                                                exact.dS.anti[:, b]))
-        assert np.max(np.abs(exact.dS.holo[:, b] - fd.dS.holo[:, b])) <= 1e-8 * scale, b
-        assert np.max(np.abs(exact.dS.anti[:, b] - fd.dS.anti[:, b])) <= 1e-8 * scale, b
+        scale = max(np.max(np.abs(exact.S[b])), np.max(np.abs(exact.dS[:, b])))
+        assert np.max(np.abs(exact.dS[:, b] - fd.dS[:, b])) <= 1e-8 * scale, b
     P = frame.A @ harmonic_potential(frame, spec.d).P @ np.linalg.inv(frame.A)
     scale = max(np.max(np.abs(P)), np.max(np.abs(exact.dP)))
     assert np.max(np.abs(exact.dP - fd.dP)) <= 1e-8 * scale
@@ -438,7 +441,7 @@ def test_flat_frame_dh_against_fd_oracle(name):
     spec = catalog(name)
     pts, _ = sample_points(spec, 5, seed=3)
     for t in pts:
-        dh = flat_frame_dh(canonical_frame(spec, t))[1]
+        dh = canonical_frame(spec, t).dh
         scale = np.max(np.abs(dh))
         for k in range(spec.dim):
             holo, anti = _wirtinger_order4(lambda tp: flat_frame_h(spec, tp), t, k, 1e-4)
@@ -456,7 +459,7 @@ def _frame_and_permutation(draw):
 def _relabel(frame, pi):
     """The frame with its idempotents taken in the order pi."""
     return dataclasses.replace(
-        frame, u=frame.u[pi], A=frame.A[:, pi], eta=frame.eta[pi],
+        frame, u=frame.u[pi], A=frame.A[:, pi], A_inv=frame.A_inv[pi], eta=frame.eta[pi],
         eta_d=frame.eta_d[np.ix_(pi, pi)], dC=frame.dC[:, pi][:, :, pi],
     )
 
@@ -465,7 +468,9 @@ def _relabel(frame, pi):
 @given(_frame_and_permutation())
 def test_flat_frame_dh_is_label_invariant(frame_and_pi):
     _, frame, pi = frame_and_pi
-    for before, after in zip(flat_frame_dh(frame), flat_frame_dh(_relabel(frame, pi))):
+    relabelled = _relabel(frame, pi)
+    for before, after in zip(flat_frame_dh(frame.A_inv, frame.eta, frame.dC),
+                             flat_frame_dh(relabelled.A_inv, relabelled.eta, relabelled.dC)):
         assert np.max(np.abs(after - before)) <= 1e-12 * np.max(np.abs(before))
 
 
@@ -496,8 +501,7 @@ def test_flat_frame_dh_cubic2_is_exactly_zero():
     # leaves ~1e-12 of round-off here.
     spec = catalog("cubic2")
     for t in [(0.3 + 0.2j, 0.8 - 0.1j), (0.0, 1.0)]:
-        _, dh = flat_frame_dh(canonical_frame(spec, t))
-        assert not np.any(dh)
+        assert not np.any(canonical_frame(spec, t).dh)
 
 
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
@@ -507,7 +511,7 @@ def test_real_metric_derivatives_against_fd(name, t):
     spec = catalog(name)
     m = spec.dim
     t = np.asarray(t, dtype=complex)
-    dg = _real_metric_derivatives(flat_frame_dh(canonical_frame(spec, t))[1])
+    dg = _real_metric_derivatives(canonical_frame(spec, t).dh)
     s0 = np.concatenate([t.real, t.imag])
     step = 1e-5
     for a in range(2 * m):
@@ -578,41 +582,39 @@ def test_pencil_scalar_grading_term_is_invisible():
 @pytest.mark.parametrize("given", ["frame", "point"])
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)],
                          ids=["quartic2", "a3_3d"])
-def test_pencil_builds_base_data_once_per_stencil_point(eig_calls, derivative_calls,
-                                                        name, t, given):
-    # derivative_data reads the frame at the point and one evaluation each
-    # of the fourth and fifth partials of F there.  Given a point, its
-    # frame takes one eigen-solve and one evaluation of the third and
-    # fourth partials.
+def test_pencil_reads_its_frame_and_one_fifth_partials_evaluation(
+        eig_calls, derivative_calls, invert_calls, name, t, given):
+    # derivative_data reads the frame at the point and one evaluation of
+    # the fifth partials of F there.  Given a point, its frame takes one
+    # eigen-solve, one evaluation of the third and fourth partials, and
+    # inverts A and h.
     spec = catalog(name)
     flat_metric(spec)  # cached once per spec; not part of the count
     t = canonical_frame(spec, t) if given == "frame" else t
     eig_calls.clear()
     derivative_calls.clear()
+    invert_calls.clear()
     pencil_curvature(spec, t, [1.0, 1.0j, 2.0], 1e-5)
     built = given == "point"
-    assert eig_calls == derivative_calls[3] == [1] * built
-    assert derivative_calls[4] == [1] * (1 + built)
+    assert eig_calls == derivative_calls[3] == derivative_calls[4] == [1] * built
+    assert invert_calls == ["idempotent frame A", "flat pairing h"] * built
     assert derivative_calls[5] == [1]
 
 
-@pytest.mark.parametrize("name,t,m", [("quartic2", QPT, 2), ("a3_3d", A3_POINT, 3)],
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)],
                          ids=["quartic2", "a3_3d"])
-def test_stencil_data_inverts_each_frame_once(monkeypatch, name, t, m):
-    # derivative_data inverts A (flat_frame_dh) and h (flat_ttstar_data)
-    # once each; every derivative takes them from the frame.
+def test_derivative_data_inverts_nothing_given_a_frame(invert_calls, derivative_calls,
+                                                       name, t):
+    # The frame holds A^{-1}, h^{-1} and the fourth partials of F; only
+    # d_j W_k evaluates the fifth.
     spec = catalog(name)
     frame = canonical_frame(spec, t)
-    shapes = []
-    invert = cdv_module.invert
-
-    def counting(M, *args):
-        shapes.append(np.shape(M))
-        return invert(M, *args)
-
-    monkeypatch.setattr(cdv_module, "invert", counting)
+    invert_calls.clear()
+    derivative_calls.clear()
     cdv_module.derivative_data(spec, frame)
-    assert shapes == [(m, m), (m, m)]
+    assert invert_calls == []
+    assert derivative_calls[4] == []
+    assert derivative_calls[5] == [1]
 
 
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)])

@@ -28,6 +28,7 @@ from frobcdv import (
     harmonic_potential,
     load_spec,
     pencil_curvature,
+    solve_tt2d,
     spec_from_dict,
     spec_to_dict,
     verify_cv_axioms,
@@ -89,13 +90,15 @@ def test_parse_point():
             _parse_point(bad, 2)
 
 
-BAD_POINTS = ("a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "1e200,0;0,1", "0,1e200;0.5,0")
+BAD_POINTS = ("a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "1e200,0;0,1", "0,1e200;0.5,0",
+              "-inf,0;0,0", "--x")
 
 
 @pytest.mark.parametrize("command", ["verify", "cdv", "connections", "pencil", "lowdim"])
 def test_bad_point_is_one_line_error(tmp_path, capsys, command):
     # A non-numeric or non-finite coordinate used to end in a traceback;
-    # pencil printed numpy's overflow warning at 1e200.
+    # pencil printed numpy's overflow warning at 1e200, and argparse took
+    # a point starting with "-" but not with a digit for an option.
     spec = _dump("quartic2", tmp_path)
     for point in BAD_POINTS:
         assert main([command, "--spec", spec, "--point", point]) == 2, point
@@ -226,24 +229,41 @@ def test_one_fifth_partials_evaluation_per_point(tmp_path, derivative_calls, com
 
 @pytest.mark.parametrize("points", [1, 3])
 @pytest.mark.parametrize("name", ["quartic2", "a3_3d"])
-def test_lowdim_builds_h_once_per_point(tmp_path, monkeypatch, name, points):
+def test_lowdim_forms_h_once_per_point_in_its_frame(tmp_path, monkeypatch, name, points):
     # from_canonical and check_euler_degree read h and its derivatives from
-    # one flat_frame_dh call at each sampled frame.
-    import frobcdv.cdv as cdv_module
-    import frobcdv.lowdim as lowdim_module
+    # the sampled frame, which forms them in one flat_frame_dh call.
+    import frobcdv.canonical as canonical_module
 
     calls = []
-    flat_frame_dh = cdv_module.flat_frame_dh
+    flat_frame_dh = canonical_module.flat_frame_dh
 
-    def counting(frame, *args):
-        calls.append(tuple(frame.point))
-        return flat_frame_dh(frame, *args)
+    def counting(A_inv, eta, dC):
+        calls.append(len(A_inv))
+        return flat_frame_dh(A_inv, eta, dC)
 
-    for module in (cdv_module, lowdim_module):
-        monkeypatch.setattr(module, "flat_frame_dh", counting)
+    monkeypatch.setattr(canonical_module, "flat_frame_dh", counting)
     spec = _dump(name, tmp_path)
     assert main(["lowdim", "--spec", spec, "--points", str(points), "--seed", "0"]) == 0
-    assert len(calls) == len(set(calls)) == points
+    assert calls == [1] * points
+
+
+# Evaluations of the fourth partials of F by one CLI call with --points 1 on
+# p1: one by load_spec's homogeneity spot-check, one by the sampled frame,
+# and verify's check_homogeneity.
+FOURTH_PARTIALS_PER_COMMAND = {"verify": 3, "cdv": 2, "pencil": 2, "connections": 2,
+                               "lowdim": 2}
+
+
+@pytest.mark.parametrize("command", sorted(FOURTH_PARTIALS_PER_COMMAND))
+def test_frame_forms_flat_data_once_per_point(tmp_path, invert_calls, derivative_calls,
+                                              command):
+    # The sampled frame inverts A and h and evaluates the fourth partials
+    # once; every check reads them from it.
+    spec = _dump("p1", tmp_path)
+    args = [command, "--spec", spec, "--seed", "0"]
+    main(args if command == "cdv" else args + ["--points", "1"])
+    assert invert_calls == ["idempotent frame A", "flat pairing h"]
+    assert len(derivative_calls[4]) == FOURTH_PARTIALS_PER_COMMAND[command]
 
 
 def _standalone_residuals(command, spec, pts, tol=1e-5):
@@ -299,6 +319,17 @@ def test_singular_frame_error_names_matrix_and_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("error: idempotent frame A is singular to working precision "
                    "at (0.3+0j, 300+0j)\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "cdv", "pencil", "connections", "lowdim"])
+def test_singular_pairing_error_names_matrix_and_point(tmp_path, capsys, command):
+    # At radius 30 on p1 the frame's A passes its guard and h fails its
+    # own; the message used to name neither the matrix nor the point.
+    spec = _dump("p1", tmp_path)
+    assert main([command, "--spec", spec, "--point", "0.1,0;30,0"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: flat pairing h is singular to working precision "
+                   "at (0.1+0j, 30+0j)\n")
 
 
 def test_explicit_point_flag(tmp_path):
@@ -360,22 +391,40 @@ def test_tt2d_failed_solve_fails_independent_check(tmp_path):
         "tt2d_solver_residual", "tt2d_independent_residual"]
 
 
-def test_tt2d_stalled_solve_fails_independent_check(tmp_path):
-    # On (0, 0, 20, 1) at n = 17 the line search stalls after 22 steps at
-    # residual 2.68e-7, just above the round-off floor 2.47e-7.  The
-    # independent residual reads the same; with the 10x slack that only a
-    # converged solve gets, it would pass.
-    spec = _dump("p1", tmp_path)
+def test_tt2d_unconverged_solve_fails_independent_check(tmp_path):
+    # A solve cut short by --max-iter gets no 10x slack on the independent
+    # residual.  Here both residuals lie within 10x of --tol, so with the
+    # slack that only a converged solve gets it would pass.
+    stopped = solve_tt2d(catalog("p1"), (-1, -1, 1, 1), 17, 1.0, max_iter=2,
+                         raise_on_failure=False)
+    tol = 0.5 * stopped.residual
     report = tmp_path / "r.json"
-    argv = ["tt2d", "--spec", spec, "--grid", "17", "--rect", "0,0,20,1",
-            "--report", str(report)]
+    argv = ["tt2d", "--spec", _dump("p1", tmp_path), "--grid", "17", "--max-iter", "2",
+            "--tol", repr(tol), "--report", str(report)]
     assert main(argv) == 1
     doc = json.loads(report.read_text())
     assert doc["tt2d"]["converged"] is False
     solver, independent = doc["checks"]
     assert not solver["pass"] and not independent["pass"]
-    tol = solver["tolerance"]
-    assert independent["tolerance"] == tol < solver["residual"] < 1.1 * tol
+    assert independent["tolerance"] == solver["tolerance"] == tol
+    assert tol < solver["residual"] < 10.0 * tol and independent["residual"] < 10.0 * tol
+
+
+@pytest.mark.parametrize("grid,rect", [("17", "0,0,20,1"), ("33", "0,0,20,1"),
+                                       ("17", "0,0,30,1"), ("33", "0,0,30,1")])
+def test_tt2d_large_source_converges_at_roundoff_floor(tmp_path, grid, rect):
+    # Where e^{2v} |f'''|^2 and e^{-2v} reach ~1e8-1e12 (|v| up to ~15),
+    # Newton stops at the residual's round-off floor, far above tol =
+    # 1e-10.  The floor used to leave out the rounding of v itself, which
+    # e^{+-2v} amplify by 2|v|, and the stall lay above it: both checks
+    # FAILed.
+    report = tmp_path / "r.json"
+    argv = ["tt2d", "--spec", _dump("p1", tmp_path), "--grid", grid, "--rect", rect,
+            "--report", str(report)]
+    assert main(argv) == 0
+    doc = json.loads(report.read_text())
+    assert doc["tt2d"]["converged"] is True
+    assert all(c["pass"] for c in doc["checks"])
 
 
 @pytest.mark.parametrize("flags", [

@@ -33,7 +33,6 @@ from frobcdv.lowdim import (
     _fppp_sq,
     _omega_antisymmetry,
     _lap4_1d,
-    _lap_size,
     _laplacian_matrix,
     _residual4,
     _source_jacobian,
@@ -477,12 +476,21 @@ def test_forcing_safeguard_keeps_steps_and_solution(monkeypatch, counting_multig
 
 @pytest.mark.parametrize("aspect", [1.0, 16.0, 1.0 / 16.0])
 def test_lap_size_from_one_dimensional_factors(aspect):
-    # Oracle: the largest absolute row sum of the 2-d matrix itself.
+    # solve_tt2d reads the lap_size of its floor off the assembled (1/4)
+    # lap4.  Oracle: lap4 is the Kronecker sum of the 1-d matrices of x and
+    # y, whose diagonals are negative, so its largest absolute row sum is
+    # the sum of theirs.  The boundary 2 makes v = log 2 != 0 inside.
+    spec = catalog("cubic2")
     for n in [*range(3, 18), 33, 64, 65, 128]:
         hx, hy = aspect / (n - 1), 1.0 / (n - 1)
-        J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True)
-        assert _lap_size(n, hx, hy) == pytest.approx(float(np.max(abs(J).sum(axis=1))),
-                                                     rel=1e-15)
+        lap_size = 0.25 * sum(float(np.max(np.sum(np.abs(_d2_matrix(n, h, True)), axis=1)))
+                              for h in (hx, hy))
+        sol = solve_tt2d(spec, (0.0, 0.0, aspect, 1.0), n, 2.0, max_iter=0,
+                         raise_on_failure=False)
+        X, Y = np.meshgrid(sol.x, sol.y, indexing="ij")
+        c2 = _fppp_sq(spec, X, Y)[1:-1, 1:-1]
+        floor = lowdim._residual_floor(lap_size, np.log(sol.h11)[1:-1, 1:-1], c2)
+        assert sol.floor == pytest.approx(floor, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 5, 10])

@@ -14,7 +14,6 @@ from frobcdv import (
     catalog,
     construct_canonical_cdv,
     flat_eval,
-    flat_frame_dh,
     flat_metric,
     harmonic_potential,
     pencil_curvature,
@@ -24,13 +23,12 @@ from frobcdv import (
 from frobcdv import cdv as cdv_module
 from frobcdv.canonical import canonical_frames
 from frobcdv.cli import sample_points
-from frobcdv.numerics import WirtingerDerivative
 
 NAMES = ("quartic2", "p1", "a3_3d")
 TOL = 1e-5
 Z_SAMPLES = (1.0, 1.0j, 2.0)
 STEP = 1e-5
-FIELDS = ("u", "A", "eta", "eta_d", "dC")
+FIELDS = ("u", "A", "eta", "eta_d", "dC", "F4", "A_inv", "h", "dh", "h_inv")
 
 
 def _maxabs(M):
@@ -123,12 +121,17 @@ def _wirtinger_loop(f, t, k, step=STEP):
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
+def _h_dh(frame):
+    """h and its derivatives at a frame (patched by the dh mutants)."""
+    return frame.h, frame.dh
+
+
 def _flat_data_loop(spec, tp):
     """[W.., Phi.., Phidag.., U, kappa U kappa] in flat coordinates at one
     point, from its own frame."""
     g_inv = flat_metric(spec)[1]
     frame = canonical_frame(spec, tp)
-    h, dh = flat_frame_dh(frame)
+    h, dh = _h_dh(frame)
     K = g_inv @ h
     W = np.swapaxes(dh @ np.linalg.inv(h), 1, 2)
     Phi = -np.swapaxes(frame.ev.Cmix, 1, 2)
@@ -255,7 +258,7 @@ DH_MUTANTS = {
 def test_flat_checks_match_loop_on_mutated_dh(monkeypatch, mutant):
     # derivative_data gives what the loops read: the mutated flat data at
     # the point and its differences over the frames of nearby points.
-    original = flat_frame_dh
+    original = _h_dh
 
     def mutated(frame):
         h, dh = original(frame)
@@ -263,10 +266,10 @@ def test_flat_checks_match_loop_on_mutated_dh(monkeypatch, mutant):
 
     def loop_data(spec, frame):
         holo, anti = _flat_derivatives_loop(spec, frame.point)
-        return DerivativeData(h=mutated(frame)[0], S=_flat_data_loop(spec, frame.point),
-                              dS=WirtingerDerivative(np.stack(holo), np.stack(anti)), dP=None)
+        return DerivativeData(S=_flat_data_loop(spec, frame.point),
+                              dS=np.concatenate([np.stack(holo), np.stack(anti)]), dP=None)
 
-    monkeypatch.setitem(globals(), "flat_frame_dh", mutated)
+    monkeypatch.setitem(globals(), "_h_dh", mutated)
     monkeypatch.setattr(cdv_module, "derivative_data", loop_data)
     spec = catalog("a3_3d")
     cdv = construct_canonical_cdv(canonical_frame(spec, A3_POINT), spec.d)
