@@ -5,10 +5,10 @@ The relation checkers work in flat antidiagonal normal-form coordinates
 use the classical index convention omega_i^j(d_k): lower index = input
 vector, upper index = output component, stored as W[k, i, j].
 
-Only the tt* solve uses scipy, so its functions import scipy.sparse on
-first use and the pointwise checks load numpy alone.  They call through
-the module (spla.gcrotmk), never a bound name, so that a wrapper patched
-onto scipy.sparse.linalg sees every call.
+Only the tt* solve uses scipy, so its functions import scipy.sparse and
+scipy.linalg on first use and the pointwise checks load numpy alone.
+They call through the module (spla.gcrotmk), never a bound name, so that
+a wrapper patched onto scipy.sparse.linalg sees every call.
 """
 
 import numbers
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import as_frame
-from .errors import NoConvergence, NonPositiveIterate, NotNormalForm, ValidationError
+from .errors import NoConvergence, NonPositiveIterate, NotNormalForm, Singular, ValidationError
 from .potential import diff_terms, eval_terms
 from .report import VerificationReport
 
@@ -288,11 +288,14 @@ def _laplacian_matrix(n, hx, hy, wide):
 
 
 # The V-cycle preconditioner (_Multigrid): damped Jacobi with this weight,
-# this many sweeps before and after each coarse correction, and a dense
-# solve once a level has at most COARSEST_NODES nodes.
+# this many sweeps before and after each coarse correction, and a banded
+# Cholesky solve once a level has at most COARSEST_NODES nodes.  Below
+# about a thousand nodes a level's transfers and Galerkin product cost
+# more in scipy's per-call overhead than in arithmetic, while the banded
+# factor of a 31 x 31 level takes about 0.6 ms on one core.
 JACOBI_WEIGHT = 0.8
 JACOBI_SWEEPS = 2
-COARSEST_NODES = 64
+COARSEST_NODES = 1024
 
 
 def _interpolation_1d(k):
@@ -311,13 +314,16 @@ def _interpolation_1d(k):
 def _transfers(k, hx, hy):
     """Interpolations R (and R^T, as CSR) from each level of a V-cycle
     on the k x k interior grid with spacings hx, hy to the level above,
-    finest first, down to a level of at most COARSEST_NODES nodes.
+    finest first, down to a level of at most COARSEST_NODES nodes; none
+    when the grid itself is that small.
 
     R is the Kronecker product of the 1-d linear interpolations, in
     _laplacian_matrix's node order.  A direction is coarsened only while
     its spacing is at most twice the other's (semi-coarsening), so that
     on long thin rectangles Jacobi still smooths what the coarse level
-    cannot see.
+    cannot see.  The last R numbers the coarsest kx x ky grid along its
+    shorter side, so that the band of its operator, which _Multigrid
+    factors, is min(kx, ky) + 1 wide.
     """
     import scipy.sparse as sp
 
@@ -333,7 +339,39 @@ def _transfers(k, hx, hy):
             kx, hx = kx // 2, 2.0 * hx
         if cy:
             ky, hy = ky // 2, 2.0 * hy
+    if kx < ky:
+        # Coarse node (ix, iy) moves from ix ky + iy to iy kx + ix.
+        R = transfers[-1][0][:, np.arange(kx * ky).reshape(kx, ky).T.ravel()]
+        transfers[-1] = (R, R.T.tocsr())
     return transfers
+
+
+def _upper_band(A):
+    """The upper triangle of the symmetric sparse matrix A in LAPACK's
+    banded layout: row u - o holds superdiagonal o, u the bandwidth.
+
+    A DIA matrix (solve_tt2d's P on a grid without coarse levels) is read
+    by its diagonals: 0.02 ms on 31 x 31 nodes against 0.24 ms through
+    COO, and p1 on (0, 0, 16, 1) at n = 33, which builds 13 times, solves
+    in 22 ms against 27 ms (one core).  A Galerkin product goes through
+    COO: scipy's conversion to DIA sorts its entries first, 0.35-0.9 ms
+    against 0.18-0.25 ms on the coarsest levels at 128^2, more than the
+    factorisation on the 1000:1 rectangles (0.16 ms).
+    """
+    if A.format == "dia":
+        u = int(np.max(A.offsets))
+        band = np.zeros((u + 1, A.shape[1]))
+        for offset, row in zip(A.offsets, A.data):
+            if offset >= 0:
+                band[u - offset] = row
+        return band
+    A = A.tocoo()
+    upper = A.row <= A.col
+    rows, cols = A.row[upper], A.col[upper]
+    u = int(np.max(cols - rows))
+    band = np.zeros((u + 1, A.shape[1]))
+    band[u + rows - cols, cols] = A.data[upper]
+    return band
 
 
 class _Multigrid:
@@ -341,26 +379,37 @@ class _Multigrid:
     levels that transfers (from _transfers) give.
 
     Each coarse operator is the Galerkin product R^T A R, so the source
-    diagonal of P reaches every level; the coarsest is inverted densely.
-    The finest level smooths on P as given (DIA in solve_tt2d), which is
-    converted to CSR once, for its product; the coarse levels are CSR.
-    solve(b) applies one V-cycle of damped Jacobi.
+    diagonal of P reaches every level.  P = 0.25 lap2 + D with D < 0 is
+    negative definite, and so is every R^T A R: the V-cycle ends in a
+    banded Cholesky solve with -A of the coarsest level, factored once
+    here; a factorisation that fails raises Singular.  The finest level
+    smooths on P as given (DIA in solve_tt2d), which is converted to CSR
+    once, for its product; the coarse levels are CSR.  solve(b) applies
+    one V-cycle of damped Jacobi.
     """
 
     def __init__(self, P, transfers):
+        import scipy.linalg as la
+
         self.levels = []
         A = P
         for R, RT in transfers:
             self.levels.append((A, JACOBI_WEIGHT / A.diagonal(), R, RT))
-            A = (RT @ A.tocsr() @ R).tocsr()
-        self.coarse_inverse = np.linalg.inv(A.toarray())
+            A = RT @ A.tocsr() @ R
+        try:
+            self.coarse_factor = la.cholesky_banded(-_upper_band(A), check_finite=False)
+        except la.LinAlgError as exc:
+            raise Singular(f"the coarsest V-cycle level ({A.shape[0]} nodes) is not "
+                           f"negative definite: {exc}") from exc
 
     def solve(self, b):
         return self._cycle(0, b)
 
     def _cycle(self, level, b):
         if level == len(self.levels):
-            return self.coarse_inverse @ b
+            import scipy.linalg as la
+
+            return -la.cho_solve_banded((self.coarse_factor, False), b, check_finite=False)
         A, winv, R, RT = self.levels[level]
         x = winv * b
         for _ in range(JACOBI_SWEEPS - 1):

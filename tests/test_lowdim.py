@@ -13,6 +13,7 @@ from frobcdv import (
     LowDimInput,
     NoConvergence,
     NotNormalForm,
+    Singular,
     ValidationError,
     catalog,
     check_euler_degree,
@@ -336,10 +337,10 @@ def test_tt2d_newton_iterations(counting_multigrid):
     assert sol.converged and sol.iterations == 4
     # The source diagonal hardly moves on p1: one hierarchy serves every step.
     assert sol.preconditioners == counting_multigrid.builds == 1
-    # One V-cycle per Krylov iteration and none else: 13 here (1 + 3 + 6 + 3
-    # over the four steps), against 32 with GMRES to 1e-6 on every step and
-    # 16 with the last step solved to 1e-6 rather than to 0.5 tol / res.
-    assert counting_multigrid.solves <= 14
+    # One V-cycle per Krylov iteration and none else: 12 here (1 + 2 + 4 + 5
+    # over the four steps), against 24 with every step solved to 1e-6 and
+    # 14 with the last step solved to 1e-6 rather than to 0.5 tol / res.
+    assert counting_multigrid.solves <= 12
     # The round-off floor lies far below tol here, so it stops no step.
     assert sol.residual <= 1e-10 and sol.floor <= 0.1 * 1e-10
     sol = solve_tt2d(spec, rect, 64, invariant_boundary(spec, rect, 64))
@@ -428,9 +429,10 @@ def test_forcing_term_sequence():
         assert lowdim._forcing_term(0.2, 1.0, tol) == pytest.approx(0.9 * 0.04, rel=1e-15)
         assert lowdim._forcing_term(1e-3, 1.0, tol) == 1e-6
         assert lowdim._forcing_term(0.0, 1.0, tol) == lowdim.FORCING_FLOOR
-    # The last step on p1 at 128^2 starts at residual 1.7e-8 against tol
-    # 1e-10: solving it to a relative 0.5 tol / res takes the linear model
-    # to half of tol, so the term is 2.9e-3 rather than 1e-6.
+    # A last step that starts at residual 1.7e-8 against tol 1e-10 (on p1
+    # at 128^2 the last starts at 2.5e-6, after 1.8e-2): solving it to a
+    # relative 0.5 tol / res takes the linear model to half of tol, so the
+    # term is 2.9e-3 rather than 1e-6 (2e-5 on p1).
     assert lowdim._forcing_term(1.7e-8, 2.1e-3, 1e-10) == 0.5e-10 / 1.7e-8
     assert lowdim._forcing_term(1.7e-8, 2.1e-3, 0.0) == 1e-6
     # Never looser than the first step's term.
@@ -452,11 +454,11 @@ SAFEGUARD_CASES = [
                          ids=[f"{c[0]}-{c[2]}" for c in SAFEGUARD_CASES])
 def test_forcing_safeguard_keeps_steps_and_solution(monkeypatch, counting_multigrid, name, rect,
                                                      n, boundary, steps, cycles):
-    # The safeguard saves V-cycles (16 -> 13 on the first case, 24 -> 22 on
+    # The safeguard saves V-cycles (14 -> 12 on the first case, 23 -> 20 on
     # the last) but no Newton step.  The solution is the one without it to
     # 1e-12, and the one a solve to the round-off floor (tol = 0, which
     # turns the safeguard off) gives to the precision tol = 1e-10 asks
-    # for: cubic2 stops at residual 4.4e-11 with or without the safeguard,
+    # for: cubic2 stops at residual 2.4e-11 with or without the safeguard,
     # 3.4e-12 (relative) from its tol = 0 solution.
     spec = catalog(name)
     if boundary == "invariant":
@@ -493,9 +495,10 @@ def test_lap_size_from_one_dimensional_factors(aspect):
         assert sol.floor == pytest.approx(floor, rel=1e-14)
 
 
-@pytest.mark.parametrize("n", [3, 5, 10])
+@pytest.mark.parametrize("n", [3, 5, 10, 34])
 def test_multigrid_without_coarse_level_is_exact(n):
-    # At most COARSEST_NODES interior nodes: no V-cycle, one dense solve.
+    # At most COARSEST_NODES interior nodes (n = 34 has 1024): no V-cycle,
+    # one banded Cholesky solve.
     P, rng = _five_point_jacobian(n, 0.3, 0.2, n)
     transfers = _transfers(n - 2, 0.3, 0.2)
     assert transfers == [] and (n - 2) ** 2 <= lowdim.COARSEST_NODES
@@ -505,11 +508,11 @@ def test_multigrid_without_coarse_level_is_exact(n):
 
 
 @pytest.mark.parametrize("aspect", [1.0, 16.0, 1.0 / 16.0])
-@pytest.mark.parametrize("n", [17, 65, 128])
+@pytest.mark.parametrize("n", [40, 65, 128])
 def test_multigrid_cycle_contracts_residual(n, aspect):
-    # One V-cycle takes a random right-hand side's residual down to at
-    # most 0.11 of it here; with full coarsening on the 16:1 rectangles
-    # it kept 0.17-0.31.
+    # One V-cycle takes a random right-hand side's residual down to
+    # 0.05-0.12 of it here; with full coarsening on the 16:1 rectangles
+    # it kept 0.26-0.31.
     hx, hy = aspect / (n - 1), 1.0 / (n - 1)
     P, rng = _five_point_jacobian(n, hx, hy, n)
     mg = lowdim._Multigrid(P, _transfers(n - 2, hx, hy))
@@ -520,18 +523,79 @@ def test_multigrid_cycle_contracts_residual(n, aspect):
 
 def test_multigrid_semi_coarsens_long_rectangles(counting_multigrid):
     # hx = 16 hy: only y is coarsened until the spacings are within a
-    # factor of 2.  13 V-cycles here; with full coarsening 106.
+    # factor of 2.  13 V-cycles here; with full coarsening 85.
     sol = solve_tt2d(catalog("cubic2"), (0.0, 0.0, 16.0, 1.0), 65, 2.0)
     assert sol.converged
     assert counting_multigrid.solves <= 20
     shapes = [R.shape for R, _ in _transfers(63, 0.25, 1.0 / 64)]
-    assert shapes[:4] == [(63 * 63, 63 * 31), (63 * 31, 63 * 15),
-                          (63 * 15, 63 * 7), (63 * 7, 31 * 3)]
-    # At 1000:1 the y lines run down to one node first; x is then
-    # coarsened alone, down to at most COARSEST_NODES nodes.
+    assert shapes == [(63 * 63, 63 * 31), (63 * 31, 63 * 15)]
+    # At 1000:1 only the direction of the fine spacing is coarsened, and
+    # its lines reach 7 nodes before the level has at most COARSEST_NODES.
+    for hx, hy in ((1000.0, 1.0), (1.0, 1000.0)):
+        shapes = [R.shape for R, _ in _transfers(126, hx / 127, hy / 127)]
+        assert shapes == [(126 * 126, 126 * 63), (126 * 63, 126 * 31),
+                          (126 * 31, 126 * 15), (126 * 15, 126 * 7)]
+
+
+def test_multigrid_coarsens_long_direction_after_single_line(monkeypatch):
+    # With a coarsest level of at most 64 nodes, the 1000:1 lines run down
+    # to one node first; the long direction is then coarsened alone (the
+    # `or ky == 1` / `or kx == 1` branches), which is what ends the loop.
+    # At COARSEST_NODES = 1024 this happens only from n = 1027 on.
+    monkeypatch.setattr(lowdim, "COARSEST_NODES", 64)
     for hx, hy in ((1000.0, 1.0), (1.0, 1000.0)):
         shapes = [R.shape for R, _ in _transfers(126, hx / 127, hy / 127)]
         assert shapes[-2:] == [(378, 126), (126, 63)]
+
+
+def test_multigrid_band_lies_along_shorter_side():
+    # At 1000:1 the coarsest level is 7 x 126 or 126 x 7 nodes.  Numbered
+    # along its shorter side, its 9-point operator has min(kx, ky) + 1 = 8
+    # superdiagonals; in _laplacian_matrix's order one orientation has 127.
+    n = 128
+    for hx, hy in ((1000.0, 1.0), (1.0, 1000.0)):
+        hx, hy = hx / (n - 1), hy / (n - 1)
+        P, rng = _five_point_jacobian(n, hx, hy, n)
+        mg = lowdim._Multigrid(P, _transfers(n - 2, hx, hy))
+        assert mg.coarse_factor.shape == (8 + 1, 7 * 126)
+        b = rng.standard_normal(P.shape[0])
+        assert np.linalg.norm(b - P @ mg.solve(b)) <= 0.15 * np.linalg.norm(b)
+
+
+def test_multigrid_small_grid_is_one_factorisation(monkeypatch):
+    # Up to n = 34 (1024 interior nodes) the grid is its own coarsest
+    # level: a hierarchy build is one banded Cholesky factorisation and no
+    # Galerkin product.  p1 on (0, 0, 16, 1) at n = 33 rebuilds on 13 of
+    # its 16 Newton steps, as its source diagonal drifts.
+    import scipy.linalg
+
+    spec, rect = catalog("p1"), (0.0, 0.0, 16.0, 1.0)
+    boundary = invariant_boundary(spec, rect, 33)
+    for n in (33, 34):
+        assert _transfers(n - 2, 16.0 / (n - 1), 1.0 / (n - 1)) == []
+    assert _transfers(35 - 2, 16.0 / 34, 1.0 / 34)
+    factorisations = []
+    cholesky_banded = scipy.linalg.cholesky_banded
+
+    def record(ab, **kwargs):
+        factorisations.append(ab.shape)
+        return cholesky_banded(ab, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", record)
+    sol = solve_tt2d(spec, rect, 33, boundary)
+    assert sol.converged and sol.iterations == 16 and sol.preconditioners == 13
+    # The 5-point operator on 31 x 31 nodes has 31 superdiagonals.
+    assert factorisations == [(31 + 1, 31 * 31)] * 13
+
+
+@pytest.mark.parametrize("n, coarsest", [(10, 64), (40, 361)])
+def test_multigrid_rejects_positive_definite_matrix(n, coarsest):
+    # -P is positive definite, so the Cholesky factorisation of minus its
+    # coarsest level fails: a package error naming that level, not
+    # LinAlgError, which the CLI would not catch.
+    P, _ = _five_point_jacobian(n, 0.3, 0.2, n)
+    with pytest.raises(Singular, match=rf"coarsest V-cycle level \({coarsest} nodes\)"):
+        lowdim._Multigrid(-P, _transfers(n - 2, 0.3, 0.2))
 
 
 # Max-norm error in v = log h_11 of the mid-row of the 2-d solution on
