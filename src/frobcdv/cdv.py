@@ -358,7 +358,9 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     # (d) real Levi-Civita of Re h vs Chern and vs flat, after
     # complexifying real output vectors via v = v_x + i v_y.
     dg = _real_metric_derivatives(dh)
-    ghat_inv = np.linalg.inv(_real_metric(frame.h))
+    # _real_metric(h) is the real form of conj(h), which is multiplicative,
+    # so the inverse of the real metric is the real form of h^{-1}.
+    ghat_inv = _real_metric(frame.h_inv)
     # gamma_hat[a, b, c] = Christoffel symbol Gamma^c_ab of the real metric,
     # from dg[a, b, c] = d_a ghat_bc; v_hat complexifies its output index.
     lowered = dg + np.swapaxes(dg, 0, 1) - np.transpose(dg, (1, 2, 0))

@@ -30,8 +30,6 @@ class LowDimInput:
     h: np.ndarray        # pairing in the flat basis
     omega: np.ndarray    # omega[k, i, j] = omega_i^j(d/dt^k)
     C3: np.ndarray       # third derivatives at the same point
-    degrees: tuple
-    d: float
 
 
 def _require_normal_form(spec):
@@ -49,9 +47,7 @@ def from_canonical(spec, t) -> LowDimInput:
     _require_normal_form(spec)
     frame = as_frame(spec, t)
     return LowDimInput(
-        m=spec.dim, h=frame.h, omega=frame.dh @ frame.h_inv, C3=frame.ev.C3,
-        degrees=spec.degrees, d=spec.d,
-    )
+        m=spec.dim, h=frame.h, omega=frame.dh @ frame.h_inv, C3=frame.ev.C3)
 
 
 def _omega_antisymmetry(inp: LowDimInput) -> float:
@@ -292,7 +288,9 @@ def _laplacian_matrix(n, hx, hy, wide):
 # Cholesky solve once a level has at most COARSEST_NODES nodes.  Below
 # about a thousand nodes a level's transfers and Galerkin product cost
 # more in scipy's per-call overhead than in arithmetic, while the banded
-# factor of a 31 x 31 level takes about 0.6 ms on one core.
+# factor of a 31 x 31 level takes 0.25-0.5 ms in LAPACK's lower layout,
+# with one BLAS thread or OpenBLAS's default count (the upper layout took
+# 2 ms under the default count on 2 cores).
 JACOBI_WEIGHT = 0.8
 JACOBI_SWEEPS = 2
 COARSEST_NODES = 1024
@@ -346,31 +344,14 @@ def _transfers(k, hx, hy):
     return transfers
 
 
-def _upper_band(A):
-    """The upper triangle of the symmetric sparse matrix A in LAPACK's
-    banded layout: row u - o holds superdiagonal o, u the bandwidth.
-
-    A DIA matrix (solve_tt2d's P on a grid without coarse levels) is read
-    by its diagonals: 0.02 ms on 31 x 31 nodes against 0.24 ms through
-    COO, and p1 on (0, 0, 16, 1) at n = 33, which builds 13 times, solves
-    in 22 ms against 27 ms (one core).  A Galerkin product goes through
-    COO: scipy's conversion to DIA sorts its entries first, 0.35-0.9 ms
-    against 0.18-0.25 ms on the coarsest levels at 128^2, more than the
-    factorisation on the 1000:1 rectangles (0.16 ms).
-    """
-    if A.format == "dia":
-        u = int(np.max(A.offsets))
-        band = np.zeros((u + 1, A.shape[1]))
-        for offset, row in zip(A.offsets, A.data):
-            if offset >= 0:
-                band[u - offset] = row
-        return band
+def _lower_band(A):
+    """The lower triangle of the symmetric sparse matrix A, in any scipy
+    format, in LAPACK's banded layout: row o holds subdiagonal o."""
     A = A.tocoo()
-    upper = A.row <= A.col
-    rows, cols = A.row[upper], A.col[upper]
-    u = int(np.max(cols - rows))
-    band = np.zeros((u + 1, A.shape[1]))
-    band[u + rows - cols, cols] = A.data[upper]
+    lower = A.row >= A.col
+    rows, cols = A.row[lower], A.col[lower]
+    band = np.zeros((int(np.max(rows - cols)) + 1, A.shape[1]))
+    band[rows - cols, cols] = A.data[lower]
     return band
 
 
@@ -381,11 +362,12 @@ class _Multigrid:
     Each coarse operator is the Galerkin product R^T A R, so the source
     diagonal of P reaches every level.  P = 0.25 lap2 + D with D < 0 is
     negative definite, and so is every R^T A R: the V-cycle ends in a
-    banded Cholesky solve with -A of the coarsest level, factored once
-    here; a factorisation that fails raises Singular.  The finest level
-    smooths on P as given (DIA in solve_tt2d), which is converted to CSR
-    once, for its product; the coarse levels are CSR.  solve(b) applies
-    one V-cycle of damped Jacobi.
+    banded Cholesky solve with -A of the coarsest level, whose lower band
+    (_lower_band) is factored once here, whether that level is P itself
+    or a Galerkin product; a factorisation that fails raises Singular.
+    The finest level smooths on P as given (DIA in solve_tt2d), which is
+    converted to CSR once, for its product; the coarse levels are CSR.
+    solve(b) applies one V-cycle of damped Jacobi.
     """
 
     def __init__(self, P, transfers):
@@ -397,7 +379,8 @@ class _Multigrid:
             self.levels.append((A, JACOBI_WEIGHT / A.diagonal(), R, RT))
             A = RT @ A.tocsr() @ R
         try:
-            self.coarse_factor = la.cholesky_banded(-_upper_band(A), check_finite=False)
+            self.coarse_factor = la.cholesky_banded(-_lower_band(A), lower=True,
+                                                    check_finite=False)
         except la.LinAlgError as exc:
             raise Singular(f"the coarsest V-cycle level ({A.shape[0]} nodes) is not "
                            f"negative definite: {exc}") from exc
@@ -409,7 +392,7 @@ class _Multigrid:
         if level == len(self.levels):
             import scipy.linalg as la
 
-            return -la.cho_solve_banded((self.coarse_factor, False), b, check_finite=False)
+            return -la.cho_solve_banded((self.coarse_factor, True), b, check_finite=False)
         A, winv, R, RT = self.levels[level]
         x = winv * b
         for _ in range(JACOBI_SWEEPS - 1):
@@ -464,13 +447,15 @@ def _newton_step(J, mg, rhs, rtol):
 
 def _check_grid(rect, n):
     """The corners of rect as floats, once an n x n grid on it is usable:
-    the squared spacings h^2 must be finite, and 1/h^2 small enough that
-    the stencils' coefficients (row sums up to (16/3) / h^2) are too."""
+    x0 < x1 and y0 < y1, so that the spacings are positive, the squared
+    spacings h^2 finite, and 1/h^2 small enough that the stencils'
+    coefficients (row sums up to (16/3) / h^2) are too."""
     x0, y0, x1, y1 = (float(c) for c in rect)
     if n < 3:
         raise ValidationError(f"the grid needs at least 3 nodes per side, got {n}")
-    if not np.all(np.isfinite((x0, y0, x1, y1))) or x0 == x1 or y0 == y1:
-        raise ValidationError(f"rect {rect} must have finite, nonzero width and height")
+    if not (np.all(np.isfinite((x0, y0, x1, y1))) and x0 < x1 and y0 < y1):
+        raise ValidationError(f"rect (x0, y0, x1, y1) = {rect} must be finite with x0 < x1 "
+                              f"and y0 < y1")
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         h2 = np.square([(x1 - x0) / (n - 1), (y1 - y0) / (n - 1)])
         inv_h2 = 1.0 / h2

@@ -18,6 +18,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .errors import DegenerateMetric, EvaluationFailure, ValidationError
+from .numerics import MAX_DIM
 from .report import VerificationReport
 
 DET_G_MIN = 1e-12
@@ -55,8 +56,8 @@ class PotentialSpec:
 
     def __post_init__(self):
         m = self.dim
-        if not _is_int(m) or m < 1:
-            raise ValidationError(f"dim must be an integer >= 1, got {m!r}")
+        if not _is_int(m) or not 1 <= m <= MAX_DIM:
+            raise ValidationError(f"dim must be an integer from 1 to {MAX_DIM}, got {m!r}")
         for coeff, powers in self.monomials:
             if len(powers) != m:
                 raise ValidationError(f"monomial powers {powers} do not match dim {m}")

@@ -555,6 +555,25 @@ def test_connection_gap_matches_loop_values(name):
     assert [e.residual for e in rep.entries] == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", sorted(LOOP_GAPS))
+def test_connection_gap_inverts_nothing(monkeypatch, name):
+    # Given its frame, connection_gap reads the real metric's inverse as the
+    # real form of the frame's h^{-1}.  np.linalg.inv is counted around the
+    # call alone: flat_metric's cache makes process-wide counts depend on
+    # test order.
+    spec = catalog(name)
+    frame = canonical_frame(spec, LOOP_GAPS[name][0])
+    inv, calls = np.linalg.inv, []
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return inv(M)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    connection_gap(spec, frame, 1e-5)
+    assert calls == []
+
+
 def test_pencil_flat_quartic2():
     spec = catalog("quartic2")
     rep = pencil_curvature(spec, QPT, [1.0, 1.0j, 2.0], 1e-5)

@@ -13,6 +13,7 @@ import pytest
 from frobcdv import (
     CATALOG_NAMES,
     ParseError,
+    ValidationError,
     VerificationReport,
     canonical_frame,
     catalog,
@@ -525,6 +526,42 @@ def test_malformed_spec_entry_is_one_line_parse_error(tmp_path, capsys, path, va
     assert named in _assert_one_line_spec_error(doc, tmp_path, capsys)
 
 
+def _nine_dimensional_cubic():
+    """A valid spec one dimension above numerics.MAX_DIM: F = 1/2 t1^2 t9
+    + t1 (t2 t8 + t3 t7 + t4 t6) + 1/2 t1 t5^2 + t9^3 / 6, all degrees 1."""
+    def mono(coeff, *indices):
+        powers = [0] * 9
+        for i in indices:
+            powers[i - 1] += 1
+        return {"coeff": [coeff, 0.0], "powers": powers}
+
+    return {
+        "dim": 9,
+        "monomials": [mono(0.5, 1, 1, 9), mono(1.0, 1, 2, 8), mono(1.0, 1, 3, 7),
+                      mono(1.0, 1, 4, 6), mono(0.5, 1, 5, 5), mono(1.0 / 6.0, 9, 9, 9)],
+        "exponentials": [],
+        "euler": {"degrees": [1.0] * 9, "shifts": [0.0] * 9, "d": 0.0, "d_F": 3.0},
+        "normal_form": True,
+    }
+
+
+def test_spec_above_max_dim_is_rejected():
+    with pytest.raises(ValidationError, match="from 1 to 8, got 9"):
+        spec_from_dict(_nine_dimensional_cubic())
+
+
+@pytest.mark.parametrize("command", ["verify", "connections", "pencil", "cdv"])
+def test_spec_above_max_dim_is_one_line_error(tmp_path, capsys, command):
+    # Rejected when the spec loads, not by the eigen-solver's own limit mid-run.
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps(_nine_dimensional_cubic()))
+    assert main([command, "--spec", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+    assert "from 1 to 8, got 9" in out.err
+
+
 def test_catalog_command(tmp_path):
     assert main(["catalog", "--out-dir", str(tmp_path)]) == 0
     for name in CATALOG_NAMES:
@@ -625,6 +662,8 @@ OVERFLOWING_SOURCE = ["--rect", "0,0,400,1"]
     ["--grid", "-3"],
     ["--rect", "0,0,0,1"],
     ["--rect", "0,0,1,0"],
+    ["--rect", "1,1,-1,-1"],
+    ["--rect=-1,1,1,-1"],
     ["--rect", "0,0,nan,1"],
     ["--rect", "0,0,1e-300,1"],
     ["--rect", "0,0,1,1e-300"],

@@ -45,14 +45,12 @@ from frobcdv.potential import third_derivatives
 QPT = (0.0, 1.0)
 
 
-def _inp(m, h, omega=None, C3=None, degrees=None, d=0.0):
+def _inp(m, h, omega=None, C3=None):
     return LowDimInput(
         m=m,
         h=np.asarray(h, dtype=complex),
         omega=np.zeros((m, m, m), dtype=complex) if omega is None else omega,
         C3=np.zeros((m, m, m), dtype=complex) if C3 is None else C3,
-        degrees=degrees or tuple([1.0] * m),
-        d=d,
     )
 
 
@@ -495,11 +493,16 @@ def test_lap_size_from_one_dimensional_factors(aspect):
         assert sol.floor == pytest.approx(floor, rel=1e-14)
 
 
-@pytest.mark.parametrize("n", [3, 5, 10, 34])
-def test_multigrid_without_coarse_level_is_exact(n):
+@pytest.mark.parametrize("n, fmt", [
+    pytest.param(n, fmt, id=str(n) if fmt == "csr" else f"{n}-dia")
+    for fmt in ("csr", "dia") for n in (3, 5, 10, 34)
+])
+def test_multigrid_without_coarse_level_is_exact(n, fmt):
     # At most COARSEST_NODES interior nodes (n = 34 has 1024): no V-cycle,
-    # one banded Cholesky solve.
+    # one banded Cholesky solve.  Its band is read from P as a Galerkin
+    # product is stored (CSR) and as solve_tt2d stores it (DIA).
     P, rng = _five_point_jacobian(n, 0.3, 0.2, n)
+    P = P.asformat(fmt)
     transfers = _transfers(n - 2, 0.3, 0.2)
     assert transfers == [] and (n - 2) ** 2 <= lowdim.COARSEST_NODES
     b = rng.standard_normal(P.shape[0])
@@ -551,7 +554,7 @@ def test_multigrid_coarsens_long_direction_after_single_line(monkeypatch):
 def test_multigrid_band_lies_along_shorter_side():
     # At 1000:1 the coarsest level is 7 x 126 or 126 x 7 nodes.  Numbered
     # along its shorter side, its 9-point operator has min(kx, ky) + 1 = 8
-    # superdiagonals; in _laplacian_matrix's order one orientation has 127.
+    # subdiagonals; in _laplacian_matrix's order one orientation has 127.
     n = 128
     for hx, hy in ((1000.0, 1.0), (1.0, 1000.0)):
         hx, hy = hx / (n - 1), hy / (n - 1)
@@ -566,7 +569,11 @@ def test_multigrid_small_grid_is_one_factorisation(monkeypatch):
     # Up to n = 34 (1024 interior nodes) the grid is its own coarsest
     # level: a hierarchy build is one banded Cholesky factorisation and no
     # Galerkin product.  p1 on (0, 0, 16, 1) at n = 33 rebuilds on 13 of
-    # its 16 Newton steps, as its source diagonal drifts.
+    # its 16 Newton steps, as its source diagonal drifts.  The factor is
+    # taken in the lower layout: under OpenBLAS's default thread count (2
+    # cores) the 961-node factorisation took 0.3-0.5 ms there against
+    # about 2 ms in the upper layout, and with one thread both take
+    # 0.25-0.5 ms.  A timing test would be flaky, so only the layout is pinned.
     import scipy.linalg
 
     spec, rect = catalog("p1"), (0.0, 0.0, 16.0, 1.0)
@@ -578,13 +585,14 @@ def test_multigrid_small_grid_is_one_factorisation(monkeypatch):
     cholesky_banded = scipy.linalg.cholesky_banded
 
     def record(ab, **kwargs):
+        assert kwargs.get("lower") is True
         factorisations.append(ab.shape)
         return cholesky_banded(ab, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", record)
     sol = solve_tt2d(spec, rect, 33, boundary)
     assert sol.converged and sol.iterations == 16 and sol.preconditioners == 13
-    # The 5-point operator on 31 x 31 nodes has 31 superdiagonals.
+    # The 5-point operator on 31 x 31 nodes has 31 subdiagonals.
     assert factorisations == [(31 + 1, 31 * 31)] * 13
 
 
@@ -656,6 +664,7 @@ def test_tt2d_residual_detects_single_node_perturbation(node):
 @pytest.mark.parametrize("kwargs", [
     {"n": 2}, {"n": 0}, {"rect": (0.0, 0.0, 0.0, 1.0)}, {"rect": (0.0, 1.0, 1.0, 1.0)},
     {"rect": (0.0, 0.0, np.inf, 1.0)}, {"max_iter": -1},
+    {"rect": (1.0, 1.0, -1.0, -1.0)}, {"rect": (-1.0, 1.0, 1.0, -1.0)},
 ])
 def test_tt2d_rejects_bad_grid(kwargs):
     args = {"rect": (-1.0, -1.0, 1.0, 1.0), "n": 9, "max_iter": 50} | kwargs
@@ -675,6 +684,13 @@ def test_invariant_boundary_fine_grid(name, n):
     vi = v[1:-1]
     R = 0.25 * _lap4_1d(v, 0, 2.0 / (n - 1)) - np.exp(2 * vi) * c2 + np.exp(-2 * vi)
     assert np.max(np.abs(R)) <= 1e-10
+
+
+@pytest.mark.parametrize("rect", [(1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, -1.0)])
+def test_invariant_boundary_rejects_reversed_rect(rect):
+    # np.interp needs increasing x: on x0 > x1 it reads h_11 = 1 everywhere.
+    with pytest.raises(ValidationError, match="x0 < x1 and y0 < y1"):
+        invariant_boundary(catalog("p1"), rect, 33)
 
 
 def test_invariant_boundary_divergence_raises():
