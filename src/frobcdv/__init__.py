@@ -6,7 +6,6 @@ from .errors import (
     EvaluationFailure,
     FrobCdvError,
     NoConvergence,
-    NonPositiveIterate,
     NotNormalForm,
     NotSemisimple,
     ParseError,

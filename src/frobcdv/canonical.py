@@ -7,13 +7,15 @@ lexicographic order of the eigenvalues at each point on its own; the
 verifiers read only label-invariant data, with exact derivatives from
 each point's own frame, so no two frames need matching.
 
-canonical_frames forms each point's flat first-order data once: A^{-1},
-the Hermitian pairing h in the flat basis with its exact derivatives
-(flat_frame_dh), h^{-1} and the fourth partials of F.  Both inversions
-are guarded there, and every reader of a frame takes them from it.
+canonical_frame builds the frame at one point (m,) and the frames at a
+stack of points (N, m) through the same code.  It forms each point's
+flat first-order data once: A^{-1}, the Hermitian pairing h in the flat
+basis with its exact derivatives (flat_frame_dh), h^{-1} and the fourth
+partials of F.  Both inversions are guarded there, and every reader of a
+frame takes them from it.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +41,9 @@ class CanonicalFrame:
     and F4 the fourth partials of F there.  A_inv = A^{-1} (row alpha =
     frame components of the flat vectors), h is the Hermitian pairing in
     the flat basis, dh[k] = d_k h (flat_frame_dh) and h_inv = h^{-1}.
-    The frames at a stack of N points (canonical_frames) are one
-    CanonicalFrame whose fields gain a leading axis of length N; gap is
-    then an array.
+    The frames at a stack of N points (canonical_frame on an (N, m)
+    array) are one CanonicalFrame whose fields gain a leading axis of
+    length N; gap is then an array, and a scalar at one point.
     """
 
     point: np.ndarray
@@ -60,54 +62,56 @@ class CanonicalFrame:
 
 
 def _pairwise_gap(u):
-    """Smallest distance between two eigenvalues in each row of u (N, m)."""
+    """Smallest distance between two eigenvalues of u (m,), or in each row
+    of a stack u (N, m)."""
     m = u.shape[-1]
     if m < 2:
-        return np.full(u.shape[:-1], np.inf)
+        return np.full(u.shape[:-1], np.inf)[()]
     diff = np.abs(u[..., :, None] - u[..., None, :])
     return np.min(diff[..., ~np.eye(m, dtype=bool)], axis=-1)
 
 
-def _first(bad):
-    """Index of the first point of a stack that fails a check, or None."""
-    return int(np.argmax(bad)) if np.any(bad) else None
+def _at_first(bad, *per_point):
+    """None if no point fails a check, else each array of per_point (one
+    entry or one row per point) at the first point that fails it."""
+    if not np.any(bad):
+        return None
+    i = np.argmax(np.ravel(bad))
+    return [np.reshape(x, (bad.size,) + np.shape(x)[bad.ndim:])[i] for x in per_point]
 
 
 def _bare_frame(spec, t, eps_ss):
     """Eigenvalues, idempotent matrices A, eta, gap and the flat tensors at
-    a stack of points t (N, m) -- no derivatives.  One eigen-solve call
-    covers the stack; every check runs on every point, and the first
-    point that fails it raises."""
+    a point t (m,) or a stack of points (N, m) -- no derivatives.  One
+    eigen-solve call covers the stack; every check runs on every point,
+    and the first point that fails it raises."""
     ev = flat_eval(spec, t)
     eig = solve_eig(ev.U)
     u = eig.eigenvalues
     gap = _pairwise_gap(u)
     scale = 1.0 + np.max(np.abs(u), axis=-1)
-    i = _first(gap <= eps_ss * scale)
-    if i is not None:
-        raise NotSemisimple(
-            f"eigenvalue gap {gap[i]:.3e} below threshold {eps_ss * scale[i]:.3e} at {t[i]}"
-        )
-    i = _first(eig.residual > 1e-8 * scale)
-    if i is not None:
-        raise DefectiveU(f"eigenvector residual {eig.residual[i]:.3e} too large")
+    failed = _at_first(gap <= eps_ss * scale, gap, eps_ss * scale, t)
+    if failed is not None:
+        raise NotSemisimple("eigenvalue gap {:.3e} below threshold {:.3e} at {}".format(*failed))
+    failed = _at_first(eig.residual > 1e-8 * scale, eig.residual)
+    if failed is not None:
+        raise DefectiveU(f"eigenvector residual {failed[0]:.3e} too large")
     # Each eigenvector v, divided by c where v o v = c v, is an idempotent;
     # c is read off at the largest component of v.
     V = eig.eigenvectors
-    vv = np.einsum("nia,nja,nijk->nka", V, V, ev.Cmix)
-    n, a = np.arange(len(V))[:, None], np.arange(V.shape[-1])
-    pivot = np.argmax(np.abs(V), axis=1)
-    c = vv[n, pivot, a] / V[n, pivot, a]
+    vv = np.einsum("...ia,...ja,...ijk->...ka", V, V, ev.Cmix)
+    pivot = np.argmax(np.abs(V), axis=-2)[..., None, :]
+    c = np.take_along_axis(vv, pivot, axis=-2) / np.take_along_axis(V, pivot, axis=-2)
     if np.any(np.abs(c) < IDEMPOTENT_EPS):
         raise DefectiveU("eigenvector squares to ~0; algebra not semi-simple here")
-    A = V / c[:, None, :]
-    eta = np.einsum("nia,ij,nja->na", A, ev.g, A)
+    A = V / c
+    eta = np.einsum("...ia,ij,...ja->...a", A, ev.g, A)
     return u, A, eta, gap, ev
 
 
 def _derivative_data(spec, t, A):
     """The fourth partials F4 of F, dC (see CanonicalFrame) and eta_d at a
-    stack of points t, from one evaluation of F''''.
+    point or a stack of points t, from one evaluation of F''''.
 
     eta_d[alpha, beta] = e_alpha(eta_beta) = -2 F''''(e_alpha, e_beta,
     e_beta, e_beta): eta_beta = F'''(e_beta, e_beta, e_beta), and
@@ -117,8 +121,8 @@ def _derivative_data(spec, t, A):
     e_beta) + (3/2) e_alpha(eta_beta).
     """
     F4 = fourth_derivatives(spec, t)
-    dC = np.einsum("nkijl,nia,nja,nlg->nkag", F4, A, A, A)
-    eta_d = -2.0 * np.einsum("nka,nkbb->nab", A, dC)
+    dC = np.einsum("...kijl,...ia,...ja,...lg->...kag", F4, A, A, A)
+    eta_d = -2.0 * np.einsum("...ka,...kbb->...ab", A, dC)
     return F4, dC, eta_d
 
 
@@ -147,35 +151,22 @@ def flat_frame_dh(A_inv, eta, dC):
     return h, dh
 
 
-def canonical_frames(spec, points, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
-    """Canonical frames at a stack of points (N, m), with exact derivatives.
+def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
+    """Canonical frame at a point t (m,), or the frames at a stack of
+    points t (N, m), with exact derivatives.
 
     One eigen-solve call and one evaluation of each partial of F cover the
     stack.  Each point's labels are its own (lexicographic order).  A and
     h are inverted once each, under a guard (numerics.invert) whose error
     names the matrix and the first point that fails it.
     """
-    t = np.asarray(points, dtype=complex)
+    t = np.asarray(t, dtype=complex)
     u, A, eta, gap, ev = _bare_frame(spec, t, eps_ss)
     F4, dC, eta_d = _derivative_data(spec, t, A)
     A_inv = invert(A, "idempotent frame A", t)
     h, dh = flat_frame_dh(A_inv, eta, dC)
     return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC, gap=gap, ev=ev,
                           F4=F4, A_inv=A_inv, h=h, dh=dh, h_inv=invert(h, "flat pairing h", t))
-
-
-def _single(frames: CanonicalFrame) -> CanonicalFrame:
-    """The frame of a one-point stack."""
-    ev = frames.ev
-    ev = FlatPointEval(point=ev.point[0], C3=ev.C3[0], Cmix=ev.Cmix[0], g=ev.g,
-                       g_inv=ev.g_inv, U=ev.U[0])
-    first = {f.name: getattr(frames, f.name)[0] for f in fields(frames) if f.name != "ev"}
-    return CanonicalFrame(**{**first, "gap": float(frames.gap[0]), "ev": ev})
-
-
-def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
-    """Full canonical frame at t, with exact derivatives (one eigendecomposition)."""
-    return _single(canonical_frames(spec, np.asarray(t, dtype=complex)[None], eps_ss))
 
 
 def as_frame(spec, t) -> CanonicalFrame:

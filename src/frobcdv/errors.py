@@ -33,10 +33,6 @@ class NotNormalForm(FrobCdvError):
     """Operation requires a spec in antidiagonal normal form."""
 
 
-class NonPositiveIterate(FrobCdvError):
-    """PDE line search exhausted damping without an acceptable iterate."""
-
-
 class ParseError(FrobCdvError):
     """Malformed spec or report file."""
 

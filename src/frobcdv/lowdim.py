@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import as_frame
-from .errors import NoConvergence, NonPositiveIterate, NotNormalForm, Singular, ValidationError
+from .errors import NoConvergence, NotNormalForm, Singular, ValidationError
 from .potential import diff_terms, eval_terms
 from .report import VerificationReport
 
@@ -59,8 +59,9 @@ def _omega_antisymmetry(inp: LowDimInput) -> float:
 def check_m2_relations(inp: LowDimInput, tol) -> VerificationReport:
     """The three kappa-involution relations in dimension 2.
 
-    The positive branch (h_11 real positive) additionally asserts the
-    diagonal reconstruction h = diag(h_11, 1/h_11).
+    Relation 2, h_11 h_12 = 0, makes h_11 or h_12 vanish.  On the diagonal
+    branch (|h_11| >= |h_12|) the positive reconstruction h = diag(h_11,
+    1/h_11) with Re h_11 >= 0 is asserted as well.
     """
     if inp.m != 2:
         raise NotNormalForm("dimension-2 relations need m = 2")
@@ -69,8 +70,8 @@ def check_m2_relations(inp: LowDimInput, tol) -> VerificationReport:
     report.add("m2_kappa_relation_1", abs(abs(h[0, 1]) ** 2 + h[0, 0] * h[1, 1] - 1.0), tol)
     report.add("m2_kappa_relation_2", abs(h[0, 0] * h[0, 1]), tol)
     report.add("m2_kappa_relation_3", abs(h[1, 1] * h[0, 1]), tol)
-    if h[0, 0].real > tol and h[1, 1].real > tol:
-        res = max(abs(h[0, 0] * h[1, 1] - 1.0), abs(h[0, 1]), abs(h[1, 0]))
+    if abs(h[0, 0]) >= abs(h[0, 1]):
+        res = max(abs(h[0, 0] * h[1, 1] - 1.0), abs(h[0, 1]), abs(h[1, 0]), -h[0, 0].real)
         report.add("m2_positive_diagonal", res, tol)
     report.add("m2_omega_antisymmetry", _omega_antisymmetry(inp), tol)
     return report
@@ -508,7 +509,10 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     Newton stops at tol or, once a full step no longer halves the
     residual, at its round-off floor (as invariant_boundary does): where
     the source is large, tol can lie below that floor.  The solution
-    records the floor, and the residual counts as converged at it.
+    records the floor, and the residual counts as converged at it.  A
+    solve that stops short, at max_iter or in a line search that accepts
+    no damping of the step, raises NoConvergence, or is returned
+    unconverged when raise_on_failure is False.
     """
     x0, y0, x1, y1 = _check_grid(rect, n)
     if max_iter < 0:
@@ -581,7 +585,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
             lam *= 0.5
             if lam < 2.0**-30:
                 if raise_on_failure:
-                    raise NonPositiveIterate(f"line search stalled at residual {res:.3e}")
+                    raise NoConvergence(f"line search stalled at residual {res:.3e}")
                 lam = 0.0
                 break
         if lam == 0.0 or converged:
@@ -652,16 +656,21 @@ def write_tt2d_csv(spec, solution: TT2DSolution, path):
                 )
 
 
-def invariant_boundary(spec, rect, n, tol=1e-12, max_iter=60):
+# Newton tolerance and iteration cap of the 1-d boundary reduction.
+BOUNDARY_TOL = 1e-12
+BOUNDARY_MAX_ITER = 60
+
+
+def invariant_boundary(spec, rect, n):
     """Boundary data from the 1-dimensional reduction of the equation.
 
     Solves (1/4) v''(x) = e^{2v} |f'''|^2 - e^{-2v} with h_11 = 1 at the
     rectangle's x-extremes and returns a callable boundary(X, Y) that is
     independent of y.  Meaningful when |f'''| depends only on Re t^2.
 
-    Newton stops at tol or, once a step no longer halves the residual, at
-    the residual's round-off floor (_at_roundoff_floor).  On fine grids
-    (n >= 256 on [-1, 1]) that floor lies above tol = 1e-12.
+    Newton stops at BOUNDARY_TOL or, once a step no longer halves the
+    residual, at the residual's round-off floor (_at_roundoff_floor).  On
+    fine grids (n >= 256 on [-1, 1]) that floor lies above BOUNDARY_TOL.
     """
     x0, _, x1, _ = _check_grid(rect, n)
     x = np.linspace(x0, x1, n)
@@ -673,7 +682,7 @@ def invariant_boundary(spec, rect, n, tol=1e-12, max_iter=60):
     lap_size = np.max(np.sum(np.abs(lap), axis=1))
     v = np.zeros(n)
     res = prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(BOUNDARY_MAX_ITER):
         vi = v[1:-1]
         grow = np.exp(2 * vi) * c2[1:-1]
         decay = np.exp(-2 * vi)
@@ -681,7 +690,7 @@ def invariant_boundary(spec, rect, n, tol=1e-12, max_iter=60):
         res = float(np.max(np.abs(R)))
         if not np.isfinite(res):
             break
-        if res <= tol or _at_roundoff_floor(res, prev, lap_size, vi, c2[1:-1]):
+        if res <= BOUNDARY_TOL or _at_roundoff_floor(res, prev, lap_size, vi, c2[1:-1]):
             h1d = np.exp(v)
 
             def boundary(X, Y):

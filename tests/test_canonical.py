@@ -36,6 +36,37 @@ def test_trivial2_not_semisimple():
         canonical_frame(catalog("trivial2"), (0.3, 0.7))
 
 
+FRAME_FIELDS = ("point", "u", "A", "eta", "eta_d", "dC", "F4", "A_inv", "h", "dh", "h_inv")
+EV_FIELDS = ("point", "C3", "Cmix", "U")
+
+
+@pytest.mark.parametrize("name", ["quartic2", "p1", "a3_3d", "cubic2"])
+def test_point_frame_is_its_stack_of_one(name):
+    # One routine builds both: the frame at t is the frame of the stack
+    # [t] bit for bit, without the stack's leading axis.
+    spec = catalog(name)
+    t = sample_points(spec, 1, seed=3)[0][0]
+    one, stack = canonical_frame(spec, t), canonical_frame(spec, t[None])
+    for field in FRAME_FIELDS:
+        a, b = getattr(one, field), getattr(stack, field)
+        assert a.shape == b.shape[1:] and np.array_equal(a, b[0]), field
+    for field in EV_FIELDS:
+        a, b = getattr(one.ev, field), getattr(stack.ev, field)
+        assert a.shape == b.shape[1:] and np.array_equal(a, b[0]), field
+    assert np.ndim(one.gap) == 0 and np.shape(stack.gap) == (1,)
+    assert float(one.gap) == stack.gap[0]
+
+
+def test_not_semisimple_names_the_first_failing_point():
+    spec = catalog("quartic2")
+    with pytest.raises(NotSemisimple, match=r"threshold 1\.000e-08 at \[0\.\+0\.j 0\.\+0\.j\]$"):
+        canonical_frame(spec, (0.0, 0.0))
+    # Of a stack, the first point that fails: (0.5, 0), not (0, 0).
+    stack = [(0.0, 1.0), (0.5, 0.0), (0.0, 0.0)]
+    with pytest.raises(NotSemisimple, match=r"threshold 1\.500e-08 at \[0\.5\+0\.j 0\. \+0\.j\]$"):
+        canonical_frame(spec, stack)
+
+
 def test_quartic2_canonical_values():
     frame = canonical_frame(catalog("quartic2"), QPT)
     root = np.sqrt(32.0 / 3.0)

@@ -75,6 +75,27 @@ def test_m2_violating_pairing():
     assert not rep.passed
 
 
+def test_m2_negative_diagonal_fails():
+    # diag(-2, -1/2) meets the three relations; only the sign of h_11 tells
+    # it from the positive pairing diag(2, 1/2).
+    rep = check_m2_relations(_inp(2, np.diag([-2.0, -0.5])), 1e-12)
+    assert not rep.passed
+    assert rep["m2_positive_diagonal"].residual == 2.0
+
+
+@pytest.mark.parametrize("name,args", [
+    ("p1", ["--point", "0,0;24,0"]),  # h_11 = e^-12, below the default tol 1e-5
+    ("quartic2", ["--points", "3", "--seed", "0", "--tol", "0.5"]),
+])
+def test_m2_diagonal_branch_follows_h_not_tol(tmp_path, name, args):
+    spec = tmp_path / f"{name}.json"
+    write_spec(catalog(name), spec)
+    report = tmp_path / "r.json"
+    assert main(["lowdim", "--spec", str(spec), "--report", str(report)] + args) == 0
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["m2_positive_diagonal"]["pass"]
+
+
 def test_m2_wrong_dimension_rejected():
     with pytest.raises(NotNormalForm):
         check_m2_relations(_inp(3, np.eye(3)), 1e-12)
@@ -348,8 +369,8 @@ def test_tt2d_newton_iterations(counting_multigrid):
 def test_tt2d_stops_at_roundoff_floor(tmp_path):
     # On (0, 0, 16, 1) the source |f'''|^2 = e^{2x} of p1 reaches e^32,
     # and the residual's round-off floor (~1e-8) lies above tol = 1e-10.
-    # Newton used to stall in the line search at 2.8e-9 and raise
-    # NonPositiveIterate; the CLI reported a failed solve.
+    # Newton used to stall in the line search at 2.8e-9 and raise; the CLI
+    # reported a failed solve.
     spec = catalog("p1")
     rect = (0.0, 0.0, 16.0, 1.0)
     sol = solve_tt2d(spec, rect, 33, invariant_boundary(spec, rect, 33))
@@ -365,6 +386,30 @@ def test_tt2d_stops_at_roundoff_floor(tmp_path):
     check = json.loads(report.read_text())["checks"][0]
     assert check["name"] == "tt2d_solver_residual"
     assert 1e-10 < check["residual"] <= check["tolerance"] < 1e-7
+
+
+def test_tt2d_stalled_line_search(tmp_path, monkeypatch):
+    # A step that only raises the residual: no damping of it is accepted.
+    newton_step = lowdim._newton_step
+    monkeypatch.setattr(lowdim, "_newton_step", lambda *args: -newton_step(*args))
+    spec = catalog("quartic2")
+    rect = (0.5, -0.5, 1.5, 0.5)
+    with pytest.raises(NoConvergence, match="line search stalled at residual 1.300e"):
+        solve_tt2d(spec, rect, 17, 1.0)
+    sol = solve_tt2d(spec, rect, 17, 1.0, raise_on_failure=False)
+    assert not sol.converged and sol.iterations == 0
+    assert sol.residual == pytest.approx(1299.5)
+    path = tmp_path / "quartic2.json"
+    write_spec(spec, path)
+    report = tmp_path / "r.json"
+    argv = ["tt2d", "--spec", str(path), "--rect", "0.5,-0.5,1.5,0.5", "--grid", "17",
+            "--report", str(report)]
+    assert main(argv) == 1
+    doc = json.loads(report.read_text())
+    assert doc["tt2d"]["converged"] is False
+    solver, independent = doc["checks"]
+    assert not solver["pass"] and not independent["pass"]
+    assert independent["tolerance"] == solver["tolerance"]  # no 10x slack
 
 
 # h11 of quartic2 on (0, 0, 3, 1), boundary 5, n = 64, from the solver
@@ -697,5 +742,3 @@ def test_invariant_boundary_divergence_raises():
     spec = catalog("p1")
     with pytest.raises(NoConvergence):
         invariant_boundary(spec, (0.0, 0.0, 200.0, 1.0), 64)
-    with pytest.raises(NoConvergence):
-        invariant_boundary(spec, (-1.0, -1.0, 1.0, 1.0), 64, max_iter=2)

@@ -1,5 +1,5 @@
-"""Frames built as one stack of nearby points, against the per-point frame
-routine, and the verifiers against per-point loops that difference the
+"""Frames built as one stack of nearby points, against the frames of those
+points built one at a time, and the verifiers against per-point loops that difference the
 flat data over the frames of nearby points."""
 
 import numpy as np
@@ -21,7 +21,6 @@ from frobcdv import (
     verify_harmonic,
 )
 from frobcdv import cdv as cdv_module
-from frobcdv.canonical import canonical_frames
 from frobcdv.cli import sample_points
 
 NAMES = ("quartic2", "p1", "a3_3d")
@@ -70,7 +69,7 @@ def _neighbour_stacks(draw):
 
 
 def _assert_stack_equals_single_frames(spec, points):
-    frames = canonical_frames(spec, points)
+    frames = canonical_frame(spec, points)
     for n, tp in enumerate(points):
         one = canonical_frame(spec, tp)
         for name in FIELDS:
@@ -103,7 +102,7 @@ def test_stacked_labels_across_a_lex_order_crossing(name):
     t = _solve_discriminant(spec, start, 1, -abs(_discriminant(spec, start)))
     frame = canonical_frame(spec, t)
     points = _neighbours(t, STEP)
-    first = np.argmin(np.abs(canonical_frames(spec, points).u - frame.u[0]), axis=1)
+    first = np.argmin(np.abs(canonical_frame(spec, points).u - frame.u[0]), axis=1)
     assert len(set(first)) == 2  # the stack's points order their eigenvalues differently
     _assert_stack_equals_single_frames(spec, points)
     hd = harmonic_potential(frame, spec.d)
