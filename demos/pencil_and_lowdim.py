@@ -2,8 +2,8 @@
 
 First checks that the one-parameter family of connections built from the
 canonical data is flat at several values of the parameter; then runs the
-closed-form relation systems that the pairing and connection satisfy in
-dimensions 2 and 3.
+relation checks of the pairing and connection, with the closed-form
+systems of dimensions 2 and 3.
 """
 
 from frobcdv import A3_POINT, catalog, check_euler_degree, pencil_curvature

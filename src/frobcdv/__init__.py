@@ -58,6 +58,7 @@ from .lowdim import (
     check_euler_degree,
     check_m2_relations,
     check_m3_relations,
+    check_relations,
     from_canonical,
     invariant_boundary,
     solve_tt2d,

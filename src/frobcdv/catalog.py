@@ -6,6 +6,8 @@ keys so that typos in hand-written spec files fail loudly.
 
 import json
 
+import numpy as np
+
 from .errors import ParseError, UnknownName, ValidationError
 from .potential import PotentialSpec, flat_metric, homogeneity_residual
 
@@ -200,14 +202,18 @@ def spec_from_dict(doc: dict) -> PotentialSpec:
 
 
 _HOMOGENEITY_SPOT = 1e-8
+# The largest |C_1ij - J| of a spec flagged normal_form; flat_metric's
+# constancy test allows the same drift.
+_NORMAL_FORM_METRIC = 1e-10
 
 
 def load_spec(path) -> PotentialSpec:
     """Read, parse, and validate a spec file.
 
     One-time consistency checks run here: the metric C_1ij must be
-    constant and nondegenerate, and the declared Euler data must pass a
-    homogeneity spot-check at two generic points.
+    constant and nondegenerate, antidiag(1, ..., 1) if the spec is flagged
+    normal_form, and the declared Euler data must pass a homogeneity
+    spot-check at two generic points.
     """
     try:
         with open(path) as fh:
@@ -219,7 +225,12 @@ def load_spec(path) -> PotentialSpec:
     if not isinstance(doc, dict):
         raise ParseError("spec file must contain a JSON object")
     spec = spec_from_dict(doc)
-    flat_metric(spec)  # raises on non-constant or degenerate metric
+    g = flat_metric(spec)[0]  # raises on non-constant or degenerate metric
+    # The normal-form checks (lowdim, wdvv_reduced_m3) read this metric as J.
+    if spec.normal_form and np.max(np.abs(g - np.eye(spec.dim)[::-1])) > _NORMAL_FORM_METRIC:
+        metric = " ".join(np.array2string(np.real_if_close(g), separator=", ").split())
+        raise ValidationError(f"normal_form needs the metric C_1ij = antidiag(1, ..., 1), "
+                              f"got {metric}")
     points = ((0.31 + 0.12j,) * spec.dim, (-0.27 + 0.41j,) * spec.dim)
     if homogeneity_residual(spec, points) > _HOMOGENEITY_SPOT:
         raise ValidationError("declared Euler data fails the homogeneity spot-check")

@@ -155,6 +155,20 @@ def _maxabs(M):
     return float(np.max(np.abs(M)))
 
 
+def kappa_defect(h, g_inv):
+    """|conj(K) K - I| for K = g^{-1} h, the matrix of kappa: zero when
+    kappa is an involution."""
+    K = g_inv @ h
+    return _maxabs(np.conj(K) @ K - np.eye(len(h)))
+
+
+def pairing_defect(h):
+    """The non-Hermitian part of h and its most negative eigenvalue,
+    relative to |h|: zero when h is Hermitian and positive semi-definite."""
+    negativity = max(0.0, -np.linalg.eigvalsh(h)[0])
+    return max(_maxabs(h - np.conj(h).T), negativity) / _maxabs(h)
+
+
 def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None,
                      data: DerivativeData = None) -> VerificationReport:
     """One residual per structure axiom at the point of cdv.frame.
@@ -180,12 +194,10 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
     report = VerificationReport()
 
     # (a) kappa is an involution: conj(K) K = I.
-    report.add("kappa_involution", _maxabs(np.conj(K) @ K - np.eye(m)), alg_tol)
+    report.add("kappa_involution", kappa_defect(h, frame.ev.g_inv), alg_tol)
 
     # (b) h is Hermitian and positive definite, relative to its size.
-    negativity = max(0.0, -np.linalg.eigvalsh(h)[0])
-    report.add("hermitian_pairing", max(_maxabs(h - np.conj(h).T), negativity) / _maxabs(h),
-               alg_tol)
+    report.add("hermitian_pairing", pairing_defect(h), alg_tol)
 
     # (c) the kappa-conjugate of the Higgs field is its h-adjoint
     # conj(h^{-1} Phi^T h) (as h(u, v) = u^T h conj(v)), relative to |Phi|.

@@ -205,15 +205,11 @@ def cmd_pencil(args):
 def cmd_lowdim(args):
     spec = load_spec(args.spec)
     pts, frames, skipped = _points_for(spec, args)
+    relations = {2: ld.check_m2_relations, 3: ld.check_m3_relations}.get(
+        spec.dim, ld.check_relations)
     reports = []
     for frame in frames:
-        inp = ld.from_canonical(spec, frame)
-        if spec.dim == 2:
-            reports.append(ld.check_m2_relations(inp, args.tol))
-        elif spec.dim == 3:
-            reports.append(ld.check_m3_relations(inp, args.tol))
-        else:
-            raise ParseError("lowdim checks support dimensions 2 and 3 only")
+        reports.append(relations(ld.from_canonical(spec, frame), args.tol))
         reports.append(ld.check_euler_degree(spec, frame, args.tol))
     return aggregate(reports), pts, skipped, None
 
@@ -353,7 +349,9 @@ def main(argv=None):
             return 0
         doc = write_report(args.report, args.spec, pts, report, args.seed, skipped=skipped,
                            extra=extra)
-    except (FrobCdvError, FloatingPointError, OSError) as exc:
+    # numpy raises MemoryError for an array too large to allocate, such as
+    # the grid of an oversized tt2d --grid.
+    except (FrobCdvError, FloatingPointError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.summary_lines():

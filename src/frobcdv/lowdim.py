@@ -1,9 +1,11 @@
-"""Dimension-2 and dimension-3 relation systems and the 2d PDE solver.
+"""Relation checks of the pairing and connection, and the 2d PDE solver.
 
-The relation checkers work in flat antidiagonal normal-form coordinates
-(g = antidiag(1,...,1), unit field = d/dt^1).  The connection entries
-use the classical index convention omega_i^j(d_k): lower index = input
-vector, upper index = output component, stored as W[k, i, j].
+check_relations applies at every dimension, and the dimension-2 and
+dimension-3 systems add their own relations to it.  The checkers work in
+flat antidiagonal normal-form coordinates (g = antidiag(1,...,1), unit
+field = d/dt^1).  The connection entries use the classical index
+convention omega_i^j(d_k): lower index = input vector, upper index =
+output component, stored as W[k, i, j].
 
 Only the tt* solve uses scipy, so its functions import scipy.sparse and
 scipy.linalg on first use and the pointwise checks load numpy alone.
@@ -17,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import as_frame
+from .cdv import kappa_defect, pairing_defect
 from .errors import NoConvergence, NotNormalForm, Singular, ValidationError
-from .potential import diff_terms, eval_terms
+from .potential import diff_terms, eval_terms, reduced_wdvv_scalar
 from .report import VerificationReport
 
 
@@ -56,48 +59,39 @@ def _omega_antisymmetry(inp: LowDimInput) -> float:
     return float(np.max(np.abs(inp.omega + mirrored)))
 
 
-def check_m2_relations(inp: LowDimInput, tol) -> VerificationReport:
-    """The three kappa-involution relations in dimension 2.
+def check_relations(inp: LowDimInput, tol) -> VerificationReport:
+    """The checks of the pairing and connection at every dimension: kappa
+    is an involution for the normal-form metric J = antidiag(1, ..., 1)
+    and h is positive definite (verify's kappa_defect and pairing_defect),
+    and the Chern forms are J-antisymmetric."""
+    report = VerificationReport()
+    report.add("kappa_involution", kappa_defect(inp.h, np.eye(inp.m)[::-1]), tol)
+    report.add("hermitian_pairing", pairing_defect(inp.h), tol)
+    report.add("omega_antisymmetry", _omega_antisymmetry(inp), tol)
+    return report
 
-    Relation 2, h_11 h_12 = 0, makes h_11 or h_12 vanish.  On the diagonal
-    branch (|h_11| >= |h_12|) the positive reconstruction h = diag(h_11,
-    1/h_11) with Re h_11 >= 0 is asserted as well.
-    """
+
+def check_m2_relations(inp: LowDimInput, tol) -> VerificationReport:
+    """check_relations and, in dimension 2, the positive diagonal pairing
+    h = diag(h_11, 1/h_11) with Re h_11 >= 0."""
     if inp.m != 2:
         raise NotNormalForm("dimension-2 relations need m = 2")
     h = inp.h
-    report = VerificationReport()
-    report.add("m2_kappa_relation_1", abs(abs(h[0, 1]) ** 2 + h[0, 0] * h[1, 1] - 1.0), tol)
-    report.add("m2_kappa_relation_2", abs(h[0, 0] * h[0, 1]), tol)
-    report.add("m2_kappa_relation_3", abs(h[1, 1] * h[0, 1]), tol)
-    if abs(h[0, 0]) >= abs(h[0, 1]):
-        res = max(abs(h[0, 0] * h[1, 1] - 1.0), abs(h[0, 1]), abs(h[1, 0]), -h[0, 0].real)
-        report.add("m2_positive_diagonal", res, tol)
-    report.add("m2_omega_antisymmetry", _omega_antisymmetry(inp), tol)
+    report = check_relations(inp, tol)
+    res = max(abs(h[0, 0] * h[1, 1] - 1.0), abs(h[0, 1]), abs(h[1, 0]), -h[0, 0].real)
+    report.add("m2_positive_diagonal", res, tol)
     return report
 
 
 def check_m3_relations(inp: LowDimInput, tol) -> VerificationReport:
-    """Dimension-3 system: six involution relations, three connection
-    relations, the reduced associativity scalar, the antisymmetry grid,
-    and the two relations implied by them."""
+    """check_relations and, in dimension 3, three connection relations,
+    the reduced associativity scalar and the two relations implied by
+    them."""
     if inp.m != 3:
         raise NotNormalForm("dimension-3 relations need m = 3")
-    h = inp.h
     W = inp.omega
     C = inp.C3
-    report = VerificationReport()
-
-    kappa = (
-        h[0, 0] * h[2, 2] + h[0, 1] * h[2, 1] + abs(h[0, 2]) ** 2 - 1.0,
-        2.0 * h[1, 0] * h[1, 2] + h[1, 1] ** 2 - 1.0,
-        h[0, 0] * h[1, 2] + h[0, 1] * h[1, 1] + h[0, 2] * h[1, 0],
-        2.0 * h[0, 0] * h[0, 2] + h[0, 1] ** 2,
-        h[0, 1] * h[2, 2] + h[1, 1] * h[1, 2] + h[0, 2] * h[2, 1],
-        2.0 * h[0, 2] * h[2, 2] + h[1, 2] ** 2,
-    )
-    for idx, val in enumerate(kappa, start=1):
-        report.add(f"m3_kappa_relation_{idx}", abs(val), tol)
+    report = check_relations(inp, tol)
 
     C222, C223, C233, C333 = C[1, 1, 1], C[1, 1, 2], C[1, 2, 2], C[2, 2, 2]
     dphi = (
@@ -108,8 +102,7 @@ def check_m3_relations(inp: LowDimInput, tol) -> VerificationReport:
     for idx, val in enumerate(dphi, start=1):
         report.add(f"m3_dphi_relation_{idx}", abs(val), tol)
 
-    report.add("m3_wdvv_scalar", abs(C223 ** 2 - C222 * C233 - C333), tol)
-    report.add("m3_omega_antisymmetry", _omega_antisymmetry(inp), tol)
+    report.add("m3_wdvv_scalar", reduced_wdvv_scalar(C), tol)
 
     implied_23 = C223 * W[2, 0, 0] - C333 * W[1, 0, 1] - C223 * W[1, 1, 0] + C222 * W[2, 1, 0]
     implied_13 = C333 * W[1, 0, 0] - C233 * W[2, 0, 0] + C233 * W[1, 1, 0] - C223 * W[2, 1, 0]

@@ -266,14 +266,17 @@ def wdvv_residual(spec: PotentialSpec, t) -> float:
     return float(np.max(np.abs(left - right)))
 
 
+def reduced_wdvv_scalar(C):
+    """The m=3 normal-form scalar |C223^2 - C222*C233 - C333| of the third
+    partials C of F, at one point (3, 3, 3) or at each of a stack."""
+    return np.abs(C[..., 1, 1, 2] ** 2 - C[..., 1, 1, 1] * C[..., 1, 2, 2] - C[..., 2, 2, 2])
+
+
 def wdvv_reduced_m3(spec: PotentialSpec, t) -> float:
-    """The m=3 normal-form scalar |C223^2 - C222*C233 - C333|, maximised
-    over t, one point or a stack of them."""
+    """reduced_wdvv_scalar maximised over t, one point or a stack of them."""
     if spec.dim != 3:
         raise ValidationError("reduced WDVV scalar is defined for dim 3 only")
-    C = third_derivatives(spec, t)
-    return float(np.max(np.abs(C[..., 1, 1, 2] ** 2 - C[..., 1, 1, 1] * C[..., 1, 2, 2]
-                               - C[..., 2, 2, 2])))
+    return float(np.max(reduced_wdvv_scalar(third_derivatives(spec, t))))
 
 
 def check_wdvv(spec: PotentialSpec, points, tol) -> VerificationReport:

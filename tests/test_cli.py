@@ -25,6 +25,7 @@ from frobcdv import (
     check_wdvv,
     connection_gap,
     construct_canonical_cdv,
+    flat_metric,
     from_canonical,
     harmonic_potential,
     load_spec,
@@ -526,6 +527,26 @@ def test_malformed_spec_entry_is_one_line_parse_error(tmp_path, capsys, path, va
     assert named in _assert_one_line_spec_error(doc, tmp_path, capsys)
 
 
+def test_normal_form_spec_needs_antidiagonal_metric(tmp_path, capsys):
+    # F = t1^2 t2 + 2 t2^4 with quartic2's Euler data has the metric 2J.
+    doc = spec_to_dict(catalog("quartic2"))
+    doc["monomials"] = [{"coeff": [1.0, 0.0], "powers": [2, 1]},
+                        {"coeff": [2.0, 0.0], "powers": [0, 4]}]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError):
+        load_spec(path)
+    for command in ("verify", "lowdim"):
+        assert main([command, "--spec", str(path), "--points", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert "antidiag(1, ..., 1), got [[0., 2.], [2., 0.]]" in out.err
+    for name in CATALOG_NAMES:
+        if catalog(name).normal_form:
+            spec = load_spec(_dump(name, tmp_path))
+            assert np.array_equal(flat_metric(spec)[0], np.eye(spec.dim)[::-1])
+
+
 def _nine_dimensional_cubic():
     """A valid spec one dimension above numerics.MAX_DIM: F = 1/2 t1^2 t9
     + t1 (t2 t8 + t3 t7 + t4 t6) + 1/2 t1 t5^2 + t9^3 / 6, all degrees 1."""
@@ -678,6 +699,8 @@ OVERFLOWING_SOURCE = ["--rect", "0,0,400,1"]
     ["--tol", "-1"],
     ["--tol", "nan"],
     ["--tol", "inf"],
+    # 7.3 TiB per grid array: numpy refuses it without allocating.
+    ["--grid", "1000000"],
     OVERFLOWING_SOURCE,
 ], ids=" ".join)
 def test_tt2d_bad_grid_input_is_one_line_error(tmp_path, capsys, flags):

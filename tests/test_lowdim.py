@@ -1,4 +1,4 @@
-"""Tests for the dimension-2/3 relation systems and the 2d PDE solver."""
+"""Tests for the relation checks at every dimension and the 2d PDE solver."""
 
 import dataclasses
 import json
@@ -13,22 +13,25 @@ from frobcdv import (
     LowDimInput,
     NoConvergence,
     NotNormalForm,
+    PotentialSpec,
     Singular,
     ValidationError,
     catalog,
     check_euler_degree,
     check_m2_relations,
     check_m3_relations,
+    check_relations,
     flat_metric,
     from_canonical,
     invariant_boundary,
     solve_tt2d,
     tt2d_residual,
+    wdvv_reduced_m3,
     write_spec,
     write_tt2d_csv,
 )
 from frobcdv import lowdim
-from frobcdv.cli import main
+from frobcdv.cli import main, sample_points
 from frobcdv.lowdim import (
     _d2_matrix,
     _fppp_sq,
@@ -61,17 +64,18 @@ def test_m2_positive_diagonal_branch():
 
 
 def test_m2_antidiagonal_phase():
+    # An involution, but indefinite (eigenvalues +-1): not a positive pairing.
     theta = 0.7
     h = np.array([[0.0, np.exp(1j * theta)], [np.exp(-1j * theta), 0.0]])
     rep = check_m2_relations(_inp(2, h), 1e-12)
-    assert rep.passed
-    with pytest.raises(KeyError):  # branch not triggered
-        rep["m2_positive_diagonal"]
+    assert rep["kappa_involution"].passed
+    assert not rep["hermitian_pairing"].passed
+    assert not rep["m2_positive_diagonal"].passed
 
 
 def test_m2_violating_pairing():
     rep = check_m2_relations(_inp(2, np.diag([2.0, 2.0])), 1e-12)
-    assert rep["m2_kappa_relation_1"].residual == pytest.approx(3.0)
+    assert rep["kappa_involution"].residual == pytest.approx(3.0)
     assert not rep.passed
 
 
@@ -110,9 +114,12 @@ def test_m2_from_construction():
 
 
 def test_m3_antidiagonal_identity():
+    # J itself is an involution, but indefinite (eigenvalues 1, 1, -1).
     h = np.fliplr(np.eye(3))
     rep = check_m3_relations(_inp(3, h), 1e-12)
-    assert rep.passed
+    assert rep["kappa_involution"].passed
+    assert not rep["hermitian_pairing"].passed
+    assert [e.name for e in rep.entries if not e.passed] == ["hermitian_pairing"]
 
 
 def test_m3_from_construction():
@@ -128,6 +135,96 @@ def test_m3_detects_perturbed_pairing():
     rep = check_m3_relations(dataclasses.replace(inp, h=h_bad), 1e-9)
     assert not rep.passed
     assert max(e.residual for e in rep.entries) > 0.01
+
+
+def _kappa_relations(h):
+    """The hand-expanded kappa relations in normal form, which
+    check_relations' kappa_involution replaces as a reference: the
+    entries of h J h^T - J, those of m = 2 that are a doubled product
+    halved."""
+    if len(h) == 2:
+        return (abs(h[0, 1]) ** 2 + h[0, 0] * h[1, 1] - 1.0, h[0, 0] * h[0, 1],
+                h[1, 1] * h[0, 1])
+    return (
+        h[0, 0] * h[2, 2] + h[0, 1] * h[2, 1] + abs(h[0, 2]) ** 2 - 1.0,
+        2.0 * h[1, 0] * h[1, 2] + h[1, 1] ** 2 - 1.0,
+        h[0, 0] * h[1, 2] + h[0, 1] * h[1, 1] + h[0, 2] * h[1, 0],
+        2.0 * h[0, 0] * h[0, 2] + h[0, 1] ** 2,
+        h[0, 1] * h[2, 2] + h[1, 1] * h[1, 2] + h[0, 2] * h[2, 1],
+        2.0 * h[0, 2] * h[2, 2] + h[1, 2] ** 2,
+    )
+
+
+@pytest.mark.parametrize("m, low, high", [(2, 1.0, 2.0), (3, 1.0, 1.0)])
+def test_kappa_involution_matches_hand_expanded_relations(m, low, high):
+    # For Hermitian h, conj(K) K - I = J (h^T J h - J) with K = J h, and
+    # h^T J h = conj(h J h^T): the same entries as the relations, up to
+    # the factor 2 of m = 2's halved ones.
+    rng = np.random.default_rng(26)
+    ratios = []
+    for _ in range(1000):
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        h = 0.5 * (a + np.conj(a).T)
+        new = check_relations(_inp(m, h), 1e-12)["kappa_involution"].residual
+        ratios.append(new / max(abs(r) for r in _kappa_relations(h)))
+    assert low - 1e-12 <= min(ratios) and max(ratios) <= high + 1e-12
+
+
+def _residue_spec_m4():
+    """C[x]/(x^4 - 2) with the residue pairing, as a normal-form spec:
+    F = (1/6) sum c_ijk t_i t_j t_k over i, j, k in 0..3, with c_ijk = 1
+    where i + j + k = 3 and 2 where i + j + k = 7, so F = t0^2 t3 / 2 +
+    t0 t1 t2 + t1^3 / 6 + t1 t3^2 + t2^2 t3; all degrees 1, d = 0."""
+    monomials = [(0.5, (2, 0, 0, 1)), (1.0, (1, 1, 1, 0)), (1.0 / 6.0, (0, 3, 0, 0)),
+                 (1.0, (0, 1, 0, 2)), (1.0, (0, 0, 2, 1))]
+    return PotentialSpec(dim=4, monomials=tuple((complex(c), p) for c, p in monomials),
+                         exponentials=(), degrees=(1.0,) * 4, shifts=(0.0,) * 4, d=0.0,
+                         d_F=3.0, normal_form=True)
+
+
+def test_relations_four_dimensional_mutants_fail_their_check():
+    inp = from_canonical(_residue_spec_m4(), (0.3 + 0.1j, 0.7, -0.2 + 0.4j, 0.5j))
+    assert check_relations(inp, 1e-9).passed
+    h_bad = inp.h.copy()
+    h_bad[0, 0] *= 1.1
+    omega_bad = inp.omega.copy()
+    omega_bad[0, 0, 1] += 1e-3  # its mirror omega[0, 2, 3] stays
+    mutants = {
+        "kappa_involution": dataclasses.replace(inp, h=h_bad),
+        # J is an involution, but indefinite.
+        "hermitian_pairing": dataclasses.replace(inp, h=np.eye(4)[::-1].astype(complex)),
+        "omega_antisymmetry": dataclasses.replace(inp, omega=omega_bad),
+    }
+    for name, mutant in mutants.items():
+        rep = check_relations(mutant, 1e-9)
+        assert not rep[name].passed, name
+
+
+@pytest.mark.parametrize("name, relations", [
+    ("quartic2", ["m2_positive_diagonal"]),
+    ("a3_3d", ["m3_dphi_relation_1", "m3_dphi_relation_2", "m3_dphi_relation_3",
+               "m3_wdvv_scalar", "m3_implied_relation_23", "m3_implied_relation_13"]),
+    ("residue4", []),  # m = 4: the general checks alone
+])
+def test_lowdim_report_check_names(tmp_path, name, relations):
+    # Exit 0: every check passes.
+    spec = tmp_path / f"{name}.json"
+    write_spec(_residue_spec_m4() if name == "residue4" else catalog(name), spec)
+    report = tmp_path / "r.json"
+    assert main(["lowdim", "--spec", str(spec), "--report", str(report)]) == 0
+    names = [c["name"] for c in json.loads(report.read_text())["checks"]]
+    assert names == (["kappa_involution", "hermitian_pairing", "omega_antisymmetry"] + relations
+                     + ["euler_degree_relation"])
+
+
+@pytest.mark.parametrize("name", ["a3_3d", "broken_wdvv"])
+def test_m3_wdvv_scalar_is_verify_reduced_scalar(name):
+    # One formula on the same third partials, so equal bit for bit; on
+    # a3_3d the sampled points of seed 3 read round-off, not 0.
+    spec = catalog(name)
+    for t in [A3_POINT] + sample_points(spec, 3, 3)[0]:
+        rep = check_m3_relations(from_canonical(spec, t), 1e-9)
+        assert rep["m3_wdvv_scalar"].residual == wdvv_reduced_m3(spec, t)
 
 
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
