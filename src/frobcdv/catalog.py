@@ -6,8 +6,6 @@ keys so that typos in hand-written spec files fail loudly.
 
 import json
 
-import numpy as np
-
 from .errors import ParseError, UnknownName, ValidationError
 from .potential import PotentialSpec, flat_metric, homogeneity_residual
 
@@ -16,76 +14,46 @@ from .potential import PotentialSpec, flat_metric, homogeneity_residual
 A3_POINT = (0.3 + 0.0j, 0.7 + 0.0j, 1.1 + 0.0j)
 
 
-def _entry(dim, monomials, exponentials, degrees, shifts, d, d_F, normal_form=True):
-    return PotentialSpec(
-        dim=dim,
-        monomials=tuple((complex(c), tuple(p)) for c, p in monomials),
-        exponentials=tuple(
-            (complex(c), tuple(p), tuple(complex(x) for x in w))
-            for c, p, w in exponentials
-        ),
-        degrees=tuple(float(x) for x in degrees),
-        shifts=tuple(float(x) for x in shifts),
-        d=float(d),
-        d_F=float(d_F),
-        normal_form=normal_form,
-    )
-
-
 _CATALOG = {
     # F = (1/2) t1^2 t2: multiplication is everywhere unipotent (never
     # semi-simple); used for metric normalization and negative controls.
-    "trivial2": _entry(2, [(0.5, (2, 1))], [], (1.0, 1.0), (0.0, 0.0), 0.0, 3.0),
+    "trivial2": PotentialSpec(
+        2, [(0.5, (2, 1))], [], (1.0, 1.0), (0.0, 0.0), 0.0, 3.0, normal_form=True
+    ),
     # F = (1/2) t1^2 t2 + t2^3/6: degree-three potential with constant
     # structure tensors; the semi-simple trivial (flat) example.
-    "cubic2": _entry(
-        2, [(0.5, (2, 1)), (1.0 / 6.0, (0, 3))], [], (1.0, 1.0), (0.0, 0.0), 0.0, 3.0
+    "cubic2": PotentialSpec(
+        2, [(0.5, (2, 1)), (1.0 / 6.0, (0, 3))], [], (1.0, 1.0), (0.0, 0.0), 0.0, 3.0,
+        normal_form=True,
     ),
     # F = (1/2) t1^2 t2 + t2^4.
-    "quartic2": _entry(
-        2,
-        [(0.5, (2, 1)), (1.0, (0, 4))],
-        [],
-        (1.0, 2.0 / 3.0),
-        (0.0, 0.0),
-        1.0 / 3.0,
-        8.0 / 3.0,
+    "quartic2": PotentialSpec(
+        2, [(0.5, (2, 1)), (1.0, (0, 4))], [], (1.0, 2.0 / 3.0), (0.0, 0.0), 1.0 / 3.0,
+        8.0 / 3.0, normal_form=True,
     ),
     # F = (1/2) t1^2 t2 + exp(t2): quantum cohomology of the projective line.
-    "p1": _entry(
-        2, [(0.5, (2, 1))], [(1.0, (0, 0), (0.0, 1.0))], (1.0, 0.0), (0.0, 2.0), 1.0, 2.0
+    "p1": PotentialSpec(
+        2, [(0.5, (2, 1))], [(1.0, (0, 0), (0.0, 1.0))], (1.0, 0.0), (0.0, 2.0), 1.0, 2.0,
+        normal_form=True,
     ),
     # F = (1/2) t1^2 t3 + (1/2) t1 t2^2 + (1/4) t2^2 t3^2 + (1/60) t3^5.
-    "a3_3d": _entry(
+    "a3_3d": PotentialSpec(
         3,
         [(0.5, (2, 0, 1)), (0.5, (1, 2, 0)), (0.25, (0, 2, 2)), (1.0 / 60.0, (0, 0, 5))],
-        [],
-        (1.0, 0.75, 0.5),
-        (0.0, 0.0, 0.0),
-        0.5,
-        2.5,
+        [], (1.0, 0.75, 0.5), (0.0, 0.0, 0.0), 0.5, 2.5, normal_form=True,
     ),
     # a3_3d with the quintic coefficient perturbed to 1/59: homogeneous but
     # breaks associativity; negative control for the WDVV checks.
-    "broken_wdvv": _entry(
+    "broken_wdvv": PotentialSpec(
         3,
         [(0.5, (2, 0, 1)), (0.5, (1, 2, 0)), (0.25, (0, 2, 2)), (1.0 / 59.0, (0, 0, 5))],
-        [],
-        (1.0, 0.75, 0.5),
-        (0.0, 0.0, 0.0),
-        0.5,
-        2.5,
+        [], (1.0, 0.75, 0.5), (0.0, 0.0, 0.0), 0.5, 2.5, normal_form=True,
     ),
     # F = (1/2) t1^2 t3 + (1/2) t1 t2^2 + t2^4/24: associative but nowhere
     # semi-simple; used only for algebra-level checks.
-    "m3_nilpotent": _entry(
-        3,
-        [(0.5, (2, 0, 1)), (0.5, (1, 2, 0)), (1.0 / 24.0, (0, 4, 0))],
-        [],
-        (1.0, 0.5, 0.0),
-        (0.0, 0.0, 0.0),
-        1.0,
-        2.0,
+    "m3_nilpotent": PotentialSpec(
+        3, [(0.5, (2, 0, 1)), (0.5, (1, 2, 0)), (1.0 / 24.0, (0, 4, 0))], [],
+        (1.0, 0.5, 0.0), (0.0, 0.0, 0.0), 1.0, 2.0, normal_form=True,
     ),
 }
 
@@ -106,15 +74,9 @@ def _c(z):
 def spec_to_dict(spec: PotentialSpec) -> dict:
     return {
         "dim": spec.dim,
-        "monomials": [
-            {"coeff": _c(complex(c)), "powers": list(p)} for c, p in spec.monomials
-        ],
+        "monomials": [{"coeff": _c(c), "powers": list(p)} for c, p in spec.monomials],
         "exponentials": [
-            {
-                "coeff": _c(complex(c)),
-                "powers": list(p),
-                "linear_form": [_c(complex(x)) for x in w],
-            }
+            {"coeff": _c(c), "powers": list(p), "linear_form": [_c(x) for x in w]}
             for c, p, w in spec.exponentials
         ],
         "euler": {
@@ -161,7 +123,7 @@ def _parse_c(pair, where):
 
 
 def _parse_numbers(values, where):
-    return tuple(_parse_number(x, where) for x in _parse_list(values, "numbers", where))
+    return [_parse_number(x, where) for x in _parse_list(values, "numbers", where)]
 
 
 def spec_from_dict(doc: dict) -> PotentialSpec:
@@ -171,28 +133,25 @@ def spec_from_dict(doc: dict) -> PotentialSpec:
     monomials = []
     for mono in _parse_list(doc["monomials"], "terms", "monomials"):
         _require_keys(mono, ("coeff", "powers"), "monomial")
-        monomials.append(
-            (_parse_c(mono["coeff"], "monomial"),
-             tuple(_parse_list(mono["powers"], "powers", "monomial")))
-        )
+        monomials.append((_parse_c(mono["coeff"], "monomial"),
+                          _parse_list(mono["powers"], "powers", "monomial")))
     exponentials = []
     for term in _parse_list(doc["exponentials"], "terms", "exponentials"):
         _require_keys(term, ("coeff", "powers", "linear_form"), "exponential")
-        exponentials.append(
-            (
-                _parse_c(term["coeff"], "exponential"),
-                tuple(_parse_list(term["powers"], "powers", "exponential")),
-                tuple(_parse_c(x, "linear_form")
-                      for x in _parse_list(term["linear_form"], "pairs", "exponential")),
-            )
-        )
+        exponentials.append((
+            _parse_c(term["coeff"], "exponential"),
+            _parse_list(term["powers"], "powers", "exponential"),
+            [_parse_c(x, "linear_form")
+             for x in _parse_list(term["linear_form"], "pairs", "exponential")],
+        ))
     if not isinstance(doc["normal_form"], bool):
         raise ParseError(f"expected true or false for normal_form, got {doc['normal_form']!r}")
-    # dim and the powers pass through as given; PotentialSpec checks them.
+    # dim and the powers pass through as given; PotentialSpec checks them
+    # and stores every field as tuples.
     return PotentialSpec(
         dim=doc["dim"],
-        monomials=tuple(monomials),
-        exponentials=tuple(exponentials),
+        monomials=monomials,
+        exponentials=exponentials,
         degrees=_parse_numbers(euler["degrees"], "euler degrees"),
         shifts=_parse_numbers(euler["shifts"], "euler shifts"),
         d=_parse_number(euler["d"], "euler d"),
@@ -202,18 +161,15 @@ def spec_from_dict(doc: dict) -> PotentialSpec:
 
 
 _HOMOGENEITY_SPOT = 1e-8
-# The largest |C_1ij - J| of a spec flagged normal_form; flat_metric's
-# constancy test allows the same drift.
-_NORMAL_FORM_METRIC = 1e-10
 
 
 def load_spec(path) -> PotentialSpec:
     """Read, parse, and validate a spec file.
 
-    One-time consistency checks run here: the metric C_1ij must be
-    constant and nondegenerate, antidiag(1, ..., 1) if the spec is flagged
-    normal_form, and the declared Euler data must pass a homogeneity
-    spot-check at two generic points.
+    Besides PotentialSpec's own checks, the metric is validated once here
+    (flat_metric: constant, nondegenerate, and antidiag(1, ..., 1) if the
+    spec is flagged normal_form), and the declared Euler data must pass a
+    homogeneity spot-check at two generic points.
     """
     try:
         with open(path) as fh:
@@ -225,12 +181,7 @@ def load_spec(path) -> PotentialSpec:
     if not isinstance(doc, dict):
         raise ParseError("spec file must contain a JSON object")
     spec = spec_from_dict(doc)
-    g = flat_metric(spec)[0]  # raises on non-constant or degenerate metric
-    # The normal-form checks (lowdim, wdvv_reduced_m3) read this metric as J.
-    if spec.normal_form and np.max(np.abs(g - np.eye(spec.dim)[::-1])) > _NORMAL_FORM_METRIC:
-        metric = " ".join(np.array2string(np.real_if_close(g), separator=", ").split())
-        raise ValidationError(f"normal_form needs the metric C_1ij = antidiag(1, ..., 1), "
-                              f"got {metric}")
+    flat_metric(spec)
     points = ((0.31 + 0.12j,) * spec.dim, (-0.27 + 0.41j,) * spec.dim)
     if homogeneity_residual(spec, points) > _HOMOGENEITY_SPOT:
         raise ValidationError("declared Euler data fails the homogeneity spot-check")

@@ -352,13 +352,10 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     res_a = max(_maxabs(gammas[a] - cdv.omega[a]) for a in range(m))
     report.add("nabla_vs_chern", res_a, tol)
 
-    # (b) torsion of the Chern connection (diagonal-omega reduction).
-    res_b = max(
-        abs(cdv.omega[alpha][beta, beta])
-        for alpha in range(m)
-        for beta in range(m)
-        if alpha != beta
-    )
+    # (b) torsion of the Chern connection (diagonal-omega reduction), 0 at
+    # m = 1; Python's abs, as np.abs can differ from it in the last bit.
+    res_b = max((abs(cdv.omega[a][b, b]) for a in range(m) for b in range(m) if a != b),
+                default=0.0)
     report.add("chern_torsion", res_b, tol)
 
     # (c) closedness of the Kaehler form, flat coordinates:

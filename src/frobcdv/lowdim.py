@@ -21,7 +21,7 @@ import numpy as np
 from .canonical import as_frame
 from .cdv import kappa_defect, pairing_defect
 from .errors import NoConvergence, NotNormalForm, Singular, ValidationError
-from .potential import diff_terms, eval_terms, reduced_wdvv_scalar
+from .potential import diff_terms, eval_terms, flat_metric, reduced_wdvv_scalar
 from .report import VerificationReport
 
 
@@ -157,9 +157,13 @@ class TT2DSolution:
 
 def _fppp_sq(spec, X, Y):
     """|d^3 F / d(t^2)^3|^2 on the grid, at t = (0, x + i y); raises
-    ValidationError, naming the grid's rect, where it overflows."""
+    ValidationError, naming the grid's rect, where it overflows.  The
+    equation is derived in normal form, so the spec must be a 2-dimensional
+    normal-form spec whose metric is J (flat_metric checks it)."""
     if spec.dim != 2:
         raise ValidationError("the 2d tt* equation needs a 2-dimensional spec")
+    _require_normal_form(spec)
+    flat_metric(spec)
     Z = X + 1j * Y
     with np.errstate(over="ignore", invalid="ignore"):
         c2 = np.abs(eval_terms(diff_terms(spec.terms, (0, 3)), (np.zeros_like(Z), Z))) ** 2

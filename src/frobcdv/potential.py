@@ -31,19 +31,44 @@ def _is_int(x):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _check_term(coeff, powers, w):
+def _number(x, kind, field):
+    """x as a kind (complex or float), after checking that it is a number
+    of that kind, so that complex("1") cannot pass; field names it."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real if kind is float else numbers.Complex):
+        raise ValidationError(f"{field} must be a {'real' if kind is float else 'complex'} "
+                              f"number, got {x!r}")
+    try:
+        return kind(x)
+    except OverflowError:
+        raise ValidationError(f"{field} {x} does not fit a float") from None
+
+
+def _term(coeff, powers, w, what):
+    """A validated term as (complex coeff, int powers, complex linear form)."""
     # Derivatives multiply the coefficient by a power, so it must fit a float.
     if not all(_is_int(p) and 0 <= p <= sys.float_info.max for p in powers):
         raise ValidationError(
             f"term powers {list(powers)} must be non-negative integers that fit a float"
         )
+    coeff = _number(coeff, complex, f"{what} coefficient")
+    w = tuple(_number(x, complex, "exponential linear form") for x in w)
     if not all(cmath.isfinite(c) for c in (coeff, *w)):
         raise ValidationError("term coefficients and linear forms must be finite")
+    return coeff, tuple(int(p) for p in powers), w
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential F plus Euler data (degrees d_i, shifts r_i, d, d_F)."""
+    """Potential F plus Euler data (degrees d_i, shifts r_i, d, d_F).
+
+    Any numbers (ints, floats, complex, Fractions, numpy scalars) in any
+    sequences are accepted, validated and stored as tuples of complex
+    coefficients and linear forms, int powers, float Euler data and a bool
+    normal_form.  A
+    normal_form spec's metric must be antidiag(1, ..., 1): flat_metric
+    checks it once per spec, and flat_eval (so every frame) and the tt*
+    source call flat_metric.
+    """
 
     dim: int
     monomials: tuple
@@ -58,37 +83,48 @@ class PotentialSpec:
         m = self.dim
         if not _is_int(m) or not 1 <= m <= MAX_DIM:
             raise ValidationError(f"dim must be an integer from 1 to {MAX_DIM}, got {m!r}")
+        monomials = []
         for coeff, powers in self.monomials:
             if len(powers) != m:
-                raise ValidationError(f"monomial powers {powers} do not match dim {m}")
-            _check_term(coeff, powers, ())
+                raise ValidationError(f"monomial powers {tuple(powers)} do not match dim {m}")
+            monomials.append(_term(coeff, powers, (), "monomial")[:2])
+        exponentials = []
         for coeff, powers, w in self.exponentials:
             if len(powers) != m or len(w) != m:
                 raise ValidationError("exponential term arrays do not match dim")
-            _check_term(coeff, powers, w)
+            exponentials.append(_term(coeff, powers, w, "exponential"))
         if len(self.degrees) != m or len(self.shifts) != m:
             raise ValidationError("euler degree/shift arrays do not match dim")
-        if not all(math.isfinite(x) for x in (*self.degrees, *self.shifts, self.d, self.d_F)):
+        degrees = tuple(_number(x, float, "euler degree") for x in self.degrees)
+        shifts = tuple(_number(x, float, "euler shift") for x in self.shifts)
+        d, d_F = _number(self.d, float, "euler d"), _number(self.d_F, float, "euler d_F")
+        if not all(math.isfinite(x) for x in (*degrees, *shifts, d, d_F)):
             raise ValidationError("euler degrees, shifts, d and d_F must be finite")
-        for di, ri in zip(self.degrees, self.shifts):
+        for di, ri in zip(degrees, shifts):
             if ri != 0 and di != 0:
                 raise ValidationError("euler shift allowed only where the degree vanishes")
+        if not isinstance(self.normal_form, (bool, np.bool_)):
+            raise ValidationError(f"normal_form must be True or False, got {self.normal_form!r}")
         if self.normal_form:
-            if abs(self.degrees[0] - 1.0) > 1e-9:
+            if abs(degrees[0] - 1.0) > 1e-9:
                 raise ValidationError("normal form requires d_1 = 1")
             for i in range(m):
-                if abs(self.degrees[i] + self.degrees[m - 1 - i] - (2.0 - self.d)) > 1e-9:
+                if abs(degrees[i] + degrees[m - 1 - i] - (2.0 - d)) > 1e-9:
                     raise ValidationError("normal form requires d_i + d_{m+1-i} = 2 - d")
-            if abs(self.d_F - (3.0 - self.d)) > 1e-9:
+            if abs(d_F - (3.0 - d)) > 1e-9:
                 raise ValidationError("normal form requires d_F = 3 - d")
+        # One representation however the spec was built, so that equal specs
+        # hash alike and every field is JSON-ready.
+        for name, value in (("dim", int(m)), ("monomials", tuple(monomials)),
+                            ("exponentials", tuple(exponentials)), ("degrees", degrees),
+                            ("shifts", shifts), ("d", d), ("d_F", d_F),
+                            ("normal_form", bool(self.normal_form))):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def terms(self):
-        zero = (0.0 + 0.0j,) * self.dim
-        mono = tuple((complex(c), tuple(p), zero) for c, p in self.monomials)
-        expo = tuple((complex(c), tuple(p), tuple(complex(x) for x in w))
-                     for c, p, w in self.exponentials)
-        return mono + expo
+        zero = (0j,) * self.dim
+        return tuple((c, p, zero) for c, p in self.monomials) + self.exponentials
 
     def euler_components(self, t):
         """Components of the Euler field: E^i = d_i t^i + r_i."""
@@ -211,10 +247,14 @@ def fifth_derivatives(spec: PotentialSpec, t):
 
 @lru_cache(maxsize=None)
 def flat_metric(spec: PotentialSpec):
-    """Constant flat metric g_ij = C_1ij, validated once per spec.
+    """Constant flat metric g_ij = C_1ij and its inverse, validated once
+    per spec.
 
     Constancy is spot-checked at two fixed generic points; a non-finite
     metric or determinant is rejected, and degeneracy against DET_G_MIN.
+    A spec flagged normal_form must have g = J = antidiag(1, ..., 1), to
+    the drift the constancy test allows: the normal-form checks (lowdim,
+    wdvv_reduced_m3) read the metric as J.
     """
     rng = np.random.default_rng(20240817)
     m = spec.dim
@@ -233,6 +273,10 @@ def flat_metric(spec: PotentialSpec):
         raise ValidationError("metric C_1ij is not constant across points")
     if abs(det) < DET_G_MIN:
         raise DegenerateMetric("flat metric C_1ij is degenerate")
+    if spec.normal_form and np.max(np.abs(g0 - np.eye(m)[::-1])) > 1e-10:
+        metric = " ".join(np.array2string(np.real_if_close(g0), separator=", ").split())
+        raise ValidationError(f"normal_form needs the metric C_1ij = antidiag(1, ..., 1), "
+                              f"got {metric}")
     g = g0.copy()
     g.setflags(write=False)
     g_inv = np.linalg.inv(g)

@@ -13,6 +13,7 @@ import pytest
 from frobcdv import (
     CATALOG_NAMES,
     ParseError,
+    PotentialSpec,
     ValidationError,
     VerificationReport,
     canonical_frame,
@@ -359,6 +360,20 @@ def test_connections_and_pencil_and_lowdim(tmp_path):
     assert main(["connections", "--spec", trivial, "--points", "1", "--tol", "1e-8"]) == 0
     assert main(["pencil", "--spec", good, "--points", "1"]) == 0
     assert main(["lowdim", "--spec", good, "--points", "2", "--tol", "1e-9"]) == 0
+
+
+def test_one_dimensional_spec_runs_every_pointwise_command(tmp_path, capsys):
+    # F = t^3/6 is the flat case, like cubic2: every connection gap is 0.
+    path = tmp_path / "m1.json"
+    write_spec(PotentialSpec(1, [(1 / 6, [3])], [], [1], [0], 0, 3, normal_form=True), path)
+    for command in ("verify", "cdv", "connections", "pencil", "lowdim"):
+        report = tmp_path / f"{command}.json"
+        assert main([command, "--spec", str(path), "--report", str(report)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+    gaps = json.loads((tmp_path / "connections.json").read_text())["checks"]
+    assert [c["name"] for c in gaps] == ["nabla_vs_chern", "chern_torsion", "kaehler_closedness",
+                                         "real_lc_vs_chern", "real_lc_vs_nabla"]
+    assert all(c["residual"] == 0.0 for c in gaps)
 
 
 def test_tt2d_command(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -263,6 +264,40 @@ def test_normal_form_required():
         from_canonical(spec, QPT)
     with pytest.raises(NotNormalForm):
         check_euler_degree(spec, QPT, 1e-10)
+
+
+def test_python_built_normal_form_spec_needs_antidiagonal_metric():
+    # F = t1^2 t2 + 2 t2^4 has the metric 2J, which the relation checks
+    # would read as J; the spec is not loaded from a file.
+    spec = dataclasses.replace(catalog("quartic2"), monomials=((1.0, (2, 1)), (2.0, (0, 4))))
+    with pytest.raises(ValidationError, match=re.escape(
+            "normal_form needs the metric C_1ij = antidiag(1, ..., 1), got [[0., 2.], [2., 0.]]")):
+        from_canonical(spec, (0, 1))
+
+
+def test_tt2d_needs_a_normal_form_spec(tmp_path, capsys):
+    # The equation is derived in normal form: quartic2 unflagged, and
+    # F = t1^2 t2 + 2 t2^4 (metric 2J) flagged or not, are refused.
+    rect, n = (0.5, -0.5, 1.5, 0.5), 17
+    quartic2 = catalog("quartic2")
+    scaled = dataclasses.replace(quartic2, monomials=((1.0, (2, 1)), (2.0, (0, 4))),
+                                 normal_form=False)
+    sol = solve_tt2d(quartic2, rect, n, 1.0)
+    for spec, error in ((dataclasses.replace(quartic2, normal_form=False), NotNormalForm),
+                        (scaled, NotNormalForm),
+                        (dataclasses.replace(scaled, normal_form=True), ValidationError)):
+        with pytest.raises(error):
+            solve_tt2d(spec, rect, n, 1.0)
+        with pytest.raises(error):
+            invariant_boundary(spec, rect, n)
+        with pytest.raises(error):
+            tt2d_residual(spec, sol)
+        path = tmp_path / "spec.json"
+        write_spec(spec, path)
+        assert main(["tt2d", "--spec", str(path), "--grid", str(n),
+                     "--rect", ",".join(map(str, rect))]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
 
 
 def test_tt2d_constant_source_exact():

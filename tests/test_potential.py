@@ -1,6 +1,8 @@
 """Tests for potentials, exact differentiation, WDVV, homogeneity."""
 
 import dataclasses
+import re
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -17,8 +19,10 @@ from frobcdv import (
     flat_eval,
     flat_metric,
     homogeneity_residual,
+    load_spec,
     wdvv_reduced_m3,
     wdvv_residual,
+    write_spec,
 )
 from frobcdv.errors import DegenerateMetric, EvaluationFailure
 from frobcdv.potential import (
@@ -228,6 +232,46 @@ def test_normal_form_degree_identities_enforced():
             degrees=(0.5, 1.0), shifts=(0.0, 0.0), d=0.0, d_F=3.0,
             normal_form=True,
         )
+
+
+def test_spec_built_from_any_numbers_and_sequences_is_the_catalog_spec(tmp_path):
+    # Lists, numpy integers and Fractions: one representation, so the spec
+    # equals and hashes as the catalog's, and JSON can write it.
+    quartic2 = PotentialSpec(
+        dim=np.int64(2), monomials=[[Fraction(1, 2), [np.int64(2), 1]], (1, np.array([0, 4]))],
+        exponentials=[], degrees=[1, Fraction(2, 3)], shifts=np.zeros(2, dtype=int),
+        d=Fraction(1, 3), d_F=Fraction(8, 3), normal_form=np.True_,
+    )
+    p1 = PotentialSpec(2, [(Fraction(1, 2), [2, 1])], [[np.complex128(1), [0, 0], [0, 1.0]]],
+                       [1, 0], [0, np.int32(2)], 1, 2, True)
+    for spec, name in ((quartic2, "quartic2"), (p1, "p1")):
+        assert spec == catalog(name) and hash(spec) == hash(catalog(name))
+        assert np.array_equal(flat_metric(spec)[0], np.eye(2)[::-1])
+        path = tmp_path / f"{name}.json"
+        write_spec(spec, path)
+        assert load_spec(path) == catalog(name)
+
+
+MISTYPED_FIELDS = [
+    ("monomials", ((None, (2, 1)),), "monomial coefficient must be a complex number, got None"),
+    ("monomials", (("1", (2, 1)),), "monomial coefficient must be a complex number, got '1'"),
+    ("monomials", ((True, (2, 1)),), "monomial coefficient must be a complex number, got True"),
+    ("monomials", ((10**400, (2, 1)),), "monomial coefficient 1000"),
+    ("exponentials", ((1.0, (0, 0), (0.0, "1")),), "exponential linear form must be a complex"),
+    ("exponentials", ((None, (0, 0), (0.0, 1.0)),), "exponential coefficient must be a complex"),
+    ("degrees", (1.0, "0"), "euler degree must be a real number, got '0'"),
+    ("shifts", (0.0, 2j), "euler shift must be a real number, got 2j"),
+    ("d", None, "euler d must be a real number, got None"),
+    ("d_F", "2", "euler d_F must be a real number, got '2'"),
+    ("normal_form", "no", "normal_form must be True or False, got 'no'"),
+]
+
+
+@pytest.mark.parametrize("field, value, named", MISTYPED_FIELDS,
+                         ids=[f"{field}={value!r}"[:40] for field, value, _ in MISTYPED_FIELDS])
+def test_mistyped_spec_field_is_a_validation_error_naming_it(field, value, named):
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        dataclasses.replace(catalog("p1"), **{field: value})
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
