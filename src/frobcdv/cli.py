@@ -1,6 +1,9 @@
 """Command-line interface: spec ingestion, check orchestration, reports.
 
 Subcommands: verify, cdv, connections, pencil, lowdim, tt2d, catalog.
+verify, connections, pencil and lowdim share one runner, cmd_pointwise:
+the table POINTWISE_CHECKS gives the reports each makes at one point's
+canonical frame, and aggregate merges them over the points.
 Exit codes: 0 all checks pass, 1 a check failed, 2 error.
 """
 
@@ -17,7 +20,7 @@ from .canonical import canonical_frame, check_euler_eta
 from .catalog import CATALOG_NAMES, _c, catalog as catalog_entry, load_spec, write_spec
 from .errors import FrobCdvError, ParseError
 from .potential import check_homogeneity, check_wdvv
-from .report import VerificationReport
+from .report import CheckEntry, VerificationReport
 
 # The smallest eigenvalue gap, relative to 1 + max|u|, of a sampled point.
 # The verifiers' derivatives are exact, so nothing fails below it: at 400
@@ -81,23 +84,16 @@ def sample_points(spec, n, seed, frames=None):
 
 
 def aggregate(reports):
-    """Merge per-point reports: per name, the worst residual."""
+    """Merge per-point reports: per name, in the order the names first
+    appear, the worst residual and the sum of points_checked."""
     merged = {}
-    order = []
     for rep in reports:
         for e in rep.entries:
-            if e.name not in merged:
-                merged[e.name] = [e.residual, e.tolerance, e.points_checked]
-                order.append(e.name)
-            else:
-                slot = merged[e.name]
-                slot[0] = max(slot[0], e.residual)
-                slot[2] += e.points_checked
-    out = VerificationReport()
-    for name in order:
-        res, tol, npts = merged[name]
-        out.add(name, res, tol, points_checked=npts)
-    return out
+            worst = merged.get(e.name)
+            merged[e.name] = e if worst is None else CheckEntry(
+                e.name, max(worst.residual, e.residual), worst.tolerance,
+                worst.points_checked + e.points_checked)
+    return VerificationReport(list(merged.values()))
 
 
 def _matrix_json(M):
@@ -134,43 +130,58 @@ def write_report(path, spec_path, points, report, seed, skipped=0, extra=None):
 
 
 def _points_for(spec, args):
-    """(points, frames, skipped): the points to check and the canonical
-    frame at each, built once here (by sample_points, or from --point).
-    A run that would check no point is an error, not a pass."""
+    """(frames, skipped): the canonical frame at each point to check,
+    built once here (by sample_points, or from --point).  A run that
+    would check no point is an error, not a pass."""
     if args.point:
-        t = _parse_point(args.point, spec.dim)
-        return [t], [canonical_frame(spec, t)], 0
+        return [canonical_frame(spec, _parse_point(args.point, spec.dim))], 0
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")
     frames = []
-    pts, skipped = sample_points(spec, args.points, args.seed, frames)
-    if not pts:
-        raise FrobCdvError(
-            f"no semi-simple point found: all {skipped} samples skipped after "
-            f"{RESAMPLE_LIMIT} draws each (seed {args.seed})"
-        )
-    return pts, frames, skipped
+    _, skipped = sample_points(spec, args.points, args.seed, frames)
+    if not frames:
+        raise FrobCdvError(f"no semi-simple point found: all {skipped} samples skipped after "
+                           f"{RESAMPLE_LIMIT} draws each (seed {args.seed})")
+    return frames, skipped
 
 
-def cmd_verify(args):
+def _verify_at(spec, frame, tol):
+    structure = cdvmod.construct_canonical_cdv(frame, spec.d)
+    data = cdvmod.derivative_data(spec, frame)  # one for both verifiers
+    hd = cdvmod.harmonic_potential(frame, spec.d)
+    return [check_wdvv(spec, [frame.point], tol), check_homogeneity(spec, [frame.point], tol),
+            cdvmod.verify_cv_axioms(spec, structure, tol, data=data),
+            cdvmod.verify_harmonic(spec, frame, hd, structure, tol, data=data),
+            check_euler_eta(spec, frame, tol)]
+
+
+def _lowdim_at(spec, frame, tol):
+    relations = {2: ld.check_m2_relations, 3: ld.check_m3_relations}.get(
+        spec.dim, ld.check_relations)
+    return [relations(ld.from_canonical(spec, frame), tol),
+            ld.check_euler_degree(spec, frame, tol)]
+
+
+# Per subcommand that cmd_pointwise runs, the reports it makes at one canonical frame.
+POINTWISE_CHECKS = {
+    "verify": _verify_at,
+    "connections": lambda spec, frame, tol: [cdvmod.connection_gap(spec, frame, tol)],
+    "pencil": lambda spec, frame, tol: [cdvmod.pencil_curvature(spec, frame, [1, 1j, 2], tol)],
+    "lowdim": _lowdim_at,
+}
+
+
+def cmd_pointwise(args):
     spec = load_spec(args.spec)
-    pts, frames, skipped = _points_for(spec, args)
-    reports = [check_wdvv(spec, pts, args.tol), check_homogeneity(spec, pts, args.tol)]
-    for frame in frames:
-        structure = cdvmod.construct_canonical_cdv(frame, spec.d)
-        # Both verifiers read one derivative_data.
-        data = cdvmod.derivative_data(spec, frame)
-        reports.append(cdvmod.verify_cv_axioms(spec, structure, args.tol, data=data))
-        hd = cdvmod.harmonic_potential(frame, spec.d)
-        reports.append(cdvmod.verify_harmonic(spec, frame, hd, structure, args.tol, data=data))
-        reports.append(check_euler_eta(spec, frame, args.tol))
-    report = aggregate(reports)
-    return report, pts, skipped, None
+    frames, skipped = _points_for(spec, args)
+    checks = POINTWISE_CHECKS[args.command]
+    report = aggregate([rep for frame in frames for rep in checks(spec, frame, args.tol)])
+    return report, [frame.point for frame in frames], skipped, None
 
 
 def cmd_cdv(args):
     spec = load_spec(args.spec)
-    pts, frames, skipped = _points_for(spec, args)
+    frames, skipped = _points_for(spec, args)
     frame = frames[0]
     structure = cdvmod.construct_canonical_cdv(frame, spec.d)
     hd = cdvmod.harmonic_potential(frame, spec.d)
@@ -184,34 +195,7 @@ def cmd_cdv(args):
         }
     }
     report = cdvmod.verify_cv_axioms(spec, structure, args.tol)
-    return report, pts, skipped, extra
-
-
-def cmd_connections(args):
-    spec = load_spec(args.spec)
-    pts, frames, skipped = _points_for(spec, args)
-    reports = [cdvmod.connection_gap(spec, frame, args.tol) for frame in frames]
-    return aggregate(reports), pts, skipped, None
-
-
-def cmd_pencil(args):
-    spec = load_spec(args.spec)
-    pts, frames, skipped = _points_for(spec, args)
-    z_samples = [1.0, 1.0j, 2.0]
-    reports = [cdvmod.pencil_curvature(spec, frame, z_samples, args.tol) for frame in frames]
-    return aggregate(reports), pts, skipped, None
-
-
-def cmd_lowdim(args):
-    spec = load_spec(args.spec)
-    pts, frames, skipped = _points_for(spec, args)
-    relations = {2: ld.check_m2_relations, 3: ld.check_m3_relations}.get(
-        spec.dim, ld.check_relations)
-    reports = []
-    for frame in frames:
-        reports.append(relations(ld.from_canonical(spec, frame), args.tol))
-        reports.append(ld.check_euler_degree(spec, frame, args.tol))
-    return aggregate(reports), pts, skipped, None
+    return report, [frame.point], skipped, extra
 
 
 def cmd_tt2d(args):
@@ -299,16 +283,10 @@ def build_parser():
                        help='explicit point "re,im;re,im;..." (overrides sampling)')
 
     # cdv reports the structure at one point, so it samples only that one.
-    for name, fn in (
-        ("verify", cmd_verify),
-        ("cdv", cmd_cdv),
-        ("connections", cmd_connections),
-        ("pencil", cmd_pencil),
-        ("lowdim", cmd_lowdim),
-    ):
+    for name in ("verify", "cdv", "connections", "pencil", "lowdim"):
         p = sub.add_parser(name)
         pointwise(p, one_point=name == "cdv")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_cdv if name == "cdv" else cmd_pointwise)
 
     p = sub.add_parser("tt2d")
     common(p)

@@ -468,7 +468,16 @@ def _boundary_values(boundary, X, Y):
     """Dirichlet h_11 on the full grid (only the edge entries are used),
     from a number or a callable boundary(X, Y)."""
     if callable(boundary):
-        vals = np.broadcast_to(np.asarray(boundary(X, Y), dtype=float), X.shape)
+        vals = np.asarray(boundary(X, Y))
+        # Casting would drop an imaginary part or raise a bare TypeError.
+        if vals.dtype.kind not in "iuf":
+            raise ValidationError(
+                f"boundary(X, Y) must return real numbers, got dtype {vals.dtype}")
+        try:
+            vals = np.broadcast_to(vals.astype(float), X.shape)
+        except ValueError:
+            raise ValidationError(f"boundary(X, Y) has shape {vals.shape}, which does not "
+                                  f"broadcast to the grid's {X.shape}") from None
     elif isinstance(boundary, numbers.Real):
         vals = np.full(X.shape, float(boundary))
     else:
@@ -599,11 +608,11 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     return solution
 
 
-def tt2d_residual(spec, solution: TT2DSolution):
-    """Independent re-evaluation of the PDE and invariance residuals.
+def residual_grid(spec, solution: TT2DSolution):
+    """Per-node |PDE residual| of the stored h_11 field, zero on the boundary.
 
-    Re-assembles the fourth-order residual from the stored h_11 field
-    with explicit shifted slices rather than the solver's helpers.
+    Re-assembles the fourth-order residual with explicit shifted slices
+    rather than the solver's helpers, so it checks them independently.
     """
     n = solution.n
     x0, y0, x1, y1 = solution.rect
@@ -622,22 +631,20 @@ def tt2d_residual(spec, solution: TT2DSolution):
         vyy[:, 1:-1] = (-v[1:-1, :-4] + 16 * v[1:-1, 1:-3] - 30 * v[1:-1, 2:-2]
                         + 16 * v[1:-1, 3:-1] - v[1:-1, 4:]) / (12 * hy**2)
     vc = v[1:-1, 1:-1]
-    r = 0.25 * (vxx + vyy) - np.exp(2 * vc) * c2[1:-1, 1:-1] + np.exp(-2 * vc)
-    pde = float(np.max(np.abs(r)))
+    grid = np.zeros((n, n))
+    grid[1:-1, 1:-1] = np.abs(0.25 * (vxx + vyy) - np.exp(2 * vc) * c2[1:-1, 1:-1]
+                              + np.exp(-2 * vc))
+    return grid
+
+
+def tt2d_residual(spec, solution: TT2DSolution):
+    """Independent re-evaluation of the PDE and invariance residuals: the
+    maximum of residual_grid, and max |d h_11 / dy| by central differences."""
+    _, y0, _, y1 = solution.rect
+    hy = (y1 - y0) / (solution.n - 1)
+    pde = float(np.max(residual_grid(spec, solution)))
     inv_res = float(np.max(np.abs(solution.h11[:, 2:] - solution.h11[:, :-2]) / (2 * hy)))
     return pde, inv_res
-
-
-def residual_grid(spec, solution: TT2DSolution):
-    """Per-node fourth-order residual, zero on the boundary."""
-    X, Y = np.meshgrid(solution.x, solution.y, indexing="ij")
-    c2 = _fppp_sq(spec, X, Y)
-    n = solution.n
-    x0, y0, x1, y1 = solution.rect
-    hx, hy = (x1 - x0) / (n - 1), (y1 - y0) / (n - 1)
-    grid = np.zeros((n, n))
-    grid[1:-1, 1:-1] = np.abs(_residual4(np.log(solution.h11), c2, hx, hy))
-    return grid
 
 
 def write_tt2d_csv(spec, solution: TT2DSolution, path):

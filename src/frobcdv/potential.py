@@ -43,6 +43,18 @@ def _number(x, kind, field):
         raise ValidationError(f"{field} {x} does not fit a float") from None
 
 
+def _sequence(x, field, n=None):
+    """x as a tuple, once it is a sequence (of n entries, if n is given);
+    field names it."""
+    try:
+        out = tuple(x)
+    except TypeError:
+        raise ValidationError(f"{field} must be a sequence, got {x!r}") from None
+    if n is not None and len(out) != n:
+        raise ValidationError(f"{field} {out} must have {n} entries, got {len(out)}")
+    return out
+
+
 def _term(coeff, powers, w, what):
     """A validated term as (complex coeff, int powers, complex linear form)."""
     # Derivatives multiply the coefficient by a power, so it must fit a float.
@@ -83,20 +95,22 @@ class PotentialSpec:
         m = self.dim
         if not _is_int(m) or not 1 <= m <= MAX_DIM:
             raise ValidationError(f"dim must be an integer from 1 to {MAX_DIM}, got {m!r}")
+        # The shape of each field is checked before its numbers.
         monomials = []
-        for coeff, powers in self.monomials:
-            if len(powers) != m:
-                raise ValidationError(f"monomial powers {tuple(powers)} do not match dim {m}")
+        for term in _sequence(self.monomials, "monomials"):
+            coeff, powers = _sequence(term, "monomial", 2)
+            powers = _sequence(powers, "monomial powers", m)
             monomials.append(_term(coeff, powers, (), "monomial")[:2])
         exponentials = []
-        for coeff, powers, w in self.exponentials:
-            if len(powers) != m or len(w) != m:
-                raise ValidationError("exponential term arrays do not match dim")
-            exponentials.append(_term(coeff, powers, w, "exponential"))
-        if len(self.degrees) != m or len(self.shifts) != m:
-            raise ValidationError("euler degree/shift arrays do not match dim")
-        degrees = tuple(_number(x, float, "euler degree") for x in self.degrees)
-        shifts = tuple(_number(x, float, "euler shift") for x in self.shifts)
+        for term in _sequence(self.exponentials, "exponentials"):
+            coeff, powers, w = _sequence(term, "exponential", 3)
+            powers = _sequence(powers, "exponential powers", m)
+            exponentials.append(_term(coeff, powers, _sequence(w, "exponential linear form", m),
+                                      "exponential"))
+        degrees = _sequence(self.degrees, "euler degrees", m)
+        shifts = _sequence(self.shifts, "euler shifts", m)
+        degrees = tuple(_number(x, float, "euler degree") for x in degrees)
+        shifts = tuple(_number(x, float, "euler shift") for x in shifts)
         d, d_F = _number(self.d, float, "euler d"), _number(self.d_F, float, "euler d_F")
         if not all(math.isfinite(x) for x in (*degrees, *shifts, d, d_F)):
             raise ValidationError("euler degrees, shifts, d and d_F must be finite")

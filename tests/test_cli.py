@@ -314,6 +314,27 @@ def test_reports_equal_standalone_calls_exactly(tmp_path, command):
             assert residuals == _standalone_residuals(command, spec, pts), (name, seed)
 
 
+POINT_OF = {"quartic2": "0.3,0.1;0.2,-0.4", "a3_3d": "0.3,0.1;0.2,-0.4;0.1,0.2"}
+
+
+@pytest.mark.parametrize("where", ["sampled", "explicit"])
+@pytest.mark.parametrize("name", sorted(POINT_OF))
+@pytest.mark.parametrize("command", ["verify", "connections", "pencil", "lowdim"])
+def test_points_checked_sums_over_points(tmp_path, command, name, where):
+    # Each check runs at each point's frame and aggregate sums its
+    # points_checked; pencil_curvature counts its three z samples per point.
+    report = tmp_path / "r.json"
+    flags = ["--points", "3"] if where == "sampled" else ["--point", POINT_OF[name]]
+    assert main([command, "--spec", _dump(name, tmp_path), *flags,
+                 "--report", str(report)]) in (0, 1)
+    doc = json.loads(report.read_text())
+    assert len(doc["points"]) == (3 if where == "sampled" else 1)
+    per_point = 3 if command == "pencil" else 1
+    assert doc["checks"]
+    for check in doc["checks"]:
+        assert check["points_checked"] == per_point * len(doc["points"]), check["name"]
+
+
 def test_singular_frame_error_names_matrix_and_point(tmp_path, capsys):
     # Far out on p1 the idempotent frame is singular to working precision;
     # the message used to name neither the matrix nor the point.
@@ -391,6 +412,18 @@ def test_tt2d_command(tmp_path):
     assert doc["tt2d"]["rect"] == [-1.0, -0.5, 1.0, 0.5]
     assert doc["summary"]["seed"] == 4
     assert set(doc["summary"]) == {"pass", "seed"}
+
+
+def test_tt2d_csv_residual_is_the_checked_residual(tmp_path):
+    # The CSV's residual column used to come from the solver's own stencil;
+    # it is the independent residual, whose maximum the report checks.
+    csv = tmp_path / "grid.csv"
+    report = tmp_path / "tt2d.json"
+    assert main(["tt2d", "--spec", _dump("p1", tmp_path), "--grid", "17", "--csv", str(csv),
+                 "--report", str(report)]) == 0
+    checked = {c["name"]: c["residual"] for c in json.loads(report.read_text())["checks"]}
+    column = [float(row.split(",")[3]) for row in csv.read_text().splitlines()[1:]]
+    assert max(column) == checked["tt2d_independent_residual"] > 0.0
 
 
 def test_tt2d_failed_solve_fails_independent_check(tmp_path):

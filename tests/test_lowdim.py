@@ -42,7 +42,6 @@ from frobcdv.lowdim import (
     _residual4,
     _source_jacobian,
     _transfers,
-    residual_grid,
 )
 from frobcdv.potential import third_derivatives
 
@@ -335,13 +334,24 @@ def test_tt2d_boundary_must_be_positive():
         solve_tt2d(catalog("cubic2"), (-1.0, -1.0, 1.0, 1.0), 9, -1.0)
 
 
+def wrong_shape(X, Y):
+    return np.ones(3)
+
+
+def complex_values(X, Y):
+    return np.ones_like(X) + 1j
+
+
 @pytest.mark.parametrize("boundary", [
     np.ones((9, 9)), "1.0", None, np.inf, np.nan, lambda X, Y: np.full_like(X, np.inf), 1e300,
+    wrong_shape, complex_values,
 ])
 def test_tt2d_rejects_bad_boundary(boundary):
     # A boundary is a finite positive number or a callable giving such
-    # values; 1e300 overflows e^{2v} at the initial iterate.
-    with pytest.raises(ValidationError):
+    # values on the grid; 1e300 overflows e^{2v} at the initial iterate.
+    # A callable's values of the wrong shape used to end in a bare numpy
+    # ValueError, and complex ones lost their imaginary part to a cast.
+    with pytest.raises(ValidationError, match="boundary"):
         solve_tt2d(catalog("cubic2"), (-1.0, -1.0, 1.0, 1.0), 9, boundary)
 
 
@@ -818,13 +828,18 @@ def test_tt2d_accuracy_against_bvp_oracle():
 
 def test_tt2d_residual_agrees_with_residual_grid():
     # Two independent implementations of the same fourth-order residual,
-    # compared on a converged field and on one far from converged.
+    # tt2d_residual (the maximum of residual_grid) and the solver's
+    # _residual4, compared on a converged field and on one far from
+    # converged.
     spec = catalog("p1")
     rect = (-1.0, -1.0, 1.0, 1.0)
     for max_iter in (50, 1):
         sol = solve_tt2d(spec, rect, 33, 1.0, max_iter=max_iter, raise_on_failure=False)
         pde, _ = tt2d_residual(spec, sol)
-        assert pde == pytest.approx(np.max(residual_grid(spec, sol)), rel=1e-12)
+        hx, hy = (rect[2] - rect[0]) / 32, (rect[3] - rect[1]) / 32
+        X, Y = np.meshgrid(sol.x, sol.y, indexing="ij")
+        solver = _residual4(np.log(sol.h11), _fppp_sq(spec, X, Y), hx, hy)
+        assert pde == pytest.approx(np.max(np.abs(solver)), rel=1e-12)
 
 
 @pytest.mark.parametrize("node", [(1, 8), (1, 1), (8, 8), (2, 14)])

@@ -264,6 +264,15 @@ MISTYPED_FIELDS = [
     ("d", None, "euler d must be a real number, got None"),
     ("d_F", "2", "euler d_F must be a real number, got '2'"),
     ("normal_form", "no", "normal_form must be True or False, got 'no'"),
+    # A malformed structure: the shape of a field is checked before its
+    # numbers.  Each of these used to end in a bare ValueError or TypeError.
+    ("monomials", ((0.5, (2, 1), ()),), "monomial (0.5, (2, 1), ()) must have 2 entries, got 3"),
+    ("monomials", ((0.5, 2),), "monomial powers must be a sequence, got 2"),
+    ("monomials", None, "monomials must be a sequence, got None"),
+    ("degrees", 1.0, "euler degrees must be a sequence, got 1.0"),
+    ("degrees", (1.0,), "euler degrees (1.0,) must have 2 entries, got 1"),
+    ("exponentials", ((1.0, (0, 0)),), "exponential (1.0, (0, 0)) must have 3 entries, got 2"),
+    ("exponentials", ((1.0, (0, 0), 1),), "exponential linear form must be a sequence, got 1"),
 ]
 
 
