@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefectiveU, NotSemisimple
-from .numerics import invert, solve_eig
+from .numerics import format_point, invert, solve_eig
 from .potential import FlatPointEval, flat_eval, fourth_derivatives
 from .report import VerificationReport
 
@@ -92,7 +92,9 @@ def _bare_frame(spec, t, eps_ss):
     scale = 1.0 + np.max(np.abs(u), axis=-1)
     failed = _at_first(gap <= eps_ss * scale, gap, eps_ss * scale, t)
     if failed is not None:
-        raise NotSemisimple("eigenvalue gap {:.3e} below threshold {:.3e} at {}".format(*failed))
+        gap_t, threshold, at = failed
+        raise NotSemisimple(f"eigenvalue gap {gap_t:.3e} below threshold {threshold:.3e} "
+                            f"at {format_point(at)}")
     failed = _at_first(eig.residual > 1e-8 * scale, eig.residual)
     if failed is not None:
         raise DefectiveU(f"eigenvector residual {failed[0]:.3e} too large")

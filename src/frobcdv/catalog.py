@@ -6,8 +6,8 @@ keys so that typos in hand-written spec files fail loudly.
 
 import json
 
-from .errors import ParseError, UnknownName, ValidationError
-from .potential import PotentialSpec, flat_metric, homogeneity_residual
+from .errors import ParseError, UnknownName
+from .potential import PotentialSpec, flat_metric
 
 # Fixed semi-simple sample point for the 3-dimensional A3 entry, used by
 # reports that need a reproducible published point.
@@ -160,16 +160,14 @@ def spec_from_dict(doc: dict) -> PotentialSpec:
     )
 
 
-_HOMOGENEITY_SPOT = 1e-8
-
-
 def load_spec(path) -> PotentialSpec:
     """Read, parse, and validate a spec file.
 
-    Besides PotentialSpec's own checks, the metric is validated once here
-    (flat_metric: constant, nondegenerate, and antidiag(1, ..., 1) if the
-    spec is flagged normal_form), and the declared Euler data must pass a
-    homogeneity spot-check at two generic points.
+    Besides PotentialSpec's own checks, the spec is validated here by
+    flat_metric, as every spec is when first evaluated: at two fixed
+    generic points the metric must be constant, nondegenerate and
+    antidiag(1, ..., 1) if the spec is flagged normal_form, and the
+    declared Euler data must pass a homogeneity spot-check.
     """
     try:
         with open(path) as fh:
@@ -182,9 +180,6 @@ def load_spec(path) -> PotentialSpec:
         raise ParseError("spec file must contain a JSON object")
     spec = spec_from_dict(doc)
     flat_metric(spec)
-    points = ((0.31 + 0.12j,) * spec.dim, (-0.27 + 0.41j,) * spec.dim)
-    if homogeneity_residual(spec, points) > _HOMOGENEITY_SPOT:
-        raise ValidationError("declared Euler data fails the homogeneity spot-check")
     return spec
 
 

@@ -78,6 +78,12 @@ def solve_eig(M) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs, residual)
 
 
+def format_point(point):
+    """A point as one line, "(re+imj, ...)", for error messages: numpy's
+    array repr wraps long rows."""
+    return "(" + ", ".join(f"{complex(z):.6g}" for z in np.ravel(point)) + ")"
+
+
 def invert(M, name="matrix", points=None):
     """Inverse of a matrix, or of each in a stack, with an explicit
     determinant guard (raises Singular if any matrix fails it).
@@ -93,6 +99,6 @@ def invert(M, name="matrix", points=None):
         where = ""
         if points is not None:
             point = np.reshape(points, (-1, np.shape(points)[-1]))[int(np.argmax(np.ravel(bad)))]
-            where = " at (" + ", ".join(f"{complex(z):.6g}" for z in point) + ")"
+            where = f" at {format_point(point)}"
         raise Singular(f"{name} is singular to working precision{where}")
     return np.linalg.inv(M)

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .errors import DegenerateMetric, EvaluationFailure, ValidationError
-from .numerics import MAX_DIM
+from .numerics import MAX_DIM, format_point
 from .report import VerificationReport
 
 DET_G_MIN = 1e-12
@@ -76,10 +76,9 @@ class PotentialSpec:
     Any numbers (ints, floats, complex, Fractions, numpy scalars) in any
     sequences are accepted, validated and stored as tuples of complex
     coefficients and linear forms, int powers, float Euler data and a bool
-    normal_form.  A
-    normal_form spec's metric must be antidiag(1, ..., 1): flat_metric
-    checks it once per spec, and flat_eval (so every frame) and the tt*
-    source call flat_metric.
+    normal_form.  flat_metric checks the metric and the homogeneity of F
+    once per spec (a normal_form spec's metric must be antidiag(1, ...,
+    1)), and flat_eval (so every frame) and the tt* source call it.
     """
 
     dim: int
@@ -259,28 +258,40 @@ def fifth_derivatives(spec: PotentialSpec, t):
     return _symmetric_derivatives(spec.terms, spec.dim, t, 5)
 
 
+# Two fixed generic points of the unit polydisk, with pairwise distinct
+# coordinates, at which flat_metric spot-checks every spec; a spec of
+# dimension m reads the first m coordinates of each.
+SPOT_POINTS = (
+    (0.31 + 0.12j, -0.27 + 0.41j, 0.18 - 0.36j, -0.44 - 0.09j,
+     0.52 + 0.23j, -0.13 + 0.58j, 0.07 - 0.61j, -0.55 + 0.34j),
+    (-0.21 - 0.47j, 0.39 + 0.28j, -0.62 + 0.05j, 0.26 - 0.53j,
+     -0.08 + 0.33j, 0.45 - 0.17j, -0.36 - 0.24j, 0.14 + 0.66j),
+)
+HOMOGENEITY_SPOT = 1e-8
+
+
 @lru_cache(maxsize=None)
 def flat_metric(spec: PotentialSpec):
     """Constant flat metric g_ij = C_1ij and its inverse, validated once
-    per spec.
+    per spec at the two SPOT_POINTS, evaluated as one stack.
 
-    Constancy is spot-checked at two fixed generic points; a non-finite
-    metric or determinant is rejected, and degeneracy against DET_G_MIN.
-    A spec flagged normal_form must have g = J = antidiag(1, ..., 1), to
-    the drift the constancy test allows: the normal-form checks (lowdim,
-    wdvv_reduced_m3) read the metric as J.
+    The metric must be finite, constant across the points and
+    nondegenerate (against DET_G_MIN).  A spec flagged normal_form must
+    have g = J = antidiag(1, ..., 1), to the drift the constancy test
+    allows: the normal-form checks (lowdim, wdvv_reduced_m3) read the
+    metric as J.  Last, the declared Euler data must make F
+    quasi-homogeneous: the homogeneity residual must be finite and within
+    HOMOGENEITY_SPOT of the size of its two terms (at least 1).
     """
-    rng = np.random.default_rng(20240817)
     m = spec.dim
-    t0 = rng.uniform(-0.7, 0.7, m) + 1j * rng.uniform(-0.7, 0.7, m)
-    t1 = rng.uniform(-0.7, 0.7, m) + 1j * rng.uniform(-0.7, 0.7, m)
-    g0 = third_derivatives(spec, t0)[0]
-    g1 = third_derivatives(spec, t1)[0]
-    # A huge coefficient can overflow the determinant, and NaN would pass
-    # the degeneracy test below.
+    t = np.array(SPOT_POINTS)[:, :m]
+    # A huge coefficient can overflow the tensors and the determinant, and
+    # NaN would pass the degeneracy test below.
     with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(g0)
-    if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(g1)) and np.isfinite(det)):
+        C3 = third_derivatives(spec, t)
+        det = np.linalg.det(C3[0, 0])
+    g0, g1 = C3[:, 0]
+    if not (np.all(np.isfinite(C3[:, 0])) and np.isfinite(det)):
         raise ValidationError("flat metric C_1ij or its determinant is not finite")
     scale = max(1.0, float(np.max(np.abs(g0))))
     if np.max(np.abs(g0 - g1)) > 1e-10 * scale:
@@ -291,6 +302,12 @@ def flat_metric(spec: PotentialSpec):
         metric = " ".join(np.array2string(np.real_if_close(g0), separator=", ").split())
         raise ValidationError(f"normal_form needs the metric C_1ij = antidiag(1, ..., 1), "
                               f"got {metric}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        euler, weighted = _homogeneity_terms(spec, t, C3)
+        residual = np.max(np.abs(euler + weighted))
+        size = max(1.0, np.max(np.abs(euler)), np.max(np.abs(weighted)))
+    if not (np.isfinite(residual) and residual <= HOMOGENEITY_SPOT * size):
+        raise ValidationError("declared Euler data fails the homogeneity spot-check")
     g = g0.copy()
     g.setflags(write=False)
     g_inv = np.linalg.inv(g)
@@ -311,7 +328,7 @@ def flat_eval(spec: PotentialSpec, t) -> FlatPointEval:
     finite = np.isfinite(np.concatenate([C3, Cmix, U[..., None, :, :]], axis=-3))
     if not np.all(finite):
         at = t if t.ndim == 1 else t[np.argmin(np.all(finite, axis=(-3, -2, -1)))]
-        raise EvaluationFailure(f"the third derivatives of F overflow at {at}")
+        raise EvaluationFailure(f"the third derivatives of F overflow at {format_point(at)}")
     return FlatPointEval(point=t, C3=C3, Cmix=Cmix, g=g, g_inv=g_inv, U=U)
 
 
@@ -347,6 +364,17 @@ def check_wdvv(spec: PotentialSpec, points, tol) -> VerificationReport:
     return report
 
 
+def _homogeneity_terms(spec: PotentialSpec, t, C3):
+    """The two terms E^i F_ijkl and (d_j + d_k + d_l - d_F) F_jkl of the
+    third derivatives of L_E F - d_F F at t, given the third partials C3
+    of F there."""
+    d = np.asarray(spec.degrees, dtype=float)
+    weight = d[:, None, None] + d[None, :, None] + d[None, None, :] - spec.d_F
+    return (np.einsum("...i,...ijkl->...jkl", spec.euler_components(t),
+                      fourth_derivatives(spec, t)),
+            weight * C3)
+
+
 def homogeneity_residual(spec: PotentialSpec, t) -> float:
     """Max third derivative of L_E F - d_F F over t, one point or a stack
     of them (exact differentiation).
@@ -356,12 +384,8 @@ def homogeneity_residual(spec: PotentialSpec, t) -> float:
     slack in L_E F - d_F F is not seen.
     """
     t = np.asarray(t, dtype=complex)
-    d = np.asarray(spec.degrees, dtype=float)
-    weight = d[:, None, None] + d[None, :, None] + d[None, None, :] - spec.d_F
-    residual = (np.einsum("...i,...ijkl->...jkl", spec.euler_components(t),
-                          fourth_derivatives(spec, t))
-                + weight * third_derivatives(spec, t))
-    return float(np.max(np.abs(residual)))
+    euler, weighted = _homogeneity_terms(spec, t, third_derivatives(spec, t))
+    return float(np.max(np.abs(euler + weighted)))
 
 
 def check_homogeneity(spec: PotentialSpec, points, tol) -> VerificationReport:

@@ -59,11 +59,11 @@ def test_point_frame_is_its_stack_of_one(name):
 
 def test_not_semisimple_names_the_first_failing_point():
     spec = catalog("quartic2")
-    with pytest.raises(NotSemisimple, match=r"threshold 1\.000e-08 at \[0\.\+0\.j 0\.\+0\.j\]$"):
+    with pytest.raises(NotSemisimple, match=r"threshold 1\.000e-08 at \(0\+0j, 0\+0j\)$"):
         canonical_frame(spec, (0.0, 0.0))
     # Of a stack, the first point that fails: (0.5, 0), not (0, 0).
     stack = [(0.0, 1.0), (0.5, 0.0), (0.0, 0.0)]
-    with pytest.raises(NotSemisimple, match=r"threshold 1\.500e-08 at \[0\.5\+0\.j 0\. \+0\.j\]$"):
+    with pytest.raises(NotSemisimple, match=r"threshold 1\.500e-08 at \(0\.5\+0j, 0\+0j\)$"):
         canonical_frame(spec, stack)
 
 

@@ -93,8 +93,14 @@ def test_parse_point():
             _parse_point(bad, 2)
 
 
-BAD_POINTS = ("a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "1e200,0;0,1", "0,1e200;0.5,0",
-              "-inf,0;0,0", "--x")
+BAD_POINTS = {
+    "quartic2": ("a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "1e200,0;0,1", "0,1e200;0.5,0",
+                 "-inf,0;0,0", "--x"),
+    # Not semi-simple, and overflowing: numpy's repr of a point of three
+    # coordinates wrapped these messages onto two lines.
+    "a3_3d": ("0.0,0.0;0.0,0.0;0.65625,2.6724083502506573e-164",
+              "0.123456789,1e-300;0.5,0.25;1e200,3"),
+}
 
 
 @pytest.mark.parametrize("command", ["verify", "cdv", "connections", "pencil", "lowdim"])
@@ -102,12 +108,13 @@ def test_bad_point_is_one_line_error(tmp_path, capsys, command):
     # A non-numeric or non-finite coordinate used to end in a traceback;
     # pencil printed numpy's overflow warning at 1e200, and argparse took
     # a point starting with "-" but not with a digit for an option.
-    spec = _dump("quartic2", tmp_path)
-    for point in BAD_POINTS:
-        assert main([command, "--spec", spec, "--point", point]) == 2, point
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.count("\n") == 1 and out.err.startswith("error: "), point
+    for name, points in BAD_POINTS.items():
+        spec = _dump(name, tmp_path)
+        for point in points:
+            assert main([command, "--spec", spec, "--point", point]) == 2, point
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.count("\n") == 1 and out.err.startswith("error: "), point
 
 
 def _points(command, n):
@@ -251,8 +258,9 @@ def test_lowdim_forms_h_once_per_point_in_its_frame(tmp_path, monkeypatch, name,
 
 
 # Evaluations of the fourth partials of F by one CLI call with --points 1 on
-# p1: one by load_spec's homogeneity spot-check, one by the sampled frame,
-# and verify's check_homogeneity.
+# p1: one by flat_metric's homogeneity spot-check (once per spec, so the
+# test clears its cache), one by the sampled frame, and verify's
+# check_homogeneity.
 FOURTH_PARTIALS_PER_COMMAND = {"verify": 3, "cdv": 2, "pencil": 2, "connections": 2,
                                "lowdim": 2}
 
@@ -262,6 +270,7 @@ def test_frame_forms_flat_data_once_per_point(tmp_path, invert_calls, derivative
                                               command):
     # The sampled frame inverts A and h and evaluates the fourth partials
     # once; every check reads them from it.
+    flat_metric.cache_clear()
     spec = _dump("p1", tmp_path)
     args = [command, "--spec", spec, "--seed", "0"]
     main(args if command == "cdv" else args + ["--points", "1"])
@@ -595,6 +604,28 @@ def test_normal_form_spec_needs_antidiagonal_metric(tmp_path, capsys):
             assert np.array_equal(flat_metric(spec)[0], np.eye(spec.dim)[::-1])
 
 
+def _homogeneous_on_the_diagonal_only():
+    """F = 1/2 t1^2 t3 + 1/2 t1 t2^2 + (t2 - t3)^4 with degrees 1, 1, 1,
+    d = 0 and d_F = 3: the defect of homogeneity is proportional to
+    t2 - t3, so it reads 0 on the diagonal t1 = t2 = t3."""
+    quartic = [(1.0, (0, 4, 0)), (-4.0, (0, 3, 1)), (6.0, (0, 2, 2)), (-4.0, (0, 1, 3)),
+               (1.0, (0, 0, 4))]
+    return PotentialSpec(3, [(0.5, (2, 0, 1)), (0.5, (1, 2, 0))] + quartic, [],
+                         (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 0.0, 3.0, normal_form=True)
+
+
+@pytest.mark.parametrize("command", ["verify", "cdv", "connections", "pencil", "lowdim"])
+def test_spec_homogeneous_on_the_diagonal_only_is_refused_at_load(tmp_path, capsys, command):
+    # A spot check on the diagonal let it load, and verify then failed
+    # three checks with exit 1.
+    path = tmp_path / "diagonal.json"
+    write_spec(_homogeneous_on_the_diagonal_only(), path)
+    assert main([command, "--spec", str(path), *_points(command, 1)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: declared Euler data fails the homogeneity spot-check\n"
+
+
 def _nine_dimensional_cubic():
     """A valid spec one dimension above numerics.MAX_DIM: F = 1/2 t1^2 t9
     + t1 (t2 t8 + t3 t7 + t4 t6) + 1/2 t1 t5^2 + t9^3 / 6, all degrees 1."""
@@ -768,18 +799,27 @@ _IMPORT_GUARD = textwrap.dedent("""
 
     import frobcdv
     import frobcdv.cli as cli
-    from frobcdv.catalog import catalog, write_spec
+    from frobcdv.catalog import catalog, load_spec, write_spec
 
     def scipy_modules():
         return [m for m in sys.modules if m.split(".")[0] == "scipy"]
 
     out_dir = sys.argv[1]
-    codes = {}
-    for name in ("quartic2", "a3_3d"):
-        path = f"{out_dir}/{name}.json"
+    points = {"quartic2": "0.3,0.1;0.7,-0.2", "a3_3d": "0.3,0;0.7,0;1.1,0"}
+    paths = {name: f"{out_dir}/{name}.json" for name in points}
+    for name, path in paths.items():
         write_spec(catalog(name), path)
+        assert load_spec(path) == catalog(name)
+    assert "numpy.random" not in sys.modules
+    codes = {}
+    for name, path in paths.items():
         for command in ("verify", "connections", "lowdim", "pencil"):
-            codes[command, name] = cli.main([command, "--spec", path, "--points", "1"])
+            codes[command, name] = cli.main([command, "--spec", path, "--point", points[name]])
+    assert "numpy.random" not in sys.modules
+    for name, path in paths.items():
+        for command in ("verify", "connections", "lowdim", "pencil"):
+            codes[command, name, 1] = cli.main([command, "--spec", path, "--points", "1"])
+    assert "numpy.random" in sys.modules
     assert set(codes.values()) <= {0, 1}, codes
     assert not scipy_modules(), scipy_modules()
     assert cli.main(["tt2d", "--spec", f"{out_dir}/quartic2.json", "--grid", "9"]) == 0
@@ -788,7 +828,9 @@ _IMPORT_GUARD = textwrap.dedent("""
 
 
 def test_pointwise_subcommands_do_not_import_scipy(tmp_path):
-    # Only the tt* solve needs scipy; every other subcommand starts with numpy alone.
+    # Only the tt* solve needs scipy; every other subcommand starts with numpy
+    # alone.  Only sampling needs numpy.random: loading a spec and checking
+    # an explicit --point leave it unimported.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],

@@ -13,6 +13,7 @@ from frobcdv import (
     CATALOG_NAMES,
     PotentialSpec,
     ValidationError,
+    canonical_frame,
     catalog,
     check_homogeneity,
     check_wdvv,
@@ -20,6 +21,7 @@ from frobcdv import (
     flat_metric,
     homogeneity_residual,
     load_spec,
+    solve_tt2d,
     wdvv_reduced_m3,
     wdvv_residual,
     write_spec,
@@ -215,6 +217,52 @@ def test_nonconstant_metric_rejected():
     )
     with pytest.raises(ValidationError):
         flat_metric(spec)
+
+
+def _a3_family(s):
+    """a3_3d's Euler data with F = 1/2 t1^2 t3 + 1/2 t1 t2^2 + (s/4) t2^2 t3^2
+    + (s^2/60) t3^5: WDVV holds at every s (b/a^2 = 4/15), and so does
+    homogeneity, up to the round-off of terms of size ~s^2."""
+    a3 = catalog("a3_3d")
+    return dataclasses.replace(a3, monomials=a3.monomials[:2] + ((s / 4, (0, 2, 2)),
+                                                                 (s * s / 60, (0, 0, 5))))
+
+
+@pytest.mark.parametrize("s", [1e4, 1e5])
+def test_homogeneous_spec_with_large_coefficients_loads(tmp_path, s):
+    # The spot check is relative to the size of the residual's terms; at
+    # s = 1e5 an absolute 1e-8 refused a round-off residual of 1.7e-7.
+    spec = _a3_family(s)
+    write_spec(spec, tmp_path / "a3.json")
+    assert load_spec(tmp_path / "a3.json") == spec
+    assert wdvv_residual(spec, (0.1, 0.2, 0.3)) <= 1e-12 * s * s
+
+
+NOT_HOMOGENEOUS = {
+    # Finite, but the fourth partials overflow at the spot points, so the
+    # residual reads nan.
+    "huge_quintic": dataclasses.replace(
+        catalog("a3_3d"), monomials=catalog("a3_3d").monomials[:3] + ((1e307, (0, 0, 5)),)),
+    # quartic2 with cubic2's Euler data: t2^4 has degree 4, not d_F = 3.
+    "quartic2_d_F_3": dataclasses.replace(catalog("quartic2"), degrees=(1.0, 1.0), d=0.0,
+                                          d_F=3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_HOMOGENEOUS))
+def test_spec_that_is_not_homogeneous_is_refused_wherever_it_is_evaluated(tmp_path, name):
+    # flat_metric runs the spot check, so a spec built in Python is held to
+    # it at its first evaluation as a spec file is at load.
+    spec = NOT_HOMOGENEOUS[name]
+    write_spec(spec, tmp_path / "spec.json")
+    t = (0.1, 0.2, 0.3)[:spec.dim]
+    calls = [lambda: load_spec(tmp_path / "spec.json"), lambda: flat_eval(spec, t),
+             lambda: canonical_frame(spec, t)]
+    if spec.dim == 2:
+        calls.append(lambda: solve_tt2d(spec, (-1.0, -1.0, 1.0, 1.0), 9, 1.0))
+    for call in calls:
+        with pytest.raises(ValidationError, match="homogeneity spot-check"):
+            call()
 
 
 def test_shift_only_on_degree_zero_coordinates():
