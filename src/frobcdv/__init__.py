@@ -16,8 +16,6 @@ from .errors import (
 from .potential import (
     FlatPointEval,
     PotentialSpec,
-    check_homogeneity,
-    check_wdvv,
     flat_eval,
     flat_metric,
     homogeneity_residual,
@@ -28,6 +26,8 @@ from .canonical import (
     CanonicalFrame,
     canonical_frame,
     check_euler_eta,
+    check_homogeneity,
+    check_wdvv,
     levi_civita_canonical,
 )
 from .catalog import (

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DefectiveU, NotSemisimple
 from .numerics import format_point, invert, solve_eig
-from .potential import FlatPointEval, flat_eval, fourth_derivatives
+from .potential import (FlatPointEval, associativity_defect, flat_eval, fourth_derivatives,
+                        homogeneity_defect, reduced_wdvv_scalar)
 from .report import VerificationReport
 
 DEFAULT_EPS_SS = 1e-8
@@ -199,10 +200,29 @@ def levi_civita_canonical(frame: CanonicalFrame):
     return G
 
 
+def check_wdvv(spec, frame: CanonicalFrame, tol) -> VerificationReport:
+    """WDVV associativity of the frame's C_ij^k and, for a normal-form spec
+    of dimension 3, the reduced scalar of its C_ijk."""
+    report, n = VerificationReport(), len(np.atleast_2d(frame.point))
+    report.add("wdvv_associativity", associativity_defect(frame.ev.Cmix), tol, n)
+    if spec.dim == 3 and spec.normal_form:
+        report.add("wdvv_reduced_m3", np.max(reduced_wdvv_scalar(frame.ev.C3)), tol, n)
+    return report
+
+
+def check_homogeneity(spec, frame: CanonicalFrame, tol) -> VerificationReport:
+    """Quasi-homogeneity of F at the frame's point(s), from its C_ijk and F4."""
+    report = VerificationReport()
+    residual = homogeneity_defect(spec, frame.point, frame.ev.C3, frame.F4)[0]
+    report.add("euler_homogeneity", residual, tol, len(np.atleast_2d(frame.point)))
+    return report
+
+
 def check_euler_eta(spec, frame: CanonicalFrame, tol) -> VerificationReport:
     """Scaling law E(eta_alpha) = -d * eta_alpha along the Euler field."""
-    e_eta = frame.u @ frame.eta_d  # E eta_alpha = sum_beta u^beta e_beta(eta_alpha)
+    # E eta_alpha = sum_beta u^beta e_beta(eta_alpha), at each point.
+    e_eta = (frame.u[..., None, :] @ frame.eta_d)[..., 0, :]
     residual = float(np.max(np.abs(e_eta + spec.d * frame.eta)))
     report = VerificationReport()
-    report.add("euler_eta_scaling", residual, tol)
+    report.add("euler_eta_scaling", residual, tol, len(np.atleast_2d(frame.point)))
     return report

@@ -3,7 +3,8 @@
 Subcommands: verify, cdv, connections, pencil, lowdim, tt2d, catalog.
 verify, connections, pencil and lowdim share one runner, cmd_pointwise:
 the table POINTWISE_CHECKS gives the reports each makes at one point's
-canonical frame, and aggregate merges them over the points.
+canonical frame (built once, and read by every check, which evaluates
+nothing), and aggregate merges them over the points.
 Exit codes: 0 all checks pass, 1 a check failed, 2 error.
 """
 
@@ -16,10 +17,9 @@ import numpy as np
 
 from . import cdv as cdvmod
 from . import lowdim as ld
-from .canonical import canonical_frame, check_euler_eta
+from .canonical import canonical_frame, check_euler_eta, check_homogeneity, check_wdvv
 from .catalog import CATALOG_NAMES, _c, catalog as catalog_entry, load_spec, write_spec
-from .errors import FrobCdvError, ParseError
-from .potential import check_homogeneity, check_wdvv
+from .errors import DefectiveU, FrobCdvError, NotSemisimple, ParseError
 from .report import CheckEntry, VerificationReport
 
 # The smallest eigenvalue gap, relative to 1 + max|u|, of a sampled point.
@@ -59,11 +59,12 @@ def sample_points(spec, n, seed, frames=None):
     """Seeded points on the unit polydisk, resampled off the discriminant.
 
     A draw is kept once canonical_frame accepts it with the eigenvalue
-    gap SAMPLING_EPS_SS; each of the n points gets RESAMPLE_LIMIT draws.
-    Returns (points, skipped) where skipped counts the points whose draws
-    all stayed too close to the non-semi-simple locus.  If frames is a
-    list, the frame built for each kept point is appended to it, so that
-    a caller need not build it again.
+    gap SAMPLING_EPS_SS; one too close to the non-semi-simple locus
+    (NotSemisimple, DefectiveU) is drawn again, up to RESAMPLE_LIMIT draws
+    per point, and any other error is raised.  Returns (points, skipped)
+    where skipped counts the points whose draws all stayed too close.  If
+    frames is a list, the frame built for each kept point is appended to
+    it, so that a caller need not build it again.
     """
     rng = np.random.default_rng(seed)
     points, skipped = [], 0
@@ -72,7 +73,7 @@ def sample_points(spec, n, seed, frames=None):
             t = _draw_point(rng, spec.dim)
             try:
                 frame = canonical_frame(spec, t, eps_ss=SAMPLING_EPS_SS)
-            except FrobCdvError:
+            except (NotSemisimple, DefectiveU):
                 continue
             points.append(t)
             if frames is not None:
@@ -149,7 +150,7 @@ def _verify_at(spec, frame, tol):
     structure = cdvmod.construct_canonical_cdv(frame, spec.d)
     data = cdvmod.derivative_data(spec, frame)  # one for both verifiers
     hd = cdvmod.harmonic_potential(frame, spec.d)
-    return [check_wdvv(spec, [frame.point], tol), check_homogeneity(spec, [frame.point], tol),
+    return [check_wdvv(spec, frame, tol), check_homogeneity(spec, frame, tol),
             cdvmod.verify_cv_axioms(spec, structure, tol, data=data),
             cdvmod.verify_harmonic(spec, frame, hd, structure, tol, data=data),
             check_euler_eta(spec, frame, tol)]

@@ -4,7 +4,9 @@ A potential is a finite sum of monomials c * t^p and exponential terms
 c * t^p * exp(w . t).  This class is closed under partial differentiation,
 so all tensors (third derivatives, the flat metric, the Euler
 multiplication operator) are evaluated exactly, never by finite
-differences.
+differences.  Each residual is one formula of these tensors, read from a
+frame (canonical.check_wdvv, check_homogeneity) or evaluated at a point
+(wdvv_residual, wdvv_reduced_m3, homogeneity_residual).
 """
 
 import cmath
@@ -19,7 +21,6 @@ import numpy as np
 
 from .errors import DegenerateMetric, EvaluationFailure, ValidationError
 from .numerics import MAX_DIM, format_point
-from .report import VerificationReport
 
 DET_G_MIN = 1e-12
 
@@ -290,6 +291,7 @@ def flat_metric(spec: PotentialSpec):
     with np.errstate(over="ignore", invalid="ignore"):
         C3 = third_derivatives(spec, t)
         det = np.linalg.det(C3[0, 0])
+        residual, size = homogeneity_defect(spec, t, C3, fourth_derivatives(spec, t))
     g0, g1 = C3[:, 0]
     if not (np.all(np.isfinite(C3[:, 0])) and np.isfinite(det)):
         raise ValidationError("flat metric C_1ij or its determinant is not finite")
@@ -302,10 +304,6 @@ def flat_metric(spec: PotentialSpec):
         metric = " ".join(np.array2string(np.real_if_close(g0), separator=", ").split())
         raise ValidationError(f"normal_form needs the metric C_1ij = antidiag(1, ..., 1), "
                               f"got {metric}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        euler, weighted = _homogeneity_terms(spec, t, C3)
-        residual = np.max(np.abs(euler + weighted))
-        size = max(1.0, np.max(np.abs(euler)), np.max(np.abs(weighted)))
     if not (np.isfinite(residual) and residual <= HOMOGENEITY_SPOT * size):
         raise ValidationError("declared Euler data fails the homogeneity spot-check")
     g = g0.copy()
@@ -332,13 +330,17 @@ def flat_eval(spec: PotentialSpec, t) -> FlatPointEval:
     return FlatPointEval(point=t, C3=C3, Cmix=Cmix, g=g, g_inv=g_inv, U=U)
 
 
-def wdvv_residual(spec: PotentialSpec, t) -> float:
+def associativity_defect(Cmix):
     """Max associativity defect |sum_l C_ij^l C_lk^p - sum_l C_jk^l C_il^p|
-    over t, one point or a stack of them."""
-    Cmix = flat_eval(spec, t).Cmix
+    of the tensors C_ij^k (Cmix) at one point, or over a stack."""
     left = np.einsum("...ijl,...lkp->...ijkp", Cmix, Cmix)
     right = np.einsum("...jkl,...ilp->...ijkp", Cmix, Cmix)
     return float(np.max(np.abs(left - right)))
+
+
+def wdvv_residual(spec: PotentialSpec, t) -> float:
+    """associativity_defect at t, one point or a stack of them."""
+    return associativity_defect(flat_eval(spec, t).Cmix)
 
 
 def reduced_wdvv_scalar(C):
@@ -354,42 +356,19 @@ def wdvv_reduced_m3(spec: PotentialSpec, t) -> float:
     return float(np.max(reduced_wdvv_scalar(third_derivatives(spec, t))))
 
 
-def check_wdvv(spec: PotentialSpec, points, tol) -> VerificationReport:
-    points = np.asarray(points, dtype=complex)
-    report = VerificationReport()
-    report.add("wdvv_associativity", wdvv_residual(spec, points), tol, points_checked=len(points))
-    if spec.dim == 3 and spec.normal_form:
-        report.add("wdvv_reduced_m3", wdvv_reduced_m3(spec, points), tol,
-                   points_checked=len(points))
-    return report
-
-
-def _homogeneity_terms(spec: PotentialSpec, t, C3):
-    """The two terms E^i F_ijkl and (d_j + d_k + d_l - d_F) F_jkl of the
-    third derivatives of L_E F - d_F F at t, given the third partials C3
-    of F there."""
+def homogeneity_defect(spec: PotentialSpec, t, C3, F4):
+    """(residual, size): the max over t (one point or a stack) of the third
+    derivatives d_jkl(L_E F - d_F F) = E^i F_ijkl + (d_j + d_k + d_l - d_F)
+    F_jkl, from the partials C3 and F4 of F at t, and the size of the two
+    terms (at least 1).  Quadratic slack in L_E F - d_F F is not seen."""
     d = np.asarray(spec.degrees, dtype=float)
     weight = d[:, None, None] + d[None, :, None] + d[None, None, :] - spec.d_F
-    return (np.einsum("...i,...ijkl->...jkl", spec.euler_components(t),
-                      fourth_derivatives(spec, t)),
-            weight * C3)
+    euler = np.einsum("...i,...ijkl->...jkl", spec.euler_components(t), F4)
+    weighted = weight * C3
+    size = max(1.0, np.max(np.abs(euler)), np.max(np.abs(weighted)))
+    return float(np.max(np.abs(euler + weighted))), size
 
 
 def homogeneity_residual(spec: PotentialSpec, t) -> float:
-    """Max third derivative of L_E F - d_F F over t, one point or a stack
-    of them (exact differentiation).
-
-    For the affine Euler field E^i = d_i t^i + r_i it is d_jkl(L_E F -
-    d_F F) = E^i F_ijkl + (d_j + d_k + d_l - d_F) F_jkl, so quadratic
-    slack in L_E F - d_F F is not seen.
-    """
-    t = np.asarray(t, dtype=complex)
-    euler, weighted = _homogeneity_terms(spec, t, third_derivatives(spec, t))
-    return float(np.max(np.abs(euler + weighted)))
-
-
-def check_homogeneity(spec: PotentialSpec, points, tol) -> VerificationReport:
-    report = VerificationReport()
-    residual = homogeneity_residual(spec, points)
-    report.add("euler_homogeneity", residual, tol, points_checked=len(points))
-    return report
+    """homogeneity_defect's residual at t, one point or a stack of them."""
+    return homogeneity_defect(spec, t, third_derivatives(spec, t), fourth_derivatives(spec, t))[0]

@@ -13,8 +13,13 @@ from frobcdv import (
     canonical_frame,
     catalog,
     check_euler_eta,
+    check_homogeneity,
+    check_wdvv,
     flat_eval,
+    homogeneity_residual,
     levi_civita_canonical,
+    wdvv_reduced_m3,
+    wdvv_residual,
 )
 from frobcdv.cli import sample_points
 
@@ -204,6 +209,60 @@ def test_euler_eta_scaling_detects_wrong_d():
     rep = check_euler_eta(bad, frame, 1e-8)
     assert not rep.passed
     assert rep["euler_eta_scaling"].residual > 1e-3
+
+
+def _frame_checks(spec, frame):
+    """(residual, points_checked) per entry of the frame's three checks."""
+    reports = [check_wdvv(spec, frame, 0.0), check_homogeneity(spec, frame, 0.0),
+               check_euler_eta(spec, frame, 0.0)]
+    return {e.name: (e.residual, e.points_checked) for rep in reports for e in rep.entries}
+
+
+def _oracles(spec, t):
+    """The point oracles of the frame checks at t, by entry name."""
+    out = {"wdvv_associativity": wdvv_residual(spec, t)}
+    if spec.dim == 3 and spec.normal_form:
+        out["wdvv_reduced_m3"] = wdvv_reduced_m3(spec, t)
+    out["euler_homogeneity"] = homogeneity_residual(spec, t)
+    return out
+
+
+@pytest.mark.parametrize("name", ["quartic2", "p1", "a3_3d", "cubic2", "broken_wdvv"])
+def test_frame_checks_equal_the_point_oracles(name):
+    # check_wdvv and check_homogeneity read the frame's C_ij^k, C_ijk and
+    # F4, and the oracles evaluate them at the point, so the residuals
+    # agree bit for bit.  On a stack every check, check_euler_eta too,
+    # reads the per-point maxima: u @ eta_d used to be one matrix product
+    # across the stack.
+    spec = catalog(name)
+    for seed in range(3):
+        frames = []
+        sample_points(spec, 3, seed, frames)
+        per_point = [_frame_checks(spec, frame) for frame in frames]
+        for frame, checks in zip(frames, per_point):
+            oracles = _oracles(spec, frame.point)
+            assert {k: checks[k] for k in oracles} == {k: (v, 1) for k, v in oracles.items()}
+        stack = canonical_frame(spec, np.array([frame.point for frame in frames]))
+        assert _frame_checks(spec, stack) == {
+            k: (max(checks[k][0] for checks in per_point), len(frames)) for k in per_point[0]}
+
+
+def test_frame_wdvv_check_fails_on_broken_wdvv():
+    spec = catalog("broken_wdvv")
+    for t in ((0.1, 0.2, 1.0), [(0.1, 0.2, 1.0), A3_POINT]):
+        rep = check_wdvv(spec, canonical_frame(spec, t), 1e-5)
+        assert rep["wdvv_associativity"].residual > 1e-3
+        assert rep["wdvv_reduced_m3"].residual > 1e-3
+
+
+def test_homogeneity_check_reads_the_frame_F4():
+    # Only the frame's F4 is changed: a check that evaluated F again
+    # would still pass.
+    spec = catalog("p1")
+    frame = canonical_frame(spec, (0.4, 0.7 - 0.3j))
+    assert check_homogeneity(spec, frame, 1e-12).passed
+    mutated = dataclasses.replace(frame, F4=frame.F4 + 1.0)
+    assert check_homogeneity(spec, mutated, 1e-5)["euler_homogeneity"].residual > 1e-3
 
 
 def test_frame_deterministic():

@@ -1,5 +1,6 @@
 """Tests for spec serialization, sampling, report output, and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -257,38 +258,54 @@ def test_lowdim_forms_h_once_per_point_in_its_frame(tmp_path, monkeypatch, name,
     assert calls == [1] * points
 
 
-# Evaluations of the fourth partials of F by one CLI call with --points 1 on
-# p1: one by flat_metric's homogeneity spot-check (once per spec, so the
-# test clears its cache), one by the sampled frame, and verify's
-# check_homogeneity.
-FOURTH_PARTIALS_PER_COMMAND = {"verify": 3, "cdv": 2, "pencil": 2, "connections": 2,
-                               "lowdim": 2}
+# Evaluations of the fifth partials of F by one CLI call with --points 1 on
+# p1: one by derivative_data, which only verify, cdv and pencil read.
+FIFTH_PARTIALS_PER_COMMAND = {"verify": 1, "cdv": 1, "pencil": 1, "connections": 0,
+                              "lowdim": 0}
 
 
-@pytest.mark.parametrize("command", sorted(FOURTH_PARTIALS_PER_COMMAND))
+@pytest.mark.parametrize("command", sorted(FIFTH_PARTIALS_PER_COMMAND))
 def test_frame_forms_flat_data_once_per_point(tmp_path, invert_calls, derivative_calls,
                                               command):
-    # The sampled frame inverts A and h and evaluates the fourth partials
-    # once; every check reads them from it.
+    # The sampled frame inverts A and h and evaluates the third and fourth
+    # partials once; every check reads them from it.  The other evaluation
+    # of each is flat_metric's spot-check, once per spec, so the test
+    # clears its cache.
     flat_metric.cache_clear()
     spec = _dump("p1", tmp_path)
     args = [command, "--spec", spec, "--seed", "0"]
     main(args if command == "cdv" else args + ["--points", "1"])
     assert invert_calls == ["idempotent frame A", "flat pairing h"]
-    assert len(derivative_calls[4]) == FOURTH_PARTIALS_PER_COMMAND[command]
+    assert len(derivative_calls[3]) == 2
+    assert len(derivative_calls[4]) == 2
+    assert len(derivative_calls[5]) == FIFTH_PARTIALS_PER_COMMAND[command]
+
+
+@pytest.mark.parametrize("points", ["1", "3"])
+def test_verify_evaluates_f_only_in_its_frames(tmp_path, derivative_calls, points):
+    # verify's WDVV and homogeneity checks read the sampled frames, so it
+    # evaluates the third and fourth partials exactly where connections
+    # does; they used to evaluate both again at every point.
+    spec = _dump("a3_3d", tmp_path)
+    calls = {}
+    for command in ("connections", "verify"):
+        flat_metric.cache_clear()
+        derivative_calls.clear()
+        main([command, "--spec", spec, "--points", points, "--seed", "0"])
+        calls[command] = (derivative_calls[3], derivative_calls[4])
+    assert calls["verify"] == calls["connections"]
 
 
 def _standalone_residuals(command, spec, pts, tol=1e-5):
     """The worst residual per check of the public calls that command makes,
     each at its own frame, over the points pts."""
     reports = []
-    if command == "verify":
-        reports += [check_wdvv(spec, pts, tol), check_homogeneity(spec, pts, tol)]
     for t in pts:
         if command == "verify":
             frame = canonical_frame(spec, t)
             cdv = construct_canonical_cdv(frame, spec.d)
-            reports += [verify_cv_axioms(spec, cdv, tol),
+            reports += [check_wdvv(spec, frame, tol), check_homogeneity(spec, frame, tol),
+                        verify_cv_axioms(spec, cdv, tol),
                         verify_harmonic(spec, frame, harmonic_potential(frame, spec.d), cdv, tol),
                         check_euler_eta(spec, frame, tol)]
         elif command == "connections":
@@ -352,6 +369,22 @@ def test_singular_frame_error_names_matrix_and_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("error: idempotent frame A is singular to working precision "
                    "at (0.3+0j, 300+0j)\n")
+
+
+def test_singular_pairing_at_a_draw_is_an_error_not_a_skip(tmp_path, capsys):
+    # The A_3 family (1/2) t1^2 t3 + (1/2) t1 t2^2 + (s/4) t2^2 t3^2 +
+    # (s^2/60) t3^5 at s = 1e5: seed 0 draws a point off the discriminant
+    # where h is singular.  Sampling used to draw again and end in "no
+    # semi-simple point found"; only a draw near the discriminant is redrawn.
+    s = 1e5
+    spec = dataclasses.replace(catalog("a3_3d"), monomials=[
+        (0.5, (2, 0, 1)), (0.5, (1, 2, 0)), (s / 4, (0, 2, 2)), (s * s / 60, (0, 0, 5))])
+    path = tmp_path / "a3_family.json"
+    write_spec(spec, path)
+    assert main(["verify", "--spec", str(path), "--points", "1", "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flat pairing h is singular to working precision at (")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "cdv", "pencil", "connections", "lowdim"])

@@ -129,7 +129,7 @@ def test_wdvv_m2_automatic():
 def test_wdvv_a3_and_reduced_scalar():
     spec = catalog("a3_3d")
     pts = [(0.1, 0.2, 1.0), (0.3 + 0.1j, -0.2, 0.7 - 0.4j)]
-    rep = check_wdvv(spec, pts, 1e-12)
+    rep = check_wdvv(spec, canonical_frame(spec, pts), 1e-12)
     assert rep.passed
     assert rep["wdvv_reduced_m3"].residual <= 1e-12
 
@@ -144,7 +144,7 @@ def test_wdvv_broken_catalog_entry():
 
 def test_homogeneity_quartic2():
     spec = catalog("quartic2")
-    rep = check_homogeneity(spec, [(0.3, 0.9), (1.1j, -0.4 + 0.2j)], 1e-12)
+    rep = check_homogeneity(spec, canonical_frame(spec, [(0.3, 0.9), (1.1j, -0.4 + 0.2j)]), 1e-12)
     assert rep.passed
 
 
@@ -155,7 +155,8 @@ def test_homogeneity_wrong_weight_fails():
 
 
 def test_homogeneity_with_exponential_term():
-    rep = check_homogeneity(catalog("p1"), [(0.4, 0.7 - 0.3j)], 1e-12)
+    spec = catalog("p1")
+    rep = check_homogeneity(spec, canonical_frame(spec, (0.4, 0.7 - 0.3j)), 1e-12)
     assert rep.passed
 
 
