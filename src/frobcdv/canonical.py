@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefectiveU, NotSemisimple
-from .numerics import format_point, invert, solve_eig
+from .numerics import invert, raise_at_first, solve_eig
 from .potential import (FlatPointEval, associativity_defect, flat_eval, fourth_derivatives,
                         homogeneity_defect, reduced_wdvv_scalar)
 from .report import VerificationReport
@@ -61,52 +61,41 @@ class CanonicalFrame:
     dh: np.ndarray
     h_inv: np.ndarray
 
+    @property
+    def n_points(self):
+        """The number of points: the stack's length, or 1."""
+        return len(np.atleast_2d(self.point))
+
 
 def _pairwise_gap(u):
     """Smallest distance between two eigenvalues of u (m,), or in each row
     of a stack u (N, m)."""
-    m = u.shape[-1]
-    if m < 2:
-        return np.full(u.shape[:-1], np.inf)[()]
     diff = np.abs(u[..., :, None] - u[..., None, :])
-    return np.min(diff[..., ~np.eye(m, dtype=bool)], axis=-1)
-
-
-def _at_first(bad, *per_point):
-    """None if no point fails a check, else each array of per_point (one
-    entry or one row per point) at the first point that fails it."""
-    if not np.any(bad):
-        return None
-    i = np.argmax(np.ravel(bad))
-    return [np.reshape(x, (bad.size,) + np.shape(x)[bad.ndim:])[i] for x in per_point]
+    return np.min(diff[..., ~np.eye(u.shape[-1], dtype=bool)], axis=-1, initial=np.inf)
 
 
 def _bare_frame(spec, t, eps_ss):
     """Eigenvalues, idempotent matrices A, eta, gap and the flat tensors at
     a point t (m,) or a stack of points (N, m) -- no derivatives.  One
     eigen-solve call covers the stack; every check runs on every point,
-    and the first point that fails it raises."""
+    and the first point that fails it raises, naming it."""
     ev = flat_eval(spec, t)
     eig = solve_eig(ev.U)
     u = eig.eigenvalues
     gap = _pairwise_gap(u)
     scale = 1.0 + np.max(np.abs(u), axis=-1)
-    failed = _at_first(gap <= eps_ss * scale, gap, eps_ss * scale, t)
-    if failed is not None:
-        gap_t, threshold, at = failed
-        raise NotSemisimple(f"eigenvalue gap {gap_t:.3e} below threshold {threshold:.3e} "
-                            f"at {format_point(at)}")
-    failed = _at_first(eig.residual > 1e-8 * scale, eig.residual)
-    if failed is not None:
-        raise DefectiveU(f"eigenvector residual {failed[0]:.3e} too large")
+    raise_at_first(gap <= eps_ss * scale, NotSemisimple,
+                   "eigenvalue gap {:.3e} below threshold {:.3e}", t, gap, eps_ss * scale)
+    raise_at_first(eig.residual > 1e-8 * scale, DefectiveU,
+                   "eigenvector residual {:.3e} too large", t, eig.residual)
     # Each eigenvector v, divided by c where v o v = c v, is an idempotent;
     # c is read off at the largest component of v.
     V = eig.eigenvectors
     vv = np.einsum("...ia,...ja,...ijk->...ka", V, V, ev.Cmix)
     pivot = np.argmax(np.abs(V), axis=-2)[..., None, :]
     c = np.take_along_axis(vv, pivot, axis=-2) / np.take_along_axis(V, pivot, axis=-2)
-    if np.any(np.abs(c) < IDEMPOTENT_EPS):
-        raise DefectiveU("eigenvector squares to ~0; algebra not semi-simple here")
+    raise_at_first(np.any(np.abs(c) < IDEMPOTENT_EPS, axis=(-2, -1)), DefectiveU,
+                   "eigenvector squares to ~0; algebra not semi-simple", t)
     A = V / c
     eta = np.einsum("...ia,ij,...ja->...a", A, ev.g, A)
     return u, A, eta, gap, ev
@@ -179,7 +168,8 @@ def as_frame(spec, t) -> CanonicalFrame:
 
 
 def levi_civita_canonical(frame: CanonicalFrame):
-    """Christoffel matrices Gamma[alpha, k, beta] of nabla_{e_alpha} e_beta.
+    """Christoffel matrices Gamma[alpha, k, beta] of nabla_{e_alpha} e_beta,
+    at the frame's point or at each of its stack.
 
     For alpha != beta:
         nabla_alpha e_beta = (e_beta eta_alpha)/(2 eta_alpha) e_alpha
@@ -188,22 +178,23 @@ def levi_civita_canonical(frame: CanonicalFrame):
         nabla_alpha e_alpha = (e_alpha eta_alpha)/(2 eta_alpha) e_alpha
                             - sum_{g != alpha} (e_g eta_alpha)/(2 eta_g) e_g.
     """
-    m = len(frame.u)
+    m = frame.u.shape[-1]
     a = np.arange(m)
     off = 1.0 - np.eye(m)
-    q = frame.eta_d / (2.0 * frame.eta)  # q[b, a] = e_b(eta_a) / (2 eta_a)
-    p = frame.eta_d / (2.0 * frame.eta[:, None])  # p[g, a] = e_g(eta_a) / (2 eta_g)
-    G = np.zeros((m, m, m), dtype=complex)
-    G[a, a, :] = q.T
-    G[:, a, a] += q * off
-    G[a, :, a] -= (p * off).T
+    eta = frame.eta[..., None, :]
+    q = frame.eta_d / (2.0 * eta)  # q[b, a] = e_b(eta_a) / (2 eta_a)
+    p = frame.eta_d / (2.0 * np.swapaxes(eta, -1, -2))  # p[g, a] = e_g(eta_a) / (2 eta_g)
+    G = np.zeros(q.shape[:-2] + (m, m, m), dtype=complex)
+    G[..., a, a, :] = np.swapaxes(q, -1, -2)
+    G[..., :, a, a] += q * off
+    np.swapaxes(G, -1, -2)[..., a, a, :] -= np.swapaxes(p * off, -1, -2)  # G[a, :, a]
     return G
 
 
 def check_wdvv(spec, frame: CanonicalFrame, tol) -> VerificationReport:
     """WDVV associativity of the frame's C_ij^k and, for a normal-form spec
     of dimension 3, the reduced scalar of its C_ijk."""
-    report, n = VerificationReport(), len(np.atleast_2d(frame.point))
+    report, n = VerificationReport(), frame.n_points
     report.add("wdvv_associativity", associativity_defect(frame.ev.Cmix), tol, n)
     if spec.dim == 3 and spec.normal_form:
         report.add("wdvv_reduced_m3", np.max(reduced_wdvv_scalar(frame.ev.C3)), tol, n)
@@ -214,7 +205,7 @@ def check_homogeneity(spec, frame: CanonicalFrame, tol) -> VerificationReport:
     """Quasi-homogeneity of F at the frame's point(s), from its C_ijk and F4."""
     report = VerificationReport()
     residual = homogeneity_defect(spec, frame.point, frame.ev.C3, frame.F4)[0]
-    report.add("euler_homogeneity", residual, tol, len(np.atleast_2d(frame.point)))
+    report.add("euler_homogeneity", residual, tol, frame.n_points)
     return report
 
 
@@ -224,5 +215,5 @@ def check_euler_eta(spec, frame: CanonicalFrame, tol) -> VerificationReport:
     e_eta = (frame.u[..., None, :] @ frame.eta_d)[..., 0, :]
     residual = float(np.max(np.abs(e_eta + spec.d * frame.eta)))
     report = VerificationReport()
-    report.add("euler_eta_scaling", residual, tol, len(np.atleast_2d(frame.point)))
+    report.add("euler_eta_scaling", residual, tol, frame.n_points)
     return report

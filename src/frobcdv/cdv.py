@@ -7,11 +7,12 @@ derivative_data, curvature_coefficients, pencil_curvature,
 verify_harmonic, verify_cv_axioms and the Kaehler and real Levi-Civita
 gaps of connection_gap work in the flat frame, where every matrix is
 label-invariant, so no verifier matches eigenvalue labels.  Each reads
-A^{-1}, the pairing h, its derivatives and h^{-1} from the point's
-CanonicalFrame, which forms them once.  derivative_data gives all three
-verifiers (verify_cv_axioms, verify_harmonic and pencil_curvature) the
-tt* data and its exact derivatives from that frame; no verifier takes a
-finite difference.  The Hermitian pairing convention is h(u, v) =
+A^{-1}, the pairing h, its derivatives and h^{-1} from the
+CanonicalFrame, which forms them once, at a point or at each of a stack
+(a leading axis; a residual is then the worst point's).  derivative_data
+gives all three verifiers (verify_cv_axioms, verify_harmonic and
+pencil_curvature) the tt* data and its exact derivatives from that
+frame; no verifier takes a finite difference.  The Hermitian pairing convention is h(u, v) =
 sum_ij u^i conj(v^j) h_ij, C-linear in the first slot.
 """
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalFrame, as_frame, canonical_frame, levi_civita_canonical
+from .numerics import cabs
 from .potential import fifth_derivatives
 from .report import VerificationReport
 
@@ -28,18 +30,18 @@ ALG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CdvStructure:
-    """The canonical structure at one semi-simple point.
+    """The canonical structure at a semi-simple point, or at each of a stack.
 
     All matrices are in the canonical frame: K is the matrix of the real
     involution kappa (antilinear action v -> K conj(v)), h the Hermitian
-    pairing and omega[alpha] the Chern connection form evaluated on
-    e_alpha.
+    pairing and omega[..., alpha, :, :] the Chern connection form
+    evaluated on e_alpha.
     """
 
     frame: CanonicalFrame
     K: np.ndarray
     h: np.ndarray
-    omega: tuple
+    omega: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,12 @@ class HarmonicData:
 @dataclass(frozen=True)
 class DerivativeData:
     """The flat data that verify_cv_axioms, verify_harmonic and
-    pencil_curvature read at one point (derivative_data).
+    pencil_curvature read at a point, or at each of a stack (derivative_data).
 
     S is the tt* data (flat_ttstar_data) at the point, dS its Wirtinger
     derivatives along the 2m directions, d/dt^j then d/dconj(t^j)
-    (curvature_coefficients' order), and dP the holomorphic ones of P_flat
-    = A P A^{-1}, the harmonic potential in the flat frame.
+    (curvature_coefficients' order), and dP (if P was given) the
+    holomorphic ones of P_flat = A P A^{-1}, P the harmonic potential.
     """
 
     S: np.ndarray
@@ -69,15 +71,18 @@ class DerivativeData:
 
 def construct_canonical_cdv(frame: CanonicalFrame, d: float) -> CdvStructure:
     """The canonical structure K = diag(|eta|/eta), h = diag(|eta|); d is unused."""
-    K = np.diag(np.abs(frame.eta) / frame.eta)
-    h = np.diag(np.abs(frame.eta)).astype(complex)
+    def diag(x):  # the matrices with the last axis of x on the diagonal
+        return np.where(np.eye(x.shape[-1], dtype=bool), x[..., None, :], 0j)
+
     # omega(e_alpha) = diag_beta(e_alpha(eta_beta) / (2 eta_beta))
-    omega = tuple(np.diag(row) for row in frame.eta_d / (2.0 * frame.eta))
-    return CdvStructure(frame=frame, K=K, h=h, omega=omega)
+    omega = diag(frame.eta_d / (2.0 * frame.eta[..., None, :]))
+    return CdvStructure(frame=frame, K=diag(np.abs(frame.eta) / frame.eta),
+                        h=diag(np.abs(frame.eta)), omega=omega)
 
 
-def derivative_data(spec, frame: CanonicalFrame) -> DerivativeData:
-    """The DerivativeData of the point of frame, exact, for all three verifiers.
+def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
+    """The DerivativeData of the point(s) of frame, exact, for all three
+    verifiers; dP given P = harmonic_potential(frame, d).P.
 
     h, its first derivatives, h^{-1}, A^{-1} and the fourth partials of F
     come from the frame.  Every derivative of the tt* data is first order
@@ -96,84 +101,112 @@ def derivative_data(spec, frame: CanonicalFrame) -> DerivativeData:
     and P holds conj(eta_d), whose holomorphic derivative is 0.
     """
     S = flat_ttstar_data(frame)
-    m = len(frame.u)
+    m = frame.u.shape[-1]
     a = np.arange(m)
     A, B, eta, dC, ev = frame.A, frame.A_inv, frame.eta, frame.dC, frame.ev
     h, dh, h_inv, F4 = frame.h, frame.dh, frame.h_inv, frame.F4
+
+    # Against the pairs [j, k] (or [j, s], s a slot), an array over j is
+    # indexed [..., :, None, :, :], one over k [..., None, :, :, :].
     s = np.sqrt(eta)
-    ss = np.multiply.outer(s, s)
-    G = s[:, None] * B
-    q = dC[:, a, a] / eta  # q[j, alpha] = -d_j eta_alpha / (2 eta_alpha)
-    X = np.swapaxes(dC, 1, 2) / eta[:, None]  # X[k, c, a] = dC[k, a, c] / eta_c
-    X[:, a, a] = -q
-    N = -np.swapaxes(dC, 1, 2) / ss
-    N[:, a, a] = 0.0
+    ss = s[..., None, :, None] * s[..., None, None, :]
+    G = s[..., :, None] * B
+    q = dC[..., a, a] / eta[..., None, :]  # q[j, alpha] = -d_j eta_alpha / (2 eta_alpha)
+    X = np.swapaxes(dC, -1, -2) / eta[..., None, :, None]  # X[k, c, a] = dC[k, a, c] / eta_c
+    X[..., a, a] = -q
+    N = -np.swapaxes(dC, -1, -2) / ss
+    N[..., a, a] = 0.0
+    N_j, N_k = N[..., :, None, :, :], N[..., None, :, :, :]
 
     # d_j dC[k, c, a] = F5(d_j, d_k, e_c, e_c, e_a) + F4 with d_j e_c = sum_d
     # X[j, d, c] e_d in each idempotent slot; T[k, b, c, a] = F4(d_k, e_b,
     # e_c, e_a), so T[k, c, c, a] = dC[k, c, a].
-    T = np.einsum("kijl,ib,jc,la->kbca", F4, A, A, A)
-    ddC = (np.einsum("jkiln,ic,lc,na->jkca", fifth_derivatives(spec, frame.point), A, A, A)
-           + 2.0 * np.einsum("jdc,kdca->jkca", X, T) + np.einsum("jda,kcd->jkca", X, dC))
-    dN = (-np.swapaxes(ddC, 2, 3) / ss + N * (q[:, None, :, None] + q[:, None, None, :]))
+    T = np.einsum("...kijl,...ib,...jc,...la->...kbca", F4, A, A, A)
+    ddC = (np.einsum("...jkiln,...ic,...lc,...na->...jkca", fifth_derivatives(spec, frame.point),
+                     A, A, A)
+           + 2.0 * np.einsum("...jdc,...kdca->...jkca", X, T)
+           + np.einsum("...jda,...kcd->...jkca", X, dC))
+    dN = (-np.swapaxes(ddC, -1, -2) / ss[..., None, :, :, :]
+          + N_k * (q[..., :, None, :, None] + q[..., :, None, None, :]))
     dN[..., a, a] = 0.0
 
-    def sandwich(Y):  # G^T Y conj(G)
-        return G.T @ Y @ np.conj(G)
-
-    dh_bar = np.conj(np.swapaxes(dh, 1, 2))  # dbar_j h
-    hol_h = sandwich(np.swapaxes(dN + N @ N[:, None], -1, -2))  # [j, k]: d_j d_k h
-    anti_h = sandwich(np.swapaxes(N, 1, 2) @ np.conj(N)[:, None])  # [j, k]: dbar_j d_k h
-    hol_W = np.swapaxes((hol_h - dh @ h_inv @ dh[:, None]) @ h_inv, -1, -2)
-    anti_W = np.swapaxes((anti_h - dh @ h_inv @ dh_bar[:, None]) @ h_inv, -1, -2)
+    G_T, G_conj = (np.expand_dims(M, (-3, -4)) for M in (np.swapaxes(G, -1, -2), np.conj(G)))
+    dh_bar = np.conj(np.swapaxes(dh, -1, -2))  # dbar_j h
+    hol_h = G_T @ np.swapaxes(dN + N_k @ N_j, -1, -2) @ G_conj  # [j, k]: d_j d_k h
+    anti_h = G_T @ (np.swapaxes(N_k, -1, -2) @ np.conj(N_j)) @ G_conj  # [j, k]: dbar_j d_k h
+    dh_h = (dh @ h_inv[..., None, :, :])[..., None, :, :, :]
+    h_inv_jk = h_inv[..., None, None, :, :]
+    hol_W = np.swapaxes((hol_h - dh_h @ dh[..., :, None, :, :]) @ h_inv_jk, -1, -2)
+    anti_W = np.swapaxes((anti_h - dh_h @ dh_bar[..., :, None, :, :]) @ h_inv_jk, -1, -2)
 
     # Phi_k = -C_k^T and U = sum_i E^i C_i^T, with d_j E^i = degree_i delta_ij.
     dCmix = F4 @ ev.g_inv
     dPhi = -np.swapaxes(dCmix, -1, -2)
-    dU = (np.asarray(spec.degrees)[:, None, None] * np.swapaxes(ev.Cmix, 1, 2)
-          + np.einsum("i,jikl->jlk", spec.euler_components(frame.point), dCmix))
-    Y = np.concatenate([S[m:2 * m], S[3 * m:3 * m + 1]])
-    dY = np.concatenate([dPhi, dU[:, None]], axis=1)
+    dU = (np.asarray(spec.degrees)[:, None, None] * np.swapaxes(ev.Cmix, -1, -2)
+          + np.einsum("...i,...jikl->...jlk", spec.euler_components(frame.point), dCmix))
+    Y = np.concatenate([S[..., m:2 * m, :, :], S[..., 3 * m:3 * m + 1, :, :]], axis=-3)
+    dY = np.concatenate([dPhi, dU[..., None, :, :]], axis=-3)
     K = ev.g_inv @ h
-    dK, dK_bar = ev.g_inv @ dh, ev.g_inv @ dh_bar
-    hol_KY = dK[:, None] @ np.conj(Y) @ np.conj(K) + K @ np.conj(Y) @ np.conj(dK_bar)[:, None]
-    anti_KY = (dK_bar[:, None] @ np.conj(Y) @ np.conj(K) + K @ np.conj(dY) @ np.conj(K)
-               + K @ np.conj(Y) @ np.conj(dK)[:, None])
+    dK, dK_bar = (ev.g_inv @ M[..., :, None, :, :] for M in (dh, dh_bar))
+    K_js, conj_K = K[..., None, None, :, :], np.conj(K)[..., None, None, :, :]
+    conj_Y = np.conj(Y)[..., None, :, :, :]
+    KY = K_js @ conj_Y
+    hol_KY = dK @ conj_Y @ conj_K + KY @ np.conj(dK_bar)
+    anti_KY = dK_bar @ conj_Y @ conj_K + K_js @ np.conj(dY) @ conj_K + KY @ np.conj(dK)
     zero = np.zeros_like(dY)
-    holo = np.concatenate([hol_W, dY[:, :m], hol_KY[:, :m], dY[:, m:], hol_KY[:, m:]], axis=1)
-    anti = np.concatenate([anti_W, zero[:, :m], anti_KY[:, :m], zero[:, m:], anti_KY[:, m:]],
-                          axis=1)
+    holo = np.concatenate([hol_W, dY[..., :m, :, :], hol_KY[..., :m, :, :], dY[..., m:, :, :],
+                           hol_KY[..., m:, :, :]], axis=-3)
+    anti = np.concatenate([anti_W, zero[..., :m, :, :], anti_KY[..., :m, :, :],
+                           zero[..., m:, :, :], anti_KY[..., m:, :, :]], axis=-3)
+    dS = np.concatenate([holo, anti], axis=-4)
+    if P is None:
+        return DerivativeData(S=S, dS=dS, dP=None)
 
-    P = harmonic_potential(frame, spec.d).P
-    dP = P * (q[:, :, None] - q[:, None, :])
-    dP[:, a, a] = -np.einsum("bi,kij,jb->kb", B, dU, A)  # -d_k u_beta
-    dP = A @ (X @ P - P @ X + dP) @ B
-    return DerivativeData(S=S, dS=np.concatenate([holo, anti]), dP=dP)
+    P_k = P[..., None, :, :]
+    dP = P_k * (q[..., :, :, None] - q[..., :, None, :])
+    dP[..., a, a] = -np.einsum("...bi,...kij,...jb->...kb", B, dU, A)  # -d_k u_beta
+    dP = A[..., None, :, :] @ (X @ P_k - P_k @ X + dP) @ B[..., None, :, :]
+    return DerivativeData(S=S, dS=dS, dP=dP)
 
 
 def _maxabs(M):
     return float(np.max(np.abs(M)))
 
 
+def _point_maxabs(M, n):
+    """max |M| at each of n points: over all of M at one point, over each
+    entry of its leading axis at a stack of n."""
+    return np.max(np.abs(M).reshape(n, -1), axis=1)
+
+
+def _relative(n, M, *scales):
+    """max |M| over the product of max |S| for S in scales, each taken at
+    each of n points (_point_maxabs), and the largest over the points."""
+    return np.max(_point_maxabs(M, n) / np.prod([_point_maxabs(S, n) for S in scales], axis=0))
+
+
 def kappa_defect(h, g_inv):
     """|conj(K) K - I| for K = g^{-1} h, the matrix of kappa: zero when
     kappa is an involution."""
     K = g_inv @ h
-    return _maxabs(np.conj(K) @ K - np.eye(len(h)))
+    return _maxabs(np.conj(K) @ K - np.eye(h.shape[-1]))
 
 
 def pairing_defect(h):
     """The non-Hermitian part of h and its most negative eigenvalue,
-    relative to |h|: zero when h is Hermitian and positive semi-definite."""
-    negativity = max(0.0, -np.linalg.eigvalsh(h)[0])
-    return max(_maxabs(h - np.conj(h).T), negativity) / _maxabs(h)
+    relative to |h|: zero when h is Hermitian and positive semi-definite.
+    For a stack of pairings, the largest over them."""
+    n = len(np.reshape(h, (-1,) + h.shape[-2:]))
+    negativity = np.maximum(0.0, -np.linalg.eigvalsh(h)[..., 0]).reshape(n)
+    defect = np.maximum(_point_maxabs(h - np.conj(np.swapaxes(h, -1, -2)), n), negativity)
+    return float(np.max(defect / _point_maxabs(h, n)))
 
 
 def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None,
                      data: DerivativeData = None) -> VerificationReport:
-    """One residual per structure axiom at the point of cdv.frame.
+    """One residual per structure axiom at the point(s) of cdv.frame.
 
-    Every check reads the flat-frame tt* data at that point: h, h^{-1} and
+    Every check reads the flat-frame tt* data there: h, h^{-1} and
     K = g^{-1} h from cdv.frame, and W_k, Phi_k, Phidag_k and kappa U kappa
     from data (derivative_data at cdv.frame, built here when it is None).
     The four algebraic checks (kappa_involution, hermitian_pairing,
@@ -185,43 +218,44 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
     fd_step is unused; the call keeps it.
     """
     frame = cdv.frame
-    m = len(frame.u)
+    m, n = frame.u.shape[-1], frame.n_points
     if data is None:
         data = derivative_data(spec, frame)
     h, h_inv, S, dS = frame.h, frame.h_inv, data.S, data.dS
     K = frame.ev.g_inv @ h
-    W, Phi, Phidag, kUk = S[:m], S[m:2 * m], S[2 * m:3 * m], S[3 * m + 1]
+    W, Phi, Phidag = S[..., :m, :, :], S[..., m:2 * m, :, :], S[..., 2 * m:3 * m, :, :]
+    kUk = S[..., 3 * m + 1, :, :]
     report = VerificationReport()
 
     # (a) kappa is an involution: conj(K) K = I.
-    report.add("kappa_involution", kappa_defect(h, frame.ev.g_inv), alg_tol)
+    report.add("kappa_involution", kappa_defect(h, frame.ev.g_inv), alg_tol, n)
 
     # (b) h is Hermitian and positive definite, relative to its size.
-    report.add("hermitian_pairing", pairing_defect(h), alg_tol)
+    report.add("hermitian_pairing", pairing_defect(h), alg_tol, n)
 
     # (c) the kappa-conjugate of the Higgs field is its h-adjoint
     # conj(h^{-1} Phi^T h) (as h(u, v) = u^T h conj(v)), relative to |Phi|.
-    higgs_adjoint = np.conj(h_inv @ np.swapaxes(Phi, 1, 2) @ h)
-    report.add("higgs_reality", _maxabs(Phidag - higgs_adjoint) / _maxabs(Phi), alg_tol)
+    higgs_adjoint = np.conj(h_inv[..., None, :, :] @ np.swapaxes(Phi, -1, -2) @ h[..., None, :, :])
+    report.add("higgs_reality", _relative(n, Phidag - higgs_adjoint, Phi), alg_tol, n)
 
     # The curvature coefficients F[k][mu, nu] of z^k; i, j are holomorphic
     # flat directions, ibar, jbar antiholomorphic ones.
     F = curvature_coefficients(S, dS)
-    hol, anti = slice(0, m), slice(m, 2 * m)
+    hol, anti, both = slice(0, m), slice(m, 2 * m), slice(0, 2 * m)
 
     # (d) kappa is Chern-parallel: the z^1 coefficients of (i, jbar),
     # d_i Phidag_j + [W_i, Phidag_j], and of (ibar, jbar),
     # dbar_i Phidag_j - dbar_j Phidag_i.
-    report.add("kappa_parallel", max(_maxabs(F[1][hol, anti]), _maxabs(F[1][anti, anti])), tol)
+    report.add("kappa_parallel", _maxabs(F[1][..., both, anti, :, :]), tol, n)
 
     # (e) the Higgs field is Chern-parallel: the z^-1 coefficients of (i, j),
     # d_i Phi_j - d_j Phi_i + [W_i, Phi_j] - [W_j, Phi_i], and of (i, jbar),
     # -dbar_j Phi_i.
-    report.add("higgs_parallel", max(_maxabs(F[-1][hol, hol]), _maxabs(F[-1][hol, anti])), tol)
+    report.add("higgs_parallel", _maxabs(F[-1][..., hol, both, :, :]), tol, n)
 
     # (f) tt* commutator: the z^0 coefficient of (i, jbar),
     # -dbar_j W_i + [Phi_i, Phidag_j].
-    report.add("ttstar_commutator", _maxabs(F[0][hol, anti]), tol)
+    report.add("ttstar_commutator", _maxabs(F[0][..., hol, anti, :, :]), tol, n)
 
     # (g) Q is self-adjoint and kappa-odd.  Q is the least-norm solution of
     # [W_i, Q] = -[Phi_i, kappa U kappa], the z^-1 coefficient of the (i, z)
@@ -230,20 +264,24 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
     # W_i, which holds the identity (criterion 6's blind spot), and measured
     # in units of |Phi| |kappa U kappa| / |W|, the size the equation gives it.
     I = np.eye(m)
-    commutators = np.einsum("iac,bd->iabcd", W, I) - np.einsum("ac,idb->iabcd", I, W)
-    rhs = -(Phi @ kUk - kUk @ Phi)
-    Q = np.linalg.lstsq(commutators.reshape(m**3, m**2), rhs.ravel(), rcond=None)[0].reshape(m, m)
-    q_real = max(_maxabs(Q - np.conj(h_inv @ Q.T @ h)), _maxabs(Q + K @ np.conj(Q) @ np.conj(K)))
-    report.add("q_reality", q_real * _maxabs(W) / (_maxabs(Phi) * _maxabs(kUk)), alg_tol)
+    commutators = (np.einsum("...iac,bd->...iabcd", W, I)
+                   - np.einsum("ac,...idb->...iabcd", I, W)).reshape(n, m**3, m**2)
+    rhs = -(Phi @ kUk[..., None, :, :] - kUk[..., None, :, :] @ Phi).reshape(n, m**3)
+    Q = np.reshape([np.linalg.lstsq(L, r, rcond=None)[0] for L, r in zip(commutators, rhs)],
+                   kUk.shape)
+    q_real = np.maximum(_point_maxabs(Q - np.conj(h_inv @ np.swapaxes(Q, -1, -2) @ h), n),
+                        _point_maxabs(Q + K @ np.conj(Q) @ np.conj(K), n))
+    report.add("q_reality", np.max(q_real * _point_maxabs(W, n)
+                                   / (_point_maxabs(Phi, n) * _point_maxabs(kUk, n))), alg_tol, n)
 
     # (h) the unit field e = A 1, constant in flat coordinates, is
     # Chern-parallel along itself: D_e e = sum_k e^k W_k e = 0.
-    e = frame.A.sum(axis=1)
-    report.add("unit_parallel", _maxabs(np.einsum("k,kij,j->i", e, W, e)), tol)
+    e = frame.A.sum(axis=-1)
+    report.add("unit_parallel", _maxabs(np.einsum("...k,...kij,...j->...i", e, W, e)), tol, n)
 
     # (i) holomorphy of the Chern connection: dbar_j W_i, its curvature,
     # vanishes.
-    report.add("omega_holomorphy", _maxabs(dS[m:, :m]), tol)
+    report.add("omega_holomorphy", _maxabs(dS[..., m:, :m, :, :]), tol, n)
 
     return report
 
@@ -272,39 +310,41 @@ def verify_harmonic(spec, frame: CanonicalFrame, hd: HarmonicData, cdv: CdvStruc
                     data: DerivativeData = None) -> VerificationReport:
     """Residuals of the harmonic-potential defining system, in the flat frame.
 
-    hd is the harmonic data at the point of frame.  Each of its matrices X
-    is read as X_flat = A X A^{-1}, which does not depend on the labels,
+    hd is the harmonic data at the point(s) of frame.  Each of its matrices
+    X is read as X_flat = A X A^{-1}, which does not depend on the labels,
     and checked against the flat tt* data W_k, Phi_k and U of data
     (derivative_data at frame, built here when it is None).  The check of
-    D'P reads its exact derivative of P_flat.  The three other checks are
-    identities of harmonic_potential's formulas, relative to the size of
-    their terms, so that their round-off does not grow with the data.
-    cdv is unused; the call keeps it.
+    D'P reads data's exact derivative of the frame's own P_flat, so that
+    it sees a wrong hd.  The three other checks are identities of
+    harmonic_potential's formulas, relative to the size of their terms at
+    each point, so that their round-off does not grow with the data.  cdv
+    is unused; the call keeps it.
     """
-    m = len(frame.u)
+    m, n = frame.u.shape[-1], frame.n_points
     A, A_inv = frame.A, frame.A_inv
     P, Pdag, V = (A @ X @ A_inv for X in (hd.P, hd.Pdag, hd.V))
     if data is None:
-        data = derivative_data(spec, frame)
+        data = derivative_data(spec, frame, harmonic_potential(frame, spec.d).P)
     S, dP = data.S, data.dP
-    W, Phi, U = S[:m], S[m:2 * m], S[3 * m]
+    W, Phi, U = S[..., :m, :, :], S[..., m:2 * m, :, :], S[..., 3 * m, :, :]
+    P_k, Pdag_k = P[..., None, :, :], Pdag[..., None, :, :]
 
     report = VerificationReport()
 
     # (a) D'P = Phi: d_k P + [W_k, P] = Phi_k.
-    report.add("dprime_p_equals_higgs", _maxabs(dP + W @ P - P @ W - Phi), tol)
+    report.add("dprime_p_equals_higgs", _maxabs(dP + W @ P_k - P_k @ W - Phi), tol, n)
 
     # (b) D' = nabla - [Pdag, Phi], where nabla is trivial in flat
     # coordinates: W_k = -[Pdag, Phi_k], relative to |Pdag| |Phi|.
-    report.add("chern_from_levi_civita",
-               _maxabs(W + Pdag @ Phi - Phi @ Pdag) / (_maxabs(Pdag) * _maxabs(Phi)), tol)
+    report.add("chern_from_levi_civita", _relative(n, W + Pdag_k @ Phi - Phi @ Pdag_k, Pdag, Phi),
+               tol, n)
 
     # (c) P is g-self-adjoint: g^{-1} P^T g = P, relative to |P|.
-    report.add("p_selfadjoint", _maxabs(frame.ev.g_inv @ P.T @ frame.ev.g - P) / _maxabs(P), tol)
+    report.add("p_selfadjoint",
+               _relative(n, frame.ev.g_inv @ np.swapaxes(P, -1, -2) @ frame.ev.g - P, P), tol, n)
 
     # (d) V + [Pdag, U] = 0, relative to |Pdag| |U|.
-    report.add("v_commutator",
-               _maxabs(V + Pdag @ U - U @ Pdag) / (_maxabs(Pdag) * _maxabs(U)), tol)
+    report.add("v_commutator", _relative(n, V + Pdag @ U - U @ Pdag, Pdag, U), tol, n)
 
     return report
 
@@ -317,9 +357,9 @@ def flat_frame_h(spec, t):
 def _real_metric(h):
     """Real metric blocks of Re h on the basis (x^j -> d_j, y^j -> i d_j)."""
     re, im = h.real, h.imag
-    top = np.hstack([re, im])
-    bot = np.hstack([-im, re])
-    return np.vstack([top, bot])
+    top = np.concatenate([re, im], axis=-1)
+    bot = np.concatenate([-im, re], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def _real_metric_derivatives(dh):
@@ -329,8 +369,8 @@ def _real_metric_derivatives(dh):
     i (d_k h - dbar_k h), with dbar_k h = (d_k h)^dagger; _real_metric is
     real-linear.
     """
-    dbar = np.conj(np.swapaxes(dh, 1, 2))
-    return np.stack([_real_metric(d) for d in np.concatenate([dh + dbar, 1j * (dh - dbar)])])
+    dbar = np.conj(np.swapaxes(dh, -1, -2))
+    return _real_metric(np.concatenate([dh + dbar, 1j * (dh - dbar)], axis=-3))
 
 
 def connection_gap(spec, t, tol) -> VerificationReport:
@@ -338,31 +378,28 @@ def connection_gap(spec, t, tol) -> VerificationReport:
 
     Entries read as distances: an entry "passes" exactly when the
     corresponding gap is below tol, i.e. when the structure behaves as in
-    the trivial (flat) case.  t is a point or the CanonicalFrame at it.
-    h, its exact derivatives and h^{-1} come from the frame, so a call
-    takes one eigendecomposition at a point and none given its frame.
+    the trivial (flat) case.  t is a point, a stack or the CanonicalFrame
+    there.  h, its exact derivatives and h^{-1} come from the frame, so a
+    call takes one eigendecomposition given points and none given a frame.
     """
     m = spec.dim
     frame = as_frame(spec, t)
+    n = frame.n_points
     cdv = construct_canonical_cdv(frame, spec.d)
     report = VerificationReport()
 
     # (a) flat Levi-Civita vs Chern connection, canonical frame.
-    gammas = levi_civita_canonical(frame)
-    res_a = max(_maxabs(gammas[a] - cdv.omega[a]) for a in range(m))
-    report.add("nabla_vs_chern", res_a, tol)
+    report.add("nabla_vs_chern", _maxabs(levi_civita_canonical(frame) - cdv.omega), tol, n)
 
     # (b) torsion of the Chern connection (diagonal-omega reduction), 0 at
-    # m = 1; Python's abs, as np.abs can differ from it in the last bit.
-    res_b = max((abs(cdv.omega[a][b, b]) for a in range(m) for b in range(m) if a != b),
-                default=0.0)
-    report.add("chern_torsion", res_b, tol)
+    # m = 1: the off-diagonal omega_beta^beta(e_alpha).
+    torsion = cdv.omega[..., np.arange(m), np.arange(m)][..., ~np.eye(m, dtype=bool)]
+    report.add("chern_torsion", np.max(cabs(torsion), initial=0.0), tol, n)
 
     # (c) closedness of the Kaehler form, flat coordinates:
     # max |d_k h_ij - d_i h_kj|.
     dh = frame.dh
-    res_c = _maxabs(dh - np.swapaxes(dh, 0, 1))
-    report.add("kaehler_closedness", res_c, tol)
+    report.add("kaehler_closedness", _maxabs(dh - np.swapaxes(dh, -3, -2)), tol, n)
 
     # (d) real Levi-Civita of Re h vs Chern and vs flat, after
     # complexifying real output vectors via v = v_x + i v_y.
@@ -372,17 +409,17 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     ghat_inv = _real_metric(frame.h_inv)
     # gamma_hat[a, b, c] = Christoffel symbol Gamma^c_ab of the real metric,
     # from dg[a, b, c] = d_a ghat_bc; v_hat complexifies its output index.
-    lowered = dg + np.swapaxes(dg, 0, 1) - np.transpose(dg, (1, 2, 0))
-    gamma_hat = 0.5 * np.einsum("cd,abd->abc", ghat_inv, lowered)
+    lowered = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    gamma_hat = 0.5 * np.einsum("...cd,...abd->...abc", ghat_inv, lowered)
     v_hat = gamma_hat[..., :m] + 1j * gamma_hat[..., m:]
 
     # Chern connection in the flat basis: D_{d_i} d_j = sum_k W[i, j, k] d_k,
     # with factor 1 for an x-type and i for a y-type direction or section.
-    W = dh @ frame.h_inv
+    W = dh @ frame.h_inv[..., None, :, :]
     factor = np.repeat([1.0, 1j], m)
     v_chern = np.tile(W, (2, 2, 1)) * np.multiply.outer(factor, factor)[:, :, None]
-    report.add("real_lc_vs_chern", _maxabs(v_hat - v_chern), tol)
-    report.add("real_lc_vs_nabla", _maxabs(v_hat), tol)
+    report.add("real_lc_vs_chern", _maxabs(v_hat - v_chern), tol, n)
+    report.add("real_lc_vs_nabla", _maxabs(v_hat), tol, n)
 
     return report
 
@@ -425,26 +462,32 @@ def curvature_coefficients(S, dS, Q=0.0):
     """Laurent coefficients in z of the curvature of the pencil
     D + Phi/z + z Phidag + (U/z^2 - Q/z - kappa U kappa) dz.
 
-    S is flat_ttstar_data at a point, dS its Wirtinger derivatives there
-    (DerivativeData.dS) and Q a constant.  Returns {k: F_k} for k = -4..2, where F_k[mu, nu]
-    is the coefficient of z^k in the curvature component F(d_mu, d_nu),
-    with mu, nu over the m holomorphic flat directions, then the m
-    antiholomorphic ones, then z.  With G[mu, nu] = d_mu A_nu + A_mu
-    A_nu, F = G - G^T over (mu, nu), so F is exactly antisymmetric.
+    S is flat_ttstar_data at a point or at each of a stack, dS its
+    Wirtinger derivatives there (DerivativeData.dS) and Q a constant.
+    Returns {k: F_k} for k = -4..2, where F_k[..., mu, nu, :, :] is the
+    coefficient of z^k in the curvature component F(d_mu, d_nu), with mu,
+    nu over the m holomorphic flat directions, then the m antiholomorphic
+    ones, then z.  With G[mu, nu] = d_mu A_nu + A_mu A_nu, F = G - G^T over
+    (mu, nu), so F is exactly antisymmetric.
     """
-    n = len(dS)
-    a = _connection_coefficients(S, Q)  # a[p + 2, mu]
-    da = _connection_coefficients(dS, 0.0)  # da[p + 2, nu, mu] = d_nu a[p + 2, mu]
-    # AA[p + 2, q + 2, mu, nu] = a_mu^p a_nu^q, as one matrix product
-    AA = np.tensordot(a, a, axes=(3, 2)).transpose(0, 3, 1, 4, 2, 5)
-    G = np.zeros((7, n + 1) + a.shape[1:], dtype=complex)  # G[k + 4]
+    stack, m = S.shape[:-3], S.shape[-1]
+    S, dS = S.reshape((-1,) + S.shape[-3:]), dS.reshape((-1,) + dS.shape[-4:])
+    N, n = dS.shape[:2]
+    a = _connection_coefficients(S, Q)  # a[p + 2, point, mu]
+    da = _connection_coefficients(dS, 0.0)  # da[p + 2, point, nu, mu] = d_nu a[p + 2, point, mu]
+    # AA[p + 2, q + 2, point, mu, nu] = a_mu^p a_nu^q, one matrix product per
+    # point, as at one point: products of the blocks would round differently.
+    rows, cols = np.moveaxis(a, 0, 1), np.moveaxis(a, (0, -2), (2, 1))  # [point, ...]
+    AA = (rows.reshape(N, -1, m) @ cols.reshape(N, m, -1)).reshape((N,) + (4, n + 1, m) * 2)
+    AA = AA.transpose(1, 4, 0, 2, 5, 3, 6)
+    G = np.zeros((7, N, n + 1) + a.shape[2:], dtype=complex)  # G[k + 4]
     for p in range(4):
-        G[p + 2, :n] += da[p]
-        G[p + 1, n] += (p - 2) * a[p]  # d_z of z^(p-2)
+        G[p + 2, :, :n] += da[p]
+        G[p + 1, :, n] += (p - 2) * a[p]  # d_z of z^(p-2)
         for q in range(4):
             G[p + q] += AA[p, q]
-    F = G - np.swapaxes(G, 1, 2)
-    return {k - 4: F[k] for k in range(7)}
+    F = G - np.swapaxes(G, 2, 3)
+    return {k - 4: F[k].reshape(stack + F.shape[2:]) for k in range(7)}
 
 
 def pencil_curvature(spec, t, z_samples, tol, Q=None) -> VerificationReport:
@@ -452,23 +495,26 @@ def pencil_curvature(spec, t, z_samples, tol, Q=None) -> VerificationReport:
 
     The family is D + Phi/z + z Phidag + (U/z^2 - Q/z - kappa U kappa) dz
     (see curvature_coefficients); the residual is the largest curvature
-    component over all direction pairs (including z) and all z samples.
-    Q defaults to zero; a constant override can be injected for
-    corruption tests.
+    component over all direction pairs (including z), all z samples and
+    all points.  Q defaults to zero; a constant override can be injected
+    for corruption tests.
 
     Every component is read from the Laurent coefficients, F(z) = sum_k
     F_k z^k.  verify_cv_axioms reads kappa_parallel, higgs_parallel,
     ttstar_commutator and omega_holomorphy off the same coefficients,
     and solves the Q of its q_reality from the z^-1 coefficient of
     (i, z).  The tt* data (flat_ttstar_data) does not depend on z, so it
-    and its Wirtinger derivatives come from derivative_data at t, a point
-    or the CanonicalFrame at it, as for both other verifiers.
+    and its Wirtinger derivatives come from derivative_data at t, a point,
+    a stack or the CanonicalFrame there, as for both other verifiers.
     """
-    data = derivative_data(spec, as_frame(spec, t))
+    frame = as_frame(spec, t)
+    data = derivative_data(spec, frame)
     F = curvature_coefficients(data.S, data.dS, 0.0 if Q is None else np.asarray(Q, dtype=complex))
     z = np.asarray(list(z_samples), dtype=complex)
-    Fz = np.tensordot(z[:, None] ** np.array(list(F)), np.stack(list(F.values())), 1)
+    coefficients = np.stack(list(F.values()), axis=-5)
+    Fz = z[:, None] ** np.array(list(F)) @ coefficients.reshape(coefficients.shape[:-5] + (7, -1))
 
     report = VerificationReport()
-    report.add("pencil_curvature", np.max(np.abs(Fz), initial=0.0), tol, points_checked=len(z))
+    report.add("pencil_curvature", np.max(np.abs(Fz), initial=0.0), tol,
+               points_checked=len(z) * frame.n_points)
     return report

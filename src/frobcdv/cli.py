@@ -2,9 +2,9 @@
 
 Subcommands: verify, cdv, connections, pencil, lowdim, tt2d, catalog.
 verify, connections, pencil and lowdim share one runner, cmd_pointwise:
-the table POINTWISE_CHECKS gives the reports each makes at one point's
-canonical frame (built once, and read by every check, which evaluates
-nothing), and aggregate merges them over the points.
+the table POINTWISE_CHECKS gives the reports each makes, once, at the
+stack of all its points' canonical frames (built once, and read by every
+check, which evaluates nothing), each with the worst point's residual.
 Exit codes: 0 all checks pass, 1 a check failed, 2 error.
 """
 
@@ -20,7 +20,7 @@ from . import lowdim as ld
 from .canonical import canonical_frame, check_euler_eta, check_homogeneity, check_wdvv
 from .catalog import CATALOG_NAMES, _c, catalog as catalog_entry, load_spec, write_spec
 from .errors import DefectiveU, FrobCdvError, NotSemisimple, ParseError
-from .report import CheckEntry, VerificationReport
+from .report import VerificationReport
 
 # The smallest eigenvalue gap, relative to 1 + max|u|, of a sampled point.
 # The verifiers' derivatives are exact, so nothing fails below it: at 400
@@ -61,40 +61,39 @@ def sample_points(spec, n, seed, frames=None):
     A draw is kept once canonical_frame accepts it with the eigenvalue
     gap SAMPLING_EPS_SS; one too close to the non-semi-simple locus
     (NotSemisimple, DefectiveU) is drawn again, up to RESAMPLE_LIMIT draws
-    per point, and any other error is raised.  Returns (points, skipped)
-    where skipped counts the points whose draws all stayed too close.  If
-    frames is a list, the frame built for each kept point is appended to
-    it, so that a caller need not build it again.
+    per point, and any other error is raised.  The draws are tested as one
+    stack, whose error names the first draw too close; the walk is taken
+    again without it, and so keeps the draws one at a time would.  Returns
+    (points, skipped) where skipped counts the points whose draws all
+    stayed too close.  If frames is a list, the stack frame of the kept
+    points is appended to it, so that a caller need not build it again.
     """
     rng = np.random.default_rng(seed)
-    points, skipped = [], 0
-    for _ in range(n):
-        for _attempt in range(RESAMPLE_LIMIT):
-            t = _draw_point(rng, spec.dim)
-            try:
-                frame = canonical_frame(spec, t, eps_ss=SAMPLING_EPS_SS)
-            except (NotSemisimple, DefectiveU):
-                continue
-            points.append(t)
-            if frames is not None:
-                frames.append(frame)
-            break
-        else:
-            skipped += 1
-    return points, skipped
-
-
-def aggregate(reports):
-    """Merge per-point reports: per name, in the order the names first
-    appear, the worst residual and the sum of points_checked."""
-    merged = {}
-    for rep in reports:
-        for e in rep.entries:
-            worst = merged.get(e.name)
-            merged[e.name] = e if worst is None else CheckEntry(
-                e.name, max(worst.residual, e.residual), worst.tolerance,
-                worst.points_checked + e.points_checked)
-    return VerificationReport(list(merged.values()))
+    draws, rejected = [], set()
+    while True:
+        # The walk of testing one draw at a time, each draw not set aside kept.
+        kept, skipped, i = [], 0, -1
+        for _ in range(n):
+            for _attempt in range(RESAMPLE_LIMIT):
+                i += 1
+                if i == len(draws):
+                    draws.append(_draw_point(rng, spec.dim))
+                if i not in rejected:
+                    kept.append(i)
+                    break
+            else:
+                skipped += 1
+        points = [draws[k] for k in kept]
+        if not points:
+            return points, skipped
+        try:
+            frame = canonical_frame(spec, np.array(points), eps_ss=SAMPLING_EPS_SS)
+        except (NotSemisimple, DefectiveU) as exc:
+            rejected.add(kept[exc.index])
+            continue
+        if frames is not None:
+            frames.append(frame)
+        return points, skipped
 
 
 def _matrix_json(M):
@@ -131,11 +130,11 @@ def write_report(path, spec_path, points, report, seed, skipped=0, extra=None):
 
 
 def _points_for(spec, args):
-    """(frames, skipped): the canonical frame at each point to check,
-    built once here (by sample_points, or from --point).  A run that
-    would check no point is an error, not a pass."""
+    """(frame, skipped): the canonical frame stack of the points to check,
+    built once here (by sample_points, or from --point as a stack of
+    one).  A run that would check no point is an error, not a pass."""
     if args.point:
-        return [canonical_frame(spec, _parse_point(args.point, spec.dim))], 0
+        return canonical_frame(spec, _parse_point(args.point, spec.dim)[None]), 0
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")
     frames = []
@@ -143,13 +142,13 @@ def _points_for(spec, args):
     if not frames:
         raise FrobCdvError(f"no semi-simple point found: all {skipped} samples skipped after "
                            f"{RESAMPLE_LIMIT} draws each (seed {args.seed})")
-    return frames, skipped
+    return frames[0], skipped
 
 
 def _verify_at(spec, frame, tol):
     structure = cdvmod.construct_canonical_cdv(frame, spec.d)
-    data = cdvmod.derivative_data(spec, frame)  # one for both verifiers
     hd = cdvmod.harmonic_potential(frame, spec.d)
+    data = cdvmod.derivative_data(spec, frame, hd.P)  # one for both verifiers
     return [check_wdvv(spec, frame, tol), check_homogeneity(spec, frame, tol),
             cdvmod.verify_cv_axioms(spec, structure, tol, data=data),
             cdvmod.verify_harmonic(spec, frame, hd, structure, tol, data=data),
@@ -163,7 +162,7 @@ def _lowdim_at(spec, frame, tol):
             ld.check_euler_degree(spec, frame, tol)]
 
 
-# Per subcommand that cmd_pointwise runs, the reports it makes at one canonical frame.
+# Per subcommand that cmd_pointwise runs, the reports it makes at a frame stack.
 POINTWISE_CHECKS = {
     "verify": _verify_at,
     "connections": lambda spec, frame, tol: [cdvmod.connection_gap(spec, frame, tol)],
@@ -174,29 +173,27 @@ POINTWISE_CHECKS = {
 
 def cmd_pointwise(args):
     spec = load_spec(args.spec)
-    frames, skipped = _points_for(spec, args)
-    checks = POINTWISE_CHECKS[args.command]
-    report = aggregate([rep for frame in frames for rep in checks(spec, frame, args.tol)])
-    return report, [frame.point for frame in frames], skipped, None
+    frame, skipped = _points_for(spec, args)
+    reports = POINTWISE_CHECKS[args.command](spec, frame, args.tol)
+    report = VerificationReport([e for rep in reports for e in rep.entries])
+    return report, frame.point, skipped, None
 
 
 def cmd_cdv(args):
     spec = load_spec(args.spec)
-    frames, skipped = _points_for(spec, args)
-    frame = frames[0]
+    frame, skipped = _points_for(spec, args)  # a stack of one
     structure = cdvmod.construct_canonical_cdv(frame, spec.d)
-    hd = cdvmod.harmonic_potential(frame, spec.d)
     extra = {
         "matrices": {
-            "K": _matrix_json(structure.K),
-            "h": _matrix_json(structure.h),
-            "omega": [_matrix_json(w) for w in structure.omega],
-            "P": _matrix_json(hd.P),
-            "u": [_c(z) for z in frame.u],
+            "K": _matrix_json(structure.K[0]),
+            "h": _matrix_json(structure.h[0]),
+            "omega": [_matrix_json(w) for w in structure.omega[0]],
+            "P": _matrix_json(cdvmod.harmonic_potential(frame, spec.d).P[0]),
+            "u": [_c(z) for z in frame.u[0]],
         }
     }
     report = cdvmod.verify_cv_axioms(spec, structure, args.tol)
-    return report, [frame.point], skipped, extra
+    return report, frame.point, skipped, extra
 
 
 def cmd_tt2d(args):

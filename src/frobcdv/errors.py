@@ -2,7 +2,8 @@
 
 
 class FrobCdvError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; raised at a stack
+    of points (numerics.raise_at_first), index is the failing point's."""
 
 
 class NoConvergence(FrobCdvError):

@@ -84,6 +84,34 @@ def format_point(point):
     return "(" + ", ".join(f"{complex(z):.6g}" for z in np.ravel(point)) + ")"
 
 
+def raise_at_first(bad, error, message, points=None, *per_point):
+    """Raise error at the first true entry of bad (a verdict per point, or
+    one), with message formatted from the arrays per_point there, naming
+    its point when points holds them; the error's index is its position."""
+    if not np.any(bad):
+        return
+    size = np.size(bad)
+    i = int(np.argmax(np.ravel(bad)))
+    message = message.format(*(np.reshape(x, (size,) + np.shape(x)[np.ndim(bad):])[i]
+                               for x in per_point))
+    if points is not None:
+        message += f" at {format_point(np.reshape(points, (size, -1))[i])}"
+    exc = error(message)
+    exc.index = i
+    raise exc
+
+
+def cmul(a, b):
+    """a * b of complex arrays, rounded as for two complex scalars: each real
+    product and sum on its own, where numpy's array loops may fuse them."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def cabs(z):
+    """|z| of complex arrays as abs() of a scalar: np.abs can differ by an ulp."""
+    return np.hypot(z.real, z.imag)
+
+
 def invert(M, name="matrix", points=None):
     """Inverse of a matrix, or of each in a stack, with an explicit
     determinant guard (raises Singular if any matrix fails it).
@@ -95,10 +123,5 @@ def invert(M, name="matrix", points=None):
     m = M.shape[-1]
     scale = np.max(np.sum(np.abs(M), axis=-1), axis=-1)  # infinity norm
     bad = (scale == 0.0) | (np.abs(np.linalg.det(M)) <= INV_EPS * scale**m)
-    if np.any(bad):
-        where = ""
-        if points is not None:
-            point = np.reshape(points, (-1, np.shape(points)[-1]))[int(np.argmax(np.ravel(bad)))]
-            where = f" at {format_point(point)}"
-        raise Singular(f"{name} is singular to working precision{where}")
+    raise_at_first(bad, Singular, f"{name} is singular to working precision", points)
     return np.linalg.inv(M)

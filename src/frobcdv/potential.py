@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .errors import DegenerateMetric, EvaluationFailure, ValidationError
-from .numerics import MAX_DIM, format_point
+from .numerics import MAX_DIM, raise_at_first
 
 DET_G_MIN = 1e-12
 
@@ -324,9 +324,8 @@ def flat_eval(spec: PotentialSpec, t) -> FlatPointEval:
         Cmix = np.einsum("...ijl,lk->...ijk", C3, g_inv)
         U = np.einsum("...i,...ijk->...kj", spec.euler_components(t), Cmix)
     finite = np.isfinite(np.concatenate([C3, Cmix, U[..., None, :, :]], axis=-3))
-    if not np.all(finite):
-        at = t if t.ndim == 1 else t[np.argmin(np.all(finite, axis=(-3, -2, -1)))]
-        raise EvaluationFailure(f"the third derivatives of F overflow at {format_point(at)}")
+    raise_at_first(~np.all(finite, axis=(-3, -2, -1)), EvaluationFailure,
+                   "the third derivatives of F overflow", t)
     return FlatPointEval(point=t, C3=C3, Cmix=Cmix, g=g, g_inv=g_inv, U=U)
 
 

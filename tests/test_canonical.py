@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from frobcdv import (
     A3_POINT,
+    DefectiveU,
     NotSemisimple,
     canonical_frame,
     catalog,
@@ -70,6 +71,32 @@ def test_not_semisimple_names_the_first_failing_point():
     stack = [(0.0, 1.0), (0.5, 0.0), (0.0, 0.0)]
     with pytest.raises(NotSemisimple, match=r"threshold 1\.500e-08 at \(0\.5\+0j, 0\+0j\)$"):
         canonical_frame(spec, stack)
+
+
+@pytest.mark.parametrize("defect", ["residual", "square"])
+def test_defective_u_names_the_first_failing_point(monkeypatch, defect):
+    # Both DefectiveU errors used to name no point.  solve_eig is made to
+    # fail at the second point of a stack: its residual reads 1, or its
+    # eigenvectors shrink to 1e-14, so that they square to ~0.
+    import frobcdv.canonical as canonical_module
+
+    solve_eig = canonical_module.solve_eig
+
+    def failing_at_second(M):
+        eig = solve_eig(M)
+        if defect == "residual":
+            return dataclasses.replace(eig,
+                                       residual=np.where(np.arange(3) == 1, 1.0, eig.residual))
+        scale = np.where(np.arange(3) == 1, 1e-14, 1.0)[:, None, None]
+        return dataclasses.replace(eig, eigenvectors=eig.eigenvectors * scale)
+
+    monkeypatch.setattr(canonical_module, "solve_eig", failing_at_second)
+    stack = [(0.0, 1.0), (0.5, 0.25), (0.25, 0.5)]
+    message = (r"eigenvector residual 1\.000e\+00 too large" if defect == "residual"
+               else r"eigenvector squares to ~0; algebra not semi-simple")
+    with pytest.raises(DefectiveU, match=message + r" at \(0\.5\+0j, 0\.25\+0j\)$") as info:
+        canonical_frame(catalog("quartic2"), stack)
+    assert info.value.index == 1
 
 
 def test_quartic2_canonical_values():
@@ -236,8 +263,7 @@ def test_frame_checks_equal_the_point_oracles(name):
     # across the stack.
     spec = catalog(name)
     for seed in range(3):
-        frames = []
-        sample_points(spec, 3, seed, frames)
+        frames = [canonical_frame(spec, t) for t in sample_points(spec, 3, seed)[0]]
         per_point = [_frame_checks(spec, frame) for frame in frames]
         for frame, checks in zip(frames, per_point):
             oracles = _oracles(spec, frame.point)

@@ -13,10 +13,11 @@ import pytest
 
 from frobcdv import (
     CATALOG_NAMES,
+    DefectiveU,
+    NotSemisimple,
     ParseError,
     PotentialSpec,
     ValidationError,
-    VerificationReport,
     canonical_frame,
     catalog,
     check_euler_degree,
@@ -39,7 +40,8 @@ from frobcdv import (
     verify_harmonic,
     write_spec,
 )
-from frobcdv.cli import _parse_point, aggregate, main, sample_points
+from frobcdv.cli import (RESAMPLE_LIMIT, SAMPLING_EPS_SS, _draw_point, _parse_point, main,
+                          sample_points)
 
 
 def _dump(name, tmp_path):
@@ -161,18 +163,6 @@ def test_sample_points_skips_non_semisimple():
     assert skipped == 3
 
 
-def test_aggregate_keeps_worst_residual():
-    r1, r2 = VerificationReport(), VerificationReport()
-    r1.add("a", 1e-9, 1e-5)
-    r1.add("b", 2e-3, 1e-5)
-    r2.add("a", 4e-8, 1e-5)
-    merged = aggregate([r1, r2])
-    assert merged["a"].residual == 4e-8
-    assert merged["a"].points_checked == 2
-    assert merged["b"].residual == 2e-3
-    assert not merged.passed
-
-
 def test_verify_exit_codes(tmp_path):
     good = _dump("quartic2", tmp_path)
     assert main(["verify", "--spec", good, "--points", "2"]) == 0
@@ -230,19 +220,19 @@ def test_one_frame_per_point_per_command(tmp_path, eig_calls, command, name, eig
 
 @pytest.mark.parametrize("command", ["verify", "pencil"])
 def test_one_fifth_partials_evaluation_per_point(tmp_path, derivative_calls, command):
-    # Only d_j W_k reads the fifth partials of F, once per point for both
-    # verifiers of verify.
+    # Only d_j W_k reads the fifth partials of F, in one evaluation at the
+    # stack of all the points for both verifiers of verify.
     spec = _dump("a3_3d", tmp_path)
     derivative_calls.clear()
     assert main([command, "--spec", spec, "--points", "3", "--seed", "0"]) == 0
-    assert derivative_calls[5] == [1, 1, 1]
+    assert derivative_calls[5] == [3]
 
 
 @pytest.mark.parametrize("points", [1, 3])
 @pytest.mark.parametrize("name", ["quartic2", "a3_3d"])
 def test_lowdim_forms_h_once_per_point_in_its_frame(tmp_path, monkeypatch, name, points):
     # from_canonical and check_euler_degree read h and its derivatives from
-    # the sampled frame, which forms them in one flat_frame_dh call.
+    # the sampled frame stack, which forms them in one flat_frame_dh call.
     import frobcdv.canonical as canonical_module
 
     calls = []
@@ -255,7 +245,7 @@ def test_lowdim_forms_h_once_per_point_in_its_frame(tmp_path, monkeypatch, name,
     monkeypatch.setattr(canonical_module, "flat_frame_dh", counting)
     spec = _dump(name, tmp_path)
     assert main(["lowdim", "--spec", spec, "--points", str(points), "--seed", "0"]) == 0
-    assert calls == [1] * points
+    assert calls == [points]
 
 
 # Evaluations of the fifth partials of F by one CLI call with --points 1 on
@@ -279,6 +269,91 @@ def test_frame_forms_flat_data_once_per_point(tmp_path, invert_calls, derivative
     assert len(derivative_calls[3]) == 2
     assert len(derivative_calls[4]) == 2
     assert len(derivative_calls[5]) == FIFTH_PARTIALS_PER_COMMAND[command]
+
+
+# Calls of cdv.harmonic_potential per CLI call, at any number of points:
+# verify builds it for verify_harmonic and hands its P to derivative_data,
+# cdv for its report; pencil reads no derivative of P.
+HARMONIC_POTENTIALS = {"verify": 1, "cdv": 1, "pencil": 0, "connections": 0, "lowdim": 0}
+
+
+@pytest.mark.parametrize("points", [1, 3])
+@pytest.mark.parametrize("command", sorted(HARMONIC_POTENTIALS))
+def test_harmonic_potential_is_built_once_per_command(tmp_path, monkeypatch, command, points):
+    import frobcdv.cdv as cdv_module
+
+    calls = []
+    harmonic = cdv_module.harmonic_potential
+
+    def counting(frame, d):
+        calls.append(frame.n_points)
+        return harmonic(frame, d)
+
+    monkeypatch.setattr(cdv_module, "harmonic_potential", counting)
+    args = [command, "--spec", _dump("p1", tmp_path), "--seed", "0"]
+    assert main(args + _points(command, points)) == (1 if command == "connections" else 0)
+    expected = 1 if command == "cdv" else points
+    assert calls == [expected] * HARMONIC_POTENTIALS[command]
+
+
+@pytest.mark.parametrize("name,seed", [("p1", 0), ("a3_3d", 9), ("a3_3d", 6)])
+@pytest.mark.parametrize("command", ["verify", "connections", "pencil", "lowdim"])
+def test_counts_do_not_grow_with_points(tmp_path, eig_calls, derivative_calls, command, name,
+                                        seed):
+    # Each command builds one frame stack and checks it once, so its
+    # eigen-solve calls and its evaluations of the partials of F are those
+    # of --points 1, plus one eigen-solve and one third-partials evaluation
+    # per redraw round of the sampler (a3_3d seed 6 redraws).
+    spec = _dump(name, tmp_path)
+    counts = {}
+    for points in (1, 16):
+        flat_metric.cache_clear()
+        eig_calls.clear()
+        derivative_calls.clear()
+        main([command, "--spec", spec, "--seed", str(seed), "--points", str(points)])
+        rounds = len(eig_calls)
+        assert eig_calls[-1] == points
+        assert len(derivative_calls[3]) == rounds + 1  # + flat_metric's spot check
+        counts[points] = [len(derivative_calls[order]) for order in (4, 5)]
+    assert counts[16] == counts[1] == [2, FIFTH_PARTIALS_PER_COMMAND[command]]
+
+
+def _sample_one_at_a_time(spec, n, seed):
+    """Reference: each draw tested alone, as sample_points once did."""
+    rng = np.random.default_rng(seed)
+    points, skipped = [], 0
+    for _ in range(n):
+        for _attempt in range(RESAMPLE_LIMIT):
+            t = _draw_point(rng, spec.dim)
+            try:
+                canonical_frame(spec, t, eps_ss=SAMPLING_EPS_SS)
+            except (NotSemisimple, DefectiveU):
+                continue
+            points.append(t)
+            break
+        else:
+            skipped += 1
+    return points, skipped
+
+
+@pytest.mark.parametrize("name", ["a3_3d", "trivial2", "quartic2"])
+def test_sample_points_keeps_the_draws_of_one_at_a_time(name):
+    # sample_points tests its draws as one stack, sets aside the first one
+    # each error names and walks the draws again; a3_3d redraws at seeds 1,
+    # 5, 6 and 7, and trivial2 skips every point.
+    spec = catalog(name)
+    for seed in range(10):
+        for n in (1, 3, 8):
+            frames = []
+            points, skipped = sample_points(spec, n, seed, frames)
+            expected, expected_skipped = _sample_one_at_a_time(spec, n, seed)
+            assert skipped == expected_skipped
+            assert np.array_equal(np.reshape(points, (-1, spec.dim)),
+                                  np.reshape(expected, (-1, spec.dim)))
+            if points:
+                assert np.array_equal(frames[0].point, np.array(points))
+            else:
+                assert frames == []
 
 
 @pytest.mark.parametrize("points", ["1", "3"])

@@ -12,9 +12,14 @@ from frobcdv import (
     DerivativeData,
     canonical_frame,
     catalog,
+    check_euler_degree,
+    check_m2_relations,
+    check_m3_relations,
+    connection_gap,
     construct_canonical_cdv,
     flat_eval,
     flat_metric,
+    from_canonical,
     harmonic_potential,
     pencil_curvature,
     verify_cv_axioms,
@@ -243,6 +248,35 @@ def test_stacked_verifiers_match_per_point_loops(name):
         ):
             for check, residual in oracle.items():
                 assert abs(report[check].residual - residual) <= 1e-3 * TOL, check
+
+
+def _stack_reports(spec, frame):
+    """Every pointwise check the CLI makes, at frame (a point's or a stack's)."""
+    cdv = construct_canonical_cdv(frame, spec.d)
+    reports = [verify_cv_axioms(spec, cdv, TOL),
+               verify_harmonic(spec, frame, harmonic_potential(frame, spec.d), cdv, TOL),
+               connection_gap(spec, frame, TOL), pencil_curvature(spec, frame, Z_SAMPLES, TOL)]
+    if spec.normal_form:
+        relations = {2: check_m2_relations, 3: check_m3_relations}[spec.dim]
+        reports += [relations(from_canonical(spec, frame), TOL),
+                    check_euler_degree(spec, frame, TOL)]
+    return {e.name: (e.residual, e.points_checked) for rep in reports for e in rep.entries}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_stack_checks_equal_their_worst_point(name):
+    # Each check of a stack reads the worst of its points' residuals, bit
+    # for bit, each relative residual taken at its own point: a ratio of
+    # maxima over the stack would be another number.  Scaling one point
+    # out to radius ~2 spreads the points' scales.
+    spec = catalog(name)
+    pts = np.array(sample_points(spec, 4, seed=3)[0])
+    pts[1] *= 2.0 / np.max(np.abs(pts[1]))
+    singles = [_stack_reports(spec, canonical_frame(spec, t)) for t in pts]
+    per_sample = {"pencil_curvature": len(Z_SAMPLES)}
+    assert _stack_reports(spec, canonical_frame(spec, pts)) == {
+        check: (max(single[check][0] for single in singles), per_sample.get(check, 1) * len(pts))
+        for check in singles[0]}
 
 
 # On true data every derivative check reads round-off, which any choice of
