@@ -193,19 +193,20 @@ def levi_civita_canonical(frame: CanonicalFrame):
 
 def check_wdvv(spec, frame: CanonicalFrame, tol) -> VerificationReport:
     """WDVV associativity of the frame's C_ij^k and, for a normal-form spec
-    of dimension 3, the reduced scalar of its C_ijk."""
-    report, n = VerificationReport(), frame.n_points
-    report.add("wdvv_associativity", associativity_defect(frame.ev.Cmix), tol, n)
+    of dimension 3, the reduced scalar of its C_ijk, at each point."""
+    report = VerificationReport()
+    report.add("wdvv_associativity", associativity_defect(frame.ev.Cmix), tol)
     if spec.dim == 3 and spec.normal_form:
-        report.add("wdvv_reduced_m3", np.max(reduced_wdvv_scalar(frame.ev.C3)), tol, n)
+        report.add("wdvv_reduced_m3", reduced_wdvv_scalar(frame.ev.C3), tol)
     return report
 
 
 def check_homogeneity(spec, frame: CanonicalFrame, tol) -> VerificationReport:
-    """Quasi-homogeneity of F at the frame's point(s), from its C_ijk and F4."""
+    """Quasi-homogeneity of F at each of the frame's points, from its C_ijk
+    and F4."""
     report = VerificationReport()
     residual = homogeneity_defect(spec, frame.point, frame.ev.C3, frame.F4)[0]
-    report.add("euler_homogeneity", residual, tol, frame.n_points)
+    report.add("euler_homogeneity", residual, tol)
     return report
 
 
@@ -213,7 +214,6 @@ def check_euler_eta(spec, frame: CanonicalFrame, tol) -> VerificationReport:
     """Scaling law E(eta_alpha) = -d * eta_alpha along the Euler field."""
     # E eta_alpha = sum_beta u^beta e_beta(eta_alpha), at each point.
     e_eta = (frame.u[..., None, :] @ frame.eta_d)[..., 0, :]
-    residual = float(np.max(np.abs(e_eta + spec.d * frame.eta)))
     report = VerificationReport()
-    report.add("euler_eta_scaling", residual, tol, frame.n_points)
+    report.add("euler_eta_scaling", np.max(np.abs(e_eta + spec.d * frame.eta), axis=-1), tol)
     return report

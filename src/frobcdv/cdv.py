@@ -9,7 +9,8 @@ gaps of connection_gap work in the flat frame, where every matrix is
 label-invariant, so no verifier matches eigenvalue labels.  Each reads
 A^{-1}, the pairing h, its derivatives and h^{-1} from the
 CanonicalFrame, which forms them once, at a point or at each of a stack
-(a leading axis; a residual is then the worst point's).  derivative_data
+(a leading axis).  Every check hands VerificationReport.add its residual
+at each point, which reads the worst of them.  derivative_data
 gives all three verifiers (verify_cv_axioms, verify_harmonic and
 pencil_curvature) the tt* data and its exact derivatives from that
 frame; no verifier takes a finite difference.  The Hermitian pairing convention is h(u, v) =
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalFrame, as_frame, canonical_frame, levi_civita_canonical
-from .numerics import cabs
 from .potential import fifth_derivatives
 from .report import VerificationReport
 
@@ -169,10 +169,6 @@ def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
     return DerivativeData(S=S, dS=dS, dP=dP)
 
 
-def _maxabs(M):
-    return float(np.max(np.abs(M)))
-
-
 def _point_maxabs(M, n):
     """max |M| at each of n points: over all of M at one point, over each
     entry of its leading axis at a stack of n."""
@@ -181,25 +177,24 @@ def _point_maxabs(M, n):
 
 def _relative(n, M, *scales):
     """max |M| over the product of max |S| for S in scales, each taken at
-    each of n points (_point_maxabs), and the largest over the points."""
-    return np.max(_point_maxabs(M, n) / np.prod([_point_maxabs(S, n) for S in scales], axis=0))
+    each of n points (_point_maxabs): one ratio per point."""
+    return _point_maxabs(M, n) / np.prod([_point_maxabs(S, n) for S in scales], axis=0)
 
 
 def kappa_defect(h, g_inv):
-    """|conj(K) K - I| for K = g^{-1} h, the matrix of kappa: zero when
-    kappa is an involution."""
+    """max |conj(K) K - I| for K = g^{-1} h, the matrix of kappa: zero when
+    kappa is an involution.  For a stack of pairings, one per pairing."""
     K = g_inv @ h
-    return _maxabs(np.conj(K) @ K - np.eye(h.shape[-1]))
+    return np.max(np.abs(np.conj(K) @ K - np.eye(h.shape[-1])), axis=(-2, -1))
 
 
 def pairing_defect(h):
     """The non-Hermitian part of h and its most negative eigenvalue,
     relative to |h|: zero when h is Hermitian and positive semi-definite.
-    For a stack of pairings, the largest over them."""
-    n = len(np.reshape(h, (-1,) + h.shape[-2:]))
-    negativity = np.maximum(0.0, -np.linalg.eigvalsh(h)[..., 0]).reshape(n)
-    defect = np.maximum(_point_maxabs(h - np.conj(np.swapaxes(h, -1, -2)), n), negativity)
-    return float(np.max(defect / _point_maxabs(h, n)))
+    For a stack of pairings, one per pairing."""
+    negativity = np.maximum(0.0, -np.linalg.eigvalsh(h)[..., 0])
+    asymmetry = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))), axis=(-2, -1))
+    return np.maximum(asymmetry, negativity) / np.max(np.abs(h), axis=(-2, -1))
 
 
 def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None,
@@ -228,15 +223,15 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
     report = VerificationReport()
 
     # (a) kappa is an involution: conj(K) K = I.
-    report.add("kappa_involution", kappa_defect(h, frame.ev.g_inv), alg_tol, n)
+    report.add("kappa_involution", kappa_defect(h, frame.ev.g_inv), alg_tol)
 
     # (b) h is Hermitian and positive definite, relative to its size.
-    report.add("hermitian_pairing", pairing_defect(h), alg_tol, n)
+    report.add("hermitian_pairing", pairing_defect(h), alg_tol)
 
     # (c) the kappa-conjugate of the Higgs field is its h-adjoint
     # conj(h^{-1} Phi^T h) (as h(u, v) = u^T h conj(v)), relative to |Phi|.
     higgs_adjoint = np.conj(h_inv[..., None, :, :] @ np.swapaxes(Phi, -1, -2) @ h[..., None, :, :])
-    report.add("higgs_reality", _relative(n, Phidag - higgs_adjoint, Phi), alg_tol, n)
+    report.add("higgs_reality", _relative(n, Phidag - higgs_adjoint, Phi), alg_tol)
 
     # The curvature coefficients F[k][mu, nu] of z^k; i, j are holomorphic
     # flat directions, ibar, jbar antiholomorphic ones.
@@ -246,16 +241,16 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
     # (d) kappa is Chern-parallel: the z^1 coefficients of (i, jbar),
     # d_i Phidag_j + [W_i, Phidag_j], and of (ibar, jbar),
     # dbar_i Phidag_j - dbar_j Phidag_i.
-    report.add("kappa_parallel", _maxabs(F[1][..., both, anti, :, :]), tol, n)
+    report.add("kappa_parallel", _point_maxabs(F[1][..., both, anti, :, :], n), tol)
 
     # (e) the Higgs field is Chern-parallel: the z^-1 coefficients of (i, j),
     # d_i Phi_j - d_j Phi_i + [W_i, Phi_j] - [W_j, Phi_i], and of (i, jbar),
     # -dbar_j Phi_i.
-    report.add("higgs_parallel", _maxabs(F[-1][..., hol, both, :, :]), tol, n)
+    report.add("higgs_parallel", _point_maxabs(F[-1][..., hol, both, :, :], n), tol)
 
     # (f) tt* commutator: the z^0 coefficient of (i, jbar),
     # -dbar_j W_i + [Phi_i, Phidag_j].
-    report.add("ttstar_commutator", _maxabs(F[0][..., hol, anti, :, :]), tol, n)
+    report.add("ttstar_commutator", _point_maxabs(F[0][..., hol, anti, :, :], n), tol)
 
     # (g) Q is self-adjoint and kappa-odd.  Q is the least-norm solution of
     # [W_i, Q] = -[Phi_i, kappa U kappa], the z^-1 coefficient of the (i, z)
@@ -271,17 +266,18 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
                    kUk.shape)
     q_real = np.maximum(_point_maxabs(Q - np.conj(h_inv @ np.swapaxes(Q, -1, -2) @ h), n),
                         _point_maxabs(Q + K @ np.conj(Q) @ np.conj(K), n))
-    report.add("q_reality", np.max(q_real * _point_maxabs(W, n)
-                                   / (_point_maxabs(Phi, n) * _point_maxabs(kUk, n))), alg_tol, n)
+    report.add("q_reality", q_real * _point_maxabs(W, n)
+               / (_point_maxabs(Phi, n) * _point_maxabs(kUk, n)), alg_tol)
 
     # (h) the unit field e = A 1, constant in flat coordinates, is
     # Chern-parallel along itself: D_e e = sum_k e^k W_k e = 0.
     e = frame.A.sum(axis=-1)
-    report.add("unit_parallel", _maxabs(np.einsum("...k,...kij,...j->...i", e, W, e)), tol, n)
+    report.add("unit_parallel", _point_maxabs(np.einsum("...k,...kij,...j->...i", e, W, e), n),
+               tol)
 
     # (i) holomorphy of the Chern connection: dbar_j W_i, its curvature,
     # vanishes.
-    report.add("omega_holomorphy", _maxabs(dS[..., m:, :m, :, :]), tol, n)
+    report.add("omega_holomorphy", _point_maxabs(dS[..., m:, :m, :, :], n), tol)
 
     return report
 
@@ -332,19 +328,19 @@ def verify_harmonic(spec, frame: CanonicalFrame, hd: HarmonicData, cdv: CdvStruc
     report = VerificationReport()
 
     # (a) D'P = Phi: d_k P + [W_k, P] = Phi_k.
-    report.add("dprime_p_equals_higgs", _maxabs(dP + W @ P_k - P_k @ W - Phi), tol, n)
+    report.add("dprime_p_equals_higgs", _point_maxabs(dP + W @ P_k - P_k @ W - Phi, n), tol)
 
     # (b) D' = nabla - [Pdag, Phi], where nabla is trivial in flat
     # coordinates: W_k = -[Pdag, Phi_k], relative to |Pdag| |Phi|.
     report.add("chern_from_levi_civita", _relative(n, W + Pdag_k @ Phi - Phi @ Pdag_k, Pdag, Phi),
-               tol, n)
+               tol)
 
     # (c) P is g-self-adjoint: g^{-1} P^T g = P, relative to |P|.
     report.add("p_selfadjoint",
-               _relative(n, frame.ev.g_inv @ np.swapaxes(P, -1, -2) @ frame.ev.g - P, P), tol, n)
+               _relative(n, frame.ev.g_inv @ np.swapaxes(P, -1, -2) @ frame.ev.g - P, P), tol)
 
     # (d) V + [Pdag, U] = 0, relative to |Pdag| |U|.
-    report.add("v_commutator", _relative(n, V + Pdag @ U - U @ Pdag, Pdag, U), tol, n)
+    report.add("v_commutator", _relative(n, V + Pdag @ U - U @ Pdag, Pdag, U), tol)
 
     return report
 
@@ -389,17 +385,17 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     report = VerificationReport()
 
     # (a) flat Levi-Civita vs Chern connection, canonical frame.
-    report.add("nabla_vs_chern", _maxabs(levi_civita_canonical(frame) - cdv.omega), tol, n)
+    report.add("nabla_vs_chern", _point_maxabs(levi_civita_canonical(frame) - cdv.omega, n), tol)
 
     # (b) torsion of the Chern connection (diagonal-omega reduction), 0 at
     # m = 1: the off-diagonal omega_beta^beta(e_alpha).
     torsion = cdv.omega[..., np.arange(m), np.arange(m)][..., ~np.eye(m, dtype=bool)]
-    report.add("chern_torsion", np.max(cabs(torsion), initial=0.0), tol, n)
+    report.add("chern_torsion", np.max(np.abs(torsion), axis=-1, initial=0.0), tol)
 
     # (c) closedness of the Kaehler form, flat coordinates:
     # max |d_k h_ij - d_i h_kj|.
     dh = frame.dh
-    report.add("kaehler_closedness", _maxabs(dh - np.swapaxes(dh, -3, -2)), tol, n)
+    report.add("kaehler_closedness", _point_maxabs(dh - np.swapaxes(dh, -3, -2), n), tol)
 
     # (d) real Levi-Civita of Re h vs Chern and vs flat, after
     # complexifying real output vectors via v = v_x + i v_y.
@@ -418,8 +414,8 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     W = dh @ frame.h_inv[..., None, :, :]
     factor = np.repeat([1.0, 1j], m)
     v_chern = np.tile(W, (2, 2, 1)) * np.multiply.outer(factor, factor)[:, :, None]
-    report.add("real_lc_vs_chern", _maxabs(v_hat - v_chern), tol, n)
-    report.add("real_lc_vs_nabla", _maxabs(v_hat), tol, n)
+    report.add("real_lc_vs_chern", _point_maxabs(v_hat - v_chern, n), tol)
+    report.add("real_lc_vs_nabla", _point_maxabs(v_hat, n), tol)
 
     return report
 
@@ -515,6 +511,5 @@ def pencil_curvature(spec, t, z_samples, tol, Q=None) -> VerificationReport:
     Fz = z[:, None] ** np.array(list(F)) @ coefficients.reshape(coefficients.shape[:-5] + (7, -1))
 
     report = VerificationReport()
-    report.add("pencil_curvature", np.max(np.abs(Fz), initial=0.0), tol,
-               points_checked=len(z) * frame.n_points)
+    report.add("pencil_curvature", np.max(np.abs(Fz), axis=-1), tol)  # at each point and z
     return report

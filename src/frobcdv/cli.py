@@ -62,8 +62,8 @@ def sample_points(spec, n, seed, frames=None):
     gap SAMPLING_EPS_SS; one too close to the non-semi-simple locus
     (NotSemisimple, DefectiveU) is drawn again, up to RESAMPLE_LIMIT draws
     per point, and any other error is raised.  The draws are tested as one
-    stack, whose error names the first draw too close; the walk is taken
-    again without it, and so keeps the draws one at a time would.  Returns
+    stack, whose error holds every draw too close; the walk is taken
+    again without them, and so keeps the draws one at a time would.  Returns
     (points, skipped) where skipped counts the points whose draws all
     stayed too close.  If frames is a list, the stack frame of the kept
     points is appended to it, so that a caller need not build it again.
@@ -89,7 +89,7 @@ def sample_points(spec, n, seed, frames=None):
         try:
             frame = canonical_frame(spec, np.array(points), eps_ss=SAMPLING_EPS_SS)
         except (NotSemisimple, DefectiveU) as exc:
-            rejected.add(kept[exc.index])
+            rejected.update(kept[i] for i in exc.indices)
             continue
         if frames is not None:
             frames.append(frame)
@@ -133,7 +133,7 @@ def _points_for(spec, args):
     """(frame, skipped): the canonical frame stack of the points to check,
     built once here (by sample_points, or from --point as a stack of
     one).  A run that would check no point is an error, not a pass."""
-    if args.point:
+    if args.point is not None:
         return canonical_frame(spec, _parse_point(args.point, spec.dim)[None]), 0
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")

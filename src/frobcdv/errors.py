@@ -3,7 +3,8 @@
 
 class FrobCdvError(Exception):
     """Base class for all errors raised by this package; raised at a stack
-    of points (numerics.raise_at_first), index is the failing point's."""
+    of points (numerics.raise_at_first), indices are the positions of
+    every failing point."""
 
 
 class NoConvergence(FrobCdvError):

@@ -85,31 +85,22 @@ def format_point(point):
 
 
 def raise_at_first(bad, error, message, points=None, *per_point):
-    """Raise error at the first true entry of bad (a verdict per point, or
-    one), with message formatted from the arrays per_point there, naming
-    its point when points holds them; the error's index is its position."""
+    """Raise error if an entry of bad (a verdict per point, or one) is true,
+    with message formatted from the arrays per_point at the first true
+    entry, naming its point when points holds them; the error's indices
+    are the positions of every true entry, first to last."""
     if not np.any(bad):
         return
     size = np.size(bad)
-    i = int(np.argmax(np.ravel(bad)))
+    indices = np.flatnonzero(bad).tolist()
+    i = indices[0]
     message = message.format(*(np.reshape(x, (size,) + np.shape(x)[np.ndim(bad):])[i]
                                for x in per_point))
     if points is not None:
         message += f" at {format_point(np.reshape(points, (size, -1))[i])}"
     exc = error(message)
-    exc.index = i
+    exc.indices = indices
     raise exc
-
-
-def cmul(a, b):
-    """a * b of complex arrays, rounded as for two complex scalars: each real
-    product and sum on its own, where numpy's array loops may fuse them."""
-    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-
-
-def cabs(z):
-    """|z| of complex arrays as abs() of a scalar: np.abs can differ by an ulp."""
-    return np.hypot(z.real, z.imag)
 
 
 def invert(M, name="matrix", points=None):

@@ -304,6 +304,7 @@ def flat_metric(spec: PotentialSpec):
         metric = " ".join(np.array2string(np.real_if_close(g0), separator=", ").split())
         raise ValidationError(f"normal_form needs the metric C_1ij = antidiag(1, ..., 1), "
                               f"got {metric}")
+    residual = np.max(residual)
     if not (np.isfinite(residual) and residual <= HOMOGENEITY_SPOT * size):
         raise ValidationError("declared Euler data fails the homogeneity spot-check")
     g = g0.copy()
@@ -331,15 +332,15 @@ def flat_eval(spec: PotentialSpec, t) -> FlatPointEval:
 
 def associativity_defect(Cmix):
     """Max associativity defect |sum_l C_ij^l C_lk^p - sum_l C_jk^l C_il^p|
-    of the tensors C_ij^k (Cmix) at one point, or over a stack."""
+    of the tensors C_ij^k (Cmix) at one point, or at each of a stack."""
     left = np.einsum("...ijl,...lkp->...ijkp", Cmix, Cmix)
     right = np.einsum("...jkl,...ilp->...ijkp", Cmix, Cmix)
-    return float(np.max(np.abs(left - right)))
+    return np.max(np.abs(left - right), axis=(-4, -3, -2, -1))
 
 
 def wdvv_residual(spec: PotentialSpec, t) -> float:
-    """associativity_defect at t, one point or a stack of them."""
-    return associativity_defect(flat_eval(spec, t).Cmix)
+    """associativity_defect maximised over t, one point or a stack of them."""
+    return float(np.max(associativity_defect(flat_eval(spec, t).Cmix)))
 
 
 def reduced_wdvv_scalar(C):
@@ -356,18 +357,21 @@ def wdvv_reduced_m3(spec: PotentialSpec, t) -> float:
 
 
 def homogeneity_defect(spec: PotentialSpec, t, C3, F4):
-    """(residual, size): the max over t (one point or a stack) of the third
-    derivatives d_jkl(L_E F - d_F F) = E^i F_ijkl + (d_j + d_k + d_l - d_F)
-    F_jkl, from the partials C3 and F4 of F at t, and the size of the two
-    terms (at least 1).  Quadratic slack in L_E F - d_F F is not seen."""
+    """(residual, size): the max at each point of t (one point or a stack)
+    of the third derivatives d_jkl(L_E F - d_F F) = E^i F_ijkl + (d_j + d_k
+    + d_l - d_F) F_jkl, from the partials C3 and F4 of F at t, and the size
+    of the two terms over all of t (at least 1).  Quadratic slack in L_E F
+    - d_F F is not seen."""
     d = np.asarray(spec.degrees, dtype=float)
     weight = d[:, None, None] + d[None, :, None] + d[None, None, :] - spec.d_F
     euler = np.einsum("...i,...ijkl->...jkl", spec.euler_components(t), F4)
     weighted = weight * C3
     size = max(1.0, np.max(np.abs(euler)), np.max(np.abs(weighted)))
-    return float(np.max(np.abs(euler + weighted))), size
+    return np.max(np.abs(euler + weighted), axis=(-3, -2, -1)), size
 
 
 def homogeneity_residual(spec: PotentialSpec, t) -> float:
-    """homogeneity_defect's residual at t, one point or a stack of them."""
-    return homogeneity_defect(spec, t, third_derivatives(spec, t), fourth_derivatives(spec, t))[0]
+    """homogeneity_defect's residual maximised over t, one point or a stack
+    of them."""
+    C3, F4 = third_derivatives(spec, t), fourth_derivatives(spec, t)
+    return float(np.max(homogeneity_defect(spec, t, C3, F4)[0]))

@@ -1,6 +1,13 @@
-"""Named residual entries with tolerances and pass/fail verdicts."""
+"""Named residual entries with tolerances and pass/fail verdicts.
+
+A check hands VerificationReport.add its residual at each point it
+checked; the entry keeps the worst of them and their count, so that no
+check reduces over its points itself.
+"""
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -19,8 +26,11 @@ class CheckEntry:
 class VerificationReport:
     entries: list = field(default_factory=list)
 
-    def add(self, name, residual, tolerance, points_checked=1):
-        entry = CheckEntry(name, float(residual), float(tolerance), points_checked)
+    def add(self, name, residual, tolerance):
+        """Add the entry of a check whose residual at each point it checked
+        is residual (an array of any shape, or a number for one point): it
+        reads the largest of them, and points_checked is their count."""
+        entry = CheckEntry(name, float(np.max(residual)), float(tolerance), int(np.size(residual)))
         self.entries.append(entry)
         return entry
 

@@ -96,7 +96,7 @@ def test_defective_u_names_the_first_failing_point(monkeypatch, defect):
                else r"eigenvector squares to ~0; algebra not semi-simple")
     with pytest.raises(DefectiveU, match=message + r" at \(0\.5\+0j, 0\.25\+0j\)$") as info:
         canonical_frame(catalog("quartic2"), stack)
-    assert info.value.index == 1
+    assert info.value.indices == [1]
 
 
 def test_quartic2_canonical_values():

@@ -97,7 +97,7 @@ def test_parse_point():
 
 
 BAD_POINTS = {
-    "quartic2": ("a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "1e200,0;0,1", "0,1e200;0.5,0",
+    "quartic2": ("", "a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "1e200,0;0,1", "0,1e200;0.5,0",
                  "-inf,0;0,0", "--x"),
     # Not semi-simple, and overflowing: numpy's repr of a point of three
     # coordinates wrapped these messages onto two lines.
@@ -109,8 +109,9 @@ BAD_POINTS = {
 @pytest.mark.parametrize("command", ["verify", "cdv", "connections", "pencil", "lowdim"])
 def test_bad_point_is_one_line_error(tmp_path, capsys, command):
     # A non-numeric or non-finite coordinate used to end in a traceback;
-    # pencil printed numpy's overflow warning at 1e200, and argparse took
-    # a point starting with "-" but not with a digit for an option.
+    # pencil printed numpy's overflow warning at 1e200, argparse took a
+    # point starting with "-" but not with a digit for an option, and an
+    # empty point was ignored, so that the command sampled its points.
     for name, points in BAD_POINTS.items():
         spec = _dump(name, tmp_path)
         for point in points:
@@ -354,6 +355,15 @@ def test_sample_points_keeps_the_draws_of_one_at_a_time(name):
                 assert np.array_equal(frames[0].point, np.array(points))
             else:
                 assert frames == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_points_sets_aside_every_draw_an_error_names(eig_calls, seed):
+    # An error of the stack names every draw too close, and all of them are
+    # set aside in one round; set aside one at a time, a3_3d's 64 points
+    # took 7, 11 and 9 eigen-solve calls at these seeds.
+    sample_points(catalog("a3_3d"), 64, seed)
+    assert len(eig_calls) <= 3
 
 
 @pytest.mark.parametrize("points", ["1", "3"])

@@ -70,8 +70,9 @@ def test_invert_names_the_matrix_and_first_singular_point():
     stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2))])
     points = np.array([[0.0, 1.0], [0.5 - 2.0j, 1e-7j], [3.0, 3.0]])
     with pytest.raises(Singular, match=r"^frame M is singular to working precision "
-                                       r"at \(0\.5-2j, 0\+1e-07j\)$"):
+                                       r"at \(0\.5-2j, 0\+1e-07j\)$") as info:
         invert(stack, "frame M", points)
+    assert info.value.indices == [1, 2]  # the message names the first
 
 
 def test_invert_twice_is_identity():

@@ -26,7 +26,7 @@ from frobcdv import (
     verify_harmonic,
 )
 from frobcdv import cdv as cdv_module
-from frobcdv.cli import sample_points
+from frobcdv.cli import POINTWISE_CHECKS, sample_points
 
 NAMES = ("quartic2", "p1", "a3_3d")
 TOL = 1e-5
@@ -277,6 +277,25 @@ def test_stack_checks_equal_their_worst_point(name):
     assert _stack_reports(spec, canonical_frame(spec, pts)) == {
         check: (max(single[check][0] for single in singles), per_sample.get(check, 1) * len(pts))
         for check in singles[0]}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_permuting_the_points_leaves_every_entry_unchanged(name):
+    # Each check hands its report one residual per point, which keeps their
+    # max and count: neither depends on the order of the points.
+    spec = catalog(name)
+    pts = np.array(sample_points(spec, 4, seed=3)[0])
+    pts[1] *= 2.0 / np.max(np.abs(pts[1]))
+
+    def entries(points):
+        frame = canonical_frame(spec, points)
+        return [(command, e.name, e.residual, e.points_checked)
+                for command, checks in POINTWISE_CHECKS.items()
+                for rep in checks(spec, frame, TOL) for e in rep.entries]
+
+    expected = entries(pts)
+    for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
+        assert entries(pts[order]) == expected, order
 
 
 # On true data every derivative check reads round-off, which any choice of
