@@ -13,7 +13,9 @@ CanonicalFrame, which forms them once, at a point or at each of a stack
 at each point, which reads the worst of them.  derivative_data
 gives all three verifiers (verify_cv_axioms, verify_harmonic and
 pencil_curvature) the tt* data and its exact derivatives from that
-frame; no verifier takes a finite difference.  The Hermitian pairing convention is h(u, v) =
+frame, each first order in it, with d_j W_k up to its part symmetric
+in (j, k), which no curvature component reads; no verifier takes a
+finite difference.  The Hermitian pairing convention is h(u, v) =
 sum_ij u^i conj(v^j) h_ij, C-linear in the first slot.
 """
 
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalFrame, as_frame, canonical_frame, levi_civita_canonical
-from .potential import fifth_derivatives
 from .report import VerificationReport
 
 ALG_TOL = 1e-10
@@ -62,6 +63,12 @@ class DerivativeData:
     derivatives along the 2m directions, d/dt^j then d/dconj(t^j)
     (curvature_coefficients' order), and dP (if P was given) the
     holomorphic ones of P_flat = A P A^{-1}, P the harmonic potential.
+
+    The hol-W block dS[..., :m, :m, :, :] holds d_j W_k only up to a part
+    symmetric in (j, k): [j, k] is (-d_k h h^{-1} d_j h h^{-1})^T, which
+    leaves out (d_j d_k h h^{-1})^T.  The block enters the curvature only
+    as d_j W_k - d_k W_j (curvature_coefficients), where that part
+    cancels, and no other check reads it.
     """
 
     S: np.ndarray
@@ -85,20 +92,20 @@ def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
     verifiers; dP given P = harmonic_potential(frame, d).P.
 
     h, its first derivatives, h^{-1}, A^{-1} and the fourth partials of F
-    come from the frame.  Every derivative of the tt* data is first order
-    in the frame except d_j W_k, which takes d_j dC, one evaluation of the
-    fifth partials of F.
+    come from the frame, and every derivative is first order in it.
 
     G = diag(sqrt eta) A^{-1} (any branch of the root) has h = G^T conj(G)
     and d_k G = N_k G, where N_k[a, c] = -dC[k, c, a] / sqrt(eta_a eta_c)
-    off the diagonal and 0 on it.  So d_k h = G^T N_k^T conj(G), dbar_j
-    d_k h = G^T N_k^T conj(N_j) conj(G) and d_j d_k h = G^T (d_j N_k + N_k
-    N_j)^T conj(G), and W_k = (d_k h h^{-1})^T follows by the quotient
-    rule; Phidag_k and kappa U kappa = K conj(Y) conj(K) (Y = Phi_k, U)
-    by the product rule, with d_j K = g^{-1} d_j h and dbar_j K = g^{-1}
-    (d_j h)^dagger.  P_flat = A P A^{-1} has d_k P_flat = A ([X_k, P] +
-    d_k P) A^{-1}, X_k the matrix of d_k e_alpha (canonical.flat_frame_dh),
-    and P holds conj(eta_d), whose holomorphic derivative is 0.
+    off the diagonal and 0 on it.  So dbar_j d_k h = G^T N_k^T conj(N_j)
+    conj(G), and the derivatives of W_k = (d_k h h^{-1})^T follow by the
+    quotient rule.  The hol-W block leaves out (d_j d_k h h^{-1})^T, which
+    is symmetric in (j, k) and so cancels from every curvature component
+    (see DerivativeData).  Phidag_k and kappa U kappa = K conj(Y) conj(K)
+    (Y = Phi_k, U) follow by the product rule, with d_j K = g^{-1} d_j h
+    and dbar_j K = g^{-1} (d_j h)^dagger.  P_flat = A P A^{-1} has d_k
+    P_flat = A ([X_k, P] + d_k P) A^{-1}, X_k the matrix of d_k e_alpha
+    (canonical.flat_frame_dh), and P holds conj(eta_d), whose holomorphic
+    derivative is 0.
     """
     S = flat_ttstar_data(frame)
     m = frame.u.shape[-1]
@@ -109,34 +116,17 @@ def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
     # Against the pairs [j, k] (or [j, s], s a slot), an array over j is
     # indexed [..., :, None, :, :], one over k [..., None, :, :, :].
     s = np.sqrt(eta)
-    ss = s[..., None, :, None] * s[..., None, None, :]
     G = s[..., :, None] * B
-    q = dC[..., a, a] / eta[..., None, :]  # q[j, alpha] = -d_j eta_alpha / (2 eta_alpha)
-    X = np.swapaxes(dC, -1, -2) / eta[..., None, :, None]  # X[k, c, a] = dC[k, a, c] / eta_c
-    X[..., a, a] = -q
-    N = -np.swapaxes(dC, -1, -2) / ss
+    N = -np.swapaxes(dC, -1, -2) / (s[..., None, :, None] * s[..., None, None, :])
     N[..., a, a] = 0.0
     N_j, N_k = N[..., :, None, :, :], N[..., None, :, :, :]
 
-    # d_j dC[k, c, a] = F5(d_j, d_k, e_c, e_c, e_a) + F4 with d_j e_c = sum_d
-    # X[j, d, c] e_d in each idempotent slot; T[k, b, c, a] = F4(d_k, e_b,
-    # e_c, e_a), so T[k, c, c, a] = dC[k, c, a].
-    T = np.einsum("...kijl,...ib,...jc,...la->...kbca", F4, A, A, A)
-    ddC = (np.einsum("...jkiln,...ic,...lc,...na->...jkca", fifth_derivatives(spec, frame.point),
-                     A, A, A)
-           + 2.0 * np.einsum("...jdc,...kdca->...jkca", X, T)
-           + np.einsum("...jda,...kcd->...jkca", X, dC))
-    dN = (-np.swapaxes(ddC, -1, -2) / ss[..., None, :, :, :]
-          + N_k * (q[..., :, None, :, None] + q[..., :, None, None, :]))
-    dN[..., a, a] = 0.0
-
     G_T, G_conj = (np.expand_dims(M, (-3, -4)) for M in (np.swapaxes(G, -1, -2), np.conj(G)))
     dh_bar = np.conj(np.swapaxes(dh, -1, -2))  # dbar_j h
-    hol_h = G_T @ np.swapaxes(dN + N_k @ N_j, -1, -2) @ G_conj  # [j, k]: d_j d_k h
     anti_h = G_T @ (np.swapaxes(N_k, -1, -2) @ np.conj(N_j)) @ G_conj  # [j, k]: dbar_j d_k h
     dh_h = (dh @ h_inv[..., None, :, :])[..., None, :, :, :]
     h_inv_jk = h_inv[..., None, None, :, :]
-    hol_W = np.swapaxes((hol_h - dh_h @ dh[..., :, None, :, :]) @ h_inv_jk, -1, -2)
+    hol_W = np.swapaxes(-(dh_h @ dh[..., :, None, :, :]) @ h_inv_jk, -1, -2)
     anti_W = np.swapaxes((anti_h - dh_h @ dh_bar[..., :, None, :, :]) @ h_inv_jk, -1, -2)
 
     # Phi_k = -C_k^T and U = sum_i E^i C_i^T, with d_j E^i = degree_i delta_ij.
@@ -162,6 +152,9 @@ def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
     if P is None:
         return DerivativeData(S=S, dS=dS, dP=None)
 
+    q = dC[..., a, a] / eta[..., None, :]  # q[j, alpha] = -d_j eta_alpha / (2 eta_alpha)
+    X = np.swapaxes(dC, -1, -2) / eta[..., None, :, None]  # X[k, c, a] = dC[k, a, c] / eta_c
+    X[..., a, a] = -q
     P_k = P[..., None, :, :]
     dP = P_k * (q[..., :, :, None] - q[..., :, None, :])
     dP[..., a, a] = -np.einsum("...bi,...kij,...jb->...kb", B, dU, A)  # -d_k u_beta
@@ -501,7 +494,9 @@ def pencil_curvature(spec, t, z_samples, tol, Q=None) -> VerificationReport:
     and solves the Q of its q_reality from the z^-1 coefficient of
     (i, z).  The tt* data (flat_ttstar_data) does not depend on z, so it
     and its Wirtinger derivatives come from derivative_data at t, a point,
-    a stack or the CanonicalFrame there, as for both other verifiers.
+    a stack or the CanonicalFrame there, as for both other verifiers; the
+    part of d_j W_k that derivative_data leaves out is symmetric in (j,
+    k), so no component moves with it.
     """
     frame = as_frame(spec, t)
     data = derivative_data(spec, frame)

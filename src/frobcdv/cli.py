@@ -124,8 +124,7 @@ def write_report(path, spec_path, points, report, seed, skipped=0, extra=None):
         doc.update(extra)
     if path:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
 
 

@@ -253,12 +253,6 @@ def fourth_derivatives(spec: PotentialSpec, t):
     return _symmetric_derivatives(spec.terms, spec.dim, t, 4)
 
 
-def fifth_derivatives(spec: PotentialSpec, t):
-    """Totally symmetric tensor of fifth partials of F at t (one point, or
-    a stack of them)."""
-    return _symmetric_derivatives(spec.terms, spec.dim, t, 5)
-
-
 # Two fixed generic points of the unit polydisk, with pairwise distinct
 # coordinates, at which flat_metric spot-checks every spec; a spec of
 # dimension m reads the first m coordinates of each.

@@ -419,7 +419,9 @@ def test_derivative_data_against_fd_oracle(name, seed):
     # Oracle: an order-4 Wirtinger difference of the flat data of each
     # point (_flat_data_loop) and of P_flat.  A block's scale is the larger
     # of its value and its exact derivatives; the worst difference over 40
-    # points per spec was 1e-10 of it.
+    # points per spec was 1e-10 of it.  derivative_data defines d_j W_k
+    # only up to a part symmetric in (j, k), so the hol-W block is compared
+    # as d_j W_k - d_k W_j.
     spec = catalog(name)
     m = spec.dim
     pts, _ = sample_points(spec, 1, seed=seed)
@@ -429,7 +431,11 @@ def test_derivative_data_against_fd_oracle(name, seed):
     blocks = (slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m), slice(3 * m, 3 * m + 2))
     for b in blocks:
         scale = max(np.max(np.abs(exact.S[b])), np.max(np.abs(exact.dS[:, b])))
-        assert np.max(np.abs(exact.dS[:, b] - fd.dS[:, b])) <= 1e-8 * scale, b
+        ours, theirs = exact.dS[:, b], fd.dS[:, b]
+        if b == blocks[0]:
+            ours, theirs = (np.concatenate([D[:m] - np.swapaxes(D[:m], 0, 1), D[m:]])
+                            for D in (ours, theirs))
+        assert np.max(np.abs(ours - theirs)) <= 1e-8 * scale, b
     P = frame.A @ harmonic_potential(frame, spec.d).P @ np.linalg.inv(frame.A)
     scale = max(np.max(np.abs(P)), np.max(np.abs(exact.dP)))
     assert np.max(np.abs(exact.dP - fd.dP)) <= 1e-8 * scale
@@ -602,12 +608,10 @@ def test_pencil_scalar_grading_term_is_invisible():
 @pytest.mark.parametrize("given", ["frame", "point"])
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)],
                          ids=["quartic2", "a3_3d"])
-def test_pencil_reads_its_frame_and_one_fifth_partials_evaluation(
-        eig_calls, derivative_calls, invert_calls, name, t, given):
-    # derivative_data reads the frame at the point and one evaluation of
-    # the fifth partials of F there.  Given a point, its frame takes one
-    # eigen-solve, one evaluation of the third and fourth partials, and
-    # inverts A and h.
+def test_pencil_reads_only_its_frame(eig_calls, derivative_calls, invert_calls, name, t, given):
+    # derivative_data reads the frame at the point and evaluates no partial
+    # of F.  Given a point, its frame takes one eigen-solve, one evaluation
+    # of the third and fourth partials, and inverts A and h.
     spec = catalog(name)
     flat_metric(spec)  # cached once per spec; not part of the count
     t = canonical_frame(spec, t) if given == "frame" else t
@@ -618,23 +622,60 @@ def test_pencil_reads_its_frame_and_one_fifth_partials_evaluation(
     built = given == "point"
     assert eig_calls == derivative_calls[3] == derivative_calls[4] == [1] * built
     assert invert_calls == ["idempotent frame A", "flat pairing h"] * built
-    assert derivative_calls[5] == [1]
+    assert derivative_calls[5] == []
 
 
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)],
                          ids=["quartic2", "a3_3d"])
 def test_derivative_data_inverts_nothing_given_a_frame(invert_calls, derivative_calls,
                                                        name, t):
-    # The frame holds A^{-1}, h^{-1} and the fourth partials of F; only
-    # d_j W_k evaluates the fifth.
+    # The frame holds A^{-1}, h^{-1} and the fourth partials of F, and every
+    # derivative is first order in it.
     spec = catalog(name)
     frame = canonical_frame(spec, t)
     invert_calls.clear()
     derivative_calls.clear()
     cdv_module.derivative_data(spec, frame)
     assert invert_calls == []
-    assert derivative_calls[4] == []
-    assert derivative_calls[5] == [1]
+    assert not derivative_calls
+
+
+def _with_hol_w_added(data, R):
+    """data with R[j, k] added to its hol-W block, d_j W_k."""
+    m = R.shape[-1]
+    dS = data.dS.copy()
+    dS[..., :m, :m, :, :] += R
+    return dataclasses.replace(data, dS=dS)
+
+
+@pytest.mark.parametrize("name", ["quartic2", "p1", "a3_3d"])
+def test_hol_w_block_enters_only_antisymmetrised(monkeypatch, name):
+    # d_j W_k enters the curvature as d_j W_k - d_k W_j, so a part of it
+    # symmetric in (j, k), like the d_j d_k h that derivative_data leaves
+    # out, moves no coefficient beyond round-off, and an antisymmetric one
+    # fails the pencil.  Both are of the size of dS.
+    spec = catalog(name)
+    m = spec.dim
+    pts, _ = sample_points(spec, 3, seed=0)
+    frames = canonical_frame(spec, pts)
+    data = cdv_module.derivative_data(spec, frames)
+    rng = np.random.default_rng(7)
+    R = rng.normal(size=data.dS.shape[:-4] + (m,) * 4 + (2,)) @ [1.0, 1.0j]
+    R *= np.max(np.abs(data.dS)) / np.max(np.abs(R))
+    symmetric, antisymmetric = R + np.swapaxes(R, -3, -4), R - np.swapaxes(R, -3, -4)
+
+    F = cdv_module.curvature_coefficients(data.S, data.dS)
+    moved = cdv_module.curvature_coefficients(data.S, _with_hol_w_added(data, symmetric).dS)
+    scale = max(np.max(np.abs(data.dS)), np.max(np.abs(data.S)) ** 2)
+    for k in F:
+        assert np.max(np.abs(moved[k] - F[k])) <= 1e-14 * scale, k
+
+    assert pencil_curvature(spec, frames, [1.0, 1.0j, 2.0], 1e-5).passed
+    derivative_data = cdv_module.derivative_data
+    monkeypatch.setattr(cdv_module, "derivative_data", lambda *args: _with_hol_w_added(
+        derivative_data(*args), antisymmetric))
+    rep = pencil_curvature(spec, frames, [1.0, 1.0j, 2.0], 1e-5)
+    assert rep["pencil_curvature"].residual > 1e-3
 
 
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)])

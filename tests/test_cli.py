@@ -220,13 +220,15 @@ def test_one_frame_per_point_per_command(tmp_path, eig_calls, command, name, eig
 
 
 @pytest.mark.parametrize("command", ["verify", "pencil"])
-def test_one_fifth_partials_evaluation_per_point(tmp_path, derivative_calls, command):
-    # Only d_j W_k reads the fifth partials of F, in one evaluation at the
-    # stack of all the points for both verifiers of verify.
+def test_verifiers_evaluate_f_only_in_the_frame_stack(tmp_path, derivative_calls, command):
+    # Every derivative the verifiers read is first order in the frame, so
+    # after flat_metric's spot check the partials of F are evaluated once
+    # each, third and fourth, at the stack of all the points.
+    flat_metric.cache_clear()
     spec = _dump("a3_3d", tmp_path)
     derivative_calls.clear()
     assert main([command, "--spec", spec, "--points", "3", "--seed", "0"]) == 0
-    assert derivative_calls[5] == [3]
+    assert dict(derivative_calls) == {3: [2, 3], 4: [2, 3]}
 
 
 @pytest.mark.parametrize("points", [1, 3])
@@ -249,13 +251,7 @@ def test_lowdim_forms_h_once_per_point_in_its_frame(tmp_path, monkeypatch, name,
     assert calls == [points]
 
 
-# Evaluations of the fifth partials of F by one CLI call with --points 1 on
-# p1: one by derivative_data, which only verify, cdv and pencil read.
-FIFTH_PARTIALS_PER_COMMAND = {"verify": 1, "cdv": 1, "pencil": 1, "connections": 0,
-                              "lowdim": 0}
-
-
-@pytest.mark.parametrize("command", sorted(FIFTH_PARTIALS_PER_COMMAND))
+@pytest.mark.parametrize("command", ["cdv", "connections", "lowdim", "pencil", "verify"])
 def test_frame_forms_flat_data_once_per_point(tmp_path, invert_calls, derivative_calls,
                                               command):
     # The sampled frame inverts A and h and evaluates the third and fourth
@@ -269,7 +265,7 @@ def test_frame_forms_flat_data_once_per_point(tmp_path, invert_calls, derivative
     assert invert_calls == ["idempotent frame A", "flat pairing h"]
     assert len(derivative_calls[3]) == 2
     assert len(derivative_calls[4]) == 2
-    assert len(derivative_calls[5]) == FIFTH_PARTIALS_PER_COMMAND[command]
+    assert derivative_calls[5] == []
 
 
 # Calls of cdv.harmonic_potential per CLI call, at any number of points:
@@ -316,7 +312,7 @@ def test_counts_do_not_grow_with_points(tmp_path, eig_calls, derivative_calls, c
         assert eig_calls[-1] == points
         assert len(derivative_calls[3]) == rounds + 1  # + flat_metric's spot check
         counts[points] = [len(derivative_calls[order]) for order in (4, 5)]
-    assert counts[16] == counts[1] == [2, FIFTH_PARTIALS_PER_COMMAND[command]]
+    assert counts[16] == counts[1] == [2, 0]
 
 
 def _sample_one_at_a_time(spec, n, seed):

@@ -79,8 +79,33 @@ def mutated_specs(draw):
     return doc
 
 
+def _with_coeffs(name, *coeffs):
+    """The spec file of a catalog spec with its first monomial
+    coefficients replaced by coeffs."""
+    doc = spec_to_dict(catalog(name))
+    for term, coeff in zip(doc["monomials"], coeffs):
+        term["coeff"] = coeff
+    return doc
+
+
+# One spec of each failure class found so far that the draws need not
+# reach (see BAD_POINT_CLASSES).
+BAD_SPEC_CLASSES = (
+    _with_coeffs("quartic2", ["a", 0]),  # not a number
+    _with_coeffs("quartic2", [1.0, 0.0], [2.0, 0.0]),  # normal_form, but the metric is 2J
+    _with_coeffs("a3_3d", [6.7e153, 0.0]),  # det g at the edge of overflow
+)
+
+
+def _with_bad_spec_classes(test):
+    for doc in BAD_SPEC_CLASSES:
+        test = example(doc=doc)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(doc=mutated_specs())
+@_with_bad_spec_classes
 def test_mutated_spec_never_ends_in_traceback(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
@@ -173,6 +198,7 @@ BAD_POINT_CLASSES = (
     ("connections", 3, "0.123456789,1e-300;0.5,0.25;1e200,3"),  # one line at m = 3
     ("lowdim", 3, "0.0,0.0;0.0,0.0;0.65625,2.6724083502506573e-164"),  # not semi-simple
     ("cdv", 3, "0,0;0,0"),  # too few coordinates
+    ("verify", 2, ""),  # no coordinates
 )
 
 
