@@ -1,13 +1,19 @@
-"""Run the 200 default CLI reports in-process and write them as one JSON file.
+"""Run the 200 default CLI reports and a fixed set of tt2d runs
+in-process and write them as one JSON file.
 
 Usage: python3 scripts/default_reports.py SRC_DIR OUT.json
 
 SRC_DIR is the `src` directory of a checkout, from which frobcdv is
-imported.  The calls are seeds 0-9 x the catalog specs quartic2, p1,
-a3_3d and cubic2 x the subcommands verify, cdv, pencil, connections and
-lowdim, each with its default options.  OUT.json holds, per call, its
-arguments, exit code, stdout, stderr and JSON report without the
-timestamp, so that `cmp` tells whether two trees give the same reports:
+imported.  The default reports are seeds 0-9 x the catalog specs
+quartic2, p1, a3_3d and cubic2 x the subcommands verify, cdv, pencil,
+connections and lowdim, each with its default options.  The tt2d runs
+(TT2D_RUNS) solve p1 on the default rect at --grid 33 and 128, quartic2
+on 0.5,-0.5,1.5,0.5 at --grid 65 and p1 on the long rect 0,0,16,1 at
+--grid 65, whose preconditioner is rebuilt on most Newton steps, and
+write one grid as CSV.  OUT.json holds, per call, its arguments, exit
+code, stdout, stderr, JSON report without the timestamp and the CSV's
+text (or null), so that `cmp` tells whether two trees give the same
+results:
 
     python3 scripts/default_reports.py ../parent/src /tmp/parent.json
     python3 scripts/default_reports.py src /tmp/change.json
@@ -24,6 +30,37 @@ import tempfile
 SPECS = ("quartic2", "p1", "a3_3d", "cubic2")
 COMMANDS = ("verify", "cdv", "pencil", "connections", "lowdim")
 SEEDS = range(10)
+# (spec, options) of the tt2d runs.
+TT2D_RUNS = (
+    ("p1", ["--grid", "33"]),
+    ("p1", ["--grid", "128"]),
+    ("quartic2", ["--rect", "0.5,-0.5,1.5,0.5", "--grid", "65"]),
+    ("p1", ["--rect", "0,0,16,1", "--grid", "65"]),
+    ("p1", ["--grid", "33", "--csv", "grid.csv"]),
+)
+
+
+def _take(path, read):
+    """The contents of the file at path as read gives them, removing the
+    file, or None if there is none."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        contents = read(fh)
+    os.remove(path)
+    return contents
+
+
+def _record(frobcdv_main, argv):
+    """Run one call and take the report and CSV it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = frobcdv_main(argv)
+    report = _take("report.json", json.load)
+    if report is not None:
+        report.pop("timestamp")
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+            "report": report, "csv": _take("grid.csv", lambda fh: fh.read())}
 
 
 def default_reports(frobcdv_main):
@@ -35,19 +72,12 @@ def default_reports(frobcdv_main):
     for seed in SEEDS:
         for name in SPECS:
             for command in COMMANDS:
-                argv = [command, "--spec", f"{name}.json", "--seed", str(seed),
-                        "--report", "report.json"]
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = frobcdv_main(argv)
-                report = None
-                if os.path.exists("report.json"):
-                    with open("report.json") as fh:
-                        report = json.load(fh)
-                    report.pop("timestamp")
-                    os.remove("report.json")
-                records.append({"argv": argv, "exit": code, "stdout": out.getvalue(),
-                                "stderr": err.getvalue(), "report": report})
+                records.append(_record(frobcdv_main, [
+                    command, "--spec", f"{name}.json", "--seed", str(seed),
+                    "--report", "report.json"]))
+    for name, options in TT2D_RUNS:
+        records.append(_record(frobcdv_main, [
+            "tt2d", "--spec", f"{name}.json", *options, "--report", "report.json"]))
     return records
 
 

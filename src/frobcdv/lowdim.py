@@ -22,7 +22,7 @@ import numpy as np
 from .canonical import as_frame
 from .cdv import kappa_defect, pairing_defect
 from .errors import NoConvergence, NotNormalForm, Singular, ValidationError
-from .potential import diff_terms, eval_terms, flat_metric, reduced_wdvv_scalar
+from .potential import PotentialSpec, diff_terms, eval_terms, flat_metric, reduced_wdvv_scalar
 from .report import VerificationReport
 
 
@@ -158,17 +158,25 @@ class TT2DSolution:
     converged: bool
     preconditioners: int  # V-cycle hierarchies of the preconditioner built
     floor: float         # round-off floor of the residual at h11 (_residual_floor)
+    spec: PotentialSpec  # the spec solved for
+    source: np.ndarray   # its |f'''|^2 on the grid (_fppp_sq), shape (n, n)
 
 
-def _fppp_sq(spec, X, Y):
-    """|d^3 F / d(t^2)^3|^2 on the grid, at t = (0, x + i y); raises
-    ValidationError, naming the grid's rect, where it overflows.  The
-    equation is derived in normal form, so the spec must be a 2-dimensional
-    normal-form spec whose metric is J (flat_metric checks it)."""
+def _require_tt2d_spec(spec):
+    """The equation is derived in normal form, so the spec must be a
+    2-dimensional normal-form spec whose metric is J (flat_metric checks
+    it)."""
     if spec.dim != 2:
         raise ValidationError("the 2d tt* equation needs a 2-dimensional spec")
     _require_normal_form(spec)
     flat_metric(spec)
+
+
+def _fppp_sq(spec, X, Y):
+    """|d^3 F / d(t^2)^3|^2 on the grid, at t = (0, x + i y), of a spec that
+    _require_tt2d_spec accepts; raises ValidationError, naming the grid's
+    rect, where it overflows."""
+    _require_tt2d_spec(spec)
     Z = X + 1j * Y
     with np.errstate(over="ignore", invalid="ignore"):
         c2 = np.abs(eval_terms(diff_terms(spec.terms, (0, 3)), (np.zeros_like(Z), Z))) ** 2
@@ -184,30 +192,37 @@ def _lap4_1d(v, axis, hstep):
     deep interior, central second-order on the first ring.  Returns the
     interior block (edges stripped)."""
     v = np.moveaxis(v, axis, 0)
-    n = v.shape[0]
     out = np.empty_like(v[1:-1])
-    # second-order everywhere first
-    out[:] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / hstep**2
-    if n >= 5:
-        # overwrite deep interior with the fourth-order formula
+    if len(out) >= 3:
         out[1:-1] = (
             -v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]
         ) / (12.0 * hstep**2)
+    # The first ring: one row twice when n = 3.
+    out[0] = (v[0] - 2.0 * v[1] + v[2]) / hstep**2
+    out[-1] = (v[-3] - 2.0 * v[-2] + v[-1]) / hstep**2
     return np.moveaxis(out, 0, axis)
 
 
-def _residual4(v, c2, hx, hy):
-    """Interior residual of (1/4) Lap v - e^{2v} c2 + e^{-2v}, order 4."""
+def _exponentials(vi):
+    """e^{2v} and e^{-2v} at the interior values vi, formed once per Newton
+    iterate for its residual (_residual4), its Jacobian's source diagonal
+    (_source_jacobian) and its round-off floor (_residual_floor)."""
+    return np.exp(2.0 * vi), np.exp(-2.0 * vi)
+
+
+def _residual4(v, c2i, exps, hx, hy):
+    """Interior residual of (1/4) Lap v - e^{2v} c2 + e^{-2v}, order 4, with
+    the source c2i and exps = _exponentials(vi) on the interior nodes."""
     lap = _lap4_1d(v, 0, hx)[:, 1:-1] + _lap4_1d(v, 1, hy)[1:-1, :]
-    vi = v[1:-1, 1:-1]
-    return 0.25 * lap - np.exp(2.0 * vi) * c2[1:-1, 1:-1] + np.exp(-2.0 * vi)
+    grow, decay = exps
+    return 0.25 * lap - grow * c2i + decay
 
 
-def _residual_floor(lap_size, vi, c2i):
+def _residual_floor(lap_size, vi, c2i, exps):
     """Round-off floor of the residual R = (1/4) Lap v - e^{2v} c2 + e^{-2v}
-    at the interior values vi, with the source c2i there; lap_size is the
-    largest absolute row sum of (1/4) Lap, so |(1/4) Lap v| <= lap_size
-    max|v| =: L.
+    at the interior values vi, with the source c2i and exps = (e^{2v},
+    e^{-2v}) there; lap_size is the largest absolute row sum of (1/4) Lap,
+    so |(1/4) Lap v| <= lap_size max|v| =: L.
 
     A first-order bound at each node, in units of u = eps / 2, with c2 and
     the spacings taken as exact (the solver and tt2d_residual share them):
@@ -226,23 +241,25 @@ def _residual_floor(lap_size, vi, c2i):
     """
     u = 0.5 * np.finfo(float).eps
     av = np.abs(vi)
+    grow, decay = exps
     return u * (23.0 * lap_size * np.max(av) + np.max(
-        (10.0 + 2.0 * av) * np.exp(2.0 * vi) * c2i + (8.0 + 2.0 * av) * np.exp(-2.0 * vi)))
+        (10.0 + 2.0 * av) * grow * c2i + (8.0 + 2.0 * av) * decay))
 
 
-def _at_roundoff_floor(res, prev, lap_size, vi, c2i):
+def _at_roundoff_floor(res, prev, lap_size, vi, c2i, exps):
     """Whether Newton has reached the round-off floor: a step from
     residual prev to res no longer halves it, and res is at most
     _residual_floor at the interior values vi it was taken to."""
-    return res > 0.5 * prev and res <= _residual_floor(lap_size, vi, c2i)
+    return res > 0.5 * prev and res <= _residual_floor(lap_size, vi, c2i, exps)
 
 
-def _source_jacobian(v, c2):
-    """Derivative of -e^{2v} c2 + e^{-2v} on the interior nodes, flattened
-    in the Laplacian's node order: 0.25 times the wide Laplacian matrix
-    plus this diagonal is the exact Jacobian of _residual4."""
-    vi = v[1:-1, 1:-1]
-    return (-2.0 * np.exp(2.0 * vi) * c2[1:-1, 1:-1] - 2.0 * np.exp(-2.0 * vi)).ravel()
+def _source_jacobian(c2i, exps):
+    """Derivative of -e^{2v} c2 + e^{-2v} on the interior nodes, with the
+    source c2i and exps = _exponentials(vi) there, flattened in the
+    Laplacian's node order: 0.25 times the wide Laplacian matrix plus this
+    diagonal is the exact Jacobian of _residual4."""
+    grow, decay = exps
+    return (-2.0 * grow * c2i - 2.0 * decay).ravel()
 
 
 def _d2_matrix(n, hstep, wide):
@@ -268,11 +285,11 @@ def _laplacian_matrix(n, hx, hy, wide):
     import scipy.sparse as sp
 
     k = n - 2
+    d2 = {hstep: _d2_matrix(n, hstep, wide) for hstep in {hx, hy}}  # once on a square grid
     parts = {}
     for hstep, stride, axis in ((hx, k, 0), (hy, 1, 1)):
-        d2 = _d2_matrix(n, hstep, wide)
         for offset in range(-2, 3):
-            diag = np.diagonal(d2, offset)
+            diag = np.diagonal(d2[hstep], offset)
             if diag.any():
                 row = np.zeros(k)
                 row[max(offset, 0):k + min(offset, 0)] = diag
@@ -333,8 +350,10 @@ def _transfers(k, hx, hy):
     while kx * ky > COARSEST_NODES:
         cx = kx > 1 and (hx <= 2.0 * hy or ky == 1)
         cy = ky > 1 and (hy <= 2.0 * hx or kx == 1)
-        R = sp.kron(_interpolation_1d(kx) if cx else sp.identity(kx),
-                    _interpolation_1d(ky) if cy else sp.identity(ky), format="csr")
+        Rx = _interpolation_1d(kx) if cx else sp.identity(kx)
+        # Lines of one size, coarsened alike, share their 1-d factor.
+        Ry = Rx if (ky, cy) == (kx, cx) else _interpolation_1d(ky) if cy else sp.identity(ky)
+        R = sp.kron(Rx, Ry, format="csr")
         transfers.append((R, R.T.tocsr()))
         if cx:
             kx, hx = kx // 2, 2.0 * hx
@@ -508,8 +527,10 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     stored by diagonals, each step rewrites the main-diagonal row of J,
     and P's row and the V-cycle's levels are rebuilt only when D has
     drifted (PRECONDITIONER_DRIFT); on p1 one hierarchy serves the whole
-    solve.  A damped line search on the max-norm residual accepts the
-    step, and rejects one whose residual overflows.
+    solve.  Each iterate's e^{+-2v} are formed once (_exponentials).  A
+    damped line search on the max-norm residual accepts the step, and
+    rejects one whose residual overflows.  The solution records the spec
+    and the source |f'''|^2 it was solved with, which tt2d_residual reads.
 
     boundary gives the Dirichlet data for h_11: a positive number, or a
     callable boundary(X, Y) on the grid such as invariant_boundary
@@ -556,7 +577,8 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     mg = d_built = prev = None
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
-        R = _residual4(v, c2, hx, hy)
+        exps = _exponentials(v[1:-1, 1:-1])
+        R = _residual4(v, c2i, exps, hx, hy)
     res = float(np.max(np.abs(R)))
     if not np.isfinite(res):
         raise ValidationError("the residual at the boundary data overflows; h_11 is too large")
@@ -567,7 +589,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
         if iterations == max_iter:
             break
         vi = v[1:-1, 1:-1]
-        d = _source_jacobian(v, c2)  # < 0 everywhere, so the quotient is defined
+        d = _source_jacobian(c2i, exps)  # < 0 everywhere, so the quotient is defined
         if mg is None or np.max(np.abs(d / d_built - 1.0)) > PRECONDITIONER_DRIFT:
             mg = None  # free the old hierarchy before building the new one
             np.add(lap2_diag, d, out=diag_P)
@@ -582,16 +604,17 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
             trial = v.copy()
             trial[1:-1, 1:-1] = vi + lam * delta
             with np.errstate(over="ignore", invalid="ignore"):
-                R_trial = _residual4(trial, c2, hx, hy)
+                exps_trial = _exponentials(trial[1:-1, 1:-1])
+                R_trial = _residual4(trial, c2i, exps_trial, hx, hy)
             res_trial = float(np.max(np.abs(R_trial)))
             if lam == 1.0 and np.isfinite(res_trial) and _at_roundoff_floor(
-                    res_trial, res, lap_size, trial[1:-1, 1:-1], c2i):
+                    res_trial, res, lap_size, trial[1:-1, 1:-1], c2i, exps_trial):
                 if res_trial < res:
-                    v, R, res = trial, R_trial, res_trial
+                    v, exps, R, res = trial, exps_trial, R_trial, res_trial
                 converged = True
                 break
             if res_trial <= (1.0 - 0.25 * lam) * res or res_trial <= tol:
-                v, R, res = trial, R_trial, res_trial
+                v, exps, R, res = trial, exps_trial, R_trial, res_trial
                 break
             lam *= 0.5
             if lam < 2.0**-30:
@@ -606,7 +629,7 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
     solution = TT2DSolution(
         rect=(x0, y0, x1, y1), n=n, x=x, y=y, h11=h11, residual=res,
         iterations=iterations, converged=converged, preconditioners=preconditioners,
-        floor=_residual_floor(lap_size, v[1:-1, 1:-1], c2i),
+        floor=_residual_floor(lap_size, v[1:-1, 1:-1], c2i, exps), spec=spec, source=c2,
     )
     if not converged and raise_on_failure:
         raise NoConvergence(f"Newton stopped after {iterations} iterations at residual {res:.3e}")
@@ -616,14 +639,19 @@ def solve_tt2d(spec, rect, n, boundary, max_iter=50, tol=1e-10,
 def residual_grid(spec, solution: TT2DSolution):
     """Per-node |PDE residual| of the stored h_11 field, zero on the boundary.
 
-    Re-assembles the fourth-order residual with explicit shifted slices
-    rather than the solver's helpers, so it checks them independently.
+    Re-assembles the fourth-order residual and its exponentials from
+    log h_11 with explicit shifted slices rather than the solver's helpers,
+    so it checks them independently.  The source is the one the solution
+    was solved with: a spec that the equation does not admit, or that the
+    solution was not solved for, raises.
     """
+    _require_tt2d_spec(spec)
+    if spec != solution.spec:
+        raise ValidationError("the tt* solution was solved for another spec")
     n = solution.n
     x0, y0, x1, y1 = solution.rect
     hx, hy = (x1 - x0) / (n - 1), (y1 - y0) / (n - 1)
-    X, Y = np.meshgrid(solution.x, solution.y, indexing="ij")
-    c2 = _fppp_sq(spec, X, Y)
+    c2 = solution.source
     v = np.log(solution.h11)
 
     # Second derivatives: the 5-point-wide fourth-order formula on rows and
@@ -689,17 +717,18 @@ def invariant_boundary(spec, rect, n):
     # that the y-independent extension solves the 2-d system exactly.
     lap = 0.25 * _d2_matrix(n, hstep, wide=True)
     lap_size = np.max(np.sum(np.abs(lap), axis=1))
+    c2i = c2[1:-1]
     v = np.zeros(n)
     res = prev = np.inf
     for _ in range(BOUNDARY_MAX_ITER):
         vi = v[1:-1]
-        grow = np.exp(2 * vi) * c2[1:-1]
-        decay = np.exp(-2 * vi)
+        exps = _exponentials(vi)
+        grow, decay = exps[0] * c2i, exps[1]
         R = 0.25 * _lap4_1d(v, 0, hstep) - grow + decay
         res = float(np.max(np.abs(R)))
         if not np.isfinite(res):
             break
-        if res <= BOUNDARY_TOL or _at_roundoff_floor(res, prev, lap_size, vi, c2[1:-1]):
+        if res <= BOUNDARY_TOL or _at_roundoff_floor(res, prev, lap_size, vi, c2i, exps):
             h1d = np.exp(v)
 
             def boundary(X, Y):

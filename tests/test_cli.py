@@ -537,6 +537,28 @@ def test_tt2d_command(tmp_path):
     assert set(doc["summary"]) == {"pass", "seed"}
 
 
+@pytest.mark.parametrize("csv", [False, True], ids=["report", "csv"])
+def test_tt2d_evaluates_the_source_once_per_command(tmp_path, monkeypatch, csv):
+    # The solution records the source |f'''|^2 it was solved with, and the
+    # independent residual (and through it the CSV's residual column) reads
+    # it from there: one evaluation per command (were 2, and 3 with --csv).
+    from frobcdv import lowdim
+
+    calls = []
+    fppp_sq = lowdim._fppp_sq
+
+    def counting(spec, X, Y):
+        calls.append(np.shape(X))
+        return fppp_sq(spec, X, Y)
+
+    monkeypatch.setattr(lowdim, "_fppp_sq", counting)
+    argv = ["tt2d", "--spec", _dump("p1", tmp_path), "--grid", "17"]
+    if csv:
+        argv += ["--csv", str(tmp_path / "grid.csv")]
+    assert main(argv) == 0
+    assert calls == [(17, 17)]
+
+
 def test_tt2d_csv_residual_is_the_checked_residual(tmp_path):
     # The CSV's residual column used to come from the solver's own stencil;
     # it is the independent residual, whose maximum the report checks.

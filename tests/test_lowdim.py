@@ -17,6 +17,7 @@ from frobcdv import (
     PotentialSpec,
     Singular,
     ValidationError,
+    canonical_frame,
     catalog,
     check_euler_degree,
     check_m2_relations,
@@ -35,6 +36,7 @@ from frobcdv import lowdim
 from frobcdv.cli import main, sample_points
 from frobcdv.lowdim import (
     _d2_matrix,
+    _exponentials,
     _fppp_sq,
     _omega_antisymmetry,
     _lap4_1d,
@@ -46,6 +48,17 @@ from frobcdv.lowdim import (
 from frobcdv.potential import third_derivatives
 
 QPT = (0.0, 1.0)
+
+
+def _residual(v, c2, hx, hy):
+    """The solver's residual _residual4 at v, with the source grid c2."""
+    return _residual4(v, c2[1:-1, 1:-1], _exponentials(v[1:-1, 1:-1]), hx, hy)
+
+
+def _source_diagonal(v, c2):
+    """The solver's Jacobian diagonal _source_jacobian at v, with the
+    source grid c2."""
+    return _source_jacobian(c2[1:-1, 1:-1], _exponentials(v[1:-1, 1:-1]))
 
 
 def _inp(m, h, omega=None, C3=None):
@@ -397,12 +410,12 @@ def test_tt2d_jacobian_matches_residual_derivative(n):
     hx, hy = 0.3, 0.2
     v = 0.5 * rng.standard_normal((n, n))
     c2 = rng.uniform(0.5, 2.0, (n, n))
-    J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True) + sp.diags(_source_jacobian(v, c2))
+    J = 0.25 * _laplacian_matrix(n, hx, hy, wide=True) + sp.diags(_source_diagonal(v, c2))
     delta = np.zeros((n, n))
     delta[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
     eps = 1e-6
-    fd = (_residual4(v + eps * delta, c2, hx, hy)
-          - _residual4(v - eps * delta, c2, hx, hy)) / (2 * eps)
+    fd = (_residual(v + eps * delta, c2, hx, hy)
+          - _residual(v - eps * delta, c2, hx, hy)) / (2 * eps)
     exact = J @ delta[1:-1, 1:-1].ravel()
     assert np.max(np.abs(exact - fd.ravel())) <= 1e-6 * np.max(np.abs(exact))
 
@@ -425,21 +438,28 @@ def test_laplacian_matrix_matches_kron(n, wide):
 def test_tt2d_newton_matrices_are_current(monkeypatch):
     # The solver assembles J and the preconditioner's matrix once, stored
     # by diagonals, and rewrites their main diagonals in place; at every
-    # Newton step J must be the exact Jacobian at the current iterate, and
-    # each matrix handed to the V-cycle builder the 5-point Jacobian there.
+    # Newton step J must be the exact Jacobian at the current iterate (the
+    # one whose residual the step solves for), and each matrix handed to
+    # the V-cycle builder the 5-point Jacobian there.  The source diagonal
+    # reads the exponentials that the iterate's residual formed: each is
+    # traced back to the residual call, and so to the iterate, that made it.
     n, rect = 9, (0.0, 0.0, 3.0, 1.0)
     hx, hy = 3.0 / (n - 1), 1.0 / (n - 1)
-    iterates, jacobians, built, off_diagonal = [], [], [], []
-    source_jacobian, newton_step = lowdim._source_jacobian, lowdim._newton_step
-    multigrid = lowdim._Multigrid
+    residuals, iterates, steps, built, off_diagonal = [], [], [], [], []
+    residual4, source_jacobian = lowdim._residual4, lowdim._source_jacobian
+    newton_step, multigrid = lowdim._newton_step, lowdim._Multigrid
 
-    def record_iterate(v, c2):
-        iterates.append((v.copy(), c2))
-        return source_jacobian(v, c2)
+    def record_residual(v, c2i, exps, hx, hy):
+        residuals.append((v.copy(), c2i, exps))
+        return residual4(v, c2i, exps, hx, hy)
+
+    def record_iterate(c2i, exps):
+        iterates.append(next((v, c2) for v, c2, made in residuals if made is exps))
+        return source_jacobian(c2i, exps)
 
     def record_jacobian(J, mg, rhs, rtol):
         assert J.format == "dia"
-        jacobians.append(J.toarray())
+        steps.append((J.toarray(), rhs.copy()))
         off_diagonal.append(J.data[J.offsets != 0].copy())
         return newton_step(J, mg, rhs, rtol)
 
@@ -448,19 +468,22 @@ def test_tt2d_newton_matrices_are_current(monkeypatch):
         built.append((len(iterates), P.toarray()))
         return multigrid(P, transfers)
 
+    def exact(v, c2i, wide):
+        d = source_jacobian(c2i, _exponentials(v[1:-1, 1:-1]))
+        return (0.25 * _laplacian_matrix(n, hx, hy, wide=wide) + sp.diags(d)).toarray()
+
+    monkeypatch.setattr(lowdim, "_residual4", record_residual)
     monkeypatch.setattr(lowdim, "_source_jacobian", record_iterate)
     monkeypatch.setattr(lowdim, "_newton_step", record_jacobian)
     monkeypatch.setattr(lowdim, "_Multigrid", record_build)
     sol = solve_tt2d(catalog("quartic2"), rect, n, 5.0)
-    assert sol.converged and len(jacobians) == len(iterates) == sol.iterations
+    assert sol.converged and len(steps) == len(iterates) == sol.iterations
     assert 1 < len(built) < sol.iterations
-    for args, J in zip(iterates, jacobians):
-        exact = 0.25 * _laplacian_matrix(n, hx, hy, wide=True) + sp.diags(source_jacobian(*args))
-        assert np.array_equal(J, exact.toarray())
+    for (v, c2i), (J, rhs) in zip(iterates, steps):
+        assert np.array_equal(J, exact(v, c2i, wide=True))
+        assert np.array_equal(rhs, -residual4(v, c2i, _exponentials(v[1:-1, 1:-1]), hx, hy).ravel())
     for step, P in built:
-        d = source_jacobian(*iterates[step - 1])
-        exact = 0.25 * _laplacian_matrix(n, hx, hy, wide=False) + sp.diags(d)
-        assert np.array_equal(P, exact.toarray())
+        assert np.array_equal(P, exact(*iterates[step - 1], wide=False))
     # Only the main-diagonal row of J.data is rewritten.
     assert all(np.array_equal(rows, off_diagonal[0]) for rows in off_diagonal)
 
@@ -581,7 +604,7 @@ def _five_point_jacobian(n, hx, hy, seed):
     rng = np.random.default_rng(seed)
     v = 0.5 * rng.standard_normal((n, n))
     c2 = rng.uniform(0.5, 2.0, (n, n))
-    d = _source_jacobian(v, c2)
+    d = _source_diagonal(v, c2)
     return (0.25 * _laplacian_matrix(n, hx, hy, wide=False) + sp.diags(d)).tocsr(), rng
 
 
@@ -676,7 +699,8 @@ def test_lap_size_from_one_dimensional_factors(aspect):
                          raise_on_failure=False)
         X, Y = np.meshgrid(sol.x, sol.y, indexing="ij")
         c2 = _fppp_sq(spec, X, Y)[1:-1, 1:-1]
-        floor = lowdim._residual_floor(lap_size, np.log(sol.h11)[1:-1, 1:-1], c2)
+        vi = np.log(sol.h11)[1:-1, 1:-1]
+        floor = lowdim._residual_floor(lap_size, vi, c2, _exponentials(vi))
         assert sol.floor == pytest.approx(floor, rel=1e-14)
 
 
@@ -838,7 +862,7 @@ def test_tt2d_residual_agrees_with_residual_grid():
         pde, _ = tt2d_residual(spec, sol)
         hx, hy = (rect[2] - rect[0]) / 32, (rect[3] - rect[1]) / 32
         X, Y = np.meshgrid(sol.x, sol.y, indexing="ij")
-        solver = _residual4(np.log(sol.h11), _fppp_sq(spec, X, Y), hx, hy)
+        solver = _residual(np.log(sol.h11), _fppp_sq(spec, X, Y), hx, hy)
         assert pde == pytest.approx(np.max(np.abs(solver)), rel=1e-12)
 
 
@@ -851,6 +875,108 @@ def test_tt2d_residual_detects_single_node_perturbation(node):
     h11[node] *= np.exp(1e-3)
     pde, _ = tt2d_residual(spec, dataclasses.replace(sol, h11=h11))
     assert pde > 0.01
+
+
+def test_tt2d_residual_refuses_another_spec(tmp_path):
+    # The independent residual reads the source the solution was solved
+    # with, so it refuses a spec that the solution was not solved for,
+    # after the checks of the spec itself (test_tt2d_needs_a_normal_form_spec).
+    rect, n = (-1.0, -1.0, 1.0, 1.0), 9
+    sol = solve_tt2d(catalog("cubic2"), rect, n, 1.0)
+    assert tt2d_residual(catalog("cubic2"), sol)[0] == 0.0  # an equal spec is the same
+    for call in (lambda spec: tt2d_residual(spec, sol),
+                 lambda spec: write_tt2d_csv(spec, sol, tmp_path / "grid.csv")):
+        with pytest.raises(ValidationError, match="solved for another spec"):
+            call(catalog("p1"))
+    assert not (tmp_path / "grid.csv").exists()
+
+
+# The largest error in v = log h_11 against the canonical structure at
+# n = 17, 33, 65 and 129, with the canonical h_11 as Dirichlet data.
+CANONICAL_ORACLE_ERRORS = {
+    ("quartic2", (0.5, -0.5, 1.5, 0.5)): [1.5e-5, 1.9e-6, 1.7e-7, 1.3e-8],
+    ("quartic2", (-2.0, 0.3, 2.0, 2.3)): [9.4e-4, 1.7e-4, 1.8e-5, 1.5e-6],
+}
+
+
+def _canonical_h11(spec, X, Y):
+    """h_11 of the canonical structure at the points t = (0, x + i y),
+    from one canonical_frame stack."""
+    t = np.stack([np.zeros(X.size), X + 1j * Y], axis=-1)
+    return canonical_frame(spec, t).h[:, 0, 0].real
+
+
+def _canonical_oracle_error(spec, rect, n):
+    """The solve whose Dirichlet data is the canonical h_11 on the 4n - 4
+    edge nodes (the interior of the data is 1.0 and is not read), and its
+    max |log h_11 - log h_11^canonical| over the interior nodes."""
+    x, y = np.linspace(rect[0], rect[2], n), np.linspace(rect[1], rect[3], n)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    edge = np.ones((n, n), dtype=bool)
+    edge[1:-1, 1:-1] = False
+    data = np.ones((n, n))
+    data[edge] = _canonical_h11(spec, X[edge], Y[edge])
+    sol = solve_tt2d(spec, rect, n, lambda X, Y: data)
+    inner = _canonical_h11(spec, X[~edge], Y[~edge]).reshape(n - 2, n - 2)
+    return sol, float(np.max(np.abs(np.log(sol.h11[1:-1, 1:-1]) - np.log(inner))))
+
+
+@pytest.mark.parametrize("name, rect", list(CANONICAL_ORACLE_ERRORS))
+def test_tt2d_against_canonical_structure(name, rect):
+    # The paper's canonical structure solves the tt* equation: on quartic2
+    # v = -log|f'''| / 2 is harmonic and e^{2v} |f'''|^2 = e^{-2v}.  With
+    # its h_11 on the edges the solve recovers it to the discretisation
+    # error, which falls ever faster, towards the fourth order of the deep
+    # stencil.  These solves take 6-8 Newton steps and rebuild the
+    # preconditioner on the way.
+    spec = catalog(name)
+    errors = []
+    for n, pinned in zip((17, 33, 65, 129), CANONICAL_ORACLE_ERRORS[name, rect]):
+        sol, error = _canonical_oracle_error(spec, rect, n)
+        assert sol.converged
+        assert pinned / 2.0 <= error <= 2.0 * pinned
+        errors.append(error)
+    assert sol.iterations >= 6 and sol.preconditioners > 1
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert ratios[0] < ratios[1] < ratios[2]
+
+
+def test_tt2d_against_canonical_structure_p1():
+    # On p1 v = -x/2 is linear, which every stencil differentiates exactly:
+    # the error is what Newton's tolerance leaves, 2e-14 to 5e-13.
+    spec = catalog("p1")
+    for n in (17, 33, 65, 129):
+        _, error = _canonical_oracle_error(spec, (-1.0, -1.0, 1.0, 1.0), n)
+        assert error <= 1e-12
+
+
+def test_tt2d_builds_each_one_dimensional_operator_once(monkeypatch):
+    # Within a solve each 1-d second difference is built once per stencil
+    # width and distinct spacing, and each 1-d interpolation once per
+    # level and distinct line size: a square grid shares them between x
+    # and y.  On p1 at 128^2 that is 2 and 2 calls (were 4 and 4); on the
+    # 16:1 rectangle the spacings differ and only y is coarsened.
+    d2_calls, interpolation_calls = [], []
+    d2_matrix, interpolation_1d = lowdim._d2_matrix, lowdim._interpolation_1d
+
+    def record_d2(n, hstep, wide):
+        d2_calls.append((hstep, wide))
+        return d2_matrix(n, hstep, wide)
+
+    def record_interpolation(k):
+        interpolation_calls.append(k)
+        return interpolation_1d(k)
+
+    monkeypatch.setattr(lowdim, "_d2_matrix", record_d2)
+    monkeypatch.setattr(lowdim, "_interpolation_1d", record_interpolation)
+    spec = catalog("p1")
+    for rect, n, d2, interpolations in (((-1.0, -1.0, 1.0, 1.0), 128, 2, [126, 63]),
+                                        ((0.0, 0.0, 16.0, 1.0), 65, 4, [63, 31])):
+        d2_calls.clear()
+        interpolation_calls.clear()
+        assert solve_tt2d(spec, rect, n, 1.0).converged
+        assert len(d2_calls) == len(set(d2_calls)) == d2
+        assert interpolation_calls == interpolations
 
 
 @pytest.mark.parametrize("kwargs", [
