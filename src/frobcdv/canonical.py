@@ -10,9 +10,10 @@ each point's own frame, so no two frames need matching.
 canonical_frame builds the frame at one point (m,) and the frames at a
 stack of points (N, m) through the same code.  It forms each point's
 flat first-order data once: A^{-1}, the Hermitian pairing h in the flat
-basis with its exact derivatives (flat_frame_dh), h^{-1} and the fourth
-partials of F.  Both inversions are guarded there, and every reader of a
-frame takes them from it.
+basis with its exact derivatives (flat_frame_dh), h^{-1}, the matrix
+g^{-1} h of the real structure kappa, the Chern connection d_k h h^{-1}
+and the fourth partials of F.  Both inversions are guarded there, and
+every reader of a frame takes them from it.
 """
 
 from dataclasses import dataclass
@@ -42,6 +43,9 @@ class CanonicalFrame:
     and F4 the fourth partials of F there.  A_inv = A^{-1} (row alpha =
     frame components of the flat vectors), h is the Hermitian pairing in
     the flat basis, dh[k] = d_k h (flat_frame_dh) and h_inv = h^{-1}.
+    kappa = g^{-1} h is the matrix of the real structure (kappa(v) =
+    kappa conj(v) in the flat basis) and chern[k] = d_k h h^{-1} that of
+    the Chern connection: D_{d_k} d_i = sum_j chern[k, i, j] d_j.
     The frames at a stack of N points (canonical_frame on an (N, m)
     array) are one CanonicalFrame whose fields gain a leading axis of
     length N; gap is then an array, and a scalar at one point.
@@ -60,6 +64,8 @@ class CanonicalFrame:
     h: np.ndarray
     dh: np.ndarray
     h_inv: np.ndarray
+    kappa: np.ndarray
+    chern: np.ndarray
 
     @property
     def n_points(self):
@@ -157,8 +163,10 @@ def canonical_frame(spec, t, eps_ss=DEFAULT_EPS_SS) -> CanonicalFrame:
     F4, dC, eta_d = _derivative_data(spec, t, A)
     A_inv = invert(A, "idempotent frame A", t)
     h, dh = flat_frame_dh(A_inv, eta, dC)
+    h_inv = invert(h, "flat pairing h", t)
     return CanonicalFrame(point=t, u=u, A=A, eta=eta, eta_d=eta_d, dC=dC, gap=gap, ev=ev,
-                          F4=F4, A_inv=A_inv, h=h, dh=dh, h_inv=invert(h, "flat pairing h", t))
+                          F4=F4, A_inv=A_inv, h=h, dh=dh, h_inv=h_inv, kappa=ev.g_inv @ h,
+                          chern=dh @ h_inv[..., None, :, :])
 
 
 def as_frame(spec, t) -> CanonicalFrame:

@@ -7,10 +7,11 @@ derivative_data, curvature_coefficients, pencil_curvature,
 verify_harmonic, verify_cv_axioms and the Kaehler and real Levi-Civita
 gaps of connection_gap work in the flat frame, where every matrix is
 label-invariant, so no verifier matches eigenvalue labels.  Each reads
-A^{-1}, the pairing h, its derivatives and h^{-1} from the
-CanonicalFrame, which forms them once, at a point or at each of a stack
-(a leading axis).  Every check hands VerificationReport.add its residual
-at each point, which reads the worst of them.  derivative_data
+A^{-1}, the pairing h, its derivatives, h^{-1}, kappa's matrix g^{-1} h
+and the Chern connection d_k h h^{-1} from the CanonicalFrame, which
+forms them once, at a point or at each of a stack (a leading axis).
+Every check hands VerificationReport.add its residual at each point,
+which reads the worst of them.  derivative_data
 gives all three verifiers (verify_cv_axioms, verify_harmonic and
 pencil_curvature) the tt* data and its exact derivatives from that
 frame, each first order in it, with d_j W_k up to its part symmetric
@@ -91,8 +92,9 @@ def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
     """The DerivativeData of the point(s) of frame, exact, for all three
     verifiers; dP given P = harmonic_potential(frame, d).P.
 
-    h, its first derivatives, h^{-1}, A^{-1} and the fourth partials of F
-    come from the frame, and every derivative is first order in it.
+    h, its first derivatives, h^{-1}, K = g^{-1} h, d_k h h^{-1}, A^{-1}
+    and the fourth partials of F come from the frame, and every derivative
+    is first order in it.
 
     G = diag(sqrt eta) A^{-1} (any branch of the root) has h = G^T conj(G)
     and d_k G = N_k G, where N_k[a, c] = -dC[k, c, a] / sqrt(eta_a eta_c)
@@ -111,7 +113,7 @@ def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
     m = frame.u.shape[-1]
     a = np.arange(m)
     A, B, eta, dC, ev = frame.A, frame.A_inv, frame.eta, frame.dC, frame.ev
-    h, dh, h_inv, F4 = frame.h, frame.dh, frame.h_inv, frame.F4
+    h_inv, dh, K, F4 = frame.h_inv, frame.dh, frame.kappa, frame.F4
 
     # Against the pairs [j, k] (or [j, s], s a slot), an array over j is
     # indexed [..., :, None, :, :], one over k [..., None, :, :, :].
@@ -124,7 +126,7 @@ def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
     G_T, G_conj = (np.expand_dims(M, (-3, -4)) for M in (np.swapaxes(G, -1, -2), np.conj(G)))
     dh_bar = np.conj(np.swapaxes(dh, -1, -2))  # dbar_j h
     anti_h = G_T @ (np.swapaxes(N_k, -1, -2) @ np.conj(N_j)) @ G_conj  # [j, k]: dbar_j d_k h
-    dh_h = (dh @ h_inv[..., None, :, :])[..., None, :, :, :]
+    dh_h = frame.chern[..., None, :, :, :]
     h_inv_jk = h_inv[..., None, None, :, :]
     hol_W = np.swapaxes(-(dh_h @ dh[..., :, None, :, :]) @ h_inv_jk, -1, -2)
     anti_W = np.swapaxes((anti_h - dh_h @ dh_bar[..., :, None, :, :]) @ h_inv_jk, -1, -2)
@@ -136,7 +138,6 @@ def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
           + np.einsum("...i,...jikl->...jlk", spec.euler_components(frame.point), dCmix))
     Y = np.concatenate([S[..., m:2 * m, :, :], S[..., 3 * m:3 * m + 1, :, :]], axis=-3)
     dY = np.concatenate([dPhi, dU[..., None, :, :]], axis=-3)
-    K = ev.g_inv @ h
     dK, dK_bar = (ev.g_inv @ M[..., :, None, :, :] for M in (dh, dh_bar))
     K_js, conj_K = K[..., None, None, :, :], np.conj(K)[..., None, None, :, :]
     conj_Y = np.conj(Y)[..., None, :, :, :]
@@ -174,11 +175,10 @@ def _relative(n, M, *scales):
     return _point_maxabs(M, n) / np.prod([_point_maxabs(S, n) for S in scales], axis=0)
 
 
-def kappa_defect(h, g_inv):
+def kappa_defect(K):
     """max |conj(K) K - I| for K = g^{-1} h, the matrix of kappa: zero when
-    kappa is an involution.  For a stack of pairings, one per pairing."""
-    K = g_inv @ h
-    return np.max(np.abs(np.conj(K) @ K - np.eye(h.shape[-1])), axis=(-2, -1))
+    kappa is an involution.  For a stack of matrices, one per matrix."""
+    return np.max(np.abs(np.conj(K) @ K - np.eye(K.shape[-1])), axis=(-2, -1))
 
 
 def pairing_defect(h):
@@ -209,14 +209,13 @@ def verify_cv_axioms(spec, cdv: CdvStructure, tol, alg_tol=ALG_TOL, fd_step=None
     m, n = frame.u.shape[-1], frame.n_points
     if data is None:
         data = derivative_data(spec, frame)
-    h, h_inv, S, dS = frame.h, frame.h_inv, data.S, data.dS
-    K = frame.ev.g_inv @ h
+    h, h_inv, K, S, dS = frame.h, frame.h_inv, frame.kappa, data.S, data.dS
     W, Phi, Phidag = S[..., :m, :, :], S[..., m:2 * m, :, :], S[..., 2 * m:3 * m, :, :]
     kUk = S[..., 3 * m + 1, :, :]
     report = VerificationReport()
 
     # (a) kappa is an involution: conj(K) K = I.
-    report.add("kappa_involution", kappa_defect(h, frame.ev.g_inv), alg_tol)
+    report.add("kappa_involution", kappa_defect(K), alg_tol)
 
     # (b) h is Hermitian and positive definite, relative to its size.
     report.add("hermitian_pairing", pairing_defect(h), alg_tol)
@@ -368,8 +367,9 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     Entries read as distances: an entry "passes" exactly when the
     corresponding gap is below tol, i.e. when the structure behaves as in
     the trivial (flat) case.  t is a point, a stack or the CanonicalFrame
-    there.  h, its exact derivatives and h^{-1} come from the frame, so a
-    call takes one eigendecomposition given points and none given a frame.
+    there.  h, its exact derivatives, h^{-1} and the Chern connection come
+    from the frame, so a call takes one eigendecomposition given points
+    and none given a frame.
     """
     m = spec.dim
     frame = as_frame(spec, t)
@@ -402,11 +402,10 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     gamma_hat = 0.5 * np.einsum("...cd,...abd->...abc", ghat_inv, lowered)
     v_hat = gamma_hat[..., :m] + 1j * gamma_hat[..., m:]
 
-    # Chern connection in the flat basis: D_{d_i} d_j = sum_k W[i, j, k] d_k,
+    # Chern connection in the flat basis: D_{d_i} d_j = sum_k chern[i, j, k] d_k,
     # with factor 1 for an x-type and i for a y-type direction or section.
-    W = dh @ frame.h_inv[..., None, :, :]
     factor = np.repeat([1.0, 1j], m)
-    v_chern = np.tile(W, (2, 2, 1)) * np.multiply.outer(factor, factor)[:, :, None]
+    v_chern = np.tile(frame.chern, (2, 2, 1)) * np.multiply.outer(factor, factor)[:, :, None]
     report.add("real_lc_vs_chern", _point_maxabs(v_hat - v_chern, n), tol)
     report.add("real_lc_vs_nabla", _point_maxabs(v_hat, n), tol)
 
@@ -421,12 +420,10 @@ def flat_ttstar_data(frames: CanonicalFrame):
     is the Chern connection along d_k, Phi_k = -C_k^T the Higgs field,
     Phidag_k = kappa Phi_k kappa = K conj(Phi_k) conj(K) with K = g^{-1} h
     the matrix of kappa, and U the Euler multiplication.  All of it is
-    label-invariant, and h, its exact derivatives and h^{-1} are the
-    frame's.
+    label-invariant, and K and d_k h h^{-1} are the frame's.
     """
-    ev = frames.ev
-    K = ev.g_inv @ frames.h
-    W = np.swapaxes(frames.dh @ frames.h_inv[..., None, :, :], -1, -2)
+    ev, K = frames.ev, frames.kappa
+    W = np.swapaxes(frames.chern, -1, -2)
     Phi = -np.swapaxes(ev.Cmix, -1, -2)
     Phidag = K[..., None, :, :] @ np.conj(Phi) @ np.conj(K)[..., None, :, :]
     kUk = K @ np.conj(ev.U) @ np.conj(K)

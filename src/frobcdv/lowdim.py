@@ -45,14 +45,13 @@ def _require_normal_form(spec):
 def from_canonical(spec, t) -> LowDimInput:
     """Build normal-form point data from the canonical construction.
 
-    t is a point, a stack or the CanonicalFrame there.  The Chern forms are
-    omega_i^j = sum_k (d h_ik) h^kj, with h, its exact derivatives and
-    h^{-1} read from that one frame, as are the third derivatives.
+    t is a point, a stack or the CanonicalFrame there.  The Chern forms
+    omega_i^j = sum_k (d h_ik) h^kj are that one frame's chern, and h and
+    the third derivatives are read from it too.
     """
     _require_normal_form(spec)
     frame = as_frame(spec, t)
-    return LowDimInput(
-        m=spec.dim, h=frame.h, omega=frame.dh @ frame.h_inv[..., None, :, :], C3=frame.ev.C3)
+    return LowDimInput(m=spec.dim, h=frame.h, omega=frame.chern, C3=frame.ev.C3)
 
 
 def _omega_antisymmetry(inp: LowDimInput):
@@ -68,7 +67,7 @@ def check_relations(inp: LowDimInput, tol) -> VerificationReport:
     and h is positive definite (verify's kappa_defect and pairing_defect),
     and the Chern forms are J-antisymmetric."""
     report = VerificationReport()
-    report.add("kappa_involution", kappa_defect(inp.h, np.eye(inp.m)[::-1]), tol)
+    report.add("kappa_involution", kappa_defect(np.eye(inp.m)[::-1] @ inp.h), tol)
     report.add("hermitian_pairing", pairing_defect(inp.h), tol)
     report.add("omega_antisymmetry", _omega_antisymmetry(inp), tol)
     return report

@@ -42,7 +42,8 @@ def test_trivial2_not_semisimple():
         canonical_frame(catalog("trivial2"), (0.3, 0.7))
 
 
-FRAME_FIELDS = ("point", "u", "A", "eta", "eta_d", "dC", "F4", "A_inv", "h", "dh", "h_inv")
+FRAME_FIELDS = ("point", "u", "A", "eta", "eta_d", "dC", "F4", "A_inv", "h", "dh", "h_inv",
+                "kappa", "chern")
 EV_FIELDS = ("point", "C3", "Cmix", "U")
 
 

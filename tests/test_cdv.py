@@ -15,8 +15,9 @@ from frobcdv import (
     HarmonicData,
     canonical_frame,
     catalog,
-    connection_gap,
     check_euler_degree,
+    check_relations,
+    connection_gap,
     construct_canonical_cdv,
     flat_frame_h,
     flat_metric,
@@ -54,6 +55,8 @@ def _fake_frame(eta):
         h=None,
         dh=None,
         h_inv=None,
+        kappa=None,
+        chern=None,
     )
 
 
@@ -125,9 +128,8 @@ def _patch_derivative_data(monkeypatch):
 def _phidag_with_unconjugated_kappa(frames, S):
     # Phidag_k = K Phi_k conj(K) in place of K conj(Phi_k) conj(K).
     m = frames.A.shape[-1]
-    K = frames.ev.g_inv @ frames.h
     S = S.copy()
-    K = K[..., None, :, :]
+    K = frames.kappa[..., None, :, :]
     S[..., 2 * m:3 * m, :, :] = K @ S[..., m:2 * m, :, :] @ np.conj(K)
     return S
 
@@ -281,6 +283,33 @@ def test_algebraic_check_fails_on_mutated_flat_data(monkeypatch, check, attr, mu
     assert rep[check].residual == pytest.approx(expected, abs=0.06)
     for other in unmoved:
         assert rep[other].residual <= 1e-12, other
+
+
+def _frame_checks(spec, frame):
+    """The residuals of verify_cv_axioms and connection_gap at frame, and
+    omega_antisymmetry of from_canonical's data, by name.  (lowdim's
+    kappa_involution reads J h, not the frame's kappa.)"""
+    reports = (verify_cv_axioms(spec, construct_canonical_cdv(frame, spec.d), 1e-5),
+               connection_gap(spec, frame, 1e-5))
+    residuals = {entry.name: entry.residual for rep in reports for entry in rep.entries}
+    lowdim = check_relations(from_canonical(spec, frame), 1e-9)
+    residuals["omega_antisymmetry"] = lowdim["omega_antisymmetry"].residual
+    return residuals
+
+
+@pytest.mark.parametrize("field,readers", [
+    ("kappa", ("kappa_involution", "higgs_reality")),
+    ("chern", ("omega_holomorphy", "real_lc_vs_chern", "omega_antisymmetry")),
+])
+def test_checks_read_kappa_and_chern_from_the_frame(field, readers):
+    # The frame forms kappa = g^-1 h and chern[k] = d_k h h^-1 once; a
+    # check that formed its own would not see the frame's perturbed.
+    spec = catalog("a3_3d")
+    frame = canonical_frame(spec, A3_POINT)
+    before = _frame_checks(spec, frame)
+    after = _frame_checks(spec, dataclasses.replace(frame, **{field: getattr(frame, field) + 0.1}))
+    for name in readers:
+        assert abs(after[name] - before[name]) > 1e-3, name
 
 
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)])

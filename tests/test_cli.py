@@ -805,6 +805,61 @@ def test_catalog_command(tmp_path):
     assert load_spec(tmp_path / "a3_3d.json") == catalog("a3_3d")
 
 
+def test_catalog_command_writes_one_named_entry(tmp_path, capsys):
+    assert main(["catalog", "--name", "p1", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{tmp_path}/p1.json\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p1.json"]
+    assert load_spec(tmp_path / "p1.json") == catalog("p1")
+
+
+def _one_line_error(capsys, argv):
+    """The one stderr line of a call that must exit 2 with nothing else."""
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+    return out.err.rstrip("\n")
+
+
+def test_unknown_catalog_name_is_one_line_error(capsys):
+    assert _one_line_error(capsys, ["catalog", "--name", "nope"]) == (
+        f"error: no catalog entry 'nope'; known: {', '.join(CATALOG_NAMES)}")
+
+
+def test_catalog_into_missing_directory_is_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    err = _one_line_error(capsys, ["catalog", "--name", "p1", "--out-dir", str(missing)])
+    assert err.endswith(f"No such file or directory: '{missing}/p1.json'")
+    assert not missing.exists()
+
+
+def test_spec_file_holding_a_list_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert _one_line_error(capsys, ["verify", "--spec", str(path)]) == (
+        "error: spec file must contain a JSON object")
+
+
+@pytest.mark.parametrize("name,options,message", [
+    ("p1", ["--rect", "1,2,3"], "error: --rect expects x0,y0,x1,y1"),
+    ("a3_3d", [], "error: the 2d tt* equation needs a 2-dimensional spec"),
+], ids=["three_rect_numbers", "three_dimensional_spec"])
+def test_tt2d_input_is_one_line_error(tmp_path, capsys, name, options, message):
+    argv = ["tt2d", "--spec", _dump(name, tmp_path), *options]
+    assert _one_line_error(capsys, argv) == message
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("degrees", [float("nan"), 1.0], "euler degrees, shifts, d and d_F must be finite"),
+    ("degrees", [1.0, 0.5], "normal form requires d_i + d_{m+1-i} = 2 - d"),
+    ("d_F", 2.5, "normal form requires d_F = 3 - d"),
+], ids=["nan_degree", "unpaired_degrees", "wrong_d_F"])
+def test_invalid_euler_data_is_one_line_error(tmp_path, capsys, field, value, message):
+    doc = spec_to_dict(catalog("quartic2"))
+    doc["euler"][field] = value
+    assert _assert_one_line_spec_error(doc, tmp_path, capsys) == f"error: {message}\n"
+
+
 def test_report_deterministic_modulo_timestamp(tmp_path):
     spec = _dump("quartic2", tmp_path)
     docs = []

@@ -118,6 +118,16 @@ def test_m2_wrong_dimension_rejected():
         check_m2_relations(_inp(3, np.eye(3)), 1e-12)
 
 
+def test_m3_wrong_dimension_rejected():
+    with pytest.raises(NotNormalForm, match="dimension-3 relations need m = 3"):
+        check_m3_relations(_inp(2, np.eye(2)), 1e-12)
+
+
+def test_reduced_wdvv_scalar_needs_dimension_3():
+    with pytest.raises(ValidationError, match="defined for dim 3 only"):
+        wdvv_reduced_m3(catalog("quartic2"), QPT)
+
+
 def test_m2_from_construction():
     spec = catalog("quartic2")
     for t in [QPT, (0.2 + 0.1j, 0.8 - 0.3j)]:

@@ -80,3 +80,14 @@ def test_invert_twice_is_identity():
     for _ in range(5):
         M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert np.max(np.abs(invert(invert(M)) - M)) <= 1e-10 * np.max(np.abs(M))
+
+
+@pytest.mark.parametrize("guarded", [solve_eig, invert])
+@pytest.mark.parametrize("M,message", [
+    (np.ones((2, 3)), r"expected a square matrix or a stack of them, got shape \(2, 3\)"),
+    (np.eye(9), "dimension 9 exceeds supported maximum 8"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix entries must be finite"),
+], ids=["non_square", "9x9", "non_finite"])
+def test_guards_reject_what_they_cannot_decompose(guarded, M, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        guarded(M)

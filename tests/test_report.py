@@ -1,6 +1,7 @@
 """Tests for the report entries: worst residual and count of points."""
 
 import numpy as np
+import pytest
 
 from frobcdv.report import CheckEntry, VerificationReport
 
@@ -19,3 +20,8 @@ def test_add_keeps_the_worst_residual_and_counts_the_points():
     assert report["per_point_and_z"].residual == 11.0
     assert all(type(e.residual) is float and type(e.points_checked) is int
                for e in report.entries)
+
+
+def test_unknown_check_name_raises_key_error():
+    with pytest.raises(KeyError):
+        VerificationReport()["x"]
