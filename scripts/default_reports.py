@@ -1,5 +1,5 @@
-"""Run the 200 default CLI reports and a fixed set of tt2d runs
-in-process and write them as one JSON file.
+"""Run the 200 default CLI reports, a fixed set of tt2d runs and the
+CLI's help and usage errors in-process and write them as one JSON file.
 
 Usage: python3 scripts/default_reports.py SRC_DIR OUT.json
 
@@ -10,10 +10,12 @@ connections and lowdim, each with its default options.  The tt2d runs
 (TT2D_RUNS) solve p1 on the default rect at --grid 33 and 128, quartic2
 on 0.5,-0.5,1.5,0.5 at --grid 65 and p1 on the long rect 0,0,16,1 at
 --grid 65, whose preconditioner is rebuilt on most Newton steps, and
-write one grid as CSV.  OUT.json holds, per call, its arguments, exit
-code, stdout, stderr, JSON report without the timestamp and the CSV's
-text (or null), so that `cmp` tells whether two trees give the same
-results:
+write one grid as CSV.  The CLI text calls (TEXT_ARGVS) print the
+help of frobcdv and of each subcommand, or end in a usage error, which
+argparse raises as SystemExit.  OUT.json holds, per call, its arguments,
+exit code, stdout, stderr, JSON report without the timestamp and the
+CSV's text (or null), so that `cmp` tells whether two trees give the
+same results, help and error text included:
 
     python3 scripts/default_reports.py ../parent/src /tmp/parent.json
     python3 scripts/default_reports.py src /tmp/change.json
@@ -38,6 +40,20 @@ TT2D_RUNS = (
     ("p1", ["--rect", "0,0,16,1", "--grid", "65"]),
     ("p1", ["--grid", "33", "--csv", "grid.csv"]),
 )
+# Calls that print help or a usage error, before any spec is read.
+TEXT_ARGVS = (
+    ["-h"],
+    *([command, "-h"] for command in (*COMMANDS, "tt2d", "catalog")),
+    [],
+    ["nope"],
+    ["--spec", "x", "verify"],
+    ["verify"],
+    ["verify", "--spec"],
+    ["cdv", "--points", "3"],
+    ["tt2d", "--points", "2"],
+    ["-x"],
+    ["verify", "--seed", "abc"],
+)
 
 
 def _take(path, read):
@@ -55,7 +71,10 @@ def _record(frobcdv_main, argv):
     """Run one call and take the report and CSV it wrote."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = frobcdv_main(argv)
+        try:
+            code = frobcdv_main(argv)
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
     report = _take("report.json", json.load)
     if report is not None:
         report.pop("timestamp")
@@ -78,6 +97,7 @@ def default_reports(frobcdv_main):
     for name, options in TT2D_RUNS:
         records.append(_record(frobcdv_main, [
             "tt2d", "--spec", f"{name}.json", *options, "--report", "report.json"]))
+    records.extend(_record(frobcdv_main, argv) for argv in TEXT_ARGVS)
     return records
 
 

@@ -18,7 +18,6 @@ from .potential import (
     PotentialSpec,
     flat_eval,
     flat_metric,
-    homogeneity_residual,
     wdvv_reduced_m3,
     wdvv_residual,
 )

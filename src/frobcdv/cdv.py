@@ -377,7 +377,9 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     cdv = construct_canonical_cdv(frame, spec.d)
     report = VerificationReport()
 
-    # (a) flat Levi-Civita vs Chern connection, canonical frame.
+    # (a) flat Levi-Civita vs Chern connection, canonical frame.  eta_d is
+    # symmetric (the metric is Egoroff), so the entries of the difference
+    # are those of (b) up to sign, and the two gaps are one number.
     report.add("nabla_vs_chern", _point_maxabs(levi_civita_canonical(frame) - cdv.omega, n), tol)
 
     # (b) torsion of the Chern connection (diagonal-omega reduction), 0 at

@@ -5,6 +5,9 @@ verify, connections, pencil and lowdim share one runner, cmd_pointwise:
 the table POINTWISE_CHECKS gives the reports each makes, once, at the
 stack of all its points' canonical frames (built once, and read by every
 check, which evaluates nothing), each with the worst point's residual.
+main adds options only to the subcommand it runs (ADD_OPTIONS); argparse
+registers the other names bare, so help, usage and errors read as if
+every subcommand had its options.
 Exit codes: 0 all checks pass, 1 a check failed, 2 error.
 """
 
@@ -257,36 +260,26 @@ class _Parser(argparse.ArgumentParser):
         return None if parsed is not None and first[0] is None else parsed
 
 
-def build_parser():
-    parser = _Parser(
-        prog="frobcdv",
-        description="Construct and verify canonical positive CDV-structures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p):
+    p.add_argument("--spec", required=True, help="spec JSON file")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--tol", type=float, default=1e-5, help="residual tolerance")
+    p.add_argument("--report", default=None, help="write JSON report here")
 
-    def common(p):
-        p.add_argument("--spec", required=True, help="spec JSON file")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--tol", type=float, default=1e-5, help="residual tolerance")
-        p.add_argument("--report", default=None, help="write JSON report here")
 
-    def pointwise(p, one_point):
-        common(p)
-        if one_point:
-            p.set_defaults(points=1)
-        else:
-            p.add_argument("--points", type=int, default=3, help="number of sample points")
-        p.add_argument("--point", default=None,
-                       help='explicit point "re,im;re,im;..." (overrides sampling)')
+def _add_pointwise(p, func=cmd_pointwise, one_point=False):
+    _add_common(p)
+    if one_point:
+        p.set_defaults(points=1)
+    else:
+        p.add_argument("--points", type=int, default=3, help="number of sample points")
+    p.add_argument("--point", default=None,
+                   help='explicit point "re,im;re,im;..." (overrides sampling)')
+    p.set_defaults(func=func)
 
-    # cdv reports the structure at one point, so it samples only that one.
-    for name in ("verify", "cdv", "connections", "pencil", "lowdim"):
-        p = sub.add_parser(name)
-        pointwise(p, one_point=name == "cdv")
-        p.set_defaults(func=cmd_cdv if name == "cdv" else cmd_pointwise)
 
-    p = sub.add_parser("tt2d")
-    common(p)
+def _add_tt2d(p):
+    _add_common(p)
     p.add_argument("--grid", type=int, default=64, help="grid nodes per side")
     p.add_argument("--rect", default="-1,-1,1,1", help="rectangle x0,y0,x1,y1")
     p.add_argument("--boundary", type=float, default=1.0, help="constant boundary h11")
@@ -294,10 +287,43 @@ def build_parser():
     p.add_argument("--csv", default=None, help="write the grid as CSV here")
     p.set_defaults(func=cmd_tt2d, tol=1e-10)
 
-    p = sub.add_parser("catalog")
+
+def _add_catalog(p):
     p.add_argument("--name", default=None, help="emit one entry (default: all)")
     p.add_argument("--out-dir", default=".", help="directory for spec files")
     p.set_defaults(func=cmd_catalog)
+
+
+# Per subcommand, in the order of the usage line, the function that adds
+# its options.  cdv reports the structure at one point, so it samples
+# only that one.
+ADD_OPTIONS = {
+    "verify": _add_pointwise,
+    "cdv": lambda p: _add_pointwise(p, cmd_cdv, one_point=True),
+    "connections": _add_pointwise,
+    "pencil": _add_pointwise,
+    "lowdim": _add_pointwise,
+    "tt2d": _add_tt2d,
+    "catalog": _add_catalog,
+}
+
+
+def build_parser(command=None):
+    """The parser of every subcommand name, with options added to
+    command's subparser alone (to none if command is None).  argparse
+    reads only the subparser of the subcommand it runs, and the top
+    level's help and errors name the subcommands alone, so every call
+    prints what a parser with every subcommand's options prints."""
+    parser = _Parser(
+        prog="frobcdv",
+        description="Construct and verify canonical positive CDV-structures.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add_options in ADD_OPTIONS.items():
+        if name == command:
+            add_options(sub.add_parser(name))
+        else:
+            sub.add_parser(name, add_help=False)
     return parser
 
 
@@ -312,8 +338,11 @@ def _check_numbers(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes the first word as the subcommand: anything else there
+    # (-h, a typo) ends at the top level, which never reads a subparser.
+    command = argv[0] if argv and argv[0] in ADD_OPTIONS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _check_numbers(args)
         # Arithmetic that overflows far out is an error, not a warning and

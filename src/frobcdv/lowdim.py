@@ -681,15 +681,13 @@ def tt2d_residual(spec, solution: TT2DSolution):
 
 def write_tt2d_csv(spec, solution: TT2DSolution, path):
     """Grid dump for external plotting: one row per node."""
-    grid = residual_grid(spec, solution)
+    grid = residual_grid(spec, solution).tolist()
+    # Python floats, whose repr is the text; each coordinate's text is made once.
+    xs, ys = ([repr(v) for v in a.tolist()] for a in (solution.x, solution.y))
     with open(path, "w") as fh:
         fh.write("x,y,h11,residual\n")
-        for i in range(solution.n):
-            for j in range(solution.n):
-                fh.write(
-                    f"{float(solution.x[i])!r},{float(solution.y[j])!r},"
-                    f"{float(solution.h11[i, j])!r},{float(grid[i, j])!r}\n"
-                )
+        for x, h_row, r_row in zip(xs, solution.h11.tolist(), grid):
+            fh.writelines(f"{x},{y},{h!r},{r!r}\n" for y, h, r in zip(ys, h_row, r_row))
 
 
 # Newton tolerance and iteration cap of the 1-d boundary reduction.

@@ -6,7 +6,7 @@ so all tensors (third derivatives, the flat metric, the Euler
 multiplication operator) are evaluated exactly, never by finite
 differences.  Each residual is one formula of these tensors, read from a
 frame (canonical.check_wdvv, check_homogeneity) or evaluated at a point
-(wdvv_residual, wdvv_reduced_m3, homogeneity_residual).
+(wdvv_residual, wdvv_reduced_m3).
 """
 
 import cmath
@@ -362,10 +362,3 @@ def homogeneity_defect(spec: PotentialSpec, t, C3, F4):
     weighted = weight * C3
     size = max(1.0, np.max(np.abs(euler)), np.max(np.abs(weighted)))
     return np.max(np.abs(euler + weighted), axis=(-3, -2, -1)), size
-
-
-def homogeneity_residual(spec: PotentialSpec, t) -> float:
-    """homogeneity_defect's residual maximised over t, one point or a stack
-    of them."""
-    C3, F4 = third_derivatives(spec, t), fourth_derivatives(spec, t)
-    return float(np.max(homogeneity_defect(spec, t, C3, F4)[0]))

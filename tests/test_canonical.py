@@ -17,14 +17,22 @@ from frobcdv import (
     check_homogeneity,
     check_wdvv,
     flat_eval,
-    homogeneity_residual,
     levi_civita_canonical,
     wdvv_reduced_m3,
     wdvv_residual,
 )
 from frobcdv.cli import sample_points
+from frobcdv.potential import fourth_derivatives, homogeneity_defect, third_derivatives
 
 QPT = (0.0, 1.0)
+
+
+def homogeneity_residual(spec, t):
+    """homogeneity_defect's residual maximised over t, one point or a stack
+    of them, from the partials of F evaluated there: the point oracle of
+    check_homogeneity, which reads them from the frame."""
+    C3, F4 = third_derivatives(spec, t), fourth_derivatives(spec, t)
+    return float(np.max(homogeneity_defect(spec, t, C3, F4)[0]))
 
 
 def _matched_frame(spec, t, ref):

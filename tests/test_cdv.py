@@ -591,6 +591,24 @@ def test_connection_gap_matches_loop_values(name):
     assert [e.residual for e in rep.entries] == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", ["quartic2", "p1", "a3_3d", "cubic2"])
+def test_nabla_vs_chern_equals_chern_torsion(name):
+    # The metric is Egoroff in canonical coordinates, so eta_d[a, b] =
+    # e_a(eta_b) is symmetric, and the entries of the flat minus the Chern
+    # connection in the canonical frame are then the torsion's entries up
+    # to sign: the two gaps are one number (0 on the flat cubic2).
+    spec = catalog(name)
+    for seed in range(10):
+        for t in sample_points(spec, 3, seed)[0]:
+            frame = canonical_frame(spec, t)
+            eta_d = frame.eta_d
+            assert np.max(np.abs(eta_d - eta_d.T)) <= 1e-12 * np.max(np.abs(eta_d))
+            rep = connection_gap(spec, frame, 1e-5)
+            torsion = rep["chern_torsion"].residual
+            assert (torsion > 0.0) == (name != "cubic2"), (seed, t)
+            assert abs(rep["nabla_vs_chern"].residual - torsion) <= 1e-12 * torsion, (seed, t)
+
+
 @pytest.mark.parametrize("name", sorted(LOOP_GAPS))
 def test_connection_gap_inverts_nothing(monkeypatch, name):
     # Given its frame, connection_gap reads the real metric's inverse as the

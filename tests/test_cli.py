@@ -40,6 +40,7 @@ from frobcdv import (
     verify_harmonic,
     write_spec,
 )
+from frobcdv import cli
 from frobcdv.cli import (RESAMPLE_LIMIT, SAMPLING_EPS_SS, _draw_point, _parse_point, main,
                           sample_points)
 
@@ -796,6 +797,23 @@ def test_spec_above_max_dim_is_one_line_error(tmp_path, capsys, command):
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("error: ")
     assert "from 1 to 8, got 9" in out.err
+
+
+def test_main_adds_options_to_the_subcommand_it_runs_alone(tmp_path, monkeypatch):
+    # The other six subcommands are registered by name, with no options:
+    # adding every subcommand's options took a third of a pointwise call.
+    added = {}
+    add_argument = cli._Parser.add_argument
+
+    def record(parser, *args, **kwargs):
+        added.setdefault(parser.prog, []).extend(args)
+        return add_argument(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_argument", record)
+    assert main(["verify", "--spec", _dump("quartic2", tmp_path), "--points", "1"]) == 0
+    assert added == {"frobcdv": ["-h", "--help"],
+                     "frobcdv verify": ["-h", "--help", "--spec", "--seed", "--tol", "--report",
+                                        "--points", "--point"]}
 
 
 def test_catalog_command(tmp_path):

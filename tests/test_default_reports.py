@@ -1,17 +1,21 @@
-"""The 200 default reports and the tt2d runs of scripts/default_reports.py.
+"""The 200 default reports, the tt2d runs and the CLI text calls of
+scripts/default_reports.py.
 
 The script runs seeds 0-9 x quartic2, p1, a3_3d, cubic2 x verify, cdv,
-pencil, connections and lowdim with their default options, and five
-tt2d runs, in-process.  Here their exit codes, check names and verdicts
-are pinned, and every passing check of the pointwise subcommands must
-pass with margin (tolerance / residual) at least MIN_MARGIN.  The script
-is loaded from its file, as tests/test_bench_trace.py loads the tracer.
+pencil, connections and lowdim with their default options, five tt2d
+runs and the calls that print help or a usage error, in-process.  Here
+their exit codes, check names and verdicts are pinned, and every passing
+check of the pointwise subcommands must pass with margin (tolerance /
+residual) at least MIN_MARGIN.  The text calls must print what a parser
+with every subcommand's options prints.  The script is loaded from its
+file, as tests/test_bench_trace.py loads the tracer.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+from frobcdv import cli
 from frobcdv.cli import main
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "default_reports.py"
@@ -58,8 +62,10 @@ def test_default_reports(tmp_path, monkeypatch):
     script = _load_script(monkeypatch)
     monkeypatch.chdir(tmp_path)
     records = script.default_reports(main)
-    pointwise, tt2d = records[:200], records[200:]
-    assert len(pointwise) == 200 and len(tt2d) == len(script.TT2D_RUNS)
+    n_tt2d = len(script.TT2D_RUNS)
+    pointwise, tt2d, text = records[:200], records[200:200 + n_tt2d], records[200 + n_tt2d:]
+    assert len(pointwise) == 200 and len(tt2d) == n_tt2d
+    assert [record["argv"] for record in text] == list(script.TEXT_ARGVS)
 
     for record in pointwise:
         command, name = record["argv"][0], record["argv"][2].removesuffix(".json")
@@ -79,3 +85,29 @@ def test_default_reports(tmp_path, monkeypatch):
         assert record["exit"] == 0, record["argv"]
         assert [c["name"] for c in record["report"]["checks"]] == TT2D
     assert tt2d[-1]["csv"] is not None
+    for record in text:
+        # Help exits 0 on stdout; a usage error exits 2 on stderr.
+        assert record["exit"] == (0 if "-h" in record["argv"] else 2), record["argv"]
+        assert bool(record["stdout"]) == (record["exit"] == 0), record["argv"]
+        assert record["stderr"].startswith("usage: frobcdv") == (record["exit"] == 2)
+
+
+def _parser_with_every_option(top):
+    """The parser top with every subcommand's options added, as
+    build_parser made it before it read the command."""
+    parser = cli._Parser(prog=top.prog, description=top.description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add_options in cli.ADD_OPTIONS.items():
+        add_options(sub.add_parser(name))
+    return parser
+
+
+def test_cli_text_equals_a_parser_with_every_option(tmp_path, monkeypatch):
+    # main adds options only to the subcommand it runs; what it prints,
+    # help and usage errors included, does not change with that.
+    script = _load_script(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    records = [script._record(main, argv) for argv in script.TEXT_ARGVS]
+    top = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda command: _parser_with_every_option(top))
+    assert [script._record(main, argv) for argv in script.TEXT_ARGVS] == records

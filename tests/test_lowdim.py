@@ -412,6 +412,33 @@ def test_tt2d_csv_round_trip(tmp_path):
     assert h11 == 1.0 and res == 0.0
 
 
+def _write_csv_loop(spec, solution, path):
+    """The writer before it converted each array to Python floats: one
+    formatted line per node, kept as the reference."""
+    grid = lowdim.residual_grid(spec, solution)
+    with open(path, "w") as fh:
+        fh.write("x,y,h11,residual\n")
+        for i in range(solution.n):
+            for j in range(solution.n):
+                fh.write(
+                    f"{float(solution.x[i])!r},{float(solution.y[j])!r},"
+                    f"{float(solution.h11[i, j])!r},{float(grid[i, j])!r}\n"
+                )
+
+
+@pytest.mark.parametrize("name, rect, n", [
+    ("cubic2", (-1.0, -1.0, 1.0, 1.0), 9),
+    ("p1", (-1.0, -1.0, 1.0, 1.0), 33),
+    ("quartic2", (0.5, -0.5, 1.5, 0.5), 65),
+])
+def test_tt2d_csv_equals_the_loop_writer_byte_for_byte(tmp_path, name, rect, n):
+    spec = catalog(name)
+    sol = solve_tt2d(spec, rect, n, 1.0)
+    write_tt2d_csv(spec, sol, tmp_path / "grid.csv")
+    _write_csv_loop(spec, sol, tmp_path / "loop.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 17])
 def test_tt2d_jacobian_matches_residual_derivative(n):
     # n = 4 has only first-ring rows (3-point formula); from n = 5 on the

@@ -19,7 +19,6 @@ from frobcdv import (
     check_wdvv,
     flat_eval,
     flat_metric,
-    homogeneity_residual,
     load_spec,
     solve_tt2d,
     wdvv_reduced_m3,
@@ -34,6 +33,7 @@ from frobcdv.potential import (
     fourth_derivatives,
     third_derivatives,
 )
+from test_canonical import homogeneity_residual
 
 
 def eval_derivative(spec, multi_index, t):
