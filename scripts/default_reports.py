@@ -53,6 +53,9 @@ TEXT_ARGVS = (
     ["tt2d", "--points", "2"],
     ["-x"],
     ["verify", "--seed", "abc"],
+    ["verify", "--spec", "x", "--bogus"],
+    ["tt2d", "--spec", "x", "extra"],
+    ["verify", "--spec", "x", "--poi", "1"],
 )
 
 

@@ -388,7 +388,8 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     report.add("chern_torsion", np.max(np.abs(torsion), axis=-1, initial=0.0), tol)
 
     # (c) closedness of the Kaehler form, flat coordinates:
-    # max |d_k h_ij - d_i h_kj|.
+    # max |d_k h_ij - d_i h_kj|, the torsion of (b) lowered by h.  At m = 2
+    # it reads exactly 2 * chern_torsion; at m = 3 the ratio varies.
     dh = frame.dh
     report.add("kaehler_closedness", _point_maxabs(dh - np.swapaxes(dh, -3, -2), n), tol)
 

@@ -5,9 +5,10 @@ verify, connections, pencil and lowdim share one runner, cmd_pointwise:
 the table POINTWISE_CHECKS gives the reports each makes, once, at the
 stack of all its points' canonical frames (built once, and read by every
 check, which evaluates nothing), each with the worst point's residual.
-main adds options only to the subcommand it runs (ADD_OPTIONS); argparse
-registers the other names bare, so help, usage and errors read as if
-every subcommand had its options.
+A call that names a subcommand builds that subcommand's parser alone
+(ADD_OPTIONS); the top-level parser, whose subcommands are bare names, is
+built only for its own help and errors, so help, usage and errors read
+as if one parser had every subcommand's options.
 Exit codes: 0 all checks pass, 1 a check failed, 2 error.
 """
 
@@ -210,7 +211,9 @@ def cmd_tt2d(args):
         spec, rect, args.grid, args.boundary, max_iter=args.max_iter, tol=args.tol,
         raise_on_failure=False,
     )
-    pde, inv = ld.tt2d_residual(spec, solution)
+    # With --csv, one residual grid serves the check and the CSV.
+    grid = ld.residual_grid(spec, solution) if args.csv else None
+    pde, inv = ld.tt2d_residual(spec, solution, grid)
     report = VerificationReport()
     # Below the residual's round-off floor, tol cannot be met.  Both checks
     # share that target; the independent one allows 10x for the round-off
@@ -220,7 +223,7 @@ def cmd_tt2d(args):
     report.add("tt2d_solver_residual", solution.residual, tol)
     report.add("tt2d_independent_residual", pde, 10.0 * tol if solution.converged else tol)
     if args.csv:
-        ld.write_tt2d_csv(spec, solution, args.csv)
+        ld.write_tt2d_csv(spec, solution, args.csv, grid)
     extra = {
         "tt2d": {
             "iterations": solution.iterations,
@@ -294,6 +297,8 @@ def _add_catalog(p):
     p.set_defaults(func=cmd_catalog)
 
 
+PROG = "frobcdv"
+
 # Per subcommand, in the order of the usage line, the function that adds
 # its options.  cdv reports the structure at one point, so it samples
 # only that one.
@@ -308,22 +313,18 @@ ADD_OPTIONS = {
 }
 
 
-def build_parser(command=None):
-    """The parser of every subcommand name, with options added to
-    command's subparser alone (to none if command is None).  argparse
-    reads only the subparser of the subcommand it runs, and the top
-    level's help and errors name the subcommands alone, so every call
-    prints what a parser with every subcommand's options prints."""
+def build_parser():
+    """The top-level parser: every subcommand's name, with no options.
+    argparse hands every word after a subcommand's name to that
+    subcommand's parser, so the top level prints only its own help and
+    errors, which name the subcommands alone."""
     parser = _Parser(
-        prog="frobcdv",
+        prog=PROG,
         description="Construct and verify canonical positive CDV-structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, add_options in ADD_OPTIONS.items():
-        if name == command:
-            add_options(sub.add_parser(name))
-        else:
-            sub.add_parser(name, add_help=False)
+    for name in ADD_OPTIONS:
+        sub.add_parser(name, add_help=False)
     return parser
 
 
@@ -339,10 +340,17 @@ def _check_numbers(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes the first word as the subcommand: anything else there
-    # (-h, a typo) ends at the top level, which never reads a subparser.
-    command = argv[0] if argv and argv[0] in ADD_OPTIONS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in ADD_OPTIONS:
+        # The parser argparse would hand the rest of argv to, as it would
+        # build it; words it leaves over are the top level's error.
+        parser = _Parser(prog=f"{PROG} {argv[0]}")
+        ADD_OPTIONS[argv[0]](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+    else:  # -h, no arguments, a typo: the top level's help or error
+        args = build_parser().parse_args(argv)
     try:
         _check_numbers(args)
         # Arithmetic that overflows far out is an error, not a warning and

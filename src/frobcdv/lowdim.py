@@ -669,19 +669,21 @@ def residual_grid(spec, solution: TT2DSolution):
     return grid
 
 
-def tt2d_residual(spec, solution: TT2DSolution):
+def tt2d_residual(spec, solution: TT2DSolution, grid=None):
     """Independent re-evaluation of the PDE and invariance residuals: the
-    maximum of residual_grid, and max |d h_11 / dy| by central differences."""
+    maximum of residual_grid (grid, if the caller has evaluated it), and
+    max |d h_11 / dy| by central differences."""
     _, y0, _, y1 = solution.rect
     hy = (y1 - y0) / (solution.n - 1)
-    pde = float(np.max(residual_grid(spec, solution)))
+    pde = float(np.max(residual_grid(spec, solution) if grid is None else grid))
     inv_res = float(np.max(np.abs(solution.h11[:, 2:] - solution.h11[:, :-2]) / (2 * hy)))
     return pde, inv_res
 
 
-def write_tt2d_csv(spec, solution: TT2DSolution, path):
-    """Grid dump for external plotting: one row per node."""
-    grid = residual_grid(spec, solution).tolist()
+def write_tt2d_csv(spec, solution: TT2DSolution, path, grid=None):
+    """Grid dump for external plotting: one row per node, its residual from
+    residual_grid (grid, if the caller has evaluated it)."""
+    grid = (residual_grid(spec, solution) if grid is None else grid).tolist()
     # Python floats, whose repr is the text; each coordinate's text is made once.
     xs, ys = ([repr(v) for v in a.tolist()] for a in (solution.x, solution.y))
     with open(path, "w") as fh:

@@ -609,6 +609,20 @@ def test_nabla_vs_chern_equals_chern_torsion(name):
             assert abs(rep["nabla_vs_chern"].residual - torsion) <= 1e-12 * torsion, (seed, t)
 
 
+@pytest.mark.parametrize("name", ["quartic2", "p1", "cubic2"])
+def test_kaehler_closedness_is_twice_chern_torsion_at_m2(name):
+    # Both read the torsion of the Chern connection, kaehler_closedness in
+    # flat coordinates; at m = 2 they differ by a factor 2 (0 on the flat
+    # cubic2), at m = 3 by a ratio that varies (1.10-2.28 on a3_3d).
+    spec = catalog(name)
+    for seed in range(10):
+        for t in sample_points(spec, 3, seed)[0]:
+            rep = connection_gap(spec, canonical_frame(spec, t), 1e-5)
+            torsion = rep["chern_torsion"].residual
+            closedness = rep["kaehler_closedness"].residual
+            assert abs(closedness - 2.0 * torsion) <= 1e-12 * closedness, (seed, t)
+
+
 @pytest.mark.parametrize("name", sorted(LOOP_GAPS))
 def test_connection_gap_inverts_nothing(monkeypatch, name):
     # Given its frame, connection_gap reads the real metric's inverse as the

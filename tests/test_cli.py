@@ -560,6 +560,26 @@ def test_tt2d_evaluates_the_source_once_per_command(tmp_path, monkeypatch, csv):
     assert calls == [(17, 17)]
 
 
+@pytest.mark.parametrize("csv", [False, True], ids=["report", "csv"])
+def test_tt2d_evaluates_the_residual_grid_once_per_command(tmp_path, monkeypatch, csv):
+    # The check and the CSV's residual column read one grid (were 2 with --csv).
+    from frobcdv import lowdim
+
+    calls = []
+    residual_grid = lowdim.residual_grid
+
+    def counting(spec, solution):
+        calls.append(solution.n)
+        return residual_grid(spec, solution)
+
+    monkeypatch.setattr(lowdim, "residual_grid", counting)
+    argv = ["tt2d", "--spec", _dump("p1", tmp_path), "--grid", "17"]
+    if csv:
+        argv += ["--csv", str(tmp_path / "grid.csv")]
+    assert main(argv) == 0
+    assert calls == [17]
+
+
 def test_tt2d_csv_residual_is_the_checked_residual(tmp_path):
     # The CSV's residual column used to come from the solver's own stencil;
     # it is the independent residual, whose maximum the report checks.
@@ -800,8 +820,8 @@ def test_spec_above_max_dim_is_one_line_error(tmp_path, capsys, command):
 
 
 def test_main_adds_options_to_the_subcommand_it_runs_alone(tmp_path, monkeypatch):
-    # The other six subcommands are registered by name, with no options:
-    # adding every subcommand's options took a third of a pointwise call.
+    # No other subcommand is registered, and no top-level parser is built:
+    # building every subcommand's parser took a quarter of a pointwise call.
     added = {}
     add_argument = cli._Parser.add_argument
 
@@ -811,9 +831,29 @@ def test_main_adds_options_to_the_subcommand_it_runs_alone(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli._Parser, "add_argument", record)
     assert main(["verify", "--spec", _dump("quartic2", tmp_path), "--points", "1"]) == 0
-    assert added == {"frobcdv": ["-h", "--help"],
-                     "frobcdv verify": ["-h", "--help", "--spec", "--seed", "--tol", "--report",
+    assert added == {"frobcdv verify": ["-h", "--help", "--spec", "--seed", "--tol", "--report",
                                         "--points", "--point"]}
+
+
+@pytest.mark.parametrize("command", list(cli.ADD_OPTIONS))
+def test_a_valid_call_builds_one_parser(tmp_path, monkeypatch, command):
+    # The subcommand's own parser, and no top-level parser.
+    built = []
+    init = cli._Parser.__init__
+
+    def record(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        built.append(parser.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", record)
+    if command == "tt2d":
+        options = ["--spec", _dump("p1", tmp_path), "--grid", "9"]
+    elif command == "catalog":
+        options = ["--name", "p1", "--out-dir", str(tmp_path)]
+    else:
+        options = ["--spec", _dump("cubic2", tmp_path), *_points(command, 1)]
+    assert main([command, *options]) == 0
+    assert built == [f"frobcdv {command}"]
 
 
 def test_catalog_command(tmp_path):

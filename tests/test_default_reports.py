@@ -93,8 +93,8 @@ def test_default_reports(tmp_path, monkeypatch):
 
 
 def _parser_with_every_option(top):
-    """The parser top with every subcommand's options added, as
-    build_parser made it before it read the command."""
+    """The parser top with every subcommand's options added: one parser
+    that reads every call, as argparse dispatches it."""
     parser = cli._Parser(prog=top.prog, description=top.description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, add_options in cli.ADD_OPTIONS.items():
@@ -103,11 +103,11 @@ def _parser_with_every_option(top):
 
 
 def test_cli_text_equals_a_parser_with_every_option(tmp_path, monkeypatch):
-    # main adds options only to the subcommand it runs; what it prints,
-    # help and usage errors included, does not change with that.
+    # main builds the parser of the subcommand it runs alone, and the top
+    # level only for its help and errors; what it prints, help and usage
+    # errors included, is what one parser with every option prints.
     script = _load_script(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    records = [script._record(main, argv) for argv in script.TEXT_ARGVS]
-    top = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda command: _parser_with_every_option(top))
-    assert [script._record(main, argv) for argv in script.TEXT_ARGVS] == records
+    parser = _parser_with_every_option(cli.build_parser())
+    for argv in script.TEXT_ARGVS:
+        assert script._record(main, argv) == script._record(parser.parse_args, argv)
