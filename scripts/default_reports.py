@@ -10,7 +10,10 @@ connections and lowdim, each with its default options.  The tt2d runs
 (TT2D_RUNS) solve p1 on the default rect at --grid 33 and 128, quartic2
 on 0.5,-0.5,1.5,0.5 at --grid 65 and p1 on the long rect 0,0,16,1 at
 --grid 65, whose preconditioner is rebuilt on most Newton steps, and
-write one grid as CSV.  The CLI text calls (TEXT_ARGVS) print the
+write one grid as CSV.  The argparse calls (ARGPARSE_ARGVS) are written
+in forms that cli._read_options refuses, so that argparse reads them:
+"--flag=value", a unique prefix and a repeated option, and a value
+starting with "-".  The CLI text calls (TEXT_ARGVS) print the
 help of frobcdv and of each subcommand, or end in a usage error, which
 argparse raises as SystemExit.  OUT.json holds, per call, its arguments,
 exit code, stdout, stderr, JSON report without the timestamp and the
@@ -39,6 +42,13 @@ TT2D_RUNS = (
     ("quartic2", ["--rect", "0.5,-0.5,1.5,0.5", "--grid", "65"]),
     ("p1", ["--rect", "0,0,16,1", "--grid", "65"]),
     ("p1", ["--grid", "33", "--csv", "grid.csv"]),
+)
+# Calls that argparse reads, not cli._read_options; the last exits 2 at
+# its negative --tol, after parsing.
+ARGPARSE_ARGVS = (
+    ["verify", "--spec=quartic2.json", "--points=1"],
+    ["pencil", "--spe", "a3_3d.json", "--points", "1", "--seed", "1", "--seed", "2"],
+    ["tt2d", "--spec", "p1.json", "--grid", "9", "--tol", "-1e-5"],
 )
 # Calls that print help or a usage error, before any spec is read.
 TEXT_ARGVS = (
@@ -100,7 +110,7 @@ def default_reports(frobcdv_main):
     for name, options in TT2D_RUNS:
         records.append(_record(frobcdv_main, [
             "tt2d", "--spec", f"{name}.json", *options, "--report", "report.json"]))
-    records.extend(_record(frobcdv_main, argv) for argv in TEXT_ARGVS)
+    records.extend(_record(frobcdv_main, argv) for argv in ARGPARSE_ARGVS + TEXT_ARGVS)
     return records
 
 

@@ -5,16 +5,19 @@ verify, connections, pencil and lowdim share one runner, cmd_pointwise:
 the table POINTWISE_CHECKS gives the reports each makes, once, at the
 stack of all its points' canonical frames (built once, and read by every
 check, which evaluates nothing), each with the worst point's residual.
-A call that names a subcommand builds that subcommand's parser alone
-(ADD_OPTIONS); the top-level parser, whose subcommands are bare names, is
-built only for its own help and errors, so help, usage and errors read
-as if one parser had every subcommand's options.
+The table OPTIONS defines each subcommand's options.  A call of plain
+"--flag value" pairs is read off it (_read_options) and builds no parser;
+any other call builds that subcommand's argparse parser from the table,
+and the top-level parser, whose subcommands are bare names, only for its
+own help and errors, so help, usage and errors read as if one parser had
+every subcommand's options.
 Exit codes: 0 all checks pass, 1 a check failed, 2 error.
 """
 
 import argparse
 import datetime
 import json
+import os
 import sys
 
 import numpy as np
@@ -243,7 +246,7 @@ def cmd_catalog(args):
         names = list(CATALOG_NAMES)
     for name in names:
         spec = catalog_entry(name)
-        path = f"{args.out_dir}/{name}.json"
+        path = os.path.join(args.out_dir, f"{name}.json")
         write_spec(spec, path)
         print(path)
     return None, [], 0, None
@@ -263,54 +266,71 @@ class _Parser(argparse.ArgumentParser):
         return None if parsed is not None and first[0] is None else parsed
 
 
-def _add_common(p):
-    p.add_argument("--spec", required=True, help="spec JSON file")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--tol", type=float, default=1e-5, help="residual tolerance")
-    p.add_argument("--report", default=None, help="write JSON report here")
-
-
-def _add_pointwise(p, func=cmd_pointwise, one_point=False):
-    _add_common(p)
-    if one_point:
-        p.set_defaults(points=1)
-    else:
-        p.add_argument("--points", type=int, default=3, help="number of sample points")
-    p.add_argument("--point", default=None,
-                   help='explicit point "re,im;re,im;..." (overrides sampling)')
-    p.set_defaults(func=func)
-
-
-def _add_tt2d(p):
-    _add_common(p)
-    p.add_argument("--grid", type=int, default=64, help="grid nodes per side")
-    p.add_argument("--rect", default="-1,-1,1,1", help="rectangle x0,y0,x1,y1")
-    p.add_argument("--boundary", type=float, default=1.0, help="constant boundary h11")
-    p.add_argument("--max-iter", type=int, default=50, help="Newton iteration cap")
-    p.add_argument("--csv", default=None, help="write the grid as CSV here")
-    p.set_defaults(func=cmd_tt2d, tol=1e-10)
-
-
-def _add_catalog(p):
-    p.add_argument("--name", default=None, help="emit one entry (default: all)")
-    p.add_argument("--out-dir", default=".", help="directory for spec files")
-    p.set_defaults(func=cmd_catalog)
-
+# The options of every subcommand but catalog, and cdv's and the pointwise --point.
+_COMMON = {
+    "--spec": (str, None, "spec JSON file"),
+    "--seed": (int, 0, "sampling seed"),
+    "--tol": (float, 1e-5, "residual tolerance"),
+    "--report": (str, None, "write JSON report here"),
+}
+_POINT = {"--point": (str, None, 'explicit point "re,im;re,im;..." (overrides sampling)')}
+_POINTWISE = (
+    {**_COMMON, "--points": (int, 3, "number of sample points"), **_POINT},
+    ("--spec",),
+    {"func": cmd_pointwise},
+)
 
 PROG = "frobcdv"
 
-# Per subcommand, in the order of the usage line, the function that adds
-# its options.  cdv reports the structure at one point, so it samples
-# only that one.
-ADD_OPTIONS = {
-    "verify": _add_pointwise,
-    "cdv": lambda p: _add_pointwise(p, cmd_cdv, one_point=True),
-    "connections": _add_pointwise,
-    "pencil": _add_pointwise,
-    "lowdim": _add_pointwise,
-    "tt2d": _add_tt2d,
-    "catalog": _add_catalog,
+# Per subcommand, in the order of the usage line: its options, each flag's
+# (type, default, help); the flags it requires; and the values it fixes.
+# cdv reports the structure at one point, so it samples only that one.
+OPTIONS = {
+    "verify": _POINTWISE,
+    "cdv": ({**_COMMON, **_POINT}, ("--spec",), {"func": cmd_cdv, "points": 1}),
+    "connections": _POINTWISE,
+    "pencil": _POINTWISE,
+    "lowdim": _POINTWISE,
+    "tt2d": ({**_COMMON,
+              "--grid": (int, 64, "grid nodes per side"),
+              "--rect": (str, "-1,-1,1,1", "rectangle x0,y0,x1,y1"),
+              "--boundary": (float, 1.0, "constant boundary h11"),
+              "--max-iter": (int, 50, "Newton iteration cap"),
+              "--csv": (str, None, "write the grid as CSV here")},
+             ("--spec",), {"func": cmd_tt2d, "tol": 1e-10}),
+    "catalog": ({"--name": (str, None, "emit one entry (default: all)"),
+                 "--out-dir": (str, ".", "directory for spec files")},
+                (), {"func": cmd_catalog}),
 }
+
+
+def _read_options(name, words):
+    """The options of subcommand name if words are "--flag value" pairs of
+    its flags, each value converting with its flag's type and not starting
+    with "-", and give every required flag; else None, and argparse reads
+    them ("-h", "--flag=value", a prefix, "--", "-1e-5", a bad value)."""
+    options, required, fixed = OPTIONS[name]
+    if len(words) % 2 or not set(required) <= set(words[::2]):
+        return None
+    values = {flag[2:].replace("-", "_"): default for flag, (_, default, _) in options.items()}
+    values.update(fixed)
+    for flag, value in zip(words[::2], words[1::2]):
+        if flag not in options or value.startswith("-"):
+            return None
+        try:
+            values[flag[2:].replace("-", "_")] = options[flag][0](value)
+        except ValueError:
+            return None
+    return argparse.Namespace(**values)
+
+
+def _add_options(parser, name):
+    """Add subcommand name's options of OPTIONS to parser."""
+    options, required, fixed = OPTIONS[name]
+    for flag, (type_, default, help_) in options.items():
+        parser.add_argument(flag, type=type_, default=default, required=flag in required,
+                            help=help_)
+    parser.set_defaults(**fixed)
 
 
 def build_parser():
@@ -323,7 +343,7 @@ def build_parser():
         description="Construct and verify canonical positive CDV-structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ADD_OPTIONS:
+    for name in OPTIONS:
         sub.add_parser(name, add_help=False)
     return parser
 
@@ -340,14 +360,16 @@ def _check_numbers(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in ADD_OPTIONS:
-        # The parser argparse would hand the rest of argv to, as it would
-        # build it; words it leaves over are the top level's error.
-        parser = _Parser(prog=f"{PROG} {argv[0]}")
-        ADD_OPTIONS[argv[0]](parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if extras:
-            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    if argv and argv[0] in OPTIONS:
+        args = _read_options(argv[0], argv[1:])
+        if args is None:
+            # The parser argparse would hand the rest of argv to, as it
+            # would build it; words it leaves over are the top level's error.
+            parser = _Parser(prog=f"{PROG} {argv[0]}")
+            _add_options(parser, argv[0])
+            args, extras = parser.parse_known_args(argv[1:])
+            if extras:
+                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     else:  # -h, no arguments, a typo: the top level's help or error
         args = build_parser().parse_args(argv)

@@ -1,5 +1,6 @@
 """Tests for spec serialization, sampling, report output, and exit codes."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -820,8 +821,10 @@ def test_spec_above_max_dim_is_one_line_error(tmp_path, capsys, command):
 
 
 def test_main_adds_options_to_the_subcommand_it_runs_alone(tmp_path, monkeypatch):
-    # No other subcommand is registered, and no top-level parser is built:
-    # building every subcommand's parser took a quarter of a pointwise call.
+    # A plain call is read off cli.OPTIONS and adds no option; one that
+    # argparse reads (here "--points=1") adds only its subcommand's, and
+    # builds no top-level parser: building every subcommand's parser took a
+    # quarter of a pointwise call.
     added = {}
     add_argument = cli._Parser.add_argument
 
@@ -830,22 +833,26 @@ def test_main_adds_options_to_the_subcommand_it_runs_alone(tmp_path, monkeypatch
         return add_argument(parser, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "add_argument", record)
-    assert main(["verify", "--spec", _dump("quartic2", tmp_path), "--points", "1"]) == 0
+    spec = _dump("quartic2", tmp_path)
+    assert main(["verify", "--spec", spec, "--points", "1"]) == 0
+    assert added == {}
+    assert main(["verify", "--spec", spec, "--points=1"]) == 0
     assert added == {"frobcdv verify": ["-h", "--help", "--spec", "--seed", "--tol", "--report",
                                         "--points", "--point"]}
 
 
-@pytest.mark.parametrize("command", list(cli.ADD_OPTIONS))
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
 def test_a_valid_call_builds_one_parser(tmp_path, monkeypatch, command):
-    # The subcommand's own parser, and no top-level parser.
+    # At most one: a call of plain "--flag value" pairs builds none, and
+    # the same call with "--flag=value" the subcommand's own parser alone.
     built = []
-    init = cli._Parser.__init__
+    init = argparse.ArgumentParser.__init__
 
     def record(parser, *args, **kwargs):
         init(parser, *args, **kwargs)
         built.append(parser.prog)
 
-    monkeypatch.setattr(cli._Parser, "__init__", record)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
     if command == "tt2d":
         options = ["--spec", _dump("p1", tmp_path), "--grid", "9"]
     elif command == "catalog":
@@ -853,6 +860,8 @@ def test_a_valid_call_builds_one_parser(tmp_path, monkeypatch, command):
     else:
         options = ["--spec", _dump("cubic2", tmp_path), *_points(command, 1)]
     assert main([command, *options]) == 0
+    assert built == []
+    assert main([command, f"{options[0]}={options[1]}", *options[2:]]) == 0
     assert built == [f"frobcdv {command}"]
 
 
@@ -868,6 +877,20 @@ def test_catalog_command_writes_one_named_entry(tmp_path, capsys):
     assert capsys.readouterr().out == f"{tmp_path}/p1.json\n"
     assert [p.name for p in tmp_path.iterdir()] == ["p1.json"]
     assert load_spec(tmp_path / "p1.json") == catalog("p1")
+
+
+@pytest.mark.parametrize("out_dir, path", [("", "p1.json"), (".", "./p1.json"),
+                                            ("specs/", "specs/p1.json")])
+def test_catalog_joins_out_dir_and_name(tmp_path, monkeypatch, capsys, out_dir, path):
+    # "--out-dir ''" is the current directory, as "." is; pasting the two
+    # with "/" made it "/p1.json", at the root.  Nothing is written.
+    monkeypatch.chdir(tmp_path)
+    paths = []
+    monkeypatch.setattr(cli, "write_spec", lambda spec, path: paths.append(path))
+    assert main(["catalog", "--out-dir", out_dir, "--name", "p1"]) == 0
+    assert paths == [path]
+    assert capsys.readouterr().out == f"{path}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _one_line_error(capsys, argv):

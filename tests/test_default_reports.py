@@ -3,7 +3,8 @@ scripts/default_reports.py.
 
 The script runs seeds 0-9 x quartic2, p1, a3_3d, cubic2 x verify, cdv,
 pencil, connections and lowdim with their default options, five tt2d
-runs and the calls that print help or a usage error, in-process.  Here
+runs, three calls that argparse reads and the calls that print help or a
+usage error, in-process.  Here
 their exit codes, check names and verdicts are pinned, and every passing
 check of the pointwise subcommands must pass with margin (tolerance /
 residual) at least MIN_MARGIN.  The text calls must print what a parser
@@ -62,9 +63,11 @@ def test_default_reports(tmp_path, monkeypatch):
     script = _load_script(monkeypatch)
     monkeypatch.chdir(tmp_path)
     records = script.default_reports(main)
-    n_tt2d = len(script.TT2D_RUNS)
-    pointwise, tt2d, text = records[:200], records[200:200 + n_tt2d], records[200 + n_tt2d:]
+    n_tt2d, n_argparse = len(script.TT2D_RUNS), len(script.ARGPARSE_ARGVS)
+    pointwise, tt2d, rest = records[:200], records[200:200 + n_tt2d], records[200 + n_tt2d:]
+    by_argparse, text = rest[:n_argparse], rest[n_argparse:]
     assert len(pointwise) == 200 and len(tt2d) == n_tt2d
+    assert [record["argv"] for record in by_argparse] == list(script.ARGPARSE_ARGVS)
     assert [record["argv"] for record in text] == list(script.TEXT_ARGVS)
 
     for record in pointwise:
@@ -85,6 +88,9 @@ def test_default_reports(tmp_path, monkeypatch):
         assert record["exit"] == 0, record["argv"]
         assert [c["name"] for c in record["report"]["checks"]] == TT2D
     assert tt2d[-1]["csv"] is not None
+    assert [record["exit"] for record in by_argparse] == [0, 0, 2]
+    assert by_argparse[1]["stdout"].startswith("PASS  pencil_curvature")
+    assert by_argparse[2]["stderr"] == "error: --tol must be finite and non-negative, got -1e-05\n"
     for record in text:
         # Help exits 0 on stdout; a usage error exits 2 on stderr.
         assert record["exit"] == (0 if "-h" in record["argv"] else 2), record["argv"]
@@ -97,15 +103,16 @@ def _parser_with_every_option(top):
     that reads every call, as argparse dispatches it."""
     parser = cli._Parser(prog=top.prog, description=top.description)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, add_options in cli.ADD_OPTIONS.items():
-        add_options(sub.add_parser(name))
+    for name in cli.OPTIONS:
+        cli._add_options(sub.add_parser(name), name)
     return parser
 
 
 def test_cli_text_equals_a_parser_with_every_option(tmp_path, monkeypatch):
-    # main builds the parser of the subcommand it runs alone, and the top
-    # level only for its help and errors; what it prints, help and usage
-    # errors included, is what one parser with every option prints.
+    # main builds the parser of the subcommand it runs alone, from
+    # cli.OPTIONS, and the top level only for its help and errors; what it
+    # prints, help and usage errors included, is what one parser with every
+    # option prints.
     script = _load_script(monkeypatch)
     monkeypatch.chdir(tmp_path)
     parser = _parser_with_every_option(cli.build_parser())
