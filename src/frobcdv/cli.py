@@ -7,10 +7,8 @@ stack of all its points' canonical frames (built once, and read by every
 check, which evaluates nothing), each with the worst point's residual.
 The table OPTIONS defines each subcommand's options.  A call of plain
 "--flag value" pairs is read off it (_read_options) and builds no parser;
-any other call builds that subcommand's argparse parser from the table,
-and the top-level parser, whose subcommands are bare names, only for its
-own help and errors, so help, usage and errors read as if one parser had
-every subcommand's options.
+any other call (help, an error, "--flag=value") goes to the one argparse
+parser built from the same table (build_parser).
 Exit codes: 0 all checks pass, 1 a check failed, 2 error.
 """
 
@@ -108,7 +106,7 @@ def _matrix_json(M):
     return [[_c(z) for z in row] for row in M]
 
 
-def write_report(path, spec_path, points, report, seed, skipped=0, extra=None):
+def write_report(path, spec_path, points, report, seed, skipped, extra):
     """The JSON report."""
     doc = {
         "spec": str(spec_path),
@@ -129,7 +127,7 @@ def write_report(path, spec_path, points, report, seed, skipped=0, extra=None):
     }
     if extra:
         doc.update(extra)
-    if path:
+    if path is not None:
         with open(path, "w") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
@@ -215,7 +213,7 @@ def cmd_tt2d(args):
         raise_on_failure=False,
     )
     # With --csv, one residual grid serves the check and the CSV.
-    grid = ld.residual_grid(spec, solution) if args.csv else None
+    grid = ld.residual_grid(spec, solution) if args.csv is not None else None
     pde, inv = ld.tt2d_residual(spec, solution, grid)
     report = VerificationReport()
     # Below the residual's round-off floor, tol cannot be met.  Both checks
@@ -225,7 +223,7 @@ def cmd_tt2d(args):
     tol = max(args.tol, solution.floor)
     report.add("tt2d_solver_residual", solution.residual, tol)
     report.add("tt2d_independent_residual", pde, 10.0 * tol if solution.converged else tol)
-    if args.csv:
+    if args.csv is not None:
         ld.write_tt2d_csv(spec, solution, args.csv, grid)
     extra = {
         "tt2d": {
@@ -240,7 +238,7 @@ def cmd_tt2d(args):
 
 
 def cmd_catalog(args):
-    if args.name:
+    if args.name is not None:
         names = [args.name]
     else:
         names = list(CATALOG_NAMES)
@@ -280,8 +278,6 @@ _POINTWISE = (
     {"func": cmd_pointwise},
 )
 
-PROG = "frobcdv"
-
 # Per subcommand, in the order of the usage line: its options, each flag's
 # (type, default, help); the flags it requires; and the values it fixes.
 # cdv reports the structure at one point, so it samples only that one.
@@ -305,15 +301,16 @@ OPTIONS = {
 
 
 def _read_options(name, words):
-    """The options of subcommand name if words are "--flag value" pairs of
-    its flags, each value converting with its flag's type and not starting
-    with "-", and give every required flag; else None, and argparse reads
-    them ("-h", "--flag=value", a prefix, "--", "-1e-5", a bad value)."""
+    """The options of subcommand name, as build_parser reads them, if
+    words are "--flag value" pairs of its flags, each value converting
+    with its flag's type and not starting with "-", and give every
+    required flag; else None, and argparse reads them ("-h",
+    "--flag=value", a prefix, "--", "-1e-5", a bad value)."""
     options, required, fixed = OPTIONS[name]
     if len(words) % 2 or not set(required) <= set(words[::2]):
         return None
     values = {flag[2:].replace("-", "_"): default for flag, (_, default, _) in options.items()}
-    values.update(fixed)
+    values.update(fixed, command=name)
     for flag, value in zip(words[::2], words[1::2]):
         if flag not in options or value.startswith("-"):
             return None
@@ -324,27 +321,21 @@ def _read_options(name, words):
     return argparse.Namespace(**values)
 
 
-def _add_options(parser, name):
-    """Add subcommand name's options of OPTIONS to parser."""
-    options, required, fixed = OPTIONS[name]
-    for flag, (type_, default, help_) in options.items():
-        parser.add_argument(flag, type=type_, default=default, required=flag in required,
-                            help=help_)
-    parser.set_defaults(**fixed)
-
-
 def build_parser():
-    """The top-level parser: every subcommand's name, with no options.
-    argparse hands every word after a subcommand's name to that
-    subcommand's parser, so the top level prints only its own help and
-    errors, which name the subcommands alone."""
+    """The argparse parser of every call: one subparser per subcommand,
+    with its options of OPTIONS.  main builds it only for the calls that
+    _read_options does not read: help, errors and other spellings."""
     parser = _Parser(
-        prog=PROG,
+        prog="frobcdv",
         description="Construct and verify canonical positive CDV-structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in OPTIONS:
-        sub.add_parser(name, add_help=False)
+    for name, (options, required, fixed) in OPTIONS.items():
+        subparser = sub.add_parser(name)
+        for flag, (type_, default, help_) in options.items():
+            subparser.add_argument(flag, type=type_, default=default, required=flag in required,
+                                   help=help_)
+        subparser.set_defaults(**fixed)
     return parser
 
 
@@ -360,18 +351,8 @@ def _check_numbers(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in OPTIONS:
-        args = _read_options(argv[0], argv[1:])
-        if args is None:
-            # The parser argparse would hand the rest of argv to, as it
-            # would build it; words it leaves over are the top level's error.
-            parser = _Parser(prog=f"{PROG} {argv[0]}")
-            _add_options(parser, argv[0])
-            args, extras = parser.parse_known_args(argv[1:])
-            if extras:
-                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
-    else:  # -h, no arguments, a typo: the top level's help or error
+    args = _read_options(argv[0], argv[1:]) if argv and argv[0] in OPTIONS else None
+    if args is None:
         args = build_parser().parse_args(argv)
     try:
         _check_numbers(args)
@@ -381,8 +362,7 @@ def main(argv=None):
             report, pts, skipped, extra = args.func(args)
         if report is None:
             return 0
-        doc = write_report(args.report, args.spec, pts, report, args.seed, skipped=skipped,
-                           extra=extra)
+        doc = write_report(args.report, args.spec, pts, report, args.seed, skipped, extra)
     # numpy raises MemoryError for an array too large to allocate, such as
     # the grid of an oversized tt2d --grid.
     except (FrobCdvError, FloatingPointError, MemoryError, OSError) as exc:

@@ -36,7 +36,7 @@ class NotNormalForm(FrobCdvError):
 
 
 class ParseError(FrobCdvError):
-    """Malformed spec or report file."""
+    """Malformed spec file, or a bad --point, --rect, --points, --seed or --tol."""
 
 
 class ValidationError(FrobCdvError):

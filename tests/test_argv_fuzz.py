@@ -3,14 +3,18 @@
 Argv words are drawn for each subcommand from its own and the other
 subcommands' flags, their unique prefixes, "--flag=value", "-h", "--",
 values such as "-1e-5", "nan", "" and "abc", and a spec path.  Whenever
-``_read_options`` reads the words, argparse's parser of that subcommand,
-built from the same ``cli.OPTIONS``, must read them without error and to
-the same options.  Any other call goes to argparse itself, so ``main``
+``_read_options`` reads the words, ``cli.build_parser``'s parser, built
+from the same ``cli.OPTIONS``, must read them without error and to the
+same options.  Any other call goes to that parser itself, so ``main``
 reads every argv as argparse alone would.
 """
 
 import contextlib
+import importlib.util
 import io
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 from frobcdv import cli
 
 SPEC = "spec.json"
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 FLAGS = sorted({flag for options, _, _ in cli.OPTIONS.values() for flag in options})
 
 
@@ -64,13 +69,11 @@ def _reprs(args):
 
 
 def _argparse_reads(name, words):
-    """The options argparse's parser of subcommand name reads off words."""
-    parser = cli._Parser(prog=f"frobcdv {name}")
-    cli._add_options(parser, name)
+    """The options cli.build_parser's parser reads off subcommand name's words."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
-            return parser.parse_args(words)
+            return cli.build_parser().parse_args([name, *words])
         except SystemExit:
             raise AssertionError(f"argparse refuses {words}: {err.getvalue()}") from None
 
@@ -102,3 +105,27 @@ def test_read_options_reads_a_plain_call(name, words):
     ours = cli._read_options(name, words)
     assert ours is not None
     assert _reprs(ours) == _reprs(_argparse_reads(name, words))
+
+
+def _load_workloads(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_read_options_reads_every_benchmark_call(tmp_path, monkeypatch):
+    # Every call of one rotation of each workload, as bench/workloads.py
+    # builds it (loaded from its file, writing nothing under bench/), is
+    # read off cli.OPTIONS: the benchmark builds no argparse parser.
+    workloads = _load_workloads(monkeypatch)
+    argvs = []
+    for workload in workloads.WORKLOADS:
+        for i in range(workloads.cycle_length(workload)):
+            groups, _ = workloads.make_op(workload, i, random.Random(0), tmp_path,
+                                          lambda name, k: 1.0)
+            argvs += [call.argv for calls in groups for call in calls]
+    assert len(argvs) == 13
+    for argv in argvs:
+        assert cli._read_options(argv[0], argv[1:]) is not None, argv

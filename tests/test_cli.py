@@ -820,31 +820,10 @@ def test_spec_above_max_dim_is_one_line_error(tmp_path, capsys, command):
     assert "from 1 to 8, got 9" in out.err
 
 
-def test_main_adds_options_to_the_subcommand_it_runs_alone(tmp_path, monkeypatch):
-    # A plain call is read off cli.OPTIONS and adds no option; one that
-    # argparse reads (here "--points=1") adds only its subcommand's, and
-    # builds no top-level parser: building every subcommand's parser took a
-    # quarter of a pointwise call.
-    added = {}
-    add_argument = cli._Parser.add_argument
-
-    def record(parser, *args, **kwargs):
-        added.setdefault(parser.prog, []).extend(args)
-        return add_argument(parser, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "add_argument", record)
-    spec = _dump("quartic2", tmp_path)
-    assert main(["verify", "--spec", spec, "--points", "1"]) == 0
-    assert added == {}
-    assert main(["verify", "--spec", spec, "--points=1"]) == 0
-    assert added == {"frobcdv verify": ["-h", "--help", "--spec", "--seed", "--tol", "--report",
-                                        "--points", "--point"]}
-
-
 @pytest.mark.parametrize("command", list(cli.OPTIONS))
 def test_a_valid_call_builds_one_parser(tmp_path, monkeypatch, command):
     # At most one: a call of plain "--flag value" pairs builds none, and
-    # the same call with "--flag=value" the subcommand's own parser alone.
+    # the same call with "--flag=value" cli.build_parser's, once.
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -862,7 +841,7 @@ def test_a_valid_call_builds_one_parser(tmp_path, monkeypatch, command):
     assert main([command, *options]) == 0
     assert built == []
     assert main([command, f"{options[0]}={options[1]}", *options[2:]]) == 0
-    assert built == [f"frobcdv {command}"]
+    assert built == ["frobcdv", *(f"frobcdv {name}" for name in cli.OPTIONS)]
 
 
 def test_catalog_command(tmp_path):
@@ -1011,6 +990,20 @@ def test_unwritable_report_is_one_line_error(tmp_path, capsys, where):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("error: ") and str(path) in out.err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("catalog", ["--name", ""]),
+    ("verify", ["--points", "1", "--report", ""]),
+    ("tt2d", ["--grid", "9", "--csv", ""]),
+], ids=["catalog_name", "verify_report", "tt2d_csv"])
+def test_empty_path_option_is_one_line_error(tmp_path, monkeypatch, capsys, command, options):
+    # An empty --name, --report or --csv names no entry or file: it is an
+    # error, not the option left out, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    spec = [] if command == "catalog" else ["--spec", _dump("p1", tmp_path)]
+    _one_line_error(capsys, [command, *spec, *options])
+    assert [p.name for p in tmp_path.iterdir()] == ["p1.json"] * bool(spec)
 
 
 def test_tt2d_zero_tolerance_stops_at_roundoff_floor(tmp_path, capsys):

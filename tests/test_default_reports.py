@@ -7,8 +7,8 @@ runs, three calls that argparse reads and the calls that print help or a
 usage error, in-process.  Here
 their exit codes, check names and verdicts are pinned, and every passing
 check of the pointwise subcommands must pass with margin (tolerance /
-residual) at least MIN_MARGIN.  The text calls must print what a parser
-with every subcommand's options prints.  The script is loaded from its
+residual) at least MIN_MARGIN.  The text calls must print what
+cli.build_parser's parser prints.  The script is loaded from its
 file, as tests/test_bench_trace.py loads the tracer.
 """
 
@@ -98,23 +98,12 @@ def test_default_reports(tmp_path, monkeypatch):
         assert record["stderr"].startswith("usage: frobcdv") == (record["exit"] == 2)
 
 
-def _parser_with_every_option(top):
-    """The parser top with every subcommand's options added: one parser
-    that reads every call, as argparse dispatches it."""
-    parser = cli._Parser(prog=top.prog, description=top.description)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in cli.OPTIONS:
-        cli._add_options(sub.add_parser(name), name)
-    return parser
-
-
 def test_cli_text_equals_a_parser_with_every_option(tmp_path, monkeypatch):
-    # main builds the parser of the subcommand it runs alone, from
-    # cli.OPTIONS, and the top level only for its help and errors; what it
-    # prints, help and usage errors included, is what one parser with every
-    # option prints.
+    # main reads a plain call off cli.OPTIONS and hands any other to
+    # cli.build_parser's parser, which has every subcommand's options; what
+    # main prints, help and usage errors included, is what that parser prints.
     script = _load_script(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    parser = _parser_with_every_option(cli.build_parser())
+    parser = cli.build_parser()
     for argv in script.TEXT_ARGVS:
         assert script._record(main, argv) == script._record(parser.parse_args, argv)
