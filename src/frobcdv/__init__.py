@@ -27,7 +27,6 @@ from .canonical import (
     check_euler_eta,
     check_homogeneity,
     check_wdvv,
-    levi_civita_canonical,
 )
 from .catalog import (
     A3_POINT,

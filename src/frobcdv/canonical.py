@@ -175,30 +175,6 @@ def as_frame(spec, t) -> CanonicalFrame:
     return t if isinstance(t, CanonicalFrame) else canonical_frame(spec, t)
 
 
-def levi_civita_canonical(frame: CanonicalFrame):
-    """Christoffel matrices Gamma[alpha, k, beta] of nabla_{e_alpha} e_beta,
-    at the frame's point or at each of its stack.
-
-    For alpha != beta:
-        nabla_alpha e_beta = (e_beta eta_alpha)/(2 eta_alpha) e_alpha
-                           + (e_alpha eta_beta)/(2 eta_beta) e_beta,
-    and on the diagonal:
-        nabla_alpha e_alpha = (e_alpha eta_alpha)/(2 eta_alpha) e_alpha
-                            - sum_{g != alpha} (e_g eta_alpha)/(2 eta_g) e_g.
-    """
-    m = frame.u.shape[-1]
-    a = np.arange(m)
-    off = 1.0 - np.eye(m)
-    eta = frame.eta[..., None, :]
-    q = frame.eta_d / (2.0 * eta)  # q[b, a] = e_b(eta_a) / (2 eta_a)
-    p = frame.eta_d / (2.0 * np.swapaxes(eta, -1, -2))  # p[g, a] = e_g(eta_a) / (2 eta_g)
-    G = np.zeros(q.shape[:-2] + (m, m, m), dtype=complex)
-    G[..., a, a, :] = np.swapaxes(q, -1, -2)
-    G[..., :, a, a] += q * off
-    np.swapaxes(G, -1, -2)[..., a, a, :] -= np.swapaxes(p * off, -1, -2)  # G[a, :, a]
-    return G
-
-
 def check_wdvv(spec, frame: CanonicalFrame, tol) -> VerificationReport:
     """WDVV associativity of the frame's C_ij^k and, for a normal-form spec
     of dimension 3, the reduced scalar of its C_ijk, at each point."""

@@ -39,7 +39,7 @@ RESAMPLE_LIMIT = 10
 
 def _parse_point(text, dim):
     """Parse "re,im;re,im;..." into a complex vector of length dim."""
-    parts = [p for p in text.split(";") if p.strip()]
+    parts = text.split(";")
     if len(parts) != dim:
         raise ParseError(f"point has {len(parts)} coordinates, spec has dimension {dim}")
     out = np.zeros(dim, dtype=complex)

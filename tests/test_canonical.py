@@ -1,4 +1,4 @@
-"""Tests for canonical frames, idempotents, and the canonical connection."""
+"""Tests for canonical frames, idempotents, and the checks that read them."""
 
 import dataclasses
 
@@ -17,7 +17,6 @@ from frobcdv import (
     check_homogeneity,
     check_wdvv,
     flat_eval,
-    levi_civita_canonical,
     wdvv_reduced_m3,
     wdvv_residual,
 )
@@ -177,47 +176,6 @@ def test_canonical_frame_takes_one_eigendecomposition(eig_calls, name, t):
     assert eig_calls == [1]
 
 
-def test_levi_civita_metric_compatibility():
-    # e_alpha(g(e_b, e_c)) = g(nabla_a e_b, e_c) + g(e_b, nabla_a e_c)
-    # in the frame: delta_{bc} eta_d[a, b] = Gamma[a][b, c] eta_b
-    #                                      + Gamma[a][c, b] eta_c.
-    spec = catalog("a3_3d")
-    frame = canonical_frame(spec, A3_POINT)
-    gammas = levi_civita_canonical(frame)
-    m = 3
-    worst = 0.0
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                lhs = frame.eta_d[a, b] if b == c else 0.0
-                rhs = gammas[a][c, b] * frame.eta[c] + gammas[a][b, c] * frame.eta[b]
-                worst = max(worst, abs(lhs - rhs))
-    assert worst <= 1e-9
-
-
-def test_levi_civita_torsion_free():
-    # nabla_a e_b - nabla_b e_a = [e_a, e_b] = sum_k (e_a(A_kb) - e_b(A_ka)) dual
-    # checked numerically through matched frames.
-    spec = catalog("quartic2")
-    t = np.array(QPT, dtype=complex)
-    frame = canonical_frame(spec, t)
-    gammas = levi_civita_canonical(frame)
-    step = 1e-6
-    m = 2
-    # bracket [e_a, e_b] in flat coordinates via directional derivatives of A
-    def dirderiv_A(direction):
-        plus = _matched_frame(spec, t + step * direction, frame)
-        minus = _matched_frame(spec, t - step * direction, frame)
-        return (plus.A - minus.A) / (2.0 * step)
-
-    dA = [dirderiv_A(frame.A[:, a]) for a in range(m)]
-    for a in range(m):
-        for b in range(m):
-            bracket = dA[a][:, b] - dA[b][:, a]
-            model = frame.A @ (gammas[a][:, b] - gammas[b][:, a])
-            assert np.max(np.abs(bracket - model)) <= 1e-6
-
-
 def test_euler_eta_scaling():
     for name, t in [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.1, 0.3))]:
         spec = catalog(name)
@@ -307,29 +265,3 @@ def test_frame_deterministic():
     assert np.array_equal(f1.u, f2.u)
     assert np.array_equal(f1.A, f2.A)
     assert np.array_equal(f1.eta_d, f2.eta_d)
-
-
-def _levi_civita_loop(frame):
-    """Reference: levi_civita_canonical entry by entry."""
-    m = len(frame.u)
-    eta, eta_d = frame.eta, frame.eta_d
-    gammas = []
-    for alpha in range(m):
-        G = np.zeros((m, m), dtype=complex)
-        for beta in range(m):
-            if beta == alpha:
-                G[alpha, alpha] += eta_d[alpha, alpha] / (2.0 * eta[alpha])
-                for g in range(m):
-                    if g != alpha:
-                        G[g, alpha] -= eta_d[g, alpha] / (2.0 * eta[g])
-            else:
-                G[alpha, beta] += eta_d[beta, alpha] / (2.0 * eta[alpha])
-                G[beta, beta] += eta_d[alpha, beta] / (2.0 * eta[beta])
-        gammas.append(G)
-    return np.stack(gammas)
-
-
-@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
-def test_levi_civita_matches_loop(name, t):
-    frame = canonical_frame(catalog(name), t)
-    assert np.array_equal(levi_civita_canonical(frame), _levi_civita_loop(frame))

@@ -93,14 +93,16 @@ def test_parse_point():
         _parse_point("1,0", 2)
     with pytest.raises(ParseError):
         _parse_point("1;2", 2)
-    for bad in ("a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "0,-inf;0,1", "1,2,3;0,0"):
+    # An empty coordinate, inside or at either end, used to be dropped.
+    for bad in ("a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "0,-inf;0,1", "1,2,3;0,0",
+                "0.1,0;;0.7,0", ";0.1,0;0.7,0", "0.1,0;0.7,0;"):
         with pytest.raises(ParseError):
             _parse_point(bad, 2)
 
 
 BAD_POINTS = {
     "quartic2": ("", "a,b;0,0", "nan,0;0,0", "1e400,0;0,0", "1e200,0;0,1", "0,1e200;0.5,0",
-                 "-inf,0;0,0", "--x"),
+                 "-inf,0;0,0", "--x", "0.1,0;;0.7,0", ";0.1,0;0.7,0", "0.1,0;0.7,0;"),
     # Not semi-simple, and overflowing: numpy's repr of a point of three
     # coordinates wrapped these messages onto two lines.
     "a3_3d": ("0.0,0.0;0.0,0.0;0.65625,2.6724083502506573e-164",
@@ -112,8 +114,9 @@ BAD_POINTS = {
 def test_bad_point_is_one_line_error(tmp_path, capsys, command):
     # A non-numeric or non-finite coordinate used to end in a traceback;
     # pencil printed numpy's overflow warning at 1e200, argparse took a
-    # point starting with "-" but not with a digit for an option, and an
-    # empty point was ignored, so that the command sampled its points.
+    # point starting with "-" but not with a digit for an option, an
+    # empty point was ignored, so that the command sampled its points, and
+    # an empty coordinate was dropped.
     for name, points in BAD_POINTS.items():
         spec = _dump(name, tmp_path)
         for point in points:
