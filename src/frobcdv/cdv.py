@@ -7,7 +7,10 @@ which read eta and eta_d alone.  flat_frame_h, flat_ttstar_data,
 derivative_data, curvature_coefficients, pencil_curvature,
 verify_harmonic, verify_cv_axioms and the Kaehler and real Levi-Civita
 gaps of connection_gap work in the flat frame, where every matrix is
-label-invariant, so no verifier matches eigenvalue labels.  Each reads
+label-invariant, so no verifier matches eigenvalue labels.  The Kaehler
+gap and both real Levi-Civita gaps read one array, the Chern torsion
+d_k h_jl - d_j h_kl: the real Levi-Civita connection is the Chern one
+plus terms in it.  Each reads
 A^{-1}, the pairing h, its derivatives, h^{-1}, kappa's matrix g^{-1} h
 and the Chern connection d_k h h^{-1} from the CanonicalFrame, which
 forms them once, at a point or at each of a stack (a leading axis).
@@ -343,23 +346,21 @@ def flat_frame_h(spec, t):
     return canonical_frame(spec, t).h
 
 
-def _real_metric(h):
-    """Real metric blocks of Re h on the basis (x^j -> d_j, y^j -> i d_j)."""
-    re, im = h.real, h.imag
-    top = np.concatenate([re, im], axis=-1)
-    bot = np.concatenate([-im, re], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
+def _lc_torsion(f, tors, h_inv):
+    """The real Levi-Civita connection of Re h minus the Chern connection.
 
-
-def _real_metric_derivatives(dh):
-    """dg[a] = derivative of _real_metric(h) along x^a (a < m), y^(a-m) (a >= m).
-
-    Along x^k the derivative of h is d_k h + dbar_k h, along y^k it is
-    i (d_k h - dbar_k h), with dbar_k h = (d_k h)^dagger; _real_metric is
-    real-linear.
+    a = (k, f_a) and b = (j, f_b) run over the real directions x^k -> d_k
+    (f_a = 1) and y^k -> i d_k (f_a = i), f = (1,.., i,..); output vectors
+    are complexified as v_x + i v_y.  By the Koszul formula entry [a, b] is
+    1/2 (-f_a f_b tors[k, j] + conj(f_a) f_b T[k, j] + f_a conj(f_b) T[j, k]) h^{-1},
+    with tors[k, j, l] = d_k h_jl - d_j h_kl the Chern torsion lowered by h
+    and T[k, j, l] = conj(tors[k, l, j]).  The conj(f_a) f_b term is X, and
+    the f_a conj(f_b) term is X with a and b swapped.
     """
-    dbar = np.conj(np.swapaxes(dh, -1, -2))
-    return _real_metric(np.concatenate([dh + dbar, 1j * (dh - dbar)], axis=-3))
+    T = np.conj(np.swapaxes(tors, -2, -1))
+    X = np.multiply.outer(np.conj(f), f)[:, :, None] * np.tile(T, (2, 2, 1))
+    ff_tors = np.multiply.outer(f, f)[:, :, None] * np.tile(tors, (2, 2, 1))
+    return 0.5 * (X + np.swapaxes(X, -3, -2) - ff_tors) @ h_inv[..., None, :, :]
 
 
 def connection_gap(spec, t, tol) -> VerificationReport:
@@ -370,9 +371,11 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     the trivial (flat) case.  t is a point, a stack or the CanonicalFrame
     there.  nabla_vs_chern and chern_torsion are one number (the metric is
     Egoroff), formed once from the frame's eta and eta_d and reported
-    under both names.  h, its exact derivatives, h^{-1} and the Chern
-    connection come from the frame, so a call takes one eigendecomposition
-    given points and none given a frame.
+    under both names.  kaehler_closedness, real_lc_vs_chern and
+    real_lc_vs_nabla read one array, the Chern torsion in flat coordinates
+    (see _lc_torsion), and no real metric is formed.  h, its exact
+    derivatives, h^{-1} and the Chern connection come from the frame, so a
+    call takes one eigendecomposition given points and none given a frame.
     """
     m = spec.dim
     frame = as_frame(spec, t)
@@ -391,30 +394,21 @@ def connection_gap(spec, t, tol) -> VerificationReport:
     report.add("chern_torsion", torsion, tol)
 
     # (c) closedness of the Kaehler form, flat coordinates:
-    # max |d_k h_ij - d_i h_kj|, the torsion of (b) lowered by h.  At m = 2
+    # max |d_k h_jl - d_j h_kl|, the torsion of (b) lowered by h.  At m = 2
     # it reads 2 * chern_torsion to <= 9.8e-16 relative; at m = 3 the ratio
     # varies.
     dh = frame.dh
-    report.add("kaehler_closedness", _point_maxabs(dh - np.swapaxes(dh, -3, -2), n), tol)
+    tors = dh - np.swapaxes(dh, -3, -2)
+    report.add("kaehler_closedness", _point_maxabs(tors, n), tol)
 
-    # (d) real Levi-Civita of Re h vs Chern and vs flat, after
-    # complexifying real output vectors via v = v_x + i v_y.
-    dg = _real_metric_derivatives(dh)
-    # _real_metric(h) is the real form of conj(h), which is multiplicative,
-    # so the inverse of the real metric is the real form of h^{-1}.
-    ghat_inv = _real_metric(frame.h_inv)
-    # gamma_hat[a, b, c] = Christoffel symbol Gamma^c_ab of the real metric,
-    # from dg[a, b, c] = d_a ghat_bc; v_hat complexifies its output index.
-    lowered = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    gamma_hat = 0.5 * np.einsum("...cd,...abd->...abc", ghat_inv, lowered)
-    v_hat = gamma_hat[..., :m] + 1j * gamma_hat[..., m:]
-
-    # Chern connection in the flat basis: D_{d_i} d_j = sum_k chern[i, j, k] d_k,
-    # with factor 1 for an x-type and i for a y-type direction or section.
-    factor = np.repeat([1.0, 1j], m)
-    v_chern = np.tile(frame.chern, (2, 2, 1)) * np.multiply.outer(factor, factor)[:, :, None]
-    report.add("real_lc_vs_chern", _point_maxabs(v_hat - v_chern, n), tol)
-    report.add("real_lc_vs_nabla", _point_maxabs(v_hat, n), tol)
+    # (d) real Levi-Civita connection of Re h vs Chern and vs flat over the
+    # 2m real directions: LC = f_a f_b chern[k, j] + _lc_torsion, where
+    # chern[k, j, l] is D_{d_k} d_j along d_l, so tors = 0 gives LC = Chern.
+    f = np.repeat([1.0, 1j], m)
+    lc_minus_chern = _lc_torsion(f, tors, frame.h_inv)
+    lc = np.multiply.outer(f, f)[:, :, None] * np.tile(frame.chern, (2, 2, 1)) + lc_minus_chern
+    report.add("real_lc_vs_chern", _point_maxabs(lc_minus_chern, n), tol)
+    report.add("real_lc_vs_nabla", _point_maxabs(lc, n), tol)
 
     return report
 

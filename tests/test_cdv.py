@@ -31,7 +31,7 @@ from frobcdv import (
 from frobcdv import canonical as canonical_module
 from frobcdv import cdv as cdv_module
 from frobcdv.canonical import flat_frame_dh
-from frobcdv.cdv import _real_metric, _real_metric_derivatives
+from frobcdv.cdv import _lc_torsion
 from frobcdv.cli import main, sample_points
 from test_stacked_frames import _flat_data_loop
 
@@ -299,7 +299,7 @@ def _frame_checks(spec, frame):
 
 @pytest.mark.parametrize("field,readers", [
     ("kappa", ("kappa_involution", "higgs_reality")),
-    ("chern", ("omega_holomorphy", "real_lc_vs_chern", "omega_antisymmetry")),
+    ("chern", ("omega_holomorphy", "real_lc_vs_nabla", "omega_antisymmetry")),
 ])
 def test_checks_read_kappa_and_chern_from_the_frame(field, readers):
     # The frame forms kappa = g^-1 h and chern[k] = d_k h h^-1 once; a
@@ -540,23 +540,52 @@ def test_flat_frame_dh_cubic2_is_exactly_zero():
         assert not np.any(canonical_frame(spec, t).dh)
 
 
-@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))])
-def test_real_metric_derivatives_against_fd(name, t):
-    # connection_gap reports maxima that a wrong derivative of the real
-    # metric can leave unchanged, so the derivative is checked directly.
+# Points off the real slice, where h and d h are not real, so that a
+# missing conjugation in the real Levi-Civita connection shows.
+COMPLEX_POINTS = {
+    "quartic2": (0.3 + 0.2j, 0.8 - 0.4j),
+    "a3_3d": (0.3 + 0.1j, 0.7 - 0.2j, 1.1 + 0.3j),
+    "p1": (0.2 - 0.1j, 0.4 + 0.7j),
+}
+
+
+def _real_metric(h):
+    """Real metric blocks of Re h on the basis (x^j -> d_j, y^j -> i d_j)."""
+    re, im = h.real, h.imag
+    return np.block([[re, im], [-im, re]])
+
+
+@pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT), ("p1", (0.2, 0.4))]
+                         + sorted(COMPLEX_POINTS.items()))
+def test_real_levi_civita_against_fd_christoffel_symbols(name, t):
+    # connection_gap reports maxima that a wrong entry can leave unchanged,
+    # so each entry of f_a f_b chern + _lc_torsion is checked against the
+    # Christoffel symbols of Re h, from a central difference of the metric.
     spec = catalog(name)
     m = spec.dim
     t = np.asarray(t, dtype=complex)
-    dg = _real_metric_derivatives(canonical_frame(spec, t).dh)
     s0 = np.concatenate([t.real, t.imag])
     step = 1e-5
+    dg = []
     for a in range(2 * m):
         ds = np.zeros(2 * m)
         ds[a] = step
         plus, minus = s0 + ds, s0 - ds
-        fd = (_real_metric(flat_frame_h(spec, plus[:m] + 1j * plus[m:]))
-              - _real_metric(flat_frame_h(spec, minus[:m] + 1j * minus[m:]))) / (2.0 * step)
-        assert np.max(np.abs(dg[a] - fd)) <= 1e-8 * np.max(np.abs(dg))
+        dg.append((_real_metric(flat_frame_h(spec, plus[:m] + 1j * plus[m:]))
+                   - _real_metric(flat_frame_h(spec, minus[:m] + 1j * minus[m:]))) / (2.0 * step))
+    dg = np.array(dg)
+    g_inv = np.linalg.inv(_real_metric(flat_frame_h(spec, t)))
+    # gamma[a, b, c] = Gamma^c_ab; its output index complexified as v_x + i v_y.
+    gamma = 0.5 * np.einsum("cd,abd->abc", g_inv,
+                            dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, -1))
+    expected = gamma[..., :m] + 1j * gamma[..., m:]
+
+    frame = canonical_frame(spec, t)
+    f = np.repeat([1.0, 1j], m)
+    tors = frame.dh - np.swapaxes(frame.dh, -3, -2)
+    lc = (np.multiply.outer(f, f)[:, :, None] * np.tile(frame.chern, (2, 2, 1))
+          + _lc_torsion(f, tors, frame.h_inv))
+    assert np.max(np.abs(lc - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
 def test_connection_gap_trivial_case():
@@ -584,11 +613,29 @@ LOOP_GAPS = {
 }
 
 
+# Gaps at COMPLEX_POINTS from the former real-metric implementation of
+# connection_gap (Christoffel symbols of the 2m x 2m real metric of Re h).
+PARENT_GAPS = {
+    "quartic2": (0.030163858991882, 0.030163858991882, 0.06032771798376396,
+                 0.24999999999999986, 0.2795084971874735),
+    "a3_3d": (0.30866264754078193, 0.30866264754078193, 0.4193211666614433,
+              0.3996138200268762, 0.45333005917501007),
+    "p1": (0.10234134413474777, 0.10234134413474777, 0.20468268826949554,
+           0.25000000000000006, 0.25000000000000006),
+}
+
+
 @pytest.mark.parametrize("name", sorted(LOOP_GAPS))
 def test_connection_gap_matches_loop_values(name):
     t, expected = LOOP_GAPS[name]
     rep = connection_gap(catalog(name), t, 1e-5)
     assert [e.residual for e in rep.entries] == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_GAPS))
+def test_connection_gap_matches_parent_values(name):
+    rep = connection_gap(catalog(name), COMPLEX_POINTS[name], 1e-5)
+    assert [e.residual for e in rep.entries] == pytest.approx(PARENT_GAPS[name], rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["quartic2", "p1", "a3_3d", "cubic2"])
@@ -626,10 +673,9 @@ def test_kaehler_closedness_is_twice_chern_torsion_at_m2(name):
 
 @pytest.mark.parametrize("name", sorted(LOOP_GAPS))
 def test_connection_gap_inverts_nothing(monkeypatch, name):
-    # Given its frame, connection_gap reads the real metric's inverse as the
-    # real form of the frame's h^{-1}.  np.linalg.inv is counted around the
-    # call alone: flat_metric's cache makes process-wide counts depend on
-    # test order.
+    # Given its frame, connection_gap reads the frame's h^{-1}.
+    # np.linalg.inv is counted around the call alone: flat_metric's cache
+    # makes process-wide counts depend on test order.
     spec = catalog(name)
     frame = canonical_frame(spec, LOOP_GAPS[name][0])
     inv, calls = np.linalg.inv, []
