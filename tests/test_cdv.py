@@ -2,6 +2,7 @@
 connection comparisons, and the flat family of connections."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -784,6 +785,73 @@ def test_hol_w_block_enters_only_antisymmetrised(monkeypatch, name):
         derivative_data(*args), antisymmetric))
     rep = pencil_curvature(spec, frames, [1.0, 1.0j, 2.0], 1e-5)
     assert rep["pencil_curvature"].residual > 1e-3
+
+
+def _pencil_connection(S, dS, Q, z):
+    """The pencil's connection at z written out per direction: A[..., mu]
+    and dA[..., mu, nu] = d_mu A_nu, with A_i = W_i + Phi_i/z, A_ibar = z
+    Phidag_i and A_z = U/z^2 - Q/z - kappa U kappa, d_j read from dS and
+    d_z taken by hand."""
+    m = S.shape[-1]
+    W, Phi, Phidag = S[..., :m, :, :], S[..., m:2 * m, :, :], S[..., 2 * m:3 * m, :, :]
+    U, kUk = S[..., 3 * m, :, :], S[..., 3 * m + 1, :, :]
+    dW, dPhi, dPhidag = dS[..., :m, :, :], dS[..., m:2 * m, :, :], dS[..., 2 * m:3 * m, :, :]
+    dU, dkUk = dS[..., 3 * m, :, :], dS[..., 3 * m + 1, :, :]
+    A = np.concatenate([W + Phi / z, z * Phidag, (U / z**2 - Q / z - kUk)[..., None, :, :]],
+                       axis=-3)
+    d_flat = np.concatenate([dW + dPhi / z, z * dPhidag, (dU / z**2 - dkUk)[..., None, :, :]],
+                            axis=-3)
+    d_z = np.concatenate([-Phi / z**2, Phidag, (-2.0 * U / z**3 + Q / z**2)[..., None, :, :]],
+                         axis=-3)
+    return A, np.concatenate([d_flat, d_z[..., None, :, :, :]], axis=-4)
+
+
+def _random_stack(m, n_points, seed):
+    """Random complex S and dS in flat_ttstar_data's and DerivativeData.dS's
+    layout at a stack of n_points."""
+    rng = np.random.default_rng(seed)
+    shapes = ((n_points, 3 * m + 2, m, m), (n_points, 2 * m, 3 * m + 2, m, m))
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes)
+
+
+def _sampled_stack(name):
+    spec = catalog(name)
+    pts, _ = sample_points(spec, 3, seed=0)
+    data = cdv_module.derivative_data(spec, canonical_frame(spec, pts))
+    return data.S, data.dS
+
+
+@pytest.mark.parametrize("q", [False, True], ids=["Q0", "Qdiag"])
+@pytest.mark.parametrize("name", ["quartic2", "p1", "a3_3d", "random8"])
+def test_curvature_coefficients_against_the_curvature_at_z(name, q):
+    # F(z) = d_mu A_nu - d_nu A_mu + [A_mu, A_nu], formed at z from the
+    # connection itself, equals sum_k F_k z^k at three z that are not
+    # pencil's samples, with Q = 0 and with a non-scalar Q.
+    S, dS = _random_stack(8, 2, seed=3) if name == "random8" else _sampled_stack(name)
+    m = S.shape[-1]
+    Q = np.diag([0.1j, 0.3 + 0.1j, -0.2, 0.5j, 0.1, -0.4j, 0.2 + 0.2j, 0.7][:m]) if q else 0.0
+    F = cdv_module.curvature_coefficients(S, dS, Q)
+    for z in (0.7, -1.3j, 0.4 + 0.9j):
+        A, dA = _pencil_connection(S, dS, Q, z)
+        A_mu, A_nu = A[..., :, None, :, :], A[..., None, :, :, :]
+        curvature = dA - np.swapaxes(dA, -3, -4) + A_mu @ A_nu - A_nu @ A_mu
+        series = sum(F[k] * z**k for k in F)
+        scale = max(np.max(np.abs(dA)), np.max(np.abs(A)) ** 2)
+        assert np.max(np.abs(series - curvature)) <= 1e-13 * scale, z
+
+
+def test_curvature_coefficients_memory_at_m8():
+    # A random m = 8 stack of 16 points, the size of an A_8 frame stack.  The
+    # Cauchy product peaks at 83 MB; an array of every product of two
+    # Laurent slots alone would take 76 MB at this size.
+    S, dS = _random_stack(8, 16, seed=0)
+    tracemalloc.start()
+    try:
+        cdv_module.curvature_coefficients(S, dS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120e6
 
 
 @pytest.mark.parametrize("name,t", [("quartic2", QPT), ("a3_3d", A3_POINT)])

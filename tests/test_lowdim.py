@@ -987,6 +987,35 @@ def test_tt2d_against_canonical_structure_p1():
         assert error <= 1e-12
 
 
+# The largest error in v = log h_11 against the sinh-Gordon solution at
+# n = 17, 33 and 65, by tilt theta and rectangle.
+SINH_GORDON_ERRORS = {
+    (0.0, (0.2, -0.4, 1.0, 0.4)): [6.19e-4, 6.80e-5, 5.81e-6],
+    (0.3, (0.3, -0.4, 1.1, 0.4)): [4.36e-4, 5.80e-5, 5.97e-6],
+}
+
+
+@pytest.mark.parametrize("theta, rect", list(SINH_GORDON_ERRORS), ids=["straight", "tilted"])
+def test_tt2d_against_sinh_gordon_solution(theta, rect):
+    # On cubic2 |f'''| = 1 and the equation reads (1/4) Lap v = 2 sinh 2v,
+    # which v = 2 artanh(e^{-4s}) solves for s = x cos theta + y sin theta
+    # > 0 (x = Re t^2).  Unlike the canonical h_11, on which both source
+    # terms cancel, it makes the source nonlinear.  With e^v as Dirichlet
+    # data the solve recovers it to the discretisation error, at rising
+    # order (4 Newton steps each).
+    def v(X, Y):
+        return 2.0 * np.arctanh(np.exp(-4.0 * (X * np.cos(theta) + Y * np.sin(theta))))
+
+    errors = []
+    for n, pinned in zip((17, 33, 65), SINH_GORDON_ERRORS[theta, rect]):
+        sol = solve_tt2d(catalog("cubic2"), rect, n, lambda X, Y: np.exp(v(X, Y)))
+        X, Y = np.meshgrid(sol.x, sol.y, indexing="ij")
+        errors.append(np.max(np.abs(np.log(sol.h11) - v(X, Y))))
+        assert sol.converged
+        assert pinned / 1.2 <= errors[-1] <= 1.2 * pinned
+    assert all(a / b >= 7.0 for a, b in zip(errors, errors[1:]))
+
+
 def test_tt2d_builds_each_one_dimensional_operator_once(monkeypatch):
     # Within a solve each 1-d second difference is built once per stencil
     # width and distinct spacing, and each 1-d interpolation once per
